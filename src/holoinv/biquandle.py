@@ -12,8 +12,9 @@ All maps return None where undefined; callers treat absence as a normal
 outcome and may retry after a gauge move.  The module provides the derived
 structures: the associated quandle, harpoon (slide) actions of words on
 colors, the probe ("guitar") recoloring of a diagram by associated-quandle
-colors, fibered products, group-factorization biquandles, and a semi-cyclic
-example which is total (defined everywhere).
+colors, fibered products, and a semi-cyclic example which is total (defined
+everywhere).  The SL(2, C) factorization biquandle that the pipeline colors
+with is `sl2factor.FactorizationOracle`.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-import numpy as np
-
 from .errors import InternalInconsistency, InvariantViolation, Undefined
-from .quandle import inv2
 
 
 class BiquandleOracle:
@@ -53,113 +51,6 @@ def _eq(a, b, tol=1e-9):
     if hasattr(a, "approx_eq"):
         return a.approx_eq(b, tol)
     return a == b
-
-
-# --- group factorizations ---------------------------------------------------
-
-@dataclass(frozen=True)
-class GroupFactorization:
-    """A group with two matrix homomorphisms and psi = phi_plus * phi_minus^(-1).
-
-    `psi_inv` maps a matrix back into the carrier, or returns None off the
-    image; `mul`/`inv` give the carrier group law.
-    """
-
-    phi_plus: Callable[[Any], np.ndarray]
-    phi_minus: Callable[[Any], np.ndarray]
-    psi_inv: Callable[[np.ndarray], Optional[Any]]
-    mul: Callable[[Any, Any], Any]
-    inv: Callable[[Any], Any]
-
-    def psi(self, x) -> np.ndarray:
-        return self.phi_plus(x) @ inv2(self.phi_minus(x))
-
-
-class FactorizationBiquandle(BiquandleOracle):
-    """The biquandle of a group factorization.
-
-    B solves the crossing system x4 x3 = x1 x2, phi_plus(x4) phi_minus(x3) =
-    phi_minus(x1) phi_plus(x2); concretely x4 = psi_inv(phi_minus(x1) psi(x2)
-    phi_minus(x1)^(-1)) and x3 = psi_inv(phi_plus(x4)^(-1) psi(x1)
-    phi_plus(x4)).  S and its inverse come from composing B with the group
-    inverse on one side; alpha(x) = psi_inv(phi_minus(x)^(-1) phi_plus(x)).
-    """
-
-    def __init__(self, gf: GroupFactorization):
-        self.gf = gf
-
-    def B(self, x1, x2):
-        gf = self.gf
-        fm = gf.phi_minus(x1)
-        x4 = gf.psi_inv(fm @ gf.psi(x2) @ inv2(fm))
-        if x4 is None:
-            return None
-        fp = gf.phi_plus(x4)
-        x3 = gf.psi_inv(inv2(fp) @ gf.psi(x1) @ fp)
-        if x3 is None:
-            return None
-        return (x4, x3)
-
-    def B_inv(self, x4, x3):
-        gf = self.gf
-        fp = gf.phi_plus(x4)
-        x1 = gf.psi_inv(fp @ gf.psi(x3) @ inv2(fp))
-        if x1 is None:
-            return None
-        fm = gf.phi_minus(x1)
-        x2 = gf.psi_inv(inv2(fm) @ gf.psi(x4) @ fm)
-        if x2 is None:
-            return None
-        return (x1, x2)
-
-    def S(self, x4, x1):
-        gf = self.gf
-        fp = gf.phi_plus(x4)
-        x3 = gf.psi_inv(inv2(fp) @ gf.psi(x1) @ fp)
-        if x3 is None:
-            return None
-        fm = gf.phi_minus(x1)
-        x2 = gf.psi_inv(inv2(fm) @ gf.psi(x4) @ fm)
-        if x2 is None:
-            return None
-        return (x3, x2)
-
-    def S_inv(self, x3, x2):
-        v = self.B(x3, self.gf.inv(x2))
-        if v is None:
-            return None
-        return (self.gf.inv(v[0]), v[1])
-
-    def alpha(self, x):
-        return self.gf.psi_inv(inv2(self.gf.phi_minus(x)) @ self.gf.phi_plus(x))
-
-    def alpha_inv(self, x):
-        y = self.gf.psi_inv(inv2(self.gf.psi(x)))
-        return None if y is None else self.gf.inv(y)
-
-
-def factorization_biquandle(gf: GroupFactorization) -> FactorizationBiquandle:
-    return FactorizationBiquandle(gf)
-
-
-def sl2_group_factorization(tol: float = 1e-9) -> GroupFactorization:
-    """The factorization of SL(2,C) by triangular subgroups (carrier G*)."""
-    from .errors import OutsideGPrime
-    from .sl2factor import psi_inv
-
-    def pinv(m):
-        try:
-            return psi_inv(m, tol)
-        except OutsideGPrime:
-            return None
-
-    return GroupFactorization(
-        phi_plus=lambda x: x.phi_plus(),
-        phi_minus=lambda x: x.phi_minus(),
-        psi_inv=pinv,
-        mul=lambda a, b: a.mul(b),
-        inv=lambda a: a.inv(),
-    )
 
 
 # --- derived quandle --------------------------------------------------------
@@ -301,14 +192,6 @@ def harpoon_word(
     for x, sign in w:
         cur = harpoon_letter(bq, x, sign, cur, direction)
     return cur
-
-
-def slide_over(w, b, bq):
-    return harpoon_word(w, b, "up", bq)
-
-
-def slide_under(w, b, bq):
-    return harpoon_word(w, b, "down", bq)
 
 
 def reverse_word(w: Sequence[tuple[Any, str]]):

@@ -3,15 +3,11 @@
 A braiding here is an isomorphism c : V1 (x) V2 -> V4 (x) V3 whose target
 colors are the biquandle images (chi4, chi3) = B(chi1, chi2), intertwining
 the coproduct action: c rho12(Delta u) = rho43(Delta u) c for u in {E, F, K}.
-Two constructions are provided.
 
-Mode A consumes an externally supplied automorphism presentation (the images
-of the six generator slots under conjugation by the R-matrix) and recovers
-the conjugating matrix by a linear Skolem-Noether solve.
-
-Mode B is self-contained: the coproduct Casimir splits both tensor products
-into r matched eigenblocks, and each block carries a one-dimensional space
-of intertwiners, so the braiding is determined up to one scalar per block.
+The construction is self-contained: the coproduct Casimir splits both tensor
+products into r matched eigenblocks, and each block carries a
+one-dimensional space of intertwiners, so the braiding is determined up to
+one scalar per block.
 Intertwining alone does not pin the relative block scalars; they are
 resolved deterministically by anchoring at the Steinberg color.  When one
 factor of a pair is Steinberg, E or F acts nilpotently and the quantum
@@ -28,13 +24,13 @@ them as a one-dimensional joint nullspace.  The overall scale of each
 braiding is then fixed by det(c) = 1 via the principal root, which leaves
 exactly the r^2-th root-of-unity ambiguity the theory predicts; all
 scalar-level statements are therefore made modulo that group, through
-ModScalar.
+ModScalar.  `skolem_noether_solve` recovers the matrix conjugating V1 (x) V2
+from the images of its six generator slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -146,7 +142,7 @@ class HolonomyBraiding:
         return np.linalg.inv(self.c)
 
 
-# --- mode A: Skolem-Noether solve -------------------------------------------
+# --- Skolem-Noether solve ------------------------------------------------------
 
 def generator_slots(V1: CyclicModule, V2: CyclicModule) -> dict[str, np.ndarray]:
     """The six generator images E (x) 1, ..., 1 (x) K on V1 (x) V2."""
@@ -190,7 +186,7 @@ def skolem_noether_solve(
     return _unit_det(R, tol)
 
 
-# --- mode B: Casimir blocks --------------------------------------------------
+# --- Casimir blocks ------------------------------------------------------------
 
 @dataclass
 class BlockBraiding:
@@ -220,34 +216,18 @@ def _char_key(chi: ZChar, digits: int = 9):
 
 
 def block_braiding(
-    y1: YColor,
-    y2: YColor,
-    p: RootParams,
-    tol: float = 1e-9,
-    modules: Optional[dict] = None,
+    y1: YColor, y2: YColor, provider: "BraidingProvider"
 ) -> BlockBraiding:
     """Build the braiding of a pair up to block scalars.
 
     Matches the Casimir eigenblocks of V1 (x) V2 and V4 (x) V3 by eigenvalue
     and solves the one-dimensional intertwiner space of each matched block.
     """
-    chi1 = char_from_ycolor(y1, p, tol)
-    chi2 = char_from_ycolor(y2, p, tol)
-    if not pair_defined(chi1, chi2, p, tol):
+    p, tol = provider.p, provider.tol
+    if not pair_defined(provider.char(y1), provider.char(y2), p, tol):
         raise Undefined("pair obstruction vanishes")
     y4, y3 = sl2_B(y1, y2, tol)
-    chi4 = char_from_ycolor(y4, p, tol)
-    chi3 = char_from_ycolor(y3, p, tol)
-
-    def module(chi):
-        if modules is None:
-            return build_cyclic_module(chi, p, tol)
-        key = _char_key(chi)
-        if key not in modules:
-            modules[key] = build_cyclic_module(chi, p, tol)
-        return modules[key]
-
-    V1, V2, V4, V3 = module(chi1), module(chi2), module(chi4), module(chi3)
+    V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
     b12 = casimir_block_structure(V1, V2, tol)
     b43 = casimir_block_structure(V4, V3, tol)
     d12 = coproduct_matrices(V1, V2)
@@ -392,24 +372,15 @@ def unipotent_series(
     return S
 
 
-def steinberg_self_braiding(
-    p: RootParams, tol: float = 1e-9, modules: Optional[dict] = None
-) -> HolonomyBraiding:
+def steinberg_self_braiding(provider: "BraidingProvider") -> HolonomyBraiding:
     """Closed-form braiding of the Steinberg module with itself.
 
     The K-eigenvalues of the Steinberg module are integer powers of q, so
     the Cartan factor q^{(H (x) H)/2} is unambiguous and the braiding is
     flip . Cartan . unipotent_series, normalized to det = 1.
     """
-    st = steinberg_ycolor(p)
-    chi = char_from_ycolor(st, p, tol)
-    key = _char_key(chi)
-    if modules is not None and key in modules:
-        V = modules[key]
-    else:
-        V = build_cyclic_module(chi, p, tol)
-        if modules is not None:
-            modules[key] = V
+    p, st = provider.p, provider.steinberg
+    V = provider.module(st)
     r = p.r
     S = unipotent_series(V, V, p)
     weights = [r + 1 - 2 * (i + 1) for i in range(r)]
@@ -417,17 +388,13 @@ def steinberg_self_braiding(
     cartan = np.diag(
         [qh ** (wi * wj) for wi in weights for wj in weights]
     ).astype(complex)
-    c = _unit_det(flip_matrix(r, r) @ cartan @ S, tol)
+    c = _unit_det(flip_matrix(r, r) @ cartan @ S, provider.tol)
     return HolonomyBraiding(y1=st, y2=st, y4=st, y3=st,
                             V1=V, V2=V, V4=V, V3=V, c=c)
 
 
 def steinberg_pair_braiding(
-    y1: YColor,
-    y2: YColor,
-    p: RootParams,
-    tol: float = 1e-9,
-    modules: Optional[dict] = None,
+    y1: YColor, y2: YColor, provider: "BraidingProvider"
 ) -> HolonomyBraiding:
     """Closed-form braiding of a pair with one Steinberg factor.
 
@@ -436,7 +403,8 @@ def steinberg_pair_braiding(
     peeling off the truncated unipotent series; that condition is a linear
     system on the block scalars with a one-dimensional nullspace.
     """
-    bb = block_braiding(y1, y2, p, tol, modules)
+    bb = block_braiding(y1, y2, provider)
+    p = provider.p
     r = p.r
     S_inv = np.linalg.inv(unipotent_series(bb.V1, bb.V2, p))
     tau = flip_matrix(r, r)
@@ -448,7 +416,7 @@ def steinberg_pair_braiding(
             f"Cartan-diagonality nullspace dim {ns.shape[1]} for a "
             "Steinberg-anchored pair"
         )
-    c = _unit_det(bb.assemble(ns[:, 0]), tol)
+    c = _unit_det(bb.assemble(ns[:, 0]), provider.tol)
     return HolonomyBraiding(y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3,
                             V1=bb.V1, V2=bb.V2, V4=bb.V4, V3=bb.V3, c=c)
 
@@ -484,9 +452,7 @@ def _anchored_triple_solve(
                     "two unresolved braidings on one side of the relation"
                 )
             else:
-                unk = (i, pair,
-                       block_braiding(pair[0], pair[1], p, tol,
-                                      provider.modules))
+                unk = (i, pair, block_braiding(pair[0], pair[1], provider))
         sides.append((pairs, word, known, unk))
 
     def columns(pairs, word, known, unk):
@@ -619,18 +585,14 @@ def _total_from_cache(provider, pairs, word):
 class BraidingProvider:
     """Caches modules, dualities and resolved braidings keyed by character.
 
-    Mode B (default) resolves braidings deterministically by anchoring
-    Yang-Baxter triples at the Steinberg color; mode A conjugates by the
-    matrix recovered from a supplied automorphism presentation.
+    Braidings are resolved deterministically by anchoring Yang-Baxter
+    triples at the Steinberg color.  Every cyclic module the braidings use
+    comes from `module`, so each character's module is built once.
     """
 
-    def __init__(self, p: RootParams, tol: float = 1e-9, mode: str = "B",
-                 presentation: Optional[dict] = None, seed: int = 0):
+    def __init__(self, p: RootParams, tol: float = 1e-9):
         self.p = p
         self.tol = tol
-        self.mode = mode
-        self.presentation = presentation
-        self.rng = np.random.default_rng(seed)
         self.modules: dict = {}
         self._braidings: dict = {}
         self._duals: dict = {}
@@ -663,15 +625,11 @@ class BraidingProvider:
         key = self.pair_key(y1, y2)
         if key in self._braidings:
             return self._braidings[key]
-        if self.mode == "A":
-            self._braidings[key] = self._braiding_mode_a(y1, y2)
-            return self._braidings[key]
         st1, st2 = self.is_steinberg(y1), self.is_steinberg(y2)
         if st1 and st2:
-            hb = steinberg_self_braiding(self.p, self.tol, self.modules)
+            hb = steinberg_self_braiding(self)
         elif st1 or st2:
-            hb = steinberg_pair_braiding(y1, y2, self.p, self.tol,
-                                         self.modules)
+            hb = steinberg_pair_braiding(y1, y2, self)
         else:
             hb = self._resolve_anchored(y1, y2, key)
         self._check_sideways(hb)
@@ -712,7 +670,7 @@ class BraidingProvider:
         The two sideways morphisms of a genuine braiding compose to the
         identity up to an r^2-th root of unity; this is the property that
         separates the braiding ray from other Yang-Baxter-compatible rays,
-        so it is enforced on every mode-B resolution.
+        so it is enforced on every resolution.
         """
         r = self.p.r
         d4 = self.duality(hb.y4)
@@ -725,17 +683,6 @@ class BraidingProvider:
             raise UnresolvableYB(
                 f"sideways morphisms do not invert, residual {res:.3e}"
             )
-
-    def _braiding_mode_a(self, y1: YColor, y2: YColor) -> HolonomyBraiding:
-        if self.presentation is None:
-            raise Undefined("mode A requires an automorphism presentation")
-        y4, y3 = sl2_B(y1, y2, self.tol)
-        V1, V2 = self.module(y1), self.module(y2)
-        V4, V3 = self.module(y4), self.module(y3)
-        R = skolem_noether_solve(self.presentation, V1, V2, self.tol)
-        c = flip_matrix(self.p.r, self.p.r) @ R
-        return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3,
-                                V1=V1, V2=V2, V4=V4, V3=V3, c=c)
 
     def braiding_inv(self, ya: YColor, yb: YColor):
         """Inverse braiding for a negative crossing with bottom colors (ya, yb).

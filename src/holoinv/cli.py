@@ -56,7 +56,7 @@ from .errors import (
     Undefined,
     UnresolvableYB,
 )
-from .invariant import gauge_orbit_compare, tilde_Fprime
+from .invariant import gauge_fix, gauge_orbit_compare, tilde_Fprime
 from .modtrace import (
     alpha_from_omega,
     check_dim_gauge_invariance,
@@ -66,7 +66,7 @@ from .modtrace import (
 )
 from .params import RootParams, root_params
 from .quandle import QColor, check_quandle_axioms, propagate_qcolors, random_qcolor
-from .sl2factor import FactorizationOracle, q_functor_inv, random_gstar, random_ycolor
+from .sl2factor import FactorizationOracle, random_gstar, random_ycolor
 from .uqsl2 import (
     ZChar,
     build_cyclic_module,
@@ -89,16 +89,12 @@ class RunConfig:
     tol: float = 1e-9
     seed: int = 0
     max_gauge_attempts: int = 100
-    mode: str = "B"
-    automorphism_file: Optional[str] = None
 
     def __post_init__(self):
         if self.ell < 3:
             raise ParseError("ell must be >= 3")
         if self.tol <= 0:
             raise ParseError("tol must be positive")
-        if self.mode not in ("A", "B"):
-            raise ParseError("mode must be A or B")
 
 
 # --- JSON (de)serialization ---------------------------------------------------
@@ -143,9 +139,13 @@ def load_link(path: str, tol: float = 1e-9) -> tuple[int, Diagram]:
     ell = int(data["ell"])
     if "braid" in data:
         b = data["braid"]
+        if not isinstance(b, dict) or "strands" not in b or "word" not in b:
+            raise ParseError("'braid' needs fields 'strands' and 'word'")
+        colors = data.get("colors", [])
+        if not isinstance(b["word"], list) or not isinstance(colors, list):
+            raise ParseError("braid 'word' and 'colors' must be lists")
         d = braid_diagram(int(b["strands"]), [int(w) for w in b["word"]])
-        colors = [_qcolor(c) for c in data.get("colors", [])]
-        colored = propagate_qcolors(d, colors, tol)
+        colored = propagate_qcolors(d, [_qcolor(c) for c in colors], tol)
         return ell, closure(colored, tol)
     if "slices" in data:
         d = Diagram(data.get("bottom_signs", ""), data["slices"])
@@ -159,29 +159,12 @@ def load_link(path: str, tol: float = 1e-9) -> tuple[int, Diagram]:
     raise ParseError("link file needs either 'braid' or 'slices'")
 
 
-def load_automorphism(path: str) -> dict[str, np.ndarray]:
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ParseError(f"cannot read automorphism file: {e}") from e
-    keys = ("E1", "F1", "K1", "E2", "F2", "K2")
-    if not all(k in data for k in keys):
-        raise ParseError(f"automorphism file needs matrices {keys}")
-    return {k: np.array([[_cplx(e) for e in row] for row in data[k]],
-                        dtype=complex) for k in keys}
-
-
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
 def _provider(cfg: RunConfig) -> BraidingProvider:
-    presentation = (load_automorphism(cfg.automorphism_file)
-                    if cfg.automorphism_file else None)
-    return BraidingProvider(root_params(cfg.ell, cfg.tol), cfg.tol,
-                            mode=cfg.mode, presentation=presentation,
-                            seed=cfg.seed)
+    return BraidingProvider(root_params(cfg.ell, cfg.tol), cfg.tol)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -227,23 +210,8 @@ def cmd_dim(args: argparse.Namespace) -> int:
 def cmd_color(args: argparse.Namespace) -> int:
     ell, d = load_link(args.link, args.tol)
     cfg = _config(args, ell)
-    rng = np.random.default_rng(cfg.seed)
-    lifted = None
-    attempts = 0
-    from .sl2factor import GStarElem, gauge_act_diagram
-    gauge = GStarElem.one()
-    last = ""
-    for k in range(cfg.max_gauge_attempts):
-        x = GStarElem.one() if k == 0 else random_gstar(rng)
-        attempts = k + 1
-        try:
-            lifted = q_functor_inv(gauge_act_diagram(x, d) if k else d, cfg.tol)
-            gauge = x
-            break
-        except Undefined as e:
-            last = str(e)
-    if lifted is None:
-        raise GaugeExhausted(f"no lifting gauge in {attempts} attempts ({last})")
+    gauge, lifted, attempts = gauge_fix(d, cfg.seed, cfg.max_gauge_attempts,
+                                        cfg.tol)
     out = {
         "ell": cfg.ell,
         "attempts": attempts,
@@ -414,8 +382,6 @@ def _add_common(sp: argparse.ArgumentParser, need_ell: bool) -> None:
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-gauge", type=int, default=100)
-    sp.add_argument("--mode", choices=("A", "B"), default="B")
-    sp.add_argument("--automorphism", default=None, metavar="FILE")
 
 
 def _config(args: argparse.Namespace, ell: int) -> RunConfig:
@@ -424,8 +390,6 @@ def _config(args: argparse.Namespace, ell: int) -> RunConfig:
         tol=args.tol,
         seed=args.seed,
         max_gauge_attempts=args.max_gauge,
-        mode=args.mode,
-        automorphism_file=args.automorphism,
     )
 
 

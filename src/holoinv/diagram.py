@@ -241,11 +241,6 @@ def _fmt(port: tuple[int, int]) -> str:
     return f"{port[0]}:{port[1]}"
 
 
-def _parse_edge(e: str) -> tuple[int, int]:
-    t, i = e.split(":")
-    return int(t), int(i)
-
-
 def identity(word: Iterable[tuple[Any, str]]) -> Diagram:
     word = list(word)
     d = Diagram([s for _, s in word], [])
@@ -255,22 +250,24 @@ def identity(word: Iterable[tuple[Any, str]]) -> Diagram:
 
 
 def _remap_colors(
-    new: Diagram, parts: list[tuple[Diagram, int]], tol: float = 1e-9
+    new: Diagram, parts: list[tuple[Diagram, Callable]], tol: float = 1e-9
 ) -> Diagram:
-    """Transfer colors of sub-diagrams into `new`.
+    """Transfer colors of sub-diagrams into `new`, port by port.
 
-    `parts` pairs each old diagram with functions mapping its ports to ports
-    of the new diagram; here represented as (old, port_map) where port_map is
-    a callable.  Conflicting colors on a merged edge raise.
+    `parts` pairs each old diagram with a callable mapping its ports to ports
+    of the new diagram, or to None for a port whose color is not carried
+    over.  Conflicting colors on a merged edge raise.
     """
     out: dict[str, Any] = {}
     for old, port_map in parts:
         for port in old._uf.parent:
+            q = port_map(port)
+            if q is None:
+                continue
             e_old = _fmt(old._uf.find(port))
             if e_old not in old.edge_colors:
                 continue
-            t, i = port_map(port)
-            e_new = new.edge_at(t, i)
+            e_new = new.edge_at(*q)
             c = old.edge_colors[e_old]
             if e_new in out and not colors_equal(out[e_new], c, tol):
                 raise InconsistentColoring(f"edge {e_new} gets conflicting colors")
@@ -312,20 +309,6 @@ def tensor(d1: Diagram, d2: Diagram, tol: float = 1e-9) -> Diagram:
         return (t + n1, w1_top + i)
 
     return _remap_colors(new, [(d1, lambda p: p), (d2, map2)], tol)
-
-
-def cable_crossing(n_over: int, n_under: int, sign: str) -> Diagram:
-    """The (n_over, n_under)-cable of a single signed crossing (uncolored).
-
-    For '+' the left block of n_over strands passes over the right block of
-    n_under strands; for '-' it passes under.  Colors are not propagated.
-    """
-    piece = "X+" if sign == "+" else "X-"
-    slices = []
-    for i in range(n_over):
-        for j in range(n_under):
-            slices.append(Slice(n_over - 1 - i + j, piece))
-    return Diagram(["+"] * (n_over + n_under), slices)
 
 
 def closure(d: Diagram, tol: float = 1e-9) -> Diagram:
@@ -426,9 +409,9 @@ def cut_edge(d: Diagram, e: Optional[str] = None, tol: float = 1e-9) -> Diagram:
         return (lv + n_top, i)
 
     # the cut edge touches ports in both halves; it legitimately becomes two
-    # edges (bottom and top boundary) with the same color, so color transfer
-    # must tolerate the split: transfer per-port.
-    rolled = _remap_colors_split(rolled, d, port_map, tol)
+    # edges (bottom and top boundary) with the same color, which per-port
+    # transfer allows
+    rolled = _remap_colors(rolled, [(d, port_map)], tol)
     out = _bend_open(rolled, p, tol)
     if s == "-":
         # wrap to present the boundary upward: (x,+) in, coevR feeds the
@@ -441,21 +424,6 @@ def cut_edge(d: Diagram, e: Optional[str] = None, tol: float = 1e-9) -> Diagram:
         new = Diagram(["+"], pre + mid + post)
         out = _remap_colors(new, [(inner, lambda q: (q[0] + 1, q[1] + 1))], tol)
     return out
-
-
-def _remap_colors_split(new: Diagram, old: Diagram, port_map, tol: float) -> Diagram:
-    out: dict[str, Any] = {}
-    for port in old._uf.parent:
-        e_old = _fmt(old._uf.find(port))
-        if e_old not in old.edge_colors:
-            continue
-        t, i = port_map(port)
-        e_new = new.edge_at(t, i)
-        c = old.edge_colors[e_old]
-        if e_new in out and not colors_equal(out[e_new], c, tol):
-            raise InconsistentColoring(f"edge {e_new} gets conflicting colors")
-        out[e_new] = c
-    return new.with_colors(out)
 
 
 # --- Reidemeister moves ---------------------------------------------------
@@ -629,21 +597,14 @@ def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
 
 def _transfer_outside(new: Diagram, old: Diagram, i: int, n_new: int, n_old: int) -> Diagram:
     """Transfer colors via ports, skipping levels strictly inside the patch."""
-    out: dict[str, Any] = {}
-    for port, _ in old._uf.parent.items():
+
+    def port_map(port):
         t, pos = port
         if i < t < i + n_old:
-            continue
-        e_old = _fmt(old._uf.find(port))
-        if e_old not in old.edge_colors:
-            continue
-        t_new = t if t <= i else t - n_old + n_new
-        e_new = new.edge_at(t_new, pos)
-        c = old.edge_colors[e_old]
-        if e_new in out and not colors_equal(out[e_new], c):
-            raise InconsistentColoring(f"edge {e_new} gets conflicting colors")
-        out[e_new] = c
-    return new.with_colors(out)
+            return None
+        return (t if t <= i else t - n_old + n_new, pos)
+
+    return _remap_colors(new, [(old, port_map)])
 
 
 def _recolor_patch(d: Diagram, i: int, n: int, o: int, width: int, oracle) -> Diagram:

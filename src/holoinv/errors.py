@@ -12,127 +12,112 @@ from __future__ import annotations
 class HoloinvError(Exception):
     """Base class for all errors raised by this package."""
 
-    kind = "Error"
-
-    def payload(self) -> dict:
-        return {"kind": self.kind, "message": str(self)}
-
 
 class ParseError(HoloinvError):
-    kind = "ParseError"
+    pass
 
 
 # --- diagram engine ---
 
 class WordMismatch(HoloinvError):
-    kind = "WordMismatch"
+    pass
 
 
 class NotClosed(HoloinvError):
-    kind = "NotClosed"
+    pass
 
 
 class NoSuchEdge(HoloinvError):
-    kind = "NoSuchEdge"
+    pass
 
 
 class PatternMismatch(HoloinvError):
-    kind = "PatternMismatch"
+    pass
 
 
 # --- colorings ---
 
 class InconsistentColoring(HoloinvError):
-    kind = "InconsistentColoring"
+    pass
 
 
 class ColoringUndefined(HoloinvError):
     """A partial biquandle value needed by a coloring does not exist."""
 
-    kind = "ColoringUndefined"
-
 
 class Undefined(HoloinvError):
     """A generically-defined map was evaluated outside its domain."""
 
-    kind = "Undefined"
-
 
 class InvariantViolation(HoloinvError):
-    kind = "InvariantViolation"
+    pass
 
 
 class OutsideGPrime(HoloinvError):
     """Matrix not in the domain of the factorization chart (m11 = 0)."""
 
-    kind = "OutsideGPrime"
-
 
 class InternalInconsistency(HoloinvError):
-    kind = "InternalInconsistency"
+    pass
 
 
 class GaugeExhausted(HoloinvError):
-    kind = "GaugeExhausted"
+    pass
 
 
 # --- quantum algebra ---
 
 class ChebyshevMismatch(HoloinvError):
-    kind = "ChebyshevMismatch"
+    pass
 
 
 class NotAdmissible(HoloinvError):
-    kind = "NotAdmissible"
+    pass
 
 
 class BranchInconsistent(HoloinvError):
-    kind = "BranchInconsistent"
+    pass
 
 
 class DegenerateSpectrum(HoloinvError):
-    kind = "DegenerateSpectrum"
+    pass
 
 
 # --- braiding ---
 
 class NullspaceDimension(HoloinvError):
-    kind = "NullspaceDimension"
-
     def __init__(self, dim: int, message: str = ""):
         self.dim = dim
         super().__init__(message or f"nullspace dimension {dim}, expected 1")
 
 
 class SingularSolution(HoloinvError):
-    kind = "SingularSolution"
+    pass
 
 
 class BlockIntertwinerDim(HoloinvError):
-    kind = "BlockIntertwinerDim"
-
     def __init__(self, dim: int, message: str = ""):
         self.dim = dim
         super().__init__(message or f"block intertwiner dimension {dim}, expected 1")
 
 
 class UnresolvableYB(HoloinvError):
-    kind = "UnresolvableYB"
+    pass
 
 
 class AlphaUndefined(HoloinvError):
-    kind = "AlphaUndefined"
+    pass
 
 
 # --- invariant ---
 
 class Singular(HoloinvError):
-    kind = "Singular"
+    pass
 
 
 class UndefinedCrossing(HoloinvError):
-    kind = "UndefinedCrossing"
+    pass
 
 
 class NonScalarResult(HoloinvError):
-    kind = "NonScalarResult"
+    pass

@@ -15,8 +15,9 @@ result is a ModScalar, well defined modulo r^2-th roots of unity and
 independent of the chosen cut edge.
 
 `tilde_Fprime` is the full pipeline on holonomy-colored (Q-colored) links:
-lift the coloring to factorization colors, retrying in random gauges when a
-solve leaves the factorizable locus, then cut, evaluate and renormalize.
+lift the coloring to factorization colors (`gauge_fix`, retrying in random
+gauges when a solve leaves the factorizable locus), then cut, evaluate and
+renormalize.
 The canonical value (the r^2-th power) is a gauge- and move-independent
 invariant of the colored link.
 """
@@ -163,6 +164,28 @@ def evaluate_Fprime(d: Diagram, provider: BraidingProvider,
     return ModScalar(dchi * s, r)
 
 
+def gauge_fix(d: Diagram, seed: int = 0, max_gauge: int = 100,
+              tol: float = 1e-9) -> tuple[GStarElem, Diagram, int]:
+    """Find a gauge in which a Q-colored diagram lifts to factorization colors.
+
+    Tries the identity gauge first, then gauges drawn by `random_gstar` from
+    `seed`.  Returns (gauge, lifted diagram, attempts made); raises
+    GaugeExhausted after `max_gauge` failed lifts.
+    """
+    rng = np.random.default_rng(seed)
+    last = ""
+    for k in range(max_gauge):
+        x = GStarElem.one() if k == 0 else random_gstar(rng)
+        dd = gauge_act_diagram(x, d) if k else d
+        try:
+            return x, q_functor_inv(dd, tol), k + 1
+        except Undefined as e:
+            last = str(e)
+    raise GaugeExhausted(
+        f"no lifting gauge found in {max_gauge} attempts (last: {last})"
+    )
+
+
 def tilde_Fprime(d: Diagram, provider: BraidingProvider,
                  seed: int = 0, max_gauge: int = 100,
                  cut: Optional[str] = None,
@@ -176,25 +199,7 @@ def tilde_Fprime(d: Diagram, provider: BraidingProvider,
     diagram representative.
     """
     tol = provider.tol if tol is None else tol
-    rng = np.random.default_rng(seed)
-    lifted = None
-    gauge = GStarElem.one()
-    attempts = 0
-    last = ""
-    for k in range(max_gauge):
-        x = GStarElem.one() if k == 0 else random_gstar(rng)
-        dd = gauge_act_diagram(x, d) if k else d
-        attempts = k + 1
-        try:
-            lifted = q_functor_inv(dd, tol)
-            gauge = x
-            break
-        except Undefined as e:
-            last = str(e)
-    if lifted is None:
-        raise GaugeExhausted(
-            f"no lifting gauge found in {max_gauge} attempts (last: {last})"
-        )
+    gauge, lifted, attempts = gauge_fix(d, seed, max_gauge, tol)
     e = cut if cut is not None else lifted.edges()[0]
     value = evaluate_Fprime(lifted, provider, e, tol)
     return InvariantResult(value=value, gauge_used=gauge,

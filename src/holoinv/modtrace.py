@@ -21,23 +21,14 @@ every gauge move preserves the Casimir coordinate z of a color.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import NonScalarResult, Singular
+from .errors import HoloinvError, NonScalarResult, Singular
 from .params import RootParams, cheb_second_kind
 from .sl2factor import random_ycolor, sl2_B, sl2_B_inv
 from .uqsl2 import CyclicModule, ZChar, char_from_ycolor, dual_rep
-
-
-@dataclass(frozen=True)
-class ModifiedDim:
-    """A modified dimension together with the branch parameter used."""
-
-    alpha: complex
-    value: complex
 
 
 def modified_dim(chi: ZChar, p: RootParams, tol: Optional[float] = None) -> complex:
@@ -129,7 +120,7 @@ def check_dim_gauge_invariance(p: RootParams, samples: int = 1000,
             _, v = sl2_B_inv(ya, yb, tol)
             d_inv = modified_dim(char_from_ycolor(ya, p, tol), p, tol)
             d_inv2 = modified_dim(char_from_ycolor(v, p, tol), p, tol)
-        except Exception:
+        except HoloinvError:
             continue
         used += 1
         worst = max(worst, abs(d_fwd - d_ref), abs(d_inv2 - d_inv))
@@ -140,7 +131,7 @@ def check_dim_gauge_invariance(p: RootParams, samples: int = 1000,
             try:
                 y, _ = sl2_B(partner, y, tol)
                 d_orb = modified_dim(char_from_ycolor(y, p, tol), p, tol)
-            except Exception:
+            except HoloinvError:
                 break
             worst = max(worst, abs(d_orb - d_ref))
     return {"samples": used, "max_deviation": worst, "pass": worst <= tol}

@@ -36,10 +36,6 @@ def inv2(m: np.ndarray) -> np.ndarray:
     return np.array([[d, -b], [-c, a]], dtype=complex) / det
 
 
-def is_sl2(m: np.ndarray, tol: float = 1e-9) -> bool:
-    return abs(np.linalg.det(m) - 1.0) <= tol
-
-
 @dataclass(frozen=True)
 class QColor:
     """A conjugation-quandle color: SL(2,C) holonomy plus root datum z."""
@@ -71,9 +67,6 @@ def q_act(a: QColor, b: QColor) -> QColor:
 
 def q_act_inv(a: QColor, b: QColor) -> QColor:
     return QColor(a.g @ b.g @ inv2(a.g), b.z)
-
-
-conj_triangle = q_act
 
 
 def steinberg_qcolor(p: RootParams) -> QColor:

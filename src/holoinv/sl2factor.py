@@ -17,23 +17,18 @@ defined whenever the intermediate matrices stay in G'; the z components just
 swap sides.  The holonomy functor q_functor turns an X-colored diagram into a
 Q-colored one by accumulating region holonomies west to east with phi_plus
 transition factors; q_functor_inv inverts it when every region solve stays in
-G', and gauge_fix searches the gauge orbit for a point where it does.
+G', and `invariant.gauge_fix` searches the gauge orbit for a point where it
+does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    GaugeExhausted,
-    InternalInconsistency,
-    OutsideGPrime,
-    Undefined,
-)
-from .params import RootParams, cheb_first_kind
+from .errors import InternalInconsistency, OutsideGPrime, Undefined
+from .params import RootParams
 from .quandle import QColor, inv2, mat2, z_candidates
 
 _ID2 = np.eye(2, dtype=complex)
@@ -125,19 +120,6 @@ def steinberg_ycolor(p: RootParams) -> YColor:
     return YColor(GStarElem(complex(s), 0.0, 0.0), 2.0 * (-p.sign_ell))
 
 
-def in_Y(c: YColor, p: RootParams, tol: Optional[float] = None) -> bool:
-    """Trace relation plus exclusion of the parabolic boundary Cb_r(z) = +-2,
-    except at the distinguished central point."""
-    tol = p.tol if tol is None else tol
-    lhs = cheb_first_kind(p.r, c.z)
-    rhs = p.sign_ell_plus1 * c.g.trace()
-    if abs(lhs - rhs) > tol * max(1.0, abs(rhs)):
-        return False
-    if min(abs(lhs - 2.0), abs(lhs + 2.0)) <= tol:
-        return c.approx_eq(steinberg_ycolor(p), max(tol, 1e-9))
-    return True
-
-
 def _conj_solve(h: np.ndarray, m: np.ndarray, tol: float) -> GStarElem:
     return psi_inv(h @ m @ inv2(h), tol)
 
@@ -198,7 +180,11 @@ def alpha_inv(y: YColor, tol: float = 1e-9) -> YColor:
 
 
 class FactorizationOracle:
-    """Partial biquandle maps for X-colors; None where undefined."""
+    """The SL(2, C) factorization biquandle on X-colors; None where undefined.
+
+    Its maps are the ones above, so the z fibres swap at crossings as in
+    `biquandle.FiberedBiquandle`.
+    """
 
     def __init__(self, tol: float = 1e-9):
         self.tol = tol
@@ -324,23 +310,3 @@ def gauge_act_diagram(x: GStarElem, d):
 
     return gauge_act_matrix(x.phi_plus(), d)
 
-
-def gauge_fix(d, seed: int = 0, max_gauge: int = 64, tol: float = 1e-9):
-    """Find a gauge in which the Q-coloring lifts to an X-coloring.
-
-    Tries the identity gauge first, then pseudo-random gauges from `seed`.
-    Returns (gauge, x_colored_diagram); raises GaugeExhausted after
-    `max_gauge` failures.
-    """
-    rng = np.random.default_rng(seed)
-    attempts = []
-    for k in range(max_gauge):
-        x = GStarElem.one() if k == 0 else random_gstar(rng)
-        dd = gauge_act_diagram(x, d) if k else d
-        try:
-            return x, q_functor_inv(dd, tol)
-        except Undefined as e:
-            attempts.append(str(e))
-    raise GaugeExhausted(
-        f"no lifting gauge found in {max_gauge} attempts (last: {attempts[-1]})"
-    )

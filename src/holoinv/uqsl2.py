@@ -30,7 +30,7 @@ from .errors import (
     NotAdmissible,
 )
 from .params import RootParams, cheb_first_kind
-from .sl2factor import YColor, GStarElem
+from .sl2factor import YColor
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,6 @@ def char_from_ycolor(y: YColor, p: RootParams, tol: Optional[float] = None) -> Z
     if abs(cheb_defect(chi, p)) > tol * 1e2:
         raise ChebyshevMismatch("character fails the Chebyshev compatibility")
     return chi
-
-
-def ycolor_from_char(chi: ZChar, p: RootParams) -> YColor:
-    br = p.qbracket(1) ** p.r
-    g = GStarElem(
-        chi.kappa, br * chi.e_r, p.sign_ell * br * chi.kappa * chi.f_r
-    )
-    return YColor(g, chi.omega)
 
 
 def steinberg_char(p: RootParams) -> ZChar:
@@ -197,10 +189,6 @@ def build_cyclic_module(
         )
     E[r - 1, 0] = eps_p
     return CyclicModule(chi=chi, k=k, E=E, F=F, K=K, p=p)
-
-
-def module_from_ycolor(y: YColor, p: RootParams, tol: Optional[float] = None):
-    return build_cyclic_module(char_from_ycolor(y, p, tol), p, tol)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ from holoinv.biquandle import (
     SemiCyclicColor,
     associated_quandle,
     check_biquandle_axioms,
-    factorization_biquandle,
-    sl2_group_factorization,
 )
 from holoinv.braiding import (
     ModScalar,
@@ -71,12 +69,12 @@ from conftest import commuting_link, random_unknot_qcolor, unknot_diagram, \
 # --- 1. biquandle axiom suite ------------------------------------------------
 
 def test_biquandle_axioms_sl2_factorization():
-    bq = factorization_biquandle(sl2_group_factorization())
+    bq = FactorizationOracle()
     rng = np.random.default_rng(101)
     p = root_params(4)
 
     def sample():
-        return random_ycolor(rng, p).g
+        return random_ycolor(rng, p)
 
     rep = check_biquandle_axioms(bq, sample, samples=1000, tol=1e-8)
     assert rep["samples"] - rep["skipped"] >= 1000 * 0.9
@@ -101,22 +99,22 @@ def test_biquandle_axioms_semicyclic():
 # --- 2. associated-quandle law -----------------------------------------------
 
 def test_associated_quandle_is_conjugation():
-    bq = factorization_biquandle(sl2_group_factorization())
+    bq = FactorizationOracle()
     q = associated_quandle(bq)
     rng = np.random.default_rng(103)
     p = root_params(4)
     worst = 0.0
     done = 0
     while done < 1000:
-        a = random_ycolor(rng, p).g
-        b = random_ycolor(rng, p).g
+        a = random_ycolor(rng, p)
+        b = random_ycolor(rng, p)
         try:
             c = q.op(a, b)
         except Undefined:
             continue
         done += 1
-        lhs = psi(c)
-        rhs = inv2(psi(a)) @ psi(b) @ psi(a)
+        lhs = psi(c.g)
+        rhs = inv2(psi(a.g)) @ psi(b.g) @ psi(a.g)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     assert worst <= 1e-8, worst
 

@@ -9,12 +9,10 @@ from holoinv.biquandle import (
     SemiCyclicColor,
     associated_quandle,
     check_biquandle_axioms,
-    factorization_biquandle,
     fibered_product,
     guitar_map,
     harpoon_word,
     reverse_word,
-    sl2_group_factorization,
 )
 from holoinv.params import root_params
 from holoinv.quandle import inv2
@@ -28,12 +26,12 @@ def _ysampler(ell, seed):
 
 
 def test_sl2_factorization_biquandle_axioms():
-    bq = factorization_biquandle(sl2_group_factorization())
+    bq = FactorizationOracle()
     rng = np.random.default_rng(0)
     p = root_params(4)
 
     def sample():
-        return random_ycolor(rng, p).g  # carrier elements, no z needed
+        return random_ycolor(rng, p)
 
     rep = check_biquandle_axioms(bq, sample, samples=300, tol=1e-8)
     assert rep["max_violation"] == 0.0
@@ -55,42 +53,42 @@ def test_semicyclic_biquandle_axioms():
 
 def test_associated_quandle_is_matrix_conjugation():
     # the derived operation realizes conjugation through the psi embedding
-    bq = factorization_biquandle(sl2_group_factorization())
+    bq = FactorizationOracle()
     q = associated_quandle(bq)
     rng = np.random.default_rng(2)
     p = root_params(3)
     worst = 0.0
     for _ in range(200):
-        a = random_ycolor(rng, p).g
-        b = random_ycolor(rng, p).g
+        a = random_ycolor(rng, p)
+        b = random_ycolor(rng, p)
         c = q.op(a, b)
-        want = inv2(psi(a)) @ psi(b) @ psi(a)
-        worst = max(worst, float(np.abs(psi(c) - want).max()))
+        want = inv2(psi(a.g)) @ psi(b.g) @ psi(a.g)
+        worst = max(worst, float(np.abs(psi(c.g) - want).max()))
         back = q.inv_op(a, c)
-        worst = max(worst, float(np.abs(psi(back) - psi(b)).max()))
+        worst = max(worst, float(np.abs(psi(back.g) - psi(b.g)).max()))
     assert worst <= 1e-8
 
 
 def test_fibered_product_keeps_fiber():
-    bq = factorization_biquandle(sl2_group_factorization())
+    bq = FactorizationOracle()
     rng = np.random.default_rng(3)
     p = root_params(4)
 
     def sampler():
-        return random_ycolor(rng, p).g, random_ycolor(rng, p).g
+        return random_ycolor(rng, p), random_ycolor(rng, p)
 
     # trace of psi is a crossing invariant, so the fibered product is legal
     from holoinv.biquandle import FiberedColor
 
-    fp = fibered_product(bq, lambda x: np.trace(psi(x)),
+    fp = fibered_product(bq, lambda x: np.trace(psi(x.g)),
                          lambda z: z, sampler=sampler, samples=40)
     x, y = sampler()
-    a = FiberedColor(x, np.trace(psi(x)))
-    b = FiberedColor(y, np.trace(psi(y)))
+    a = FiberedColor(x, np.trace(psi(x.g)))
+    b = FiberedColor(y, np.trace(psi(y.g)))
     x4, x3 = fp.B(a, b)
     # fibers trade places at the crossing and stay matched to the new colors
-    assert abs(x4.z - np.trace(psi(x4.x))) < 1e-7
-    assert abs(x3.z - np.trace(psi(x3.x))) < 1e-7
+    assert abs(x4.z - np.trace(psi(x4.x.g))) < 1e-7
+    assert abs(x3.z - np.trace(psi(x3.x.g))) < 1e-7
 
 
 def test_harpoon_word_inverts_on_reversal():

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from holoinv import braiding
 from holoinv.braiding import (
+    BraidingProvider,
     ModScalar,
     equal_mod_roots,
     flip_matrix,
@@ -17,7 +20,7 @@ from holoinv.braiding import (
     twist,
     unipotent_series,
 )
-from holoinv.errors import HoloinvError
+from holoinv.errors import HoloinvError, UnresolvableYB
 from holoinv.params import root_params
 from holoinv.sl2factor import random_ycolor
 from holoinv.uqsl2 import (
@@ -184,3 +187,38 @@ def test_flip_matrix_swaps_factors():
     x = np.random.default_rng(0).normal(size=2)
     y = np.random.default_rng(1).normal(size=3)
     assert np.allclose(f @ np.kron(x, y), np.kron(y, x))
+
+
+def test_failed_resolution_rolls_back_the_cache(monkeypatch):
+    # the final braid-relation check of every anchored solve is made to fail
+    p = root_params(3)
+    fresh = BraidingProvider(p)
+    rng = np.random.default_rng(80)
+    while True:
+        y1, y2 = random_ycolor(rng, p), random_ycolor(rng, p)
+        try:
+            want = fresh.braiding(y1, y2)
+        except HoloinvError:
+            continue
+        if not (fresh.is_steinberg(y1) or fresh.is_steinberg(y2)):
+            break
+
+    total = braiding._total_from_cache
+
+    def skewed(provider, pairs, word):
+        out = total(provider, pairs, word)
+        if word == braiding._WORD_L:
+            out = out.copy()
+            out[0, 0] += 1.0
+        return out
+
+    provider = BraidingProvider(p)
+    monkeypatch.setattr(braiding, "_total_from_cache", skewed)
+    with pytest.raises(UnresolvableYB):
+        provider.braiding(y1, y2)
+    st = provider.pair_key(provider.steinberg, provider.steinberg)[0]
+    assert all(st in key for key in provider._braidings)
+    monkeypatch.undo()
+    got = provider.braiding(y1, y2)
+    ok, _, res = equal_mod_roots(got.c, want.c, p.r, 1e-7)
+    assert ok, res

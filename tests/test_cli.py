@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from holoinv.cli import main
+from holoinv.params import root_params
+from holoinv.quandle import z_candidates
 
 from conftest import write_link_file
 
@@ -86,6 +89,64 @@ def test_missing_field_exits_parse_error(tmp_path, capsys):
     f.write_text(json.dumps({"ell": 3}))
     code, _ = _run(capsys, ["invariant", str(f), "--ell", "3"])
     assert code == 1
+
+
+@pytest.mark.parametrize("braid, colors", [
+    ({"word": [1, 1]}, []),
+    ({"strands": 2}, []),
+    ([2, [1, 1]], []),
+    ({"strands": 2, "word": 1}, []),
+    ({"strands": 2, "word": [1, 1]}, 1),
+], ids=["no-strands", "no-word", "braid-not-object", "word-not-list",
+        "colors-not-list"])
+def test_malformed_braid_exits_parse_error(tmp_path, capsys, braid, colors):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"ell": 3, "braid": braid, "colors": colors}))
+    code, out = _run(capsys, ["invariant", str(f)])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "ParseError"
+
+
+def _write_zero_corner_unknot(path) -> None:
+    # slice-form unknot at ell 3 whose holonomy [[0, 1], [-1, t]] has a zero
+    # upper-left entry, so the lift in the identity gauge fails
+    t = 0.7 + 0.3j
+    z = z_candidates(t, root_params(3))[0]
+
+    def cp(v):
+        return [complex(v).real, complex(v).imag]
+
+    g = [[cp(0), cp(1)], [cp(-1), cp(t)]]
+    path.write_text(json.dumps({
+        "ell": 3, "bottom_signs": "", "slices": [[0, "coevL"], [0, "evR"]],
+        "edge_colors": {"1:0": {"g": g, "z": cp(z)}}}))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_color_and_invariant_retry_the_same_gauges(tmp_path, capsys, seed):
+    f = tmp_path / "unknot.json"
+    _write_zero_corner_unknot(f)
+    docs = {}
+    for cmd in ("color", "invariant"):
+        code, out = _run(capsys, [cmd, str(f), "--seed", str(seed)])
+        assert code == 0, out
+        docs[cmd] = json.loads(out)
+    assert docs["color"]["gauge"] == docs["invariant"]["gauge"]
+    assert docs["color"]["attempts"] == docs["invariant"]["attempts"] > 1
+
+
+def test_gauge_budget_exhausted_from_color_and_invariant(tmp_path, capsys):
+    f = tmp_path / "unknot.json"
+    _write_zero_corner_unknot(f)
+    errors = []
+    for cmd in ("color", "invariant"):
+        code, out = _run(capsys, [cmd, str(f), "--max-gauge", "1"])
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1
+        errors.append(json.loads(lines[0])["error"])
+    assert errors[0] == errors[1]
+    assert errors[0]["kind"] == "GaugeExhausted"
 
 
 def test_bad_ell_exits_parse_error(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from holoinv.diagram import braid_diagram, propagate_colors
 from holoinv.errors import OutsideGPrime, Undefined
+from holoinv.invariant import gauge_fix
 from holoinv.params import root_params
 from holoinv.quandle import inv2
 from holoinv.sl2factor import (
@@ -15,7 +16,6 @@ from holoinv.sl2factor import (
     alpha,
     alpha_inv,
     gauge_act_diagram,
-    gauge_fix,
     psi,
     psi_inv,
     q_functor,
@@ -138,7 +138,7 @@ def test_gauge_fix_recovers_lift_after_bad_gauge():
     broke = gauge_act_diagram(x, q)
     with pytest.raises(Undefined):
         q_functor_inv(broke)
-    gauge, lifted = gauge_fix(broke, seed=1)
+    gauge, lifted, _ = gauge_fix(broke, seed=1)
     assert lifted.fully_colored()
     # the recovered lift reproduces the holonomies in the found gauge
     regauged = gauge_act_diagram(gauge, broke)
