@@ -30,7 +30,7 @@ from the images of its six generator slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,7 +95,12 @@ def pair_defined(chi1: ZChar, chi2: ZChar, p: RootParams, tol: float = 1e-9) -> 
 
 
 def _nullspace(a: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical nullspace of a."""
+    """Orthonormal basis (columns) of the numerical nullspace of a.
+
+    A tall a is first reduced to its R factor: same row space and singular
+    values, at a fraction of the SVD's cost."""
+    if a.shape[0] > a.shape[1]:
+        a = np.linalg.qr(a, mode="r")
     full = a.shape[0] < a.shape[1]
     _, s, vh = np.linalg.svd(a, full_matrices=full)
     if s.size == 0:
@@ -137,9 +142,13 @@ class HolonomyBraiding:
     V4: CyclicModule
     V3: CyclicModule
     c: np.ndarray
+    _c_inv: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def c_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.c)
+        """The inverse braiding matrix, computed on first use."""
+        if self._c_inv is None:
+            self._c_inv = np.linalg.inv(self.c)
+        return self._c_inv
 
 
 # --- Skolem-Noether solve ------------------------------------------------------
@@ -276,21 +285,15 @@ def sideways_matrices(
 
     s_plus_L : V4* (x) V1 -> V3 (x) V2* threads the braiding through a left
     cup on V2 and a left cap on V4; s_minus_R : V3 (x) V2* -> V4* (x) V1 uses
-    the inverse braiding with the right-handed cups and caps.
+    the inverse braiding with the right-handed cups and caps.  Both are
+    contracted in index form, with c and c_inv as (out, out, in, in) tensors
+    and the cups and caps as r x r matrices.
     """
-    I = np.eye(r, dtype=complex)
-    I2 = np.eye(r * r, dtype=complex)
-    s_plus = (
-        np.kron(d4.ev_L, I2)
-        @ np.kron(np.kron(I, c), I)
-        @ np.kron(I2, d2.coev_L)
-    )
-    s_minus = (
-        np.kron(I2, d2.ev_R)
-        @ np.kron(np.kron(I, c_inv), I)
-        @ np.kron(d4.coev_R, I2)
-    )
-    return s_plus, s_minus
+    s_plus = np.einsum("ax,xyiz,zj->yjai", d4.ev_L.reshape(r, r),
+                       c.reshape(r, r, r, r), d2.coev_L.reshape(r, r))
+    s_minus = np.einsum("ax,ibxu,bv->aiuv", d4.coev_R.reshape(r, r),
+                        c_inv.reshape(r, r, r, r), d2.ev_R.reshape(r, r))
+    return s_plus.reshape(r * r, r * r), s_minus.reshape(r * r, r * r)
 
 
 def proportionality(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
@@ -341,9 +344,15 @@ def _yb_pairs(y1: YColor, y2: YColor, y3: YColor, tol: float):
     return pairs_l, pairs_r, out_l
 
 
-def _embed(c: np.ndarray, pos: int, r: int) -> np.ndarray:
-    I = np.eye(r, dtype=complex)
-    return np.kron(c, I) if pos == 0 else np.kron(I, c)
+def _on_strands(c: np.ndarray, pos: int, m: np.ndarray, r: int) -> np.ndarray:
+    """Apply c to strands (pos, pos + 1) of m, whose r^3 rows are 3 strands.
+
+    Equals kron(c, I) @ m for pos 0 and kron(I, c) @ m for pos 1.
+    """
+    k = m.shape[1]
+    if pos == 0:
+        return (c @ m.reshape(r * r, r * k)).reshape(r ** 3, k)
+    return (c @ m.reshape(r, r * r, k)).reshape(r ** 3, k)
 
 
 def unipotent_series(
@@ -456,17 +465,19 @@ def _anchored_triple_solve(
         sides.append((pairs, word, known, unk))
 
     def columns(pairs, word, known, unk):
+        # column j is (pre @ b_j @ post).ravel(), with b_j the j-th block on
+        # the unknown's strands; all blocks go through pre side by side
         i0, _, bb = unk
-        pre = np.eye(r ** 3, dtype=complex)
         post = np.eye(r ** 3, dtype=complex)
-        for i in range(len(pairs)):
-            if i < i0:
-                post = _embed(known[i].c, word[i], r) @ post
-            elif i > i0:
-                pre = _embed(known[i].c, word[i], r) @ pre
-        return np.array(
-            [(pre @ _embed(b, word[i0], r) @ post).ravel() for b in bb.blocks]
-        ).T
+        for i in range(i0):
+            post = _on_strands(known[i].c, word[i], post, r)
+        cols = np.hstack([_on_strands(b, word[i0], post, r)
+                          for b in bb.blocks])
+        for i in range(i0 + 1, len(pairs)):
+            cols = _on_strands(known[i].c, word[i], cols, r)
+        nb = len(bb.blocks)
+        cols = cols.reshape(r ** 3, nb, r ** 3).transpose(1, 0, 2)
+        return cols.reshape(nb, r ** 6).T
 
     unk_l, unk_r = sides[0][3], sides[1][3]
     added: list = []
@@ -477,8 +488,8 @@ def _anchored_triple_solve(
             pairs, word, known, unk = sides[0] if unk_l else sides[1]
             other = sides[1] if unk_l is None else sides[0]
             rhs = np.eye(r ** 3, dtype=complex)
-            for i, pair in enumerate(other[0]):
-                rhs = _embed(other[2][i].c, other[1][i], r) @ rhs
+            for i in range(len(other[0])):
+                rhs = _on_strands(other[2][i].c, other[1][i], rhs, r)
             cols = columns(pairs, word, known, unk)
             lam, *_ = np.linalg.lstsq(cols, rhs.ravel(), rcond=None)
             fit = np.abs(cols @ lam - rhs.ravel()).max()
@@ -510,20 +521,12 @@ def _anchored_triple_solve(
                     )
             else:
                 added.append(_cache_resolved(provider, unk_r, mu, tol))
-        lhs = _total_from_cache(provider, pairs_l, _WORD_L)
-        rhs = _total_from_cache(provider, pairs_r, _WORD_R)
-        ok, zeta, resid = equal_mod_roots(lhs, rhs, r, max(1e3 * tol, 1e-8))
-        if not ok:
-            raise UnresolvableYB(
-                "braid relation fails up to roots of unity, residual "
-                f"{resid:.3e}"
-            )
+        report = _verified_relation(provider, pairs_l, pairs_r, tol)
     except Exception:
         for key in added:
             provider._braidings.pop(key, None)
         raise
-    return {"lhs": lhs, "rhs": rhs, "zeta": zeta, "residual": resid,
-            "colors": out}
+    return {**report, "colors": out}
 
 
 def _cache_resolved(provider, unk, lam, tol):
@@ -556,19 +559,25 @@ def resolve_scalars_yb(
     <= 1e3 tol.  Returns the two composite matrices, the root factor, the
     residual, and the output colors.
     """
-    p = provider.p
     pairs_l, pairs_r, out = _yb_pairs(y1, y2, y3, tol)
     for a, b in pairs_l + pairs_r:
         provider.braiding(a, b)
+    return {**_verified_relation(provider, pairs_l, pairs_r, tol),
+            "colors": out}
+
+
+def _verified_relation(provider, pairs_l, pairs_r, tol) -> dict:
+    """Both sides of the braid relation from cached braidings, which must
+    agree up to one r^2-th root of unity."""
     lhs = _total_from_cache(provider, pairs_l, _WORD_L)
     rhs = _total_from_cache(provider, pairs_r, _WORD_R)
-    ok, zeta, resid = equal_mod_roots(lhs, rhs, p.r, max(1e3 * tol, 1e-8))
+    ok, zeta, resid = equal_mod_roots(lhs, rhs, provider.p.r,
+                                      max(1e3 * tol, 1e-8))
     if not ok:
         raise UnresolvableYB(
             f"braid relation fails up to roots of unity, residual {resid:.3e}"
         )
-    return {"lhs": lhs, "rhs": rhs, "zeta": zeta, "residual": resid,
-            "colors": out}
+    return {"lhs": lhs, "rhs": rhs, "zeta": zeta, "residual": resid}
 
 
 def _total_from_cache(provider, pairs, word):
@@ -576,7 +585,7 @@ def _total_from_cache(provider, pairs, word):
     total = np.eye(r ** 3, dtype=complex)
     for (a, b), pos in zip(pairs, word):
         hb = provider.braiding(a, b)
-        total = _embed(hb.c, pos, r) @ total
+        total = _on_strands(hb.c, pos, total, r)
     return total
 
 

@@ -47,15 +47,7 @@ from .braiding import (
     twist,
 )
 from .diagram import Diagram, braid_diagram, closure
-from .errors import (
-    GaugeExhausted,
-    HoloinvError,
-    NonScalarResult,
-    ParseError,
-    Singular,
-    Undefined,
-    UnresolvableYB,
-)
+from .errors import HoloinvError, ParseError, Singular
 from .invariant import gauge_fix, gauge_orbit_compare, tilde_Fprime
 from .modtrace import (
     alpha_from_omega,
@@ -75,11 +67,6 @@ from .uqsl2 import (
     is_admissible,
     steinberg_char,
 )
-
-# errors that mean "the computation is undefined on this input" (exit 2)
-_UNDEFINED_ERRORS = (Undefined, GaugeExhausted, Singular, NonScalarResult,
-                     UnresolvableYB)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -105,6 +92,17 @@ def _cplx(v: Any) -> complex:
     if isinstance(v, list) and len(v) == 2:
         return complex(float(v[0]), float(v[1]))
     raise ParseError(f"expected a number or [re, im] pair, got {v!r}")
+
+
+def _int(v: Any, what: str) -> int:
+    """An integer field of a link file (JSON true and false are not)."""
+    msg = f"{what} must be an integer, got {v!r}"
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ParseError(msg)
+    try:
+        return int(v)
+    except (TypeError, ValueError) as e:
+        raise ParseError(msg) from e
 
 
 def _cpair(z: complex) -> list:
@@ -136,7 +134,7 @@ def load_link(path: str, tol: float = 1e-9) -> tuple[int, Diagram]:
         raise ParseError(f"cannot read link file: {e}") from e
     if not isinstance(data, dict) or "ell" not in data:
         raise ParseError("link file needs an integer field 'ell'")
-    ell = int(data["ell"])
+    ell = _int(data["ell"], "'ell'")
     if "braid" in data:
         b = data["braid"]
         if not isinstance(b, dict) or "strands" not in b or "word" not in b:
@@ -144,7 +142,11 @@ def load_link(path: str, tol: float = 1e-9) -> tuple[int, Diagram]:
         colors = data.get("colors", [])
         if not isinstance(b["word"], list) or not isinstance(colors, list):
             raise ParseError("braid 'word' and 'colors' must be lists")
-        d = braid_diagram(int(b["strands"]), [int(w) for w in b["word"]])
+        strands = _int(b["strands"], "braid 'strands'")
+        if strands < 1:
+            raise ParseError("a braid needs at least one strand")
+        d = braid_diagram(strands, [_int(w, "a braid letter")
+                                    for w in b["word"]])
         colored = propagate_qcolors(d, [_qcolor(c) for c in colors], tol)
         return ell, closure(colored, tol)
     if "slices" in data:
@@ -443,10 +445,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, ValueError) as e:
         _emit({"error": {"kind": type(e).__name__, "message": str(e)}})
         return 1
-    except _UNDEFINED_ERRORS as e:
-        _emit({"error": {"kind": type(e).__name__, "message": str(e)}})
-        return 2
-    except HoloinvError as e:
+    except HoloinvError as e:  # the computation is undefined on this input
         _emit({"error": {"kind": type(e).__name__, "message": str(e)}})
         return 2
 

@@ -442,6 +442,13 @@ def _require(cond: bool, msg: str):
         raise PatternMismatch(msg)
 
 
+def _defined(v: Any, msg: str) -> Any:
+    """A partial oracle value; None (no value) raises ColoringUndefined."""
+    if v is None:
+        raise ColoringUndefined(msg)
+    return v
+
+
 def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
     """Apply or undo a generator Reidemeister move at a given location.
 
@@ -452,18 +459,6 @@ def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
     """
     i, o = m.slice_index, m.offset
     sl = d.slices
-
-    def b(x, y):
-        v = oracle.B(x, y)
-        if v is None:
-            raise ColoringUndefined("B undefined")
-        return v
-
-    def binv(x, y):
-        v = oracle.B_inv(x, y)
-        if v is None:
-            raise ColoringUndefined("B_inv undefined")
-        return v
 
     if m.kind == "RII_pp":
         if m.direction == "apply":
@@ -478,7 +473,9 @@ def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
             new = Diagram(d.bottom_signs, sl[:i] + tuple(pat) + sl[i:])
             new = _transfer_outside(new, d, i, 2, 0)
             if x1 is not None and x2 is not None:
-                mid = b(x1, x2) if m.variant == "+-" else binv(x1, x2)
+                mid = (_defined(oracle.B(x1, x2), "B undefined")
+                       if m.variant == "+-" else
+                       _defined(oracle.B_inv(x1, x2), "B_inv undefined"))
                 new = new.with_colors(
                     {new.edge_at(i + 1, o): mid[0], new.edge_at(i + 1, o + 1): mid[1]}
                 )
@@ -534,18 +531,9 @@ def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
             new = _transfer_outside(new, d, i, 6, 0)
             if ca is not None and cb is not None:
                 if m.kind == "RII_pm":
-                    v = oracle.S(ca, cb)  # (x4, x1) -> (x3, x2)
-                    if v is None:
-                        raise ColoringUndefined("S undefined")
-                    x3, x2 = v
+                    # (x4, x1) -> (x3, x2)
+                    x3, x2 = _defined(oracle.S(ca, cb), "S undefined")
                     x4, x1 = ca, cb
-                else:
-                    v = oracle.S_inv(ca, cb)  # (x3, x2) -> (x4, x1)
-                    if v is None:
-                        raise ColoringUndefined("S_inv undefined")
-                    x4, x1 = v
-                    x3, x2 = ca, cb
-                if m.kind == "RII_pm":
                     patch = {
                         new.edge_at(i + 1, o + 2): x2,
                         new.edge_at(i + 2, o + 1): x4,
@@ -554,6 +542,9 @@ def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
                         new.edge_at(i + 5, o + 1): x2,
                     }
                 else:
+                    # (x3, x2) -> (x4, x1)
+                    x4, x1 = _defined(oracle.S_inv(ca, cb), "S_inv undefined")
+                    x3, x2 = ca, cb
                     patch = {
                         new.edge_at(i + 1, o): x4,
                         new.edge_at(i + 2, o + 1): x1,
@@ -579,9 +570,7 @@ def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
             new = Diagram(d.bottom_signs, sl[:i] + tuple(pat) + sl[i:])
             new = _transfer_outside(new, d, i, 6, 0)
             if x is not None:
-                y = oracle.alpha(x)
-                if y is None:
-                    raise ColoringUndefined("alpha undefined")
+                y = _defined(oracle.alpha(x), "alpha undefined")
                 new = new.with_colors(
                     {new.edge_at(i + 1, o + 1): y, new.edge_at(i + 4, o + 1): y}
                 )
@@ -618,9 +607,8 @@ def _recolor_patch(d: Diagram, i: int, n: int, o: int, width: int, oracle) -> Di
             x1, x2 = cur[rel], cur[rel + 1]
             if x1 is None or x2 is None:
                 raise ColoringUndefined("patch inputs uncolored")
-            v = oracle.B(x1, x2) if sl.piece == "X+" else oracle.B_inv(x1, x2)
-            if v is None:
-                raise ColoringUndefined("crossing undefined in patch")
+            f = oracle.B if sl.piece == "X+" else oracle.B_inv
+            v = _defined(f(x1, x2), "crossing undefined in patch")
             cur[rel], cur[rel + 1] = v
             patch[d.edge_at(t + 1, o + rel)] = v[0]
             patch[d.edge_at(t + 1, o + rel + 1)] = v[1]
@@ -665,17 +653,15 @@ def propagate_colors(
             outs = [colors.get(e) for e in e_out]
             if all(x is not None for x in ins) and any(x is None for x in outs):
                 f = oracle.B if sl.piece == "X+" else oracle.B_inv
-                v = f(ins[0], ins[1])
-                if v is None:
-                    raise ColoringUndefined(f"crossing at slice {t} undefined")
+                v = _defined(f(ins[0], ins[1]),
+                             f"crossing at slice {t} undefined")
                 put(e_out[0], v[0])
                 put(e_out[1], v[1])
                 progress = True
             elif all(x is not None for x in outs) and any(x is None for x in ins):
                 f = oracle.B_inv if sl.piece == "X+" else oracle.B
-                v = f(outs[0], outs[1])
-                if v is None:
-                    raise ColoringUndefined(f"crossing at slice {t} undefined")
+                v = _defined(f(outs[0], outs[1]),
+                             f"crossing at slice {t} undefined")
                 put(e_in[0], v[0])
                 put(e_in[1], v[1])
                 progress = True
@@ -688,9 +674,8 @@ def propagate_colors(
             continue
         o = sl.offset
         f = oracle.B if sl.piece == "X+" else oracle.B_inv
-        v = f(colors[d.edge_at(t, o)], colors[d.edge_at(t, o + 1)])
-        if v is None:
-            raise ColoringUndefined(f"crossing at slice {t} undefined")
+        v = _defined(f(colors[d.edge_at(t, o)], colors[d.edge_at(t, o + 1)]),
+                     f"crossing at slice {t} undefined")
         if not (
             colors_equal(v[0], colors[d.edge_at(t + 1, o)], tol)
             and colors_equal(v[1], colors[d.edge_at(t + 1, o + 1)], tol)

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation
 from .params import RootParams, cheb_first_kind
 
 _ID2 = np.eye(2, dtype=complex)

@@ -115,9 +115,6 @@ class CyclicModule:
     def K_inv(self) -> np.ndarray:
         return np.diag(1.0 / np.diag(self.K))
 
-    def K_pow(self, n: int) -> np.ndarray:
-        return np.diag(np.diag(self.K) ** n)
-
     def omega_matrix(self) -> np.ndarray:
         p = self.p
         return (

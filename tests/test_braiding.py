@@ -25,6 +25,7 @@ from holoinv.params import root_params
 from holoinv.sl2factor import random_ycolor
 from holoinv.uqsl2 import (
     build_cyclic_module,
+    DualityData,
     coproduct_matrices,
     steinberg_char,
 )
@@ -222,3 +223,124 @@ def test_failed_resolution_rolls_back_the_cache(monkeypatch):
     got = provider.braiding(y1, y2)
     ok, _, res = equal_mod_roots(got.c, want.c, p.r, 1e-7)
     assert ok, res
+
+
+# --- index-form braiding layer ------------------------------------------------
+
+def _kron_sideways(c, c_inv, d4, d2, r):
+    """The sideways morphisms as dense kron compositions (reference form)."""
+    I = np.eye(r, dtype=complex)
+    I2 = np.eye(r * r, dtype=complex)
+    s_plus = (np.kron(d4.ev_L, I2) @ np.kron(np.kron(I, c), I)
+              @ np.kron(I2, d2.coev_L))
+    s_minus = (np.kron(I2, d2.ev_R) @ np.kron(np.kron(I, c_inv), I)
+               @ np.kron(d4.coev_R, I2))
+    return s_plus, s_minus
+
+
+def _crandn(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_sideways_index_form_matches_kron(r):
+    # dense random cups and caps exercise every transpose, not just the
+    # delta pairings of a real duality
+    rng = np.random.default_rng(90 + r)
+
+    def duality():
+        return DualityData(ev_L=_crandn(rng, 1, r * r),
+                           coev_L=_crandn(rng, r * r, 1),
+                           ev_R=_crandn(rng, 1, r * r),
+                           coev_R=_crandn(rng, r * r, 1))
+
+    c = _crandn(rng, r * r, r * r)
+    c_inv = np.linalg.inv(c)
+    d4, d2 = duality(), duality()
+    got = sideways_matrices(c, c_inv, d4, d2, r)
+    want = _kron_sideways(c, c_inv, d4, d2, r)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (r * r, r * r)
+        assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_strand_product_matches_kron(r):
+    rng = np.random.default_rng(95 + r)
+    c = _crandn(rng, r * r, r * r)
+    m = _crandn(rng, r ** 3, 2 * r)
+    I = np.eye(r, dtype=complex)
+    for pos, embedded in ((0, np.kron(c, I)), (1, np.kron(I, c))):
+        want = embedded @ m
+        got = braiding._on_strands(c, pos, m, r)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _generic_braiding(provider, seed):
+    rng = np.random.default_rng(seed)
+    p = provider.p
+    while True:
+        y1, y2 = random_ycolor(rng, p), random_ycolor(rng, p)
+        if provider.is_steinberg(y1) or provider.is_steinberg(y2):
+            continue
+        try:
+            return provider.braiding(y1, y2)
+        except HoloinvError:
+            continue
+
+
+@pytest.mark.parametrize("ell", [3, 5, 10])
+def test_sideways_check_rejects_rescaled_blocks(ell):
+    # a braiding with one Casimir-block scalar moved off its ray is still
+    # an intertwiner, and only the sideways check can tell
+    provider = BraidingProvider(root_params(ell))
+    hb = _generic_braiding(provider, seed=100 + ell)
+    bb = braiding.block_braiding(hb.y1, hb.y2, provider)
+    basis = np.array([b.ravel() for b in bb.blocks]).T
+    lam, *_ = np.linalg.lstsq(basis, hb.c.ravel(), rcond=None)
+    assert np.abs(basis @ lam - hb.c.ravel()).max() < 1e-8
+
+    def candidate(lambdas):
+        c = braiding._unit_det(bb.assemble(lambdas), provider.tol)
+        return braiding.HolonomyBraiding(
+            y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3,
+            V1=bb.V1, V2=bb.V2, V4=bb.V4, V3=bb.V3, c=c)
+
+    provider._check_sideways(candidate(lam))
+    for factor in (1.7, np.exp(0.3j)):
+        bent = lam.copy()
+        bent[1] *= factor
+        with pytest.raises(UnresolvableYB, match="sideways"):
+            provider._check_sideways(candidate(bent))
+
+
+def test_inverse_braiding_is_computed_once(providers):
+    provider = providers[3]
+    hb = _generic_braiding(provider, seed=120)
+    _, cinv = provider.braiding_inv(hb.y4, hb.y3)
+    assert cinv is hb.c_inv()
+    assert np.abs(cinv @ hb.c - np.eye(hb.c.shape[0])).max() < 1e-9
+
+
+def _plain_nullspace(a, rel_tol=1e-8):
+    """Nullspace by a thin SVD of a itself (reference for the QR path)."""
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > rel_tol * max(1.0, s[0])))
+    return vh[rank:].conj().T
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_tall_nullspace_qr_matches_svd(r):
+    rng = np.random.default_rng(130 + r)
+    n = 2 * r
+    a = _crandn(rng, r ** 6, n)
+    ns = braiding._nullspace(a)
+    assert ns.shape == (n, 0) and _plain_nullspace(a).shape == (n, 0)
+    # plant the null direction v by projecting it out of every row
+    v = _crandn(rng, n)
+    v /= np.linalg.norm(v)
+    a = a - np.outer(a @ v, v.conj())
+    got, want = braiding._nullspace(a), _plain_nullspace(a)
+    assert got.shape == want.shape == (n, 1)
+    assert abs(abs(np.vdot(got[:, 0], want[:, 0])) - 1.0) < 1e-10
+    assert abs(abs(np.vdot(got[:, 0], v)) - 1.0) < 1e-10

@@ -91,17 +91,31 @@ def test_missing_field_exits_parse_error(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("braid, colors", [
-    ({"word": [1, 1]}, []),
-    ({"strands": 2}, []),
-    ([2, [1, 1]], []),
-    ({"strands": 2, "word": 1}, []),
-    ({"strands": 2, "word": [1, 1]}, 1),
+@pytest.mark.parametrize("braid, colors, ell", [
+    ({"word": [1, 1]}, [], 3),
+    ({"strands": 2}, [], 3),
+    ([2, [1, 1]], [], 3),
+    ({"strands": 2, "word": 1}, [], 3),
+    ({"strands": 2, "word": [1, 1]}, 1, 3),
+    ({"strands": None, "word": [1, 1]}, [], 3),
+    ({"strands": "two", "word": [1, 1]}, [], 3),
+    ({"strands": True, "word": []}, [], 3),
+    ({"strands": 0, "word": []}, [], 3),
+    ({"strands": 2.5, "word": [1, 1]}, [], 3),
+    ({"strands": 2, "word": [None]}, [], 3),
+    ({"strands": 2, "word": ["a"]}, [], 3),
+    ({"strands": 2, "word": [1, 1]}, [], [3]),
+    ({"strands": 2, "word": [1, 1]}, [], None),
+    ({"strands": 2, "word": [1, 1]}, [], float("inf")),
+    ({"strands": 2, "word": [1, 1]}, [], 3.5),
 ], ids=["no-strands", "no-word", "braid-not-object", "word-not-list",
-        "colors-not-list"])
-def test_malformed_braid_exits_parse_error(tmp_path, capsys, braid, colors):
+        "colors-not-list", "strands-null", "strands-text", "strands-bool",
+        "strands-zero", "strands-fraction", "letter-null", "letter-text",
+        "ell-list", "ell-null", "ell-infinite", "ell-fraction"])
+def test_malformed_braid_exits_parse_error(tmp_path, capsys, braid, colors,
+                                           ell):
     f = tmp_path / "bad.json"
-    f.write_text(json.dumps({"ell": 3, "braid": braid, "colors": colors}))
+    f.write_text(json.dumps({"ell": ell, "braid": braid, "colors": colors}))
     code, out = _run(capsys, ["invariant", str(f)])
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "ParseError"
