@@ -8,8 +8,9 @@ A biquandle oracle exposes five partial maps on a color set X:
     S_inv  : inverse of S
     alpha  : diagonal bijection with B(x, alpha(x)) = (x, alpha(x))
 
-All maps return None where undefined; callers treat absence as a normal
-outcome and may retry after a gauge move.  The module provides the derived
+A map raises `errors.Undefined` (or a subclass) where it has no value and
+never returns None; callers treat that as a normal outcome and may retry
+after a gauge move.  The module provides the derived
 structures: the associated quandle, harpoon (slide) actions of words on
 colors, the probe ("guitar") recoloring of a diagram by associated-quandle
 colors, fibered products, and a semi-cyclic example which is total (defined
@@ -26,7 +27,7 @@ from .errors import InternalInconsistency, InvariantViolation, Undefined
 
 
 class BiquandleOracle:
-    """Base class: partial maps returning None where undefined."""
+    """Base class: partial maps raising Undefined where they have no value."""
 
     def B(self, x, y):
         raise NotImplementedError
@@ -69,22 +70,10 @@ def associated_quandle(bq: BiquandleOracle) -> QuandleOracle:
     """
 
     def op(x, y):
-        s = bq.S(x, y)
-        if s is None:
-            raise Undefined("S undefined in associated quandle")
-        v = bq.B(x, s[0])
-        if v is None:
-            raise Undefined("B undefined in associated quandle")
-        return v[0]
+        return bq.B(x, bq.S(x, y)[0])[0]
 
     def inv_op(b, a):
-        s = bq.S(a, b)
-        if s is None:
-            raise Undefined("S undefined in associated quandle division")
-        v = bq.B_inv(b, s[1])
-        if v is None:
-            raise Undefined("B_inv undefined in associated quandle division")
-        return v[0]
+        return bq.B_inv(b, bq.S(a, b)[1])[0]
 
     return QuandleOracle(op=op, inv_op=inv_op)
 
@@ -108,8 +97,6 @@ class FiberedBiquandle(BiquandleOracle):
         self.bq = bq
 
     def _pair(self, v, za, zb):
-        if v is None:
-            return None
         return (FiberedColor(v[0], zb), FiberedColor(v[1], za))
 
     def B(self, a, b):
@@ -125,12 +112,10 @@ class FiberedBiquandle(BiquandleOracle):
         return self._pair(self.bq.S_inv(a.x, b.x), a.z, b.z)
 
     def alpha(self, a):
-        v = self.bq.alpha(a.x)
-        return None if v is None else FiberedColor(v, a.z)
+        return FiberedColor(self.bq.alpha(a.x), a.z)
 
     def alpha_inv(self, a):
-        v = self.bq.alpha_inv(a.x)
-        return None if v is None else FiberedColor(v, a.z)
+        return FiberedColor(self.bq.alpha_inv(a.x), a.z)
 
 
 def fibered_product(
@@ -150,10 +135,10 @@ def fibered_product(
     if sampler is not None:
         for _ in range(samples):
             x1, x2 = sampler()
-            v = bq.B(x1, x2)
-            if v is None:
+            try:
+                x4, x3 = bq.B(x1, x2)
+            except Undefined:
                 continue
-            x4, x3 = v
             if abs(f(x4) - f(x2)) > tol or abs(f(x3) - f(x1)) > tol:
                 raise InvariantViolation("f is not a crossing invariant")
     return FiberedBiquandle(bq)
@@ -164,24 +149,10 @@ def fibered_product(
 def harpoon_letter(bq: BiquandleOracle, x, sign: str, b, direction: str):
     """Slide the probe color b past one signed strand colored x."""
     if direction == "up":
-        if sign == "+":
-            v = bq.B(x, b)
-            out = None if v is None else v[0]
-        else:
-            v = bq.S(b, x)
-            out = None if v is None else v[1]
-    elif direction == "down":
-        if sign == "+":
-            v = bq.B_inv(x, b)
-            out = None if v is None else v[0]
-        else:
-            v = bq.S(x, b)
-            out = None if v is None else v[0]
-    else:
-        raise ValueError("direction must be 'up' or 'down'")
-    if out is None:
-        raise Undefined("harpoon step undefined")
-    return out
+        return bq.B(x, b)[0] if sign == "+" else bq.S(b, x)[1]
+    if direction == "down":
+        return bq.B_inv(x, b)[0] if sign == "+" else bq.S(x, b)[0]
+    raise ValueError("direction must be 'up' or 'down'")
 
 
 def harpoon_word(
@@ -218,22 +189,11 @@ def guitar_map(d, bq: BiquandleOracle, tol: float = 1e-9):
             x = d.edge_colors.get(e)
             if x is None:
                 raise Undefined(f"edge {e} is uncolored")
-            if signs[i] == "+":
-                cur = x
-            else:
-                cur = bq.alpha(x)
-                if cur is None:
-                    raise Undefined("alpha undefined in probe")
+            cur = x if signs[i] == "+" else bq.alpha(x)
             for j in range(i - 1, -1, -1):
                 xj = d.edge_colors[d.edge_at(t, j)]
-                if signs[j] == "+":
-                    v = bq.B_inv(xj, cur)
-                    cur = None if v is None else v[0]
-                else:
-                    v = bq.S(xj, cur)
-                    cur = None if v is None else v[0]
-                if cur is None:
-                    raise Undefined("probe step undefined")
+                step = bq.B_inv if signs[j] == "+" else bq.S
+                cur = step(xj, cur)[0]
             if e in out:
                 if not _eq(out[e], cur, tol * 1e3):
                     raise InternalInconsistency(f"edge {e} probe values disagree")
@@ -313,6 +273,13 @@ def check_biquandle_axioms(
     points where a partial map is undefined are skipped and counted.
     """
 
+    def value(f, *args):
+        # "no value" is data here: None where the partial map is undefined
+        try:
+            return f(*args)
+        except Undefined:
+            return None
+
     def dist(u, v):
         if hasattr(u, "approx_eq"):
             # only a boolean is available; map to 0/inf-style metric
@@ -324,22 +291,20 @@ def check_biquandle_axioms(
     for _ in range(samples):
         x, y, z = sampler(), sampler(), sampler()
         # Yang-Baxter: (B x 1)(1 x B)(B x 1) = (1 x B)(B x 1)(1 x B)
-        try:
-            lhs = _yb_side(bq, x, y, z, True)
-            rhs = _yb_side(bq, x, y, z, False)
-        except Undefined:
+        lhs = value(_yb_side, bq, x, y, z, True)
+        rhs = None if lhs is None else value(_yb_side, bq, x, y, z, False)
+        if rhs is None:
             report["skipped"] += 1
-            lhs = rhs = None
-        if lhs is not None:
+        else:
             report["yb"] = max(report["yb"], max(dist(a, b) for a, b in zip(lhs, rhs)))
-        v = bq.B(x, y)
+        v = value(bq.B, x, y)
         if v is None:
             report["skipped"] += 1
             continue
         x4, x3 = v
-        back = bq.B_inv(x4, x3)
-        side = bq.S(x4, x)
-        side_back = None if side is None else bq.S_inv(side[0], side[1])
+        back = value(bq.B_inv, x4, x3)
+        side = value(bq.S, x4, x)
+        side_back = None if side is None else value(bq.S_inv, *side)
         if back is not None:
             report["inverse"] = max(
                 report["inverse"], dist(back[0], x) + dist(back[1], y)
@@ -352,14 +317,14 @@ def check_biquandle_axioms(
             report["inverse"] = max(
                 report["inverse"], dist(side_back[0], x4) + dist(side_back[1], x)
             )
-        ax = bq.alpha(x)
+        ax = value(bq.alpha, x)
         if ax is not None:
-            fix = bq.B(x, ax)
+            fix = value(bq.B, x, ax)
             if fix is not None:
                 report["alpha"] = max(
                     report["alpha"], dist(fix[0], x) + dist(fix[1], ax)
                 )
-            ai = bq.alpha_inv(ax)
+            ai = value(bq.alpha_inv, ax)
             if ai is not None:
                 report["alpha"] = max(report["alpha"], dist(ai, x))
     report["max_violation"] = max(
@@ -369,19 +334,13 @@ def check_biquandle_axioms(
 
 
 def _yb_side(bq: BiquandleOracle, x, y, z, left_first: bool):
-    def bb(a, b):
-        v = bq.B(a, b)
-        if v is None:
-            raise Undefined("B undefined in YB check")
-        return v
-
     a, b, c = x, y, z
     if left_first:
-        a, b = bb(a, b)
-        b, c = bb(b, c)
-        a, b = bb(a, b)
+        a, b = bq.B(a, b)
+        b, c = bq.B(b, c)
+        a, b = bq.B(a, b)
     else:
-        b, c = bb(b, c)
-        a, b = bb(a, b)
-        b, c = bb(b, c)
+        b, c = bq.B(b, c)
+        a, b = bq.B(a, b)
+        b, c = bq.B(b, c)
     return (a, b, c)

@@ -19,8 +19,8 @@ generic pair (x, y) is then resolved by imposing the colored Yang-Baxter
 equation on the triple (x', st, y), where x' is the partner color with
 B(x', st) = (st, x): every other braiding in that relation involves the
 Steinberg color and is already known in closed form, which makes the
-relation linear in the remaining one or two unknown braidings and pins
-them as a one-dimensional joint nullspace.  The overall scale of each
+relation linear in the two remaining unknown braidings, one per side, and
+pins them as a one-dimensional joint nullspace.  The overall scale of each
 braiding is then fixed by det(c) = 1 via the principal root, which leaves
 exactly the r^2-th root-of-unity ambiguity the theory predicts; all
 scalar-level statements are therefore made modulo that group, through
@@ -39,7 +39,6 @@ from .errors import (
     BlockIntertwinerDim,
     DegenerateSpectrum,
     NonScalarResult,
-    NotAdmissible,
     NullspaceDimension,
     SingularSolution,
     Undefined,
@@ -151,6 +150,21 @@ class HolonomyBraiding:
         return self._c_inv
 
 
+def _sylvester_system(pairs) -> np.ndarray:
+    """Stacked matrices of X -> X A - B X on column-major vec X, one per (A, B).
+
+    Each is kron(A^T, I) - kron(I, B), written entry by entry without the
+    kron products; the entries are bitwise those of the kron form.
+    """
+    n = len(pairs[0][0])
+    idx = np.arange(n)
+    out = np.zeros((len(pairs), n, n, n, n), dtype=complex)
+    for g, (a, b) in enumerate(pairs):
+        out[g][:, idx, :, idx] = a.T
+        out[g][idx, :, idx, :] -= b
+    return out.reshape(len(pairs) * n * n, n * n)
+
+
 # --- Skolem-Noether solve ------------------------------------------------------
 
 def generator_slots(V1: CyclicModule, V2: CyclicModule) -> dict[str, np.ndarray]:
@@ -181,14 +195,8 @@ def skolem_noether_solve(
     """
     slots = generator_slots(V1, V2)
     n = V1.r * V2.r
-    rows = []
-    eye = np.eye(n, dtype=complex)
-    for g, a in slots.items():
-        b = np.asarray(auto[g], dtype=complex)
-        # vec is column-major: vec(R A) = (A^T (x) I) vec R; vec(B R) = (I (x) B) vec R
-        rows.append(np.kron(a.T, eye) - np.kron(eye, b))
-    system = np.vstack(rows)
-    ns = _nullspace(system)
+    ns = _nullspace(_sylvester_system(
+        [(a, np.asarray(auto[g], dtype=complex)) for g, a in slots.items()]))
     if ns.shape[1] != 1:
         raise NullspaceDimension(ns.shape[1])
     R = ns[:, 0].reshape((n, n), order="F")
@@ -253,13 +261,8 @@ def block_braiding(
         j = js[0]
         P, Pc = b12.bases[i], b12.cobases[i]
         Q, Qc = b43.bases[j], b43.cobases[j]
-        rows = []
-        eye = np.eye(r, dtype=complex)
-        for g in ("E", "F", "K"):
-            A = Pc @ d12[g] @ P
-            Bm = Qc @ d43[g] @ Q
-            rows.append(np.kron(A.T, eye) - np.kron(eye, Bm))
-        ns = _nullspace(np.vstack(rows))
+        ns = _nullspace(_sylvester_system(
+            [(Pc @ d12[g] @ P, Qc @ d43[g] @ Q) for g in ("E", "F", "K")]))
         if ns.shape[1] != 1:
             raise BlockIntertwinerDim(ns.shape[1])
         M = ns[:, 0].reshape((r, r), order="F")
@@ -435,36 +438,34 @@ def _anchored_triple_solve(
     provider: "BraidingProvider",
     tol: float,
 ) -> dict:
-    """Resolve the unresolved braidings of one braid-relation triple.
+    """Resolve the two generic braidings of one braid-relation triple.
 
-    Every member pair that involves the Steinberg color or is already cached
-    enters with its known matrix; at most one member per side may be unknown.
-    The relation is then linear in the unknown block scalars, whose joint
-    nullspace must be one-dimensional.  Newly resolved braidings are
-    det-normalized and cached, and the full relation is verified up to an
-    r^2-th root of unity.
+    Every member pair that involves the Steinberg color enters with its
+    closed-form matrix; each side must have exactly one other member, whose
+    block scalars are unknown.  The relation is linear in the two sets of
+    block scalars, and their joint nullspace must be one-dimensional.  Each
+    solution is det-normalized; a pair already cached, or determined by both
+    sides, must agree with its first determination up to an r^2-th root of
+    unity, and any other is sideways-checked and cached.  The full relation
+    is then verified up to an r^2-th root of unity; on any failure the
+    braidings cached here are dropped again.
     """
-    p = provider.p
-    r = p.r
+    r = provider.p.r
     pairs_l, pairs_r, out = _yb_pairs(*trip, tol)
     sides = []
     for pairs, word in ((pairs_l, _WORD_L), (pairs_r, _WORD_R)):
-        known: dict[int, HolonomyBraiding] = {}
-        unk = None
-        for i, pair in enumerate(pairs):
-            key = provider.pair_key(*pair)
-            if key in provider._braidings or provider.is_steinberg(pair[0]) \
-                    or provider.is_steinberg(pair[1]):
-                known[i] = provider.braiding(*pair)
-            elif unk is not None:
-                raise UnresolvableYB(
-                    "two unresolved braidings on one side of the relation"
-                )
-            else:
-                unk = (i, pair, block_braiding(pair[0], pair[1], provider))
-        sides.append((pairs, word, known, unk))
+        generic = [i for i, (a, b) in enumerate(pairs)
+                   if not (provider.is_steinberg(a) or provider.is_steinberg(b))]
+        if len(generic) != 1:
+            raise UnresolvableYB(f"{len(generic)} unresolved braidings on one "
+                                 "side of the relation, want 1")
+        i0 = generic[0]
+        known = {i: provider.braiding(*pair)
+                 for i, pair in enumerate(pairs) if i != i0}
+        unk = (i0, pairs[i0], block_braiding(*pairs[i0], provider))
+        sides.append((word, known, unk))
 
-    def columns(pairs, word, known, unk):
+    def columns(word, known, unk):
         # column j is (pre @ b_j @ post).ravel(), with b_j the j-th block on
         # the unknown's strands; all blocks go through pre side by side
         i0, _, bb = unk
@@ -473,73 +474,46 @@ def _anchored_triple_solve(
             post = _on_strands(known[i].c, word[i], post, r)
         cols = np.hstack([_on_strands(b, word[i0], post, r)
                           for b in bb.blocks])
-        for i in range(i0 + 1, len(pairs)):
+        for i in range(i0 + 1, len(word)):
             cols = _on_strands(known[i].c, word[i], cols, r)
         nb = len(bb.blocks)
         cols = cols.reshape(r ** 3, nb, r ** 3).transpose(1, 0, 2)
         return cols.reshape(nb, r ** 6).T
 
-    unk_l, unk_r = sides[0][3], sides[1][3]
+    # named, so both stay alive through the solve: freeing them earlier
+    # raised the peak RSS of resolving at r = 7 by about 5 MB (allocator reuse)
+    cols_l = columns(*sides[0])
+    cols_r = columns(*sides[1])
+    ns = _nullspace(np.hstack([cols_l, -cols_r]))
+    if ns.shape[1] != 1:
+        raise UnresolvableYB(f"braid-relation joint nullspace dim {ns.shape[1]}")
+    unks = [unk for _, _, unk in sides]
+    nl = len(unks[0][2].blocks)
     added: list = []
     try:
-        if unk_l is None and unk_r is None:
-            pass  # fully known; fall through to verification
-        elif unk_l is None or unk_r is None:
-            pairs, word, known, unk = sides[0] if unk_l else sides[1]
-            other = sides[1] if unk_l is None else sides[0]
-            rhs = np.eye(r ** 3, dtype=complex)
-            for i in range(len(other[0])):
-                rhs = _on_strands(other[2][i].c, other[1][i], rhs, r)
-            cols = columns(pairs, word, known, unk)
-            lam, *_ = np.linalg.lstsq(cols, rhs.ravel(), rcond=None)
-            fit = np.abs(cols @ lam - rhs.ravel()).max()
-            if fit > max(1e3 * tol, 1e-8) * max(1.0, np.abs(rhs).max()):
-                raise UnresolvableYB(f"one-sided relation residual {fit:.3e}")
-            added.append(_cache_resolved(provider, unk, lam, tol))
-        else:
-            cols_l = columns(*sides[0])
-            cols_r = columns(*sides[1])
-            ns = _nullspace(np.hstack([cols_l, -cols_r]))
-            if ns.shape[1] != 1:
-                raise UnresolvableYB(
-                    f"braid-relation joint nullspace dim {ns.shape[1]}"
-                )
-            nl = len(unk_l[2].blocks)
-            lam, mu = ns[:nl, 0], ns[nl:, 0]
-            same = provider.pair_key(*unk_l[1]) == provider.pair_key(*unk_r[1])
-            added.append(_cache_resolved(provider, unk_l, lam, tol))
-            if same:
-                # two determinations of one braiding: must agree up to roots
-                c2 = _unit_det(unk_r[2].assemble(mu), tol)
-                ok, _, res = equal_mod_roots(
-                    provider._braidings[added[0]].c, c2,
-                    r, max(1e3 * tol, 1e-8))
+        for (_, pair, bb), lam in zip(unks, (ns[:nl, 0], ns[nl:, 0])):
+            c = _unit_det(bb.assemble(lam), tol)
+            key = provider.pair_key(*pair)
+            if key in provider._braidings:
+                ok, _, res = equal_mod_roots(provider._braidings[key].c, c,
+                                             r, max(1e3 * tol, 1e-8))
                 if not ok:
                     raise UnresolvableYB(
                         "repeated-pair determinations disagree, residual "
                         f"{res:.3e}"
                     )
-            else:
-                added.append(_cache_resolved(provider, unk_r, mu, tol))
+                continue
+            hb = HolonomyBraiding(y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3,
+                                  V1=bb.V1, V2=bb.V2, V4=bb.V4, V3=bb.V3, c=c)
+            provider._check_sideways(hb)
+            provider._braidings[key] = hb
+            added.append(key)
         report = _verified_relation(provider, pairs_l, pairs_r, tol)
     except Exception:
         for key in added:
             provider._braidings.pop(key, None)
         raise
     return {**report, "colors": out}
-
-
-def _cache_resolved(provider, unk, lam, tol):
-    _, pair, bb = unk
-    c = _unit_det(bb.assemble(lam), tol)
-    hb = HolonomyBraiding(
-        y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3,
-        V1=bb.V1, V2=bb.V2, V4=bb.V4, V3=bb.V3, c=c,
-    )
-    provider._check_sideways(hb)
-    key = provider.pair_key(*pair)
-    provider._braidings[key] = hb
-    return key
 
 
 def resolve_scalars_yb(
@@ -664,9 +638,7 @@ class BraidingProvider:
                      (y1, st, self._preflip(y2))):
             try:
                 _anchored_triple_solve(trip, self, self.tol)
-            except (Undefined, NotAdmissible, DegenerateSpectrum,
-                    BlockIntertwinerDim, SingularSolution,
-                    UnresolvableYB) as e:
+            except Undefined as e:
                 last = e
                 continue
             if key in self._braidings:

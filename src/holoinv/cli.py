@@ -176,7 +176,7 @@ def cmd_invariant(args: argparse.Namespace) -> int:
     cfg = _config(args, ell)
     provider = _provider(cfg)
     res = tilde_Fprime(d, provider, seed=cfg.seed,
-                       max_gauge=cfg.max_gauge_attempts, tol=cfg.tol)
+                       max_gauge=cfg.max_gauge_attempts)
     _emit(res.as_json_dict())
     return 0
 
@@ -240,7 +240,7 @@ def cmd_gauge_orbit(args: argparse.Namespace) -> int:
         gens.append(random_gstar(rng))
         gens.append(random_qcolor(rng, p))
     rep = gauge_orbit_compare(d, gens, provider, seed=cfg.seed,
-                              max_gauge=cfg.max_gauge_attempts, tol=cfg.tol)
+                              max_gauge=cfg.max_gauge_attempts)
     _emit({"ell": cfg.ell, "base": _cpair(rep["base"]),
            "generators": rep["generators"],
            "max_deviation": rep["max_deviation"], "pass": bool(rep["pass"])})

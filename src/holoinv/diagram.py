@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import (
-    ColoringUndefined,
     InconsistentColoring,
     NoSuchEdge,
     NotClosed,
@@ -381,23 +380,12 @@ def cut_edge(d: Diagram, e: Optional[str] = None, tol: float = 1e-9) -> Diagram:
         e = _fmt(d._edge_ids[0])
     if e not in d.edges():
         raise NoSuchEdge(e)
-    # choose a cut point: a level where the edge is a pass-through strand,
-    # preferring upward orientation
-    spot = None
-    for t in range(1, d.n_slices):
-        for i in range(d.width(t)):
-            if d.edge_at(t, i) == e:
-                s = d.level_signs(t)[i]
-                if s == "+":
-                    spot = (t, i, s)
-                    break
-                if spot is None:
-                    spot = (t, i, s)
-        if spot and spot[2] == "+":
-            break
-    if spot is None:
-        raise NoSuchEdge(f"edge {e} never passes between slices")
-    t, p, s = spot
+    # cut at the first upward port of the edge.  One exists at some level
+    # 1..n-1: a closed diagram has no ports at levels 0 and n, crossings take
+    # only upward strands, and a cup or cap joins a downward leg to an
+    # upward one, so every edge has an upward port.
+    t, p = next((t, i) for t in range(1, d.n_slices) for i in range(d.width(t))
+                if d.edge_at(t, i) == e and d.level_signs(t)[i] == "+")
     # unroll: top part first, then bottom part; the cut level becomes boundary
     rolled = Diagram(d.level_signs(t), d.slices[t:] + d.slices[:t])
     n_top = d.n_slices - t
@@ -412,18 +400,7 @@ def cut_edge(d: Diagram, e: Optional[str] = None, tol: float = 1e-9) -> Diagram:
     # edges (bottom and top boundary) with the same color, which per-port
     # transfer allows
     rolled = _remap_colors(rolled, [(d, port_map)], tol)
-    out = _bend_open(rolled, p, tol)
-    if s == "-":
-        # wrap to present the boundary upward: (x,+) in, coevR feeds the
-        # downward tangle, evR closes it
-        x = out.color_at(0, 0)
-        inner = out
-        pre = [Slice(1, "coevR")]
-        mid = [Slice(s2.offset + 1, s2.piece) for s2 in inner.slices]
-        post = [Slice(0, "evR")]
-        new = Diagram(["+"], pre + mid + post)
-        out = _remap_colors(new, [(inner, lambda q: (q[0] + 1, q[1] + 1))], tol)
-    return out
+    return _bend_open(rolled, p, tol)
 
 
 # --- Reidemeister moves ---------------------------------------------------
@@ -442,18 +419,11 @@ def _require(cond: bool, msg: str):
         raise PatternMismatch(msg)
 
 
-def _defined(v: Any, msg: str) -> Any:
-    """A partial oracle value; None (no value) raises ColoringUndefined."""
-    if v is None:
-        raise ColoringUndefined(msg)
-    return v
-
-
 def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
     """Apply or undo a generator Reidemeister move at a given location.
 
     `oracle` is a biquandle oracle with partial maps B, B_inv, S, S_inv and
-    alpha; any color it fails to produce raises ColoringUndefined.  Colors
+    alpha; where one has no value it raises Undefined, which propagates.  Colors
     outside the modified disk are untouched (edge identities outside the disk
     are preserved by reindexing).
     """
@@ -473,9 +443,8 @@ def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
             new = Diagram(d.bottom_signs, sl[:i] + tuple(pat) + sl[i:])
             new = _transfer_outside(new, d, i, 2, 0)
             if x1 is not None and x2 is not None:
-                mid = (_defined(oracle.B(x1, x2), "B undefined")
-                       if m.variant == "+-" else
-                       _defined(oracle.B_inv(x1, x2), "B_inv undefined"))
+                f = oracle.B if m.variant == "+-" else oracle.B_inv
+                mid = f(x1, x2)
                 new = new.with_colors(
                     {new.edge_at(i + 1, o): mid[0], new.edge_at(i + 1, o + 1): mid[1]}
                 )
@@ -532,7 +501,7 @@ def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
             if ca is not None and cb is not None:
                 if m.kind == "RII_pm":
                     # (x4, x1) -> (x3, x2)
-                    x3, x2 = _defined(oracle.S(ca, cb), "S undefined")
+                    x3, x2 = oracle.S(ca, cb)
                     x4, x1 = ca, cb
                     patch = {
                         new.edge_at(i + 1, o + 2): x2,
@@ -543,7 +512,7 @@ def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
                     }
                 else:
                     # (x3, x2) -> (x4, x1)
-                    x4, x1 = _defined(oracle.S_inv(ca, cb), "S_inv undefined")
+                    x4, x1 = oracle.S_inv(ca, cb)
                     x3, x2 = ca, cb
                     patch = {
                         new.edge_at(i + 1, o): x4,
@@ -570,7 +539,7 @@ def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
             new = Diagram(d.bottom_signs, sl[:i] + tuple(pat) + sl[i:])
             new = _transfer_outside(new, d, i, 6, 0)
             if x is not None:
-                y = _defined(oracle.alpha(x), "alpha undefined")
+                y = oracle.alpha(x)
                 new = new.with_colors(
                     {new.edge_at(i + 1, o + 1): y, new.edge_at(i + 4, o + 1): y}
                 )
@@ -604,11 +573,8 @@ def _recolor_patch(d: Diagram, i: int, n: int, o: int, width: int, oracle) -> Di
         sl = d.slices[t]
         rel = sl.offset - o
         if sl.piece in ("X+", "X-") and 0 <= rel <= width - 2:
-            x1, x2 = cur[rel], cur[rel + 1]
-            if x1 is None or x2 is None:
-                raise ColoringUndefined("patch inputs uncolored")
             f = oracle.B if sl.piece == "X+" else oracle.B_inv
-            v = _defined(f(x1, x2), "crossing undefined in patch")
+            v = f(cur[rel], cur[rel + 1])
             cur[rel], cur[rel + 1] = v
             patch[d.edge_at(t + 1, o + rel)] = v[0]
             patch[d.edge_at(t + 1, o + rel + 1)] = v[1]
@@ -623,9 +589,10 @@ def propagate_colors(
     """Color all edges from the bottom word using a biquandle-style oracle.
 
     Crossings fire forward (B/B_inv) or backward once the opposite side is
-    known; cups/caps need no rule since their legs are one edge.  Raises
-    ColoringUndefined if a needed partial value is missing, or
-    InconsistentColoring if constraints clash or edges stay uncolored.
+    known; cups/caps need no rule since their legs are one edge.  The
+    oracle's Undefined propagates where a needed partial value is missing;
+    InconsistentColoring is raised if constraints clash or edges stay
+    uncolored.
     """
     if len(bottom) != len(d.bottom_signs):
         raise InconsistentColoring("bottom color count mismatch")
@@ -653,15 +620,13 @@ def propagate_colors(
             outs = [colors.get(e) for e in e_out]
             if all(x is not None for x in ins) and any(x is None for x in outs):
                 f = oracle.B if sl.piece == "X+" else oracle.B_inv
-                v = _defined(f(ins[0], ins[1]),
-                             f"crossing at slice {t} undefined")
+                v = f(ins[0], ins[1])
                 put(e_out[0], v[0])
                 put(e_out[1], v[1])
                 progress = True
             elif all(x is not None for x in outs) and any(x is None for x in ins):
                 f = oracle.B_inv if sl.piece == "X+" else oracle.B
-                v = _defined(f(outs[0], outs[1]),
-                             f"crossing at slice {t} undefined")
+                v = f(outs[0], outs[1])
                 put(e_in[0], v[0])
                 put(e_in[1], v[1])
                 progress = True
@@ -674,8 +639,7 @@ def propagate_colors(
             continue
         o = sl.offset
         f = oracle.B if sl.piece == "X+" else oracle.B_inv
-        v = _defined(f(colors[d.edge_at(t, o)], colors[d.edge_at(t, o + 1)]),
-                     f"crossing at slice {t} undefined")
+        v = f(colors[d.edge_at(t, o)], colors[d.edge_at(t, o + 1)])
         if not (
             colors_equal(v[0], colors[d.edge_at(t + 1, o)], tol)
             and colors_equal(v[1], colors[d.edge_at(t + 1, o + 1)], tol)

@@ -1,9 +1,11 @@
 """Error taxonomy for holoinv.
 
-Partiality of the holonomy biquandle is a *normal* outcome; operations that
-are partial by design return None (or raise Undefined where a caller has
-already promised definedness). Everything else here signals either bad input
-or a numerically degenerate configuration that the caller may gauge-retry.
+Partiality of the holonomy biquandle is a *normal* outcome: the factorization,
+and with it every crossing map, braiding and lift, exists only on a dense open
+set.  A partial map that has no value at its input raises `Undefined` or one
+of its subclasses; none returns None.  The remedy is the same for the whole
+family: try another anchor or another gauge.  The other classes signal bad
+input, an exhausted search, or a failed consistency check.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ class InconsistentColoring(HoloinvError):
     pass
 
 
-class ColoringUndefined(HoloinvError):
-    """A partial biquandle value needed by a coloring does not exist."""
-
-
 class Undefined(HoloinvError):
     """A generically-defined map was evaluated outside its domain."""
 
@@ -53,7 +51,7 @@ class InvariantViolation(HoloinvError):
     pass
 
 
-class OutsideGPrime(HoloinvError):
+class OutsideGPrime(Undefined):
     """Matrix not in the domain of the factorization chart (m11 = 0)."""
 
 
@@ -71,7 +69,7 @@ class ChebyshevMismatch(HoloinvError):
     pass
 
 
-class NotAdmissible(HoloinvError):
+class NotAdmissible(Undefined):
     pass
 
 
@@ -79,7 +77,7 @@ class BranchInconsistent(HoloinvError):
     pass
 
 
-class DegenerateSpectrum(HoloinvError):
+class DegenerateSpectrum(Undefined):
     pass
 
 
@@ -91,17 +89,17 @@ class NullspaceDimension(HoloinvError):
         super().__init__(message or f"nullspace dimension {dim}, expected 1")
 
 
-class SingularSolution(HoloinvError):
+class SingularSolution(Undefined):
     pass
 
 
-class BlockIntertwinerDim(HoloinvError):
+class BlockIntertwinerDim(Undefined):
     def __init__(self, dim: int, message: str = ""):
         self.dim = dim
         super().__init__(message or f"block intertwiner dimension {dim}, expected 1")
 
 
-class UnresolvableYB(HoloinvError):
+class UnresolvableYB(Undefined):
     pass
 
 

@@ -88,7 +88,6 @@ def _apply(state: np.ndarray, m: np.ndarray, offset: int,
 
 
 def evaluate_F(d: Diagram, provider: BraidingProvider,
-               tol: Optional[float] = None,
                max_width: int = DEFAULT_MAX_WIDTH) -> np.ndarray:
     """The functor on a Y-colored diagram, as a matrix (top space x bottom).
 
@@ -96,12 +95,11 @@ def evaluate_F(d: Diagram, provider: BraidingProvider,
     caps to the duality tensors of the edge's module.  Stored top colors at
     each crossing must match the biquandle outputs.
     """
-    tol = provider.tol if tol is None else tol
     if d.max_width() > max_width:
         raise ParseError(
             f"diagram width {d.max_width()} exceeds the guard {max_width}"
         )
-    r = provider.p.r
+    r, tol = provider.p.r, provider.tol
     w0 = len(d.bottom_signs)
     dim0 = r ** w0
     state = np.eye(dim0, dtype=complex).reshape((r,) * w0 + (dim0,))
@@ -140,21 +138,20 @@ def evaluate_F(d: Diagram, provider: BraidingProvider,
 
 
 def evaluate_Fprime(d: Diagram, provider: BraidingProvider,
-                    cut: Optional[str] = None,
-                    tol: Optional[float] = None) -> ModScalar:
+                    cut: Optional[str] = None) -> ModScalar:
     """Renormalized bracket of a closed Y-colored diagram.
 
     Cuts one edge (default: the least edge id), evaluates the 1-1 tangle,
     extracts the scalar by which it acts on the simple module of the cut
     color, and multiplies by that color's modified dimension.
     """
-    tol = provider.tol if tol is None else tol
+    tol = provider.tol
     tangle = cut_edge(d, cut, tol)
     x = tangle.color_at(0, 0)
     if x is None:
         raise Undefined("cut edge has no color")
     r = provider.p.r
-    m = evaluate_F(tangle, provider, tol)
+    m = evaluate_F(tangle, provider)
     s, res = proportionality(m, np.eye(r, dtype=complex))
     if res > max(1e3 * tol, 1e-8):
         raise NonScalarResult(
@@ -188,8 +185,7 @@ def gauge_fix(d: Diagram, seed: int = 0, max_gauge: int = 100,
 
 def tilde_Fprime(d: Diagram, provider: BraidingProvider,
                  seed: int = 0, max_gauge: int = 100,
-                 cut: Optional[str] = None,
-                 tol: Optional[float] = None) -> InvariantResult:
+                 cut: Optional[str] = None) -> InvariantResult:
     """Full pipeline on a closed Q-colored diagram.
 
     Lifts the holonomy coloring to factorization colors, trying the
@@ -198,18 +194,16 @@ def tilde_Fprime(d: Diagram, provider: BraidingProvider,
     of the result does not depend on the gauge, the cut edge, or the
     diagram representative.
     """
-    tol = provider.tol if tol is None else tol
-    gauge, lifted, attempts = gauge_fix(d, seed, max_gauge, tol)
+    gauge, lifted, attempts = gauge_fix(d, seed, max_gauge, provider.tol)
     e = cut if cut is not None else lifted.edges()[0]
-    value = evaluate_Fprime(lifted, provider, e, tol)
+    value = evaluate_Fprime(lifted, provider, e)
     return InvariantResult(value=value, gauge_used=gauge,
                            cut_edge=e, attempts=attempts)
 
 
 def gauge_orbit_compare(d: Diagram, generators: Sequence[Any],
                         provider: BraidingProvider,
-                        seed: int = 0, max_gauge: int = 100,
-                        tol: Optional[float] = None) -> dict:
+                        seed: int = 0, max_gauge: int = 100) -> dict:
     """Recompute the invariant along a sampled gauge orbit of `d`.
 
     Each generator is applied to the Q-coloring: a QColor acts by the
@@ -217,8 +211,7 @@ def gauge_orbit_compare(d: Diagram, generators: Sequence[Any],
     positive factor, a 2x2 matrix by plain conjugation.  Returns the
     worst canonical-value deviation across the orbit.
     """
-    tol = provider.tol if tol is None else tol
-    base = tilde_Fprime(d, provider, seed, max_gauge, None, tol).value.canonical
+    base = tilde_Fprime(d, provider, seed, max_gauge).value.canonical
     scale = max(1.0, abs(base))
     worst = 0.0
     for g in generators:
@@ -228,11 +221,11 @@ def gauge_orbit_compare(d: Diagram, generators: Sequence[Any],
             dd = gauge_act_diagram(g, d)
         else:
             dd = gauge_act_matrix(np.asarray(g, dtype=complex), d)
-        v = tilde_Fprime(dd, provider, seed, max_gauge, None, tol).value.canonical
+        v = tilde_Fprime(dd, provider, seed, max_gauge).value.canonical
         worst = max(worst, abs(v - base) / scale)
     return {
         "base": base,
         "generators": len(generators),
         "max_deviation": worst,
-        "pass": worst <= max(1e3 * tol, 1e-8) * 1e2,
+        "pass": worst <= max(1e3 * provider.tol, 1e-8) * 1e2,
     }

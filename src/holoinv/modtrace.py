@@ -28,7 +28,7 @@ import numpy as np
 from .errors import HoloinvError, NonScalarResult, Singular
 from .params import RootParams, cheb_second_kind
 from .sl2factor import random_ycolor, sl2_B, sl2_B_inv
-from .uqsl2 import CyclicModule, ZChar, char_from_ycolor, dual_rep
+from .uqsl2 import CyclicModule, ZChar, casimir_matrix, char_from_ycolor, dual_rep
 
 
 def modified_dim(chi: ZChar, p: RootParams, tol: Optional[float] = None) -> complex:
@@ -84,7 +84,9 @@ def modified_dim_ratio(alpha: complex, p: RootParams,
 def casimir_scalar(E: np.ndarray, F: np.ndarray, K: np.ndarray,
                    p: RootParams, tol: float = 1e-9) -> complex:
     """Scalar by which the Casimir acts on an irreducible set of matrices."""
-    om = (p.qbracket(1) ** 2) * (E @ F) + K / p.xi + np.linalg.inv(K) * p.xi
+    # E F is formed first and passed with F = I, so the bracket scales the
+    # product; that fixes the rounding `holoinv dim --dual-check` prints
+    om = casimir_matrix(E @ F, np.eye(len(E)), K, np.linalg.inv(K), p)
     s = np.trace(om) / om.shape[0]
     if np.linalg.norm(om - s * np.eye(om.shape[0])) > tol * 1e3 * max(1.0, abs(s)):
         raise NonScalarResult("Casimir does not act by a scalar")

@@ -60,6 +60,24 @@ def cheb_second_kind(n: int, t: complex) -> complex:
     return cur
 
 
+def cheb_first_kind_roots(c: complex, n: int) -> list[complex]:
+    """The n solutions t = w + 1/w of C_n(t) = c, i.e. of w^n + w^(-n) = c.
+
+    Listed with multiplicity, one per n-th root w of u = (c + sqrt(c^2 - 4))/2,
+    or of u = (c - sqrt(c^2 - 4))/2 where the first rounds to zero.
+    """
+    disc = cmath.sqrt(c * c - 4.0)
+    u = (c + disc) / 2.0
+    if u == 0:
+        u = (c - disc) / 2.0
+    w0 = u ** (1.0 / n)
+    out = []
+    for k in range(n):
+        w = w0 * cmath.exp(2j * cmath.pi * k / n)
+        out.append(w + 1.0 / w)
+    return out
+
+
 @dataclass(frozen=True)
 class RootParams:
     """Parameters attached to the root of unity xi = exp(2*pi*i/ell)."""

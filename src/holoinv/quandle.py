@@ -14,13 +14,12 @@ east, the top colors are (a^(-1) b a, a).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .params import RootParams, cheb_first_kind
+from .params import RootParams, cheb_first_kind, cheb_first_kind_roots
 
 _ID2 = np.eye(2, dtype=complex)
 
@@ -93,19 +92,9 @@ def in_Q(c: QColor, p: RootParams, tol: Optional[float] = None) -> bool:
 
 def z_candidates(trace: complex, p: RootParams) -> list[complex]:
     """All z with Cb_r(z) = (-1)^(l+1) * trace, i.e. w^r + w^(-r) = target."""
-    target = p.sign_ell_plus1 * trace
-    disc = cmath.sqrt(target * target - 4.0)
-    u = (target + disc) / 2.0
-    if u == 0:
-        u = (target - disc) / 2.0
-    out = []
-    w0 = u ** (1.0 / p.r)
-    for k in range(p.r):
-        w = w0 * cmath.exp(2j * cmath.pi * k / p.r)
-        out.append(w + 1.0 / w)
     # deduplicate numerically
     uniq: list[complex] = []
-    for z in out:
+    for z in cheb_first_kind_roots(p.sign_ell_plus1 * trace, p.r):
         if all(abs(z - z2) > 1e-10 for z2 in uniq):
             uniq.append(z)
     return uniq

@@ -125,34 +125,25 @@ def _conj_solve(h: np.ndarray, m: np.ndarray, tol: float) -> GStarElem:
 
 
 def sl2_B(y1: YColor, y2: YColor, tol: float = 1e-9) -> tuple[YColor, YColor]:
-    """Positive-crossing map; raises Undefined when a solve leaves G'."""
+    """Positive-crossing map; raises OutsideGPrime when a solve leaves G'."""
     x1, x2 = y1.g, y2.g
-    try:
-        x4 = _conj_solve(x1.phi_minus(), psi(x2), tol)
-        x3 = _conj_solve(inv2(x4.phi_plus()), psi(x1), tol)
-    except OutsideGPrime as e:
-        raise Undefined(str(e)) from e
+    x4 = _conj_solve(x1.phi_minus(), psi(x2), tol)
+    x3 = _conj_solve(inv2(x4.phi_plus()), psi(x1), tol)
     return (YColor(x4, y2.z), YColor(x3, y1.z))
 
 
 def sl2_B_inv(y4: YColor, y3: YColor, tol: float = 1e-9) -> tuple[YColor, YColor]:
     x4, x3 = y4.g, y3.g
-    try:
-        x1 = _conj_solve(x4.phi_plus(), psi(x3), tol)
-        x2 = _conj_solve(inv2(x1.phi_minus()), psi(x4), tol)
-    except OutsideGPrime as e:
-        raise Undefined(str(e)) from e
+    x1 = _conj_solve(x4.phi_plus(), psi(x3), tol)
+    x2 = _conj_solve(inv2(x1.phi_minus()), psi(x4), tol)
     return (YColor(x1, y3.z), YColor(x2, y4.z))
 
 
 def sl2_S(y4: YColor, y1: YColor, tol: float = 1e-9) -> tuple[YColor, YColor]:
     """Sideways map: S(B1(x,y), x) = (B2(x,y), y)."""
     x4, x1 = y4.g, y1.g
-    try:
-        x3 = _conj_solve(inv2(x4.phi_plus()), psi(x1), tol)
-        x2 = _conj_solve(inv2(x1.phi_minus()), psi(x4), tol)
-    except OutsideGPrime as e:
-        raise Undefined(str(e)) from e
+    x3 = _conj_solve(inv2(x4.phi_plus()), psi(x1), tol)
+    x2 = _conj_solve(inv2(x1.phi_minus()), psi(x4), tol)
     return (YColor(x3, y1.z), YColor(x2, y4.z))
 
 
@@ -164,54 +155,41 @@ def sl2_S_inv(y3: YColor, y2: YColor, tol: float = 1e-9) -> tuple[YColor, YColor
 
 def alpha(y: YColor, tol: float = 1e-9) -> YColor:
     """The biquandle diagonal: B(x, alpha(x)) = (x, alpha(x))."""
-    try:
-        g = psi_inv(inv2(psi(y.g.inv())), tol)
-    except OutsideGPrime as e:
-        raise Undefined(str(e)) from e
-    return YColor(g, y.z)
+    return YColor(psi_inv(inv2(psi(y.g.inv())), tol), y.z)
 
 
 def alpha_inv(y: YColor, tol: float = 1e-9) -> YColor:
-    try:
-        g = psi_inv(inv2(psi(y.g)), tol).inv()
-    except OutsideGPrime as e:
-        raise Undefined(str(e)) from e
-    return YColor(g, y.z)
+    return YColor(psi_inv(inv2(psi(y.g)), tol).inv(), y.z)
 
 
 class FactorizationOracle:
-    """The SL(2, C) factorization biquandle on X-colors; None where undefined.
+    """The SL(2, C) factorization biquandle on X-colors.
 
     Its maps are the ones above, so the z fibres swap at crossings as in
-    `biquandle.FiberedBiquandle`.
+    `biquandle.FiberedBiquandle`, and a map raises OutsideGPrime (an
+    Undefined) where a solve leaves G'.
     """
 
     def __init__(self, tol: float = 1e-9):
         self.tol = tol
 
-    def _try(self, f, *args):
-        try:
-            return f(*args, self.tol)
-        except Undefined:
-            return None
-
     def B(self, a, b):
-        return self._try(sl2_B, a, b)
+        return sl2_B(a, b, self.tol)
 
     def B_inv(self, a, b):
-        return self._try(sl2_B_inv, a, b)
+        return sl2_B_inv(a, b, self.tol)
 
     def S(self, a, b):
-        return self._try(sl2_S, a, b)
+        return sl2_S(a, b, self.tol)
 
     def S_inv(self, a, b):
-        return self._try(sl2_S_inv, a, b)
+        return sl2_S_inv(a, b, self.tol)
 
     def alpha(self, x):
-        return self._try(alpha, x)
+        return alpha(x, self.tol)
 
     def alpha_inv(self, x):
-        return self._try(alpha_inv, x)
+        return alpha_inv(x, self.tol)
 
 
 def random_gstar(rng: np.random.Generator) -> GStarElem:
@@ -270,7 +248,8 @@ def q_functor_inv(d, tol: float = 1e-9):
 
     Scans each level west to east; an upward strand with Q-color q and west
     holonomy h needs psi_inv(h^(-1) q h), a downward strand additionally
-    untwists by the diagonal.  Raises Undefined when a solve leaves G'.
+    untwists by the diagonal.  Raises OutsideGPrime (an Undefined) when a
+    solve leaves G'.
     """
     ycolors: dict[str, YColor] = {}
     for t in range(d.n_slices + 1):
@@ -282,14 +261,9 @@ def q_functor_inv(d, tol: float = 1e-9):
                 raise Undefined(f"edge {e} is uncolored")
             y = ycolors.get(e)
             if y is None:
-                m = inv2(h) @ q.g @ h
-                try:
-                    if s == "+":
-                        y = YColor(psi_inv(m, tol), q.z)
-                    else:
-                        y = alpha_inv(YColor(psi_inv(m, tol), q.z), tol)
-                except OutsideGPrime as ex:
-                    raise Undefined(str(ex)) from ex
+                y = YColor(psi_inv(inv2(h) @ q.g @ h, tol), q.z)
+                if s == "-":
+                    y = alpha_inv(y, tol)
                 ycolors[e] = y
             if s == "+":
                 h = h @ y.g.phi_plus()

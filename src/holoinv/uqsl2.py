@@ -29,7 +29,7 @@ from .errors import (
     DegenerateSpectrum,
     NotAdmissible,
 )
-from .params import RootParams, cheb_first_kind
+from .params import RootParams, cheb_first_kind, cheb_first_kind_roots
 from .sl2factor import YColor
 
 
@@ -116,12 +116,13 @@ class CyclicModule:
         return np.diag(1.0 / np.diag(self.K))
 
     def omega_matrix(self) -> np.ndarray:
-        p = self.p
-        return (
-            p.qbracket(1) ** 2 * self.E @ self.F
-            + self.K / p.xi
-            + self.K_inv() * p.xi
-        )
+        return casimir_matrix(self.E, self.F, self.K, self.K_inv(), self.p)
+
+
+def casimir_matrix(E: np.ndarray, F: np.ndarray, K: np.ndarray,
+                   K_inv: np.ndarray, p: RootParams) -> np.ndarray:
+    """The Casimir [1]^2 E F + K xi^(-1) + K^(-1) xi on generator matrices."""
+    return p.qbracket(1) ** 2 * E @ F + K / p.xi + K_inv * p.xi
 
 
 def branch_roots(kappa: complex, p: RootParams) -> list[complex]:
@@ -252,10 +253,8 @@ def coproduct_matrices(V1: CyclicModule, V2: CyclicModule) -> dict[str, np.ndarr
 
 
 def coproduct_casimir(V1: CyclicModule, V2: CyclicModule) -> np.ndarray:
-    p = V1.p
     d = coproduct_matrices(V1, V2)
-    Kinv = np.linalg.inv(d["K"])
-    return p.qbracket(1) ** 2 * d["E"] @ d["F"] + d["K"] / p.xi + Kinv * p.xi
+    return casimir_matrix(d["E"], d["F"], d["K"], np.linalg.inv(d["K"]), V1.p)
 
 
 def tensor_central_scalars(chi1: ZChar, chi2: ZChar) -> dict[str, complex]:
@@ -276,15 +275,7 @@ def predicted_casimir_values(
         p.qbracket(1) ** (2 * p.r) * s["E"] * s["F"]
         - p.sign_ell * (s["K"] + 1.0 / s["K"])
     )
-    disc = np.sqrt(complex(c * c - 4.0))
-    u = (c + disc) / 2.0
-    if u == 0:
-        u = (c - disc) / 2.0
-    w0 = u ** (1.0 / p.r)
-    return [
-        w0 * np.exp(2j * np.pi * j / p.r) + 1.0 / (w0 * np.exp(2j * np.pi * j / p.r))
-        for j in range(p.r)
-    ]
+    return cheb_first_kind_roots(c, p.r)
 
 
 @dataclass(frozen=True)

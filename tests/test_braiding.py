@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,23 @@ def test_failed_resolution_rolls_back_the_cache(monkeypatch):
     assert ok, res
 
 
+def test_redetermined_pair_must_agree_with_the_cache():
+    # an anchored solve determines its generic pairs afresh; where a pair is
+    # already cached the two rays must agree up to an r^2-th root of unity
+    provider = BraidingProvider(root_params(4))
+    hb = _generic_braiding(provider, 83)
+    key = provider.pair_key(hb.y1, hb.y2)
+    trip = (provider._preflip(hb.y1), provider.steinberg, hb.y2)
+    cached = dict(provider._braidings)
+    braiding._anchored_triple_solve(trip, provider, provider.tol)
+    assert all(provider._braidings[k] is v for k, v in cached.items())
+    provider._braidings[key] = dataclasses.replace(hb, c=hb.c * np.exp(0.3j))
+    cached = dict(provider._braidings)
+    with pytest.raises(UnresolvableYB, match="disagree"):
+        braiding._anchored_triple_solve(trip, provider, provider.tol)
+    assert provider._braidings.keys() == cached.keys()
+
+
 # --- index-form braiding layer ------------------------------------------------
 
 def _kron_sideways(c, c_inv, d4, d2, r):
@@ -274,6 +293,16 @@ def test_strand_product_matches_kron(r):
         want = embedded @ m
         got = braiding._on_strands(c, pos, m, r)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [3, 25])
+def test_sylvester_system_matches_kron_bitwise(n):
+    # the stacked vec-form of X -> X A - B X, against the two-kron reference
+    rng = np.random.default_rng(97 + n)
+    pairs = [(_crandn(rng, n, n), _crandn(rng, n, n)) for _ in range(3)]
+    I = np.eye(n, dtype=complex)
+    want = np.vstack([np.kron(a.T, I) - np.kron(I, b) for a, b in pairs])
+    assert np.array_equal(braiding._sylvester_system(pairs), want)
 
 
 def _generic_braiding(provider, seed):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from holoinv.braiding import ModScalar, equal_mod_roots
+from holoinv.braiding import BraidingProvider, ModScalar, equal_mod_roots
 from holoinv.diagram import (
     Diagram,
     RMove,
@@ -191,6 +191,23 @@ def test_pipeline_unknot_matches_modified_dimension(providers):
         lifted = q_functor_inv(d)
         y = next(iter(lifted.edge_colors.values()))
         dchi = modified_dim(provider.char(y), provider.p)
+        want = ModScalar(complex(dchi), provider.p.r)
+        assert res.value.approx_eq(want, 1e-8)
+
+
+def test_reversed_unknot_matches_modified_dimension():
+    # the loop coevR / evL starts downward, so its cut must be placed at the
+    # upward leg; the value is still the modified dimension of the color
+    from holoinv.sl2factor import q_functor_inv
+
+    for ell in (3, 4, 5):
+        provider = BraidingProvider(root_params(ell))
+        d = Diagram([], [(0, "coevR"), (0, "evL")])
+        d = d.with_colors({d.edges()[0]: random_unknot_qcolor(ell, seed=ell)})
+        res = tilde_Fprime(d, provider)
+        tangle = cut_edge(q_functor_inv(d), res.cut_edge)
+        assert tangle.bottom_signs == ("+",)
+        dchi = modified_dim(provider.char(tangle.color_at(0, 0)), provider.p)
         want = ModScalar(complex(dchi), provider.p.r)
         assert res.value.approx_eq(want, 1e-8)
 

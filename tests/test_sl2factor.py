@@ -13,6 +13,7 @@ from holoinv.quandle import inv2
 from holoinv.sl2factor import (
     FactorizationOracle,
     GStarElem,
+    YColor,
     alpha,
     alpha_inv,
     gauge_act_diagram,
@@ -156,3 +157,22 @@ def test_gauge_act_diagram_conjugates_holonomy():
     for e, c in q.edge_colors.items():
         want = h @ c.g @ inv2(h)
         assert np.abs(q2.edge_colors[e].g - want).max() < 1e-9
+
+
+def _pair_off_g_prime():
+    # B needs psi_inv of phi_minus(x1) psi(x2) phi_minus(x1)^(-1), whose
+    # upper-left entry kappa2 + eps1 phi2 vanishes for this pair
+    return (YColor(GStarElem(2.0, -1.0, 0.5), 0.3),
+            YColor(GStarElem(1.0, 0.0, 1.0), 0.7))
+
+
+def test_oracle_raises_undefined_off_g_prime():
+    y1, y2 = _pair_off_g_prime()
+    with pytest.raises(Undefined):
+        FactorizationOracle().B(y1, y2)
+
+
+def test_propagation_through_undefined_crossing_raises_undefined():
+    with pytest.raises(Undefined):
+        propagate_colors(braid_diagram(2, [1]), list(_pair_off_g_prime()),
+                         FactorizationOracle())
