@@ -23,7 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import InternalInconsistency, InvariantViolation, Undefined
+from .errors import (
+    InconsistentColoring,
+    InternalInconsistency,
+    InvariantViolation,
+    Undefined,
+)
 
 
 class BiquandleOracle:
@@ -188,7 +193,7 @@ def guitar_map(d, bq: BiquandleOracle, tol: float = 1e-9):
             e = d.edge_at(t, i)
             x = d.edge_colors.get(e)
             if x is None:
-                raise Undefined(f"edge {e} is uncolored")
+                raise InconsistentColoring(f"edge {e} is uncolored")
             cur = x if signs[i] == "+" else bq.alpha(x)
             for j in range(i - 1, -1, -1):
                 xj = d.edge_colors[d.edge_at(t, j)]

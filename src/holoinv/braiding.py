@@ -4,21 +4,19 @@ A braiding here is an isomorphism c : V1 (x) V2 -> V4 (x) V3 whose target
 colors are the biquandle images (chi4, chi3) = B(chi1, chi2), intertwining
 the coproduct action: c rho12(Delta u) = rho43(Delta u) c for u in {E, F, K}.
 
-The construction is self-contained: the coproduct Casimir splits both tensor
-products into r matched eigenblocks, and each block carries a
-one-dimensional space of intertwiners, so the braiding is determined up to
-one scalar per block.
-Intertwining alone does not pin the relative block scalars; they are
-resolved deterministically by anchoring at the Steinberg color.  When one
-factor of a pair is Steinberg, E or F acts nilpotently and the quantum
-exponential series Sum a_n E^n (x) F^n truncates exactly, so the braiding
-is the unique intertwiner that becomes diagonal (a Cartan-type weight
-factor) after peeling that series off; for the Steinberg self-pair the
-weights are integers and the Cartan factor is written down directly.  A
-generic pair (x, y) is then resolved by imposing the colored Yang-Baxter
-equation on the triple (x', st, y), where x' is the partner color with
-B(x', st) = (st, x): every other braiding in that relation involves the
-Steinberg color and is already known in closed form, which makes the
+The construction is self-contained and anchored at the Steinberg color.
+When one factor of a pair is Steinberg (the self pair included), E or F
+acts nilpotently and the quantum exponential series S = Sum a_n E^n (x) F^n
+truncates exactly, so the braiding has the R-matrix form c = tau D S with
+tau the flip and D a diagonal Cartan factor, which the intertwining
+equations determine up to one scalar.
+For a generic pair (x, y), the coproduct Casimir splits both tensor
+products into r matched eigenblocks, each carrying a one-dimensional space
+of intertwiners, so intertwining fixes the braiding only up to one scalar
+per block.  The block scalars are resolved by imposing the colored
+Yang-Baxter equation on the triple (x', st, y), where x' is the partner
+color with B(x', st) = (st, x): every other braiding in that relation
+involves the Steinberg color and is already known, which makes the
 relation linear in the two remaining unknown braidings, one per side, and
 pins them as a one-dimensional joint nullspace.  The overall scale of each
 braiding is then fixed by det(c) = 1 via the principal root, which leaves
@@ -109,16 +107,14 @@ def _nullspace(a: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _principal_root(z: complex, n: int) -> complex:
-    return complex(z) ** (1.0 / n)
-
-
 def _unit_det(c: np.ndarray, tol: float) -> np.ndarray:
+    """c / det(c)^(1/n) with the principal root, from the log-determinant so
+    that a determinant beyond the float range neither under- nor overflows."""
     sv = np.linalg.svd(c, compute_uv=False)
     if sv[-1] <= tol * max(1.0, sv[0]):
         raise SingularSolution("braiding matrix is singular")
-    det = np.linalg.det(c)
-    return c / _principal_root(det, c.shape[0])
+    sign, logdet = np.linalg.slogdet(c)
+    return c * np.exp(-(logdet + 1j * np.angle(sign)) / c.shape[0])
 
 
 def flip_matrix(m: int, n: int) -> np.ndarray:
@@ -217,7 +213,6 @@ class BlockBraiding:
     V2: CyclicModule
     V4: CyclicModule
     V3: CyclicModule
-    values: tuple[complex, ...]
     blocks: tuple[np.ndarray, ...]  # rank-r pieces of c, unit Frobenius norm
 
     def assemble(self, lambdas) -> np.ndarray:
@@ -245,13 +240,13 @@ def block_braiding(
         raise Undefined("pair obstruction vanishes")
     y4, y3 = sl2_B(y1, y2, tol)
     V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
-    b12 = casimir_block_structure(V1, V2, tol)
-    b43 = casimir_block_structure(V4, V3, tol)
+    b12 = casimir_block_structure(V1, V2)
+    b43 = casimir_block_structure(V4, V3)
     d12 = coproduct_matrices(V1, V2)
     d43 = coproduct_matrices(V4, V3)
     r = p.r
     scale = max(1.0, max(abs(v) for v in b12.values))
-    blocks, values = [], []
+    blocks = []
     for i, val in enumerate(b12.values):
         js = [j for j, v in enumerate(b43.values) if abs(v - val) <= 1e-6 * scale]
         if len(js) != 1:
@@ -268,11 +263,8 @@ def block_braiding(
         M = ns[:, 0].reshape((r, r), order="F")
         piece = Q @ M @ Pc
         blocks.append(piece / np.linalg.norm(piece))
-        values.append(val)
-    return BlockBraiding(
-        y1=y1, y2=y2, y4=y4, y3=y3, V1=V1, V2=V2, V4=V4, V3=V3,
-        values=tuple(values), blocks=tuple(blocks),
-    )
+    return BlockBraiding(y1=y1, y2=y2, y4=y4, y3=y3,
+                         V1=V1, V2=V2, V4=V4, V3=V3, blocks=tuple(blocks))
 
 
 # --- sideways and scalar comparison ------------------------------------------
@@ -366,8 +358,9 @@ def unipotent_series(
     a_n = (q - q^{-1})^n q^{n(n-1)/2} / [n]! with [n] the balanced quantum
     integer, truncated at n = r - 1.  The truncation is exact exactly when E
     acts nilpotently on V1 or F acts nilpotently on V2 (in particular when
-    either factor is the Steinberg module), the only regime where the series
-    is used here.
+    either factor is the Steinberg module).  It is the factor S of the
+    Steinberg-anchored braidings tau D S of `steinberg_pair_braiding`, the
+    only place the series is used.
     """
     r, q = p.r, p.xi
     S = np.zeros((r * r, r * r), dtype=complex)
@@ -385,52 +378,57 @@ def unipotent_series(
 
 
 def steinberg_self_braiding(provider: "BraidingProvider") -> HolonomyBraiding:
-    """Closed-form braiding of the Steinberg module with itself.
+    """The braiding of the Steinberg module with itself.
 
-    The K-eigenvalues of the Steinberg module are integer powers of q, so
-    the Cartan factor q^{(H (x) H)/2} is unambiguous and the braiding is
-    flip . Cartan . unipotent_series, normalized to det = 1.
-    """
-    p, st = provider.p, provider.steinberg
-    V = provider.module(st)
-    r = p.r
-    S = unipotent_series(V, V, p)
-    weights = [r + 1 - 2 * (i + 1) for i in range(r)]
-    qh = np.exp(1j * np.pi / p.ell)  # principal square root of q
-    cartan = np.diag(
-        [qh ** (wi * wj) for wi in weights for wj in weights]
-    ).astype(complex)
-    c = _unit_det(flip_matrix(r, r) @ cartan @ S, provider.tol)
-    return HolonomyBraiding(y1=st, y2=st, y4=st, y3=st,
-                            V1=V, V2=V, V4=V, V3=V, c=c)
+    `steinberg_pair_braiding` on (st, st); a separate name, so that the
+    self pair can be traced on its own (perfbench/spans.py)."""
+    st = provider.steinberg
+    return steinberg_pair_braiding(st, st, provider)
 
 
 def steinberg_pair_braiding(
     y1: YColor, y2: YColor, provider: "BraidingProvider"
 ) -> HolonomyBraiding:
-    """Closed-form braiding of a pair with one Steinberg factor.
+    """Braiding of a pair with a Steinberg factor, the self pair included.
 
-    Within the Casimir block span, the braiding is the unique ray whose
-    un-flipped matrix becomes diagonal (a Cartan-type weight factor) after
-    peeling off the truncated unipotent series; that condition is a linear
-    system on the block scalars with a one-dimensional nullspace.
+    It has the R-matrix form c = tau D S: tau is the flip, S the truncated
+    `unipotent_series` and D a diagonal Cartan factor.  c intertwines
+    exactly when D A_u = B_u D for u in {E, F, K}, where
+    A_u = S rho12(Delta u) S^-1 and B_u = tau rho43(Delta u) tau; entrywise,
+    D_i (A_u)_ij = (B_u)_ij D_j.  B_u is a kron product with exact zeros,
+    so each of its structural nonzeros gives one equation on D, whose
+    solution must be one-dimensional, and A_u must vanish wherever B_u
+    does: without that check the result need not intertwine.
     """
-    bb = block_braiding(y1, y2, provider)
-    p = provider.p
+    p, tol = provider.p, provider.tol
+    if not pair_defined(provider.char(y1), provider.char(y2), p, tol):
+        raise Undefined("pair obstruction vanishes")
+    y4, y3 = sl2_B(y1, y2, tol)
+    V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
     r = p.r
-    S_inv = np.linalg.inv(unipotent_series(bb.V1, bb.V2, p))
-    tau = flip_matrix(r, r)
-    off = ~np.eye(r * r, dtype=bool)
-    system = np.array([(tau @ b @ S_inv)[off] for b in bb.blocks]).T
-    ns = _nullspace(system)
+    S = unipotent_series(V1, V2, p)
+    S_inv = np.linalg.inv(S)
+    tau, eye = flip_matrix(r, r), np.eye(r * r)
+    d12, d43 = coproduct_matrices(V1, V2), coproduct_matrices(V4, V3)
+    rows = []
+    for u in ("E", "F", "K"):
+        a = S @ d12[u] @ S_inv
+        b = tau @ d43[u] @ tau
+        stray = np.abs(a[b == 0]).max(initial=0.0) / np.abs(a).max()
+        if stray > max(1e3 * tol, 1e-8):
+            raise UnresolvableYB(f"no Cartan factor intertwines Delta({u}), "
+                                 f"residual {stray:.3e}")
+        i, j = np.nonzero(b)
+        rows.append(a[i, j, None] * eye[i] - b[i, j, None] * eye[j])
+    ns = _nullspace(np.vstack(rows))
     if ns.shape[1] != 1:
         raise UnresolvableYB(
-            f"Cartan-diagonality nullspace dim {ns.shape[1]} for a "
+            f"Cartan-factor nullspace dim {ns.shape[1]} for a "
             "Steinberg-anchored pair"
         )
-    c = _unit_det(bb.assemble(ns[:, 0]), provider.tol)
-    return HolonomyBraiding(y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3,
-                            V1=bb.V1, V2=bb.V2, V4=bb.V4, V3=bb.V3, c=c)
+    c = _unit_det(tau @ (ns[:, :1] * S), tol)
+    return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3,
+                            V1=V1, V2=V2, V4=V4, V3=V3, c=c)
 
 
 def _anchored_triple_solve(
@@ -683,16 +681,14 @@ def twist(
 
     Computed by closing the braiding c_{x, alpha(x)} to the right; the left
     closure through alpha^{-1}(x) must give the same scalar up to an r^2-th
-    root of unity.
+    root of unity.  Where alpha or its inverse has no value, their
+    OutsideGPrime (an Undefined) propagates.
     """
     p = provider.p
     r = p.r
     I = np.eye(r, dtype=complex)
-    try:
-        ax = y_alpha(y, tol)
-        az = y_alpha_inv(y, tol)
-    except Undefined as e:
-        raise AlphaUndefined(str(e)) from e
+    ax = y_alpha(y, tol)
+    az = y_alpha_inv(y, tol)
     hb = provider.braiding(y, ax)
     if not (hb.y4.approx_eq(y, 1e-6) and hb.y3.approx_eq(ax, 1e-6)):
         raise AlphaUndefined("diagonal partner is not a braiding fixed point")

@@ -342,9 +342,9 @@ def _bend_open(tangle: Diagram, p: int, tol: float) -> Diagram:
         raise WordMismatch("bending needs equal boundary words")
     m, k = p, len(w) - p - 1
     pre: list[Slice] = []
-    # left arcs, outermost (strand 0's partner is leftmost) first:
-    # create cup for j = m-1 .. 0 at offsets 0,1,..,m-1 -- wait: building the
-    # word P_{m-1} .. P_0 F_0 .. F_{m-1} X requires creating j = m-1 first.
+    # left arcs: a cup created at offset `step` nests inside the earlier
+    # ones, so creating j = m-1 first puts strand j's return leg at m-1-j and
+    # its other leg at m+j, where the tangle (shifted by m) has strand j.
     for step, j in enumerate(range(m - 1, -1, -1)):
         s = w[j]
         pre.append(Slice(step, "coevR" if s == "+" else "coevL"))

@@ -103,17 +103,13 @@ class UnresolvableYB(Undefined):
     pass
 
 
-class AlphaUndefined(HoloinvError):
+class AlphaUndefined(Undefined):
     pass
 
 
 # --- invariant ---
 
 class Singular(HoloinvError):
-    pass
-
-
-class UndefinedCrossing(HoloinvError):
     pass
 
 

@@ -37,7 +37,6 @@ from .errors import (
     NonScalarResult,
     ParseError,
     Undefined,
-    UndefinedCrossing,
 )
 from .modtrace import modified_dim
 from .quandle import QColor, gauge_act, gauge_act_matrix
@@ -108,7 +107,7 @@ def evaluate_F(d: Diagram, provider: BraidingProvider,
         if sl.piece in ("X+", "X-"):
             ya, yb = d.color_at(t, o), d.color_at(t, o + 1)
             if ya is None or yb is None:
-                raise UndefinedCrossing(f"uncolored crossing at slice {t}")
+                raise InconsistentColoring(f"uncolored crossing at slice {t}")
             if sl.piece == "X+":
                 hb = provider.braiding(ya, yb)
                 tops = (hb.y4, hb.y3)
@@ -127,7 +126,7 @@ def evaluate_F(d: Diagram, provider: BraidingProvider,
             lv = t if sl.piece in ("evL", "evR") else t + 1
             y = d.color_at(lv, o)
             if y is None:
-                raise Undefined(f"uncolored cup or cap at slice {t}")
+                raise InconsistentColoring(f"uncolored cup or cap at slice {t}")
             dd = provider.duality(y)
             m = getattr(dd, {"evL": "ev_L", "evR": "ev_R",
                              "coevL": "coev_L", "coevR": "coev_R"}[sl.piece])
@@ -149,7 +148,7 @@ def evaluate_Fprime(d: Diagram, provider: BraidingProvider,
     tangle = cut_edge(d, cut, tol)
     x = tangle.color_at(0, 0)
     if x is None:
-        raise Undefined("cut edge has no color")
+        raise InconsistentColoring("cut edge has no color")
     r = provider.p.r
     m = evaluate_F(tangle, provider)
     s, res = proportionality(m, np.eye(r, dtype=complex))
@@ -167,7 +166,8 @@ def gauge_fix(d: Diagram, seed: int = 0, max_gauge: int = 100,
 
     Tries the identity gauge first, then gauges drawn by `random_gstar` from
     `seed`.  Returns (gauge, lifted diagram, attempts made); raises
-    GaugeExhausted after `max_gauge` failed lifts.
+    GaugeExhausted after `max_gauge` failed lifts.  An uncolored edge is bad
+    input, not a gauge failure: its InconsistentColoring is not retried.
     """
     rng = np.random.default_rng(seed)
     last = ""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistency, OutsideGPrime, Undefined
+from .errors import InconsistentColoring, InternalInconsistency, OutsideGPrime
 from .params import RootParams
 from .quandle import QColor, inv2, mat2, z_candidates
 
@@ -226,7 +226,7 @@ def q_functor(d, tol: float = 1e-9):
             e = d.edge_at(t, i)
             y = d.edge_colors.get(e)
             if y is None:
-                raise Undefined(f"edge {e} is uncolored")
+                raise InconsistentColoring(f"edge {e} is uncolored")
             if s == "+":
                 q = QColor(h @ psi(y.g) @ inv2(h), y.z)
                 h = h @ y.g.phi_plus()
@@ -249,7 +249,7 @@ def q_functor_inv(d, tol: float = 1e-9):
     Scans each level west to east; an upward strand with Q-color q and west
     holonomy h needs psi_inv(h^(-1) q h), a downward strand additionally
     untwists by the diagonal.  Raises OutsideGPrime (an Undefined) when a
-    solve leaves G'.
+    solve leaves G', and InconsistentColoring on an uncolored edge.
     """
     ycolors: dict[str, YColor] = {}
     for t in range(d.n_slices + 1):
@@ -258,7 +258,7 @@ def q_functor_inv(d, tol: float = 1e-9):
             e = d.edge_at(t, i)
             q = d.edge_colors.get(e)
             if q is None:
-                raise Undefined(f"edge {e} is uncolored")
+                raise InconsistentColoring(f"edge {e} is uncolored")
             y = ycolors.get(e)
             if y is None:
                 y = YColor(psi_inv(inv2(h) @ q.g @ h, tol), q.z)

@@ -292,9 +292,7 @@ class CasimirBlocks:
     cobases: tuple[np.ndarray, ...]
 
 
-def casimir_block_structure(
-    V1: CyclicModule, V2: CyclicModule, tol: float = 1e-9
-) -> CasimirBlocks:
+def casimir_block_structure(V1: CyclicModule, V2: CyclicModule) -> CasimirBlocks:
     """Spectral blocks of Delta(Omega); exactly r eigenvalues of multiplicity r.
 
     Raises DegenerateSpectrum when eigenvalue clusters are closer than the

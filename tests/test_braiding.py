@@ -22,9 +22,10 @@ from holoinv.braiding import (
     twist,
     unipotent_series,
 )
-from holoinv.errors import HoloinvError, UnresolvableYB
+from holoinv.errors import HoloinvError, Undefined, UnresolvableYB
 from holoinv.params import root_params
-from holoinv.sl2factor import random_ycolor
+from holoinv.quandle import z_candidates
+from holoinv.sl2factor import GStarElem, YColor, random_ycolor
 from holoinv.uqsl2 import (
     build_cyclic_module,
     DualityData,
@@ -147,13 +148,21 @@ def test_twist_left_equals_right_and_unimodular(providers):
 def test_steinberg_self_braiding_is_unitary_twist(providers):
     # oracle: the truncated unipotent series is exact in the Steinberg
     # sector, so the closed-form braiding must intertwine coproducts
-    for ell in (3, 4):
-        provider = providers[ell]
+    for ell in (3, 4, 5):
+        provider = providers.get(ell) or BraidingProvider(root_params(ell))
         st = provider.steinberg
         hb = provider.braiding(st, st)
         c12 = coproduct_matrices(hb.V1, hb.V2)
         for g in ("E", "F", "K"):
             assert np.abs(hb.c @ c12[g] - c12[g] @ hb.c).max() < 1e-8
+        y = _steinberg_partners(provider, 1, seed=140 + ell)[0]
+        for pair in ((y, st), (st, y)):
+            hb = provider.braiding(*pair)
+            c12 = coproduct_matrices(hb.V1, hb.V2)
+            c43 = coproduct_matrices(hb.V4, hb.V3)
+            for g in ("E", "F", "K"):
+                res = np.abs(hb.c @ c12[g] - c43[g] @ hb.c).max()
+                assert res < 1e-8, (ell, pair[0] is st, g, res)
 
 
 def test_unipotent_series_truncation_is_exact():
@@ -373,3 +382,126 @@ def test_tall_nullspace_qr_matches_svd(r):
     assert got.shape == want.shape == (n, 1)
     assert abs(abs(np.vdot(got[:, 0], want[:, 0])) - 1.0) < 1e-10
     assert abs(abs(np.vdot(got[:, 0], v)) - 1.0) < 1e-10
+
+
+# --- Steinberg-anchored braidings ---------------------------------------------
+
+def _weight_self_braiding(provider):
+    """The Steinberg self braiding from its integer K-weights (reference)."""
+    p = provider.p
+    r = p.r
+    V = provider.module(provider.steinberg)
+    weights = [r + 1 - 2 * (i + 1) for i in range(r)]
+    qh = np.exp(1j * np.pi / p.ell)  # principal square root of q
+    cartan = np.diag([qh ** (wi * wj) for wi in weights for wj in weights])
+    return braiding._unit_det(
+        flip_matrix(r, r) @ cartan @ unipotent_series(V, V, p), provider.tol)
+
+
+def _block_pair_braiding(y1, y2, provider):
+    """A Steinberg pair from its Casimir blocks (reference): the one ray in
+    their span that is diagonal once the flip and the series are peeled off."""
+    bb = braiding.block_braiding(y1, y2, provider)
+    r = provider.p.r
+    S_inv = np.linalg.inv(unipotent_series(bb.V1, bb.V2, provider.p))
+    tau = flip_matrix(r, r)
+    off = ~np.eye(r * r, dtype=bool)
+    ns = braiding._nullspace(
+        np.array([(tau @ b @ S_inv)[off] for b in bb.blocks]).T)
+    assert ns.shape[1] == 1
+    return braiding._unit_det(bb.assemble(ns[:, 0]), provider.tol)
+
+
+def _steinberg_partners(provider, n, seed):
+    """n random colors y whose pairs (y, st) and (st, y) both resolve."""
+    rng = np.random.default_rng(seed)
+    st = provider.steinberg
+    out = []
+    while len(out) < n:
+        y = random_ycolor(rng, provider.p)
+        try:
+            for pair in ((y, st), (st, y)):
+                provider.braiding(*pair)
+        except HoloinvError:
+            continue
+        out.append(y)
+    return out
+
+
+@pytest.mark.parametrize("ell", range(3, 11))
+def test_steinberg_self_pair_matches_weight_formula(ell):
+    provider = BraidingProvider(root_params(ell))
+    got = braiding.steinberg_pair_braiding(provider.steinberg,
+                                           provider.steinberg, provider)
+    ok, _, res = equal_mod_roots(got.c, _weight_self_braiding(provider),
+                                 provider.p.r, 1e-8)
+    assert ok, res
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 7, 10])
+def test_steinberg_pair_matches_block_oracle(ell):
+    # colors are drawn where the oracle resolves; the solver must too
+    provider = BraidingProvider(root_params(ell))
+    st = provider.steinberg
+    rng = np.random.default_rng(150 + ell)
+    done = 0
+    while done < 4:
+        y = random_ycolor(rng, provider.p)
+        for pair in ((y, st), (st, y)):
+            try:
+                want = _block_pair_braiding(*pair, provider)
+            except HoloinvError:
+                continue
+            got = braiding.steinberg_pair_braiding(*pair, provider)
+            ok, _, res = equal_mod_roots(got.c, want, provider.p.r, 1e-8)
+            assert ok, (pair[0] is st, res)
+            done += 1
+
+
+def test_steinberg_solver_rejects_a_generic_pair(providers):
+    provider = providers[4]
+    for y1, y2 in _random_pairs(provider, 2, seed=160):
+        with pytest.raises(UnresolvableYB):
+            braiding.steinberg_pair_braiding(y1, y2, provider)
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_steinberg_solver_rejects_a_broken_coproduct(ell, monkeypatch):
+    # Delta_43(E) with one structural nonzero dropped: the diagonal solve
+    # alone may still be one-dimensional, so only the check that A_u
+    # vanishes wherever B_u does can reject it
+    provider = BraidingProvider(root_params(ell))
+    st = provider.steinberg
+    y = _steinberg_partners(provider, 1, seed=170 + ell)[0]
+    hb = provider.braiding(y, st)
+    V4, V3 = hb.V4, hb.V3
+    real = braiding.coproduct_matrices
+
+    def broken(V1, V2):
+        d = real(V1, V2)
+        if V1 is V4 and V2 is V3:
+            E = d["E"].copy()
+            E[tuple(np.argwhere(E)[0])] = 0.0
+            d = {**d, "E": E}
+        return d
+
+    monkeypatch.setattr(braiding, "coproduct_matrices", broken)
+    with pytest.raises(UnresolvableYB):
+        braiding.steinberg_pair_braiding(y, st, provider)
+
+
+def test_unit_det_survives_an_underflowing_determinant():
+    # det(1e-3 I) = 1e-363 underflows to 0; its logarithm does not
+    got = braiding._unit_det(1e-3 * np.eye(121), 1e-9)
+    assert np.abs(got - np.eye(121)).max() < 1e-12
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_twist_raises_undefined_off_the_alpha_domain(ell):
+    # with kappa^2 = eps phi the matrix that alpha factorizes has a vanishing
+    # upper-left entry, so alpha has no value; that is an Undefined
+    p = root_params(ell)
+    g = GStarElem(1, 1, 1)
+    y = YColor(g, z_candidates(g.trace(), p)[0])
+    with pytest.raises(Undefined):
+        twist(y, BraidingProvider(p))

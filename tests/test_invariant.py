@@ -18,10 +18,16 @@ from holoinv.diagram import (
     propagate_colors,
     tensor,
 )
-from holoinv.errors import GaugeExhausted, HoloinvError, ParseError
+from holoinv.errors import (
+    GaugeExhausted,
+    HoloinvError,
+    InconsistentColoring,
+    ParseError,
+)
 from holoinv.invariant import (
     evaluate_F,
     evaluate_Fprime,
+    gauge_fix,
     gauge_orbit_compare,
     tilde_Fprime,
 )
@@ -30,6 +36,7 @@ from holoinv.params import root_params
 from holoinv.quandle import random_sl2
 from holoinv.sl2factor import (
     FactorizationOracle,
+    q_functor,
     random_gstar,
     random_ycolor,
 )
@@ -255,3 +262,18 @@ def test_gauge_exhausted_on_zero_budget(providers):
     d = commuting_link(4, [1, 1], seed=25)
     with pytest.raises(GaugeExhausted):
         tilde_Fprime(d, provider, max_gauge=0)
+
+
+def test_missing_color_is_an_input_error(providers):
+    # two loops, only the first colored: bad input, which no gauge can mend,
+    # so the gauge loop must not retry it
+    d = Diagram([], [(0, "coevL"), (2, "coevL"), (2, "evR"), (0, "evR")])
+    assert d.edges() == ["1:0", "2:2"]
+    with pytest.raises(InconsistentColoring, match="2:2"):
+        gauge_fix(d.with_colors({"1:0": random_unknot_qcolor(4)}), max_gauge=5)
+    yd = d.with_colors({"1:0": random_ycolor(np.random.default_rng(5),
+                                             root_params(4))})
+    with pytest.raises(InconsistentColoring):
+        q_functor(yd)
+    with pytest.raises(InconsistentColoring):
+        evaluate_F(yd, providers[4])

@@ -57,7 +57,10 @@ def test_span_lookup_points_fire(monkeypatch):
                     setattr(owner, name, value)
     for name in ("sl2factor.q_functor_inv", "invariant.evaluate_F",
                  "diagram.cut_edge", "modtrace.modified_dim",
-                 "braiding.braiding", "uqsl2.build_cyclic_module"):
+                 "braiding.braiding", "uqsl2.build_cyclic_module",
+                 "braiding.steinberg", "braiding.block_braiding",
+                 "uqsl2.casimir_block_structure",
+                 "braiding.sideways_matrices"):
         assert tracer.calls[name] > 0, name
     for owner, attrs in saved:
         assert all(vars(owner).get(k) is v for k, v in attrs.items())
