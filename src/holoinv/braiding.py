@@ -463,9 +463,9 @@ def _anchored_triple_solve(
         unk = (i0, pairs[i0], block_braiding(*pairs[i0], provider))
         sides.append((word, known, unk))
 
-    def columns(word, known, unk):
-        # column j is (pre @ b_j @ post).ravel(), with b_j the j-th block on
-        # the unknown's strands; all blocks go through pre side by side
+    def columns(word, known, unk, out):
+        # column j of out is (pre @ b_j @ post).ravel(), with b_j the j-th
+        # block on the unknown's strands; all blocks go through pre side by side
         i0, _, bb = unk
         post = np.eye(r ** 3, dtype=complex)
         for i in range(i0):
@@ -474,19 +474,19 @@ def _anchored_triple_solve(
                           for b in bb.blocks])
         for i in range(i0 + 1, len(word)):
             cols = _on_strands(known[i].c, word[i], cols, r)
-        nb = len(bb.blocks)
-        cols = cols.reshape(r ** 3, nb, r ** 3).transpose(1, 0, 2)
-        return cols.reshape(nb, r ** 6).T
+        out[...] = cols.reshape(r ** 3, -1, r ** 3).swapaxes(0, 1).reshape(-1, r ** 6).T
 
-    # named, so both stay alive through the solve: freeing them earlier
-    # raised the peak RSS of resolving at r = 7 by about 5 MB (allocator reuse)
-    cols_l = columns(*sides[0])
-    cols_r = columns(*sides[1])
-    ns = _nullspace(np.hstack([cols_l, -cols_r]))
-    if ns.shape[1] != 1:
-        raise UnresolvableYB(f"braid-relation joint nullspace dim {ns.shape[1]}")
     unks = [unk for _, _, unk in sides]
     nl = len(unks[0][2].blocks)
+    # both sides fill one matrix, the right one negated in place: each r^6-row
+    # temporary costs fresh pages whenever the allocator has trimmed its heap
+    a = np.empty((r ** 6, nl + len(unks[1][2].blocks)), dtype=complex)
+    columns(*sides[0], a[:, :nl])
+    columns(*sides[1], a[:, nl:])
+    np.negative(a[:, nl:], out=a[:, nl:])
+    ns = _nullspace(a)
+    if ns.shape[1] != 1:
+        raise UnresolvableYB(f"braid-relation joint nullspace dim {ns.shape[1]}")
     added: list = []
     try:
         for (_, pair, bb), lam in zip(unks, (ns[:nl, 0], ns[nl:, 0])):

@@ -1,12 +1,12 @@
 """Pivotal functor on colored tangle diagrams and the renormalized invariant.
 
-`evaluate_F` folds a Y-colored slice diagram bottom to top: positive
-crossings act by the holonomy braiding of their bottom colors, negative
-crossings by the inverse braiding, cups and caps by the duality tensors of
-the edge's module.  An upward strand carries the r-dimensional module of its
-color, a downward strand the dual space; both contribute a factor of r to
-the state dimension, so evaluation is dense linear algebra with one tensor
-axis per strand.
+`evaluate_F` turns a Y-colored slice diagram into a tensor network: positive
+crossings give the holonomy braiding of their bottom colors, negative
+crossings the inverse braiding, cups and caps the duality tensors of the
+edge's module.  Each strand segment, upward (the module of its color) or
+downward (the dual space), is one size-r label.  Functoriality lets any
+order contract the network, so it is contracted pairwise, smallest result
+first, rather than swept as a state with one axis per strand.
 
 `evaluate_Fprime` computes the renormalized bracket of a closed diagram:
 cut one edge, evaluate the resulting 1-1 tangle (a scalar on a simple
@@ -24,13 +24,15 @@ invariant of the colored link.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from .braiding import BraidingProvider, ModScalar, proportionality
-from .diagram import Diagram, colors_equal, cut_edge
+from .diagram import ARITY, Diagram, colors_equal, cut_edge
 from .errors import (
     GaugeExhausted,
     InconsistentColoring,
@@ -75,15 +77,40 @@ class InvariantResult:
         }
 
 
-def _apply(state: np.ndarray, m: np.ndarray, offset: int,
-           nin: int, nout: int, r: int) -> np.ndarray:
-    """Contract I (x) m (x) I into a state with one axis per strand."""
-    mt = m.reshape((r,) * nout + (r,) * nin)
-    out = np.tensordot(
-        mt, state,
-        axes=(list(range(nout, nout + nin)), list(range(offset, offset + nin))),
-    )
-    return np.moveaxis(out, list(range(nout)), list(range(offset, offset + nout)))
+def _contract(tensors: list, open_labels: list) -> np.ndarray:
+    """Contract (array, labels) nodes, every axis of size r, in pairs.
+
+    A label on two nodes is summed over, one on a single node stays open.
+    Each step tensordots the pair sharing labels whose result has the fewest
+    axes; disconnected parts are joined by outer products in the end.
+    """
+    live = dict(enumerate(tensors))
+    where: dict = {}  # label -> ids of the live nodes carrying it
+    for i, (_, ls) in enumerate(tensors):
+        for x in ls:
+            where.setdefault(x, []).append(i)
+    heap = [(len(live[i][1]) + len(live[j][1]) - 2 * m, i, j) for (i, j), m
+            in Counter(tuple(w) for w in where.values() if len(w) == 2).items()]
+    heapq.heapify(heap)
+    k = len(tensors)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if i not in live or j not in live:
+            continue  # stale: one of the pair was merged already
+        (a, la), (b, lb) = live.pop(i), live.pop(j)
+        shared = [x for x in la if x in lb]
+        lc = [x for x in la + lb if x not in shared]
+        k += 1
+        live[k] = (np.tensordot(a, b, axes=([la.index(x) for x in shared],
+                                            [lb.index(x) for x in shared])), lc)
+        for x in lc:
+            where[x] = [k if q in (i, j) else q for q in where[x]]
+        for q, m in Counter(q for x in lc for q in where[x] if q != k).items():
+            heapq.heappush(heap, (len(lc) + len(live[q][1]) - 2 * m, q, k))
+    out, labels = np.ones((), dtype=complex), []
+    for a, la in live.values():
+        out, labels = np.tensordot(out, a, axes=0), labels + la
+    return out.transpose([labels.index(x) for x in open_labels])
 
 
 def evaluate_F(d: Diagram, provider: BraidingProvider,
@@ -91,27 +118,25 @@ def evaluate_F(d: Diagram, provider: BraidingProvider,
     """The functor on a Y-colored diagram, as a matrix (top space x bottom).
 
     Crossings map to holonomy braidings of their bottom colors, cups and
-    caps to the duality tensors of the edge's module.  Stored top colors at
-    each crossing must match the biquandle outputs.
+    caps to the duality tensors of the edge's module; with an identity per
+    bottom strand they form the network that `_contract` evaluates.  Stored
+    top colors at each crossing must match the biquandle outputs.
     """
     if d.max_width() > max_width:
-        raise ParseError(
-            f"diagram width {d.max_width()} exceeds the guard {max_width}"
-        )
-    r, tol = provider.p.r, provider.tol
-    w0 = len(d.bottom_signs)
-    dim0 = r ** w0
-    state = np.eye(dim0, dtype=complex).reshape((r,) * w0 + (dim0,))
+        raise ParseError(f"diagram width {d.max_width()} exceeds the guard {max_width}")
+    r, tol, w0 = provider.p.r, provider.tol, len(d.bottom_signs)
+    # labels 0..w0-1 are the bottom boundary; slice t outputs 2w0 + 2t + k
+    cur = list(range(w0, 2 * w0))
+    net = [(np.eye(r, dtype=complex), [w0 + k, k]) for k in range(w0)]
     for t, sl in enumerate(d.slices):
-        o = sl.offset
+        o, (nin, nout) = sl.offset, ARITY[sl.piece]
         if sl.piece in ("X+", "X-"):
             ya, yb = d.color_at(t, o), d.color_at(t, o + 1)
             if ya is None or yb is None:
                 raise InconsistentColoring(f"uncolored crossing at slice {t}")
             if sl.piece == "X+":
                 hb = provider.braiding(ya, yb)
-                tops = (hb.y4, hb.y3)
-                m = hb.c
+                tops, m = (hb.y4, hb.y3), hb.c
             else:
                 tops, m = provider.braiding_inv(ya, yb)
             for k in range(2):
@@ -119,21 +144,17 @@ def evaluate_F(d: Diagram, provider: BraidingProvider,
                 if got is not None and not colors_equal(tops[k], got, 1e3 * tol):
                     raise InconsistentColoring(
                         f"crossing at slice {t}: stored top color disagrees "
-                        "with the biquandle output"
-                    )
-            state = _apply(state, m, o, 2, 2, r)
+                        "with the biquandle output")
         else:
-            lv = t if sl.piece in ("evL", "evR") else t + 1
-            y = d.color_at(lv, o)
+            y = d.color_at(t if nin else t + 1, o)
             if y is None:
                 raise InconsistentColoring(f"uncolored cup or cap at slice {t}")
-            dd = provider.duality(y)
-            m = getattr(dd, {"evL": "ev_L", "evR": "ev_R",
-                             "coevL": "coev_L", "coevR": "coev_R"}[sl.piece])
-            nin, nout = (2, 0) if sl.piece.startswith("ev") else (0, 2)
-            state = _apply(state, m, o, nin, nout, r)
-    w_top = len(d.top_signs)
-    return state.reshape(r ** w_top, dim0)
+            # evL -> ev_L, coevR -> coev_R, ...
+            m = getattr(provider.duality(y), sl.piece[:-1] + "_" + sl.piece[-1])
+        out = list(range(2 * w0 + 2 * t, 2 * w0 + 2 * t + nout))
+        net.append((m.reshape((r,) * (nout + nin)), out + cur[o:o + nin]))
+        cur[o:o + nin] = out
+    return _contract(net, cur + list(range(w0))).reshape(r ** len(cur), r ** w0)
 
 
 def evaluate_Fprime(d: Diagram, provider: BraidingProvider,
@@ -149,15 +170,14 @@ def evaluate_Fprime(d: Diagram, provider: BraidingProvider,
     x = tangle.color_at(0, 0)
     if x is None:
         raise InconsistentColoring("cut edge has no color")
-    r = provider.p.r
     m = evaluate_F(tangle, provider)
-    s, res = proportionality(m, np.eye(r, dtype=complex))
+    s, res = proportionality(m, np.eye(provider.p.r, dtype=complex))
     if res > max(1e3 * tol, 1e-8):
         raise NonScalarResult(
             f"1-1 tangle is not scalar on the cut color, residual {res:.3e}"
         )
     dchi = modified_dim(provider.char(x), provider.p, tol)
-    return ModScalar(dchi * s, r)
+    return ModScalar(dchi * s, provider.p.r)
 
 
 def gauge_fix(d: Diagram, seed: int = 0, max_gauge: int = 100,

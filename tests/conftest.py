@@ -39,6 +39,27 @@ def commuting_link(ell: int, word, seed: int = 11) -> Diagram:
     return closure(propagate_qcolors(braid_diagram(2, word), [a, b]))
 
 
+def riley_trefoil(ell: int, seed: int = 0) -> Diagram:
+    """Nonabelian coloring of the trefoil, the closure of sigma_1^3.
+
+    x = [[m, 1], [0, 1/m]] and y = [[m, 0], [u, 1/m]] satisfy x y x = y x y
+    exactly when u = 1 - m^2 - m^-2 (R. Riley, Quart. J. Math. 1984).  The
+    pair is conjugated by a random SU(2) matrix, whose condition number 1
+    keeps the closure seam at rounding level; both strands lie on the one
+    component, so they share z.
+    """
+    p = root_params(ell)
+    rng = np.random.default_rng(seed)
+    m = np.exp(rng.uniform(0.2, 0.5) + 1j * rng.uniform(0.3, 1.2))
+    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    h = np.array([[a, -np.conj(b)], [b, np.conj(a)]]) / np.hypot(abs(a), abs(b))
+    x, y = (h @ np.array(g, dtype=complex) @ h.conj().T
+            for g in ([[m, 1], [0, 1 / m]], [[m, 0], [1 - m**2 - m**-2, 1 / m]]))
+    z = z_candidates(m + 1 / m, p)[0]
+    braid = propagate_qcolors(braid_diagram(2, [1, 1, 1]), [QColor(x, z), QColor(y, z)])
+    return closure(braid)
+
+
 def random_unknot_qcolor(ell: int, seed: int = 0) -> QColor:
     p = root_params(ell)
     rng = np.random.default_rng(seed)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+import holoinv.invariant as invariant
 
 from holoinv.braiding import BraidingProvider, ModScalar, equal_mod_roots
 from holoinv.diagram import (
@@ -22,6 +26,7 @@ from holoinv.errors import (
     GaugeExhausted,
     HoloinvError,
     InconsistentColoring,
+    NonScalarResult,
     ParseError,
 )
 from holoinv.invariant import (
@@ -41,7 +46,12 @@ from holoinv.sl2factor import (
     random_ycolor,
 )
 
-from conftest import commuting_link, random_unknot_qcolor, unknot_diagram
+from conftest import (
+    commuting_link,
+    random_unknot_qcolor,
+    riley_trefoil,
+    unknot_diagram,
+)
 
 
 def _colored_braid(ell, word, seed):
@@ -277,3 +287,133 @@ def test_missing_color_is_an_input_error(providers):
         q_functor(yd)
     with pytest.raises(InconsistentColoring):
         evaluate_F(yd, providers[4])
+
+
+# --- the network contraction against the slice sweep it replaced ---------
+
+def _sweep(d, provider):
+    """Reference functor: a dense state with one size-r axis per strand,
+    swept bottom to top, each slice applied as I (x) m (x) I."""
+    r = provider.p.r
+    w0 = len(d.bottom_signs)
+    state = np.eye(r ** w0, dtype=complex).reshape((r,) * w0 + (r ** w0,))
+    for t, sl in enumerate(d.slices):
+        o = sl.offset
+        if sl.piece in ("X+", "X-"):
+            ya, yb = d.color_at(t, o), d.color_at(t, o + 1)
+            m = (provider.braiding(ya, yb).c if sl.piece == "X+"
+                 else provider.braiding_inv(ya, yb)[1])
+            nin, nout = 2, 2
+        else:
+            nin, nout = (2, 0) if sl.piece.startswith("ev") else (0, 2)
+            dd = provider.duality(d.color_at(t if nin else t + 1, o))
+            m = getattr(dd, {"evL": "ev_L", "evR": "ev_R",
+                             "coevL": "coev_L", "coevR": "coev_R"}[sl.piece])
+        mt = m.reshape((r,) * (nout + nin))
+        out = np.tensordot(mt, state, axes=(list(range(nout, nout + nin)),
+                                            list(range(o, o + nin))))
+        state = np.moveaxis(out, list(range(nout)), list(range(o, o + nout)))
+    return state.reshape(r ** len(d.top_signs), r ** w0)
+
+
+def _assert_matches_sweep(d, provider, scale=None):
+    got, want = evaluate_F(d, provider), _sweep(d, provider)
+    assert got.shape == want.shape
+    scale = np.linalg.norm(want) if scale is None else scale
+    assert np.linalg.norm(got - want) <= 1e-12 * scale
+
+
+@pytest.fixture(scope="module")
+def wide_providers(providers):
+    """Providers at ell 3, 4 (shared), 5 and 7 (r = 3, 2, 5, 7)."""
+    out = dict(providers)
+    out.update({ell: BraidingProvider(root_params(ell)) for ell in (5, 7)})
+    return out
+
+
+def _closures(ell):
+    """Lifted 2-strand closures: a commuting one and a Riley trefoil."""
+    from holoinv.sl2factor import q_functor_inv
+
+    return [q_functor_inv(commuting_link(ell, [1, 1, 1, -1], seed=50 + ell)),
+            gauge_fix(riley_trefoil(ell, seed=ell))[1]]
+
+
+def test_contraction_matches_sweep_on_open_diagrams(providers):
+    provider = providers[4]
+    rng = np.random.default_rng(3)
+    y = random_ycolor(rng, provider.p)
+    # zero-slice diagrams: the empty one and identities
+    _assert_matches_sweep(Diagram([], []), provider)
+    _assert_matches_sweep(identity([(y, "+"), (y, "-"), (y, "+")]), provider)
+    # strand 0 is touched by no slice
+    d = _colored_braid(4, [2, -2, 2], 8)
+    assert all(sl.offset == 1 for sl in d.slices)
+    _assert_matches_sweep(d, provider)
+    # disconnected parts
+    d1, d2 = _colored_braid(4, [1], 5), _colored_braid(4, [-1, 1], 6)
+    _assert_matches_sweep(tensor(d1, d2), provider)
+    _assert_matches_sweep(tensor(d1, identity([(y, "-")])), provider)
+
+
+def test_contraction_matches_sweep_on_split_union(providers):
+    # the loop's quantum dimension vanishes, so every evaluation of the
+    # union is rounding noise; it is held to the scale of the link's terms
+    link, provider = _y_link(providers, 4, [1, 1], 9)
+    u, _ = _y_unknot(provider, 31)
+    both = tensor(link, u)
+    scale = np.linalg.norm(evaluate_F(cut_edge(link), provider))
+    _assert_matches_sweep(both, provider, scale)
+    for e in both.edges():
+        _assert_matches_sweep(cut_edge(both, e), provider, scale)
+
+
+def test_contraction_matches_sweep_on_every_cut(wide_providers):
+    for ell in (3, 4, 5, 7):
+        provider = wide_providers[ell]
+        for link in _closures(ell):
+            for e in link.edges():
+                _assert_matches_sweep(cut_edge(link, e), provider)
+
+
+def test_contraction_intermediates_stay_at_r4(wide_providers, monkeypatch):
+    # the sweep holds r^(width + 1) entries, r^8 on a width-7 cut
+    provider = wide_providers[5]
+    r = provider.p.r
+    sizes = []
+    tensordot = np.tensordot
+
+    def recording(*args, **kwargs):
+        out = tensordot(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(invariant.np, "tensordot", recording)
+    widths = set()
+    for link in _closures(5):
+        for e in link.edges():
+            tangle = cut_edge(link, e)
+            widths.add(tangle.max_width())
+            sizes.clear()
+            evaluate_F(tangle, provider)
+            assert sizes and max(sizes) <= r ** 4, (e, max(sizes))
+    assert max(widths) == 7
+
+
+def test_non_scalar_cut_tangle_raises(providers, monkeypatch):
+    link, provider = _y_link(providers, 4, [1, 1], 9)
+    tangle = cut_edge(link, link.edges()[0])
+    assert any(sl.piece == "coevL" for sl in tangle.slices)
+    evaluate_Fprime(link, provider)  # unperturbed: scalar
+    r = provider.p.r
+    duality = provider.duality
+
+    def perturbed(y):
+        dd = duality(y)
+        leg = np.diag(1.0 + np.arange(r))  # non-scalar on the first leg
+        coev = (leg @ dd.coev_L.reshape(r, r)).reshape(r * r, 1)
+        return dataclasses.replace(dd, coev_L=coev)
+
+    monkeypatch.setattr(provider, "duality", perturbed)
+    with pytest.raises(NonScalarResult):
+        evaluate_Fprime(link, provider)
