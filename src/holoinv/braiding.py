@@ -11,19 +11,23 @@ truncates exactly, so the braiding has the R-matrix form c = tau D S with
 tau the flip and D a diagonal Cartan factor, which the intertwining
 equations determine up to one scalar.
 For a generic pair (x, y), the coproduct Casimir splits both tensor
-products into r matched eigenblocks, each carrying a one-dimensional space
-of intertwiners, so intertwining fixes the braiding only up to one scalar
-per block.  The block scalars are resolved by imposing the colored
-Yang-Baxter equation on the triple (x', st, y), where x' is the partner
-color with B(x', st) = (st, x): every other braiding in that relation
-involves the Steinberg color and is already known, which makes the
-relation linear in the two remaining unknown braidings, one per side, and
-pins them as a one-dimensional joint nullspace.  The overall scale of each
-braiding is then fixed by det(c) = 1 via the principal root, which leaves
-exactly the r^2-th root-of-unity ambiguity the theory predicts; all
-scalar-level statements are therefore made modulo that group, through
-ModScalar.  `skolem_noether_solve` recovers the matrix conjugating V1 (x) V2
-from the images of its six generator slots.
+products into r matched eigenblocks.  K acts diagonally, so each block
+holds one vector per Delta(K) weight class; the Casimir is solved one r x r
+class at a time, and the one intertwiner of a matched block pair follows
+from the Delta(E) and Delta(F) recurrence between neighbouring classes.
+Intertwining thus fixes the braiding up to one scalar per block.  The
+block scalars are resolved by imposing the colored Yang-Baxter equation,
+on two fixed probe vectors, on the triple (x', st, y), where x' is the
+partner color with B(x', st) = (st, x): every other braiding in that
+relation involves the Steinberg color and is already known, which makes
+the relation linear in the two remaining unknown braidings, one per side,
+and pins them as a one-dimensional joint nullspace; the full relation is
+verified afterwards.  The overall scale of each braiding is then fixed by
+det(c) = 1 via the principal root, which leaves exactly the r^2-th
+root-of-unity ambiguity the theory predicts; all scalar-level statements
+are therefore made modulo that group, through ModScalar.
+`skolem_noether_solve` recovers the matrix conjugating V1 (x) V2 from the
+images of its six generator slots.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .uqsl2 import (
     char_from_ycolor,
     coproduct_matrices,
     duality_tensors,
+    kron,
 )
 
 
@@ -119,15 +124,14 @@ def _unit_det(c: np.ndarray, tol: float) -> np.ndarray:
 
 def flip_matrix(m: int, n: int) -> np.ndarray:
     """The swap V (x) W -> W (x) V on coordinates, dim V = m, dim W = n."""
-    t = np.zeros((m * n, m * n), dtype=complex)
-    for i in range(m):
-        for j in range(n):
-            t[j * m + i, i * n + j] = 1.0
-    return t
+    eye = np.eye(m * n, dtype=complex).reshape(m, n, m * n)
+    return eye.swapaxes(0, 1).reshape(m * n, m * n)
 
 
 @dataclass
-class HolonomyBraiding:
+class _Colored:
+    """The colors (y1, y2) -> (y4, y3) of a crossing and their modules."""
+
     y1: YColor
     y2: YColor
     y4: YColor
@@ -136,6 +140,10 @@ class HolonomyBraiding:
     V2: CyclicModule
     V4: CyclicModule
     V3: CyclicModule
+
+
+@dataclass
+class HolonomyBraiding(_Colored):
     c: np.ndarray
     _c_inv: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -165,24 +173,13 @@ def _sylvester_system(pairs) -> np.ndarray:
 
 def generator_slots(V1: CyclicModule, V2: CyclicModule) -> dict[str, np.ndarray]:
     """The six generator images E (x) 1, ..., 1 (x) K on V1 (x) V2."""
-    I1 = np.eye(V1.r, dtype=complex)
-    I2 = np.eye(V2.r, dtype=complex)
-    return {
-        "E1": np.kron(V1.E, I2),
-        "F1": np.kron(V1.F, I2),
-        "K1": np.kron(V1.K, I2),
-        "E2": np.kron(I1, V2.E),
-        "F2": np.kron(I1, V2.F),
-        "K2": np.kron(I1, V2.K),
-    }
+    I1, I2 = np.eye(V1.r, dtype=complex), np.eye(V2.r, dtype=complex)
+    return {**{g + "1": kron(getattr(V1, g), I2) for g in "EFK"},
+            **{g + "2": kron(I1, getattr(V2, g)) for g in "EFK"}}
 
 
-def skolem_noether_solve(
-    auto: dict[str, np.ndarray],
-    V1: CyclicModule,
-    V2: CyclicModule,
-    tol: float = 1e-9,
-) -> np.ndarray:
+def skolem_noether_solve(auto: dict[str, np.ndarray], V1: CyclicModule,
+                         V2: CyclicModule, tol: float = 1e-9) -> np.ndarray:
     """Solve R rho12(g) = auto[g] R for the six generator slots g.
 
     The solution space must be one-dimensional; the representative is scaled
@@ -202,17 +199,9 @@ def skolem_noether_solve(
 # --- Casimir blocks ------------------------------------------------------------
 
 @dataclass
-class BlockBraiding:
+class BlockBraiding(_Colored):
     """A braiding resolved only up to one scalar per Casimir block."""
 
-    y1: YColor
-    y2: YColor
-    y4: YColor
-    y3: YColor
-    V1: CyclicModule
-    V2: CyclicModule
-    V4: CyclicModule
-    V3: CyclicModule
     blocks: tuple[np.ndarray, ...]  # rank-r pieces of c, unit Frobenius norm
 
     def assemble(self, lambdas) -> np.ndarray:
@@ -220,62 +209,71 @@ class BlockBraiding:
 
 
 def _char_key(chi: ZChar, digits: int = 9):
-    def ck(z):
-        z = complex(z)
-        return (round(z.real, digits), round(z.imag, digits))
-
-    return (ck(chi.kappa), ck(chi.e_r), ck(chi.f_r), ck(chi.omega))
+    return tuple((round(complex(z).real, digits), round(complex(z).imag, digits))
+                 for z in (chi.kappa, chi.e_r, chi.f_r, chi.omega))
 
 
-def block_braiding(
-    y1: YColor, y2: YColor, provider: "BraidingProvider"
-) -> BlockBraiding:
+def block_braiding(y1: YColor, y2: YColor,
+                   provider: "BraidingProvider") -> BlockBraiding:
     """Build the braiding of a pair up to block scalars.
 
-    Matches the Casimir eigenblocks of V1 (x) V2 and V4 (x) V3 by eigenvalue
-    and solves the one-dimensional intertwiner space of each matched block.
+    The Casimir blocks of V1 (x) V2 and V4 (x) V3 are matched by eigenvalue.
+    A block has one vector u_s per weight class s, and Delta(K) matches class
+    s with one class t of V4 (x) V3, so an intertwiner of matched blocks is
+    u_s -> mu_s w_t.  With Delta(E) u_s = e_s u_(s-1) and Delta(F) u_(s-1) =
+    f_s u_s (primes for the w), the link between classes s - 1 and s reads
+    mu_(s-1) e_s = mu_s e'_t and mu_s f_s = mu_(s-1) f'_t.  mu follows by this
+    recurrence around the r classes, skipping the weakest link: O(r) per
+    block.  BlockIntertwinerDim is raised when both coefficients of a second
+    link vanish, or when mu leaves a link unbalanced.
     """
-    p, tol = provider.p, provider.tol
+    p, tol, r = provider.p, provider.tol, provider.p.r
     if not pair_defined(provider.char(y1), provider.char(y2), p, tol):
         raise Undefined("pair obstruction vanishes")
     y4, y3 = sl2_B(y1, y2, tol)
     V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
-    b12 = casimir_block_structure(V1, V2)
-    b43 = casimir_block_structure(V4, V3)
-    d12 = coproduct_matrices(V1, V2)
-    d43 = coproduct_matrices(V4, V3)
-    r = p.r
-    scale = max(1.0, max(abs(v) for v in b12.values))
-    blocks = []
-    for i, val in enumerate(b12.values):
-        js = [j for j, v in enumerate(b43.values) if abs(v - val) <= 1e-6 * scale]
-        if len(js) != 1:
-            raise DegenerateSpectrum(
-                "Casimir eigenvalues do not match bijectively"
-            )
-        j = js[0]
-        P, Pc = b12.bases[i], b12.cobases[i]
-        Q, Qc = b43.bases[j], b43.cobases[j]
-        ns = _nullspace(_sylvester_system(
-            [(Pc @ d12[g] @ P, Qc @ d43[g] @ Q) for g in ("E", "F", "K")]))
-        if ns.shape[1] != 1:
-            raise BlockIntertwinerDim(ns.shape[1])
-        M = ns[:, 0].reshape((r, r), order="F")
-        piece = Q @ M @ Pc
-        blocks.append(piece / np.linalg.norm(piece))
+    b12, b43 = casimir_block_structure(V1, V2), casimir_block_structure(V4, V3)
+    v12, v43 = np.array(b12.values), np.array(b43.values)
+    hit = np.abs(v12[:, None] - v43) <= 1e-6 * max(1.0, np.abs(v12).max())
+    if np.any(hit.sum(axis=1) != 1):
+        raise DegenerateSpectrum("Casimir eigenvalues do not match bijectively")
+    mate = hit.argmax(axis=1)
+    # the braiding sends weight class s to class sig[s] of equal Delta(K)
+    k12, k43 = b12.weights, b43.weights
+    sig = (np.arange(r) + np.abs(k43 - k12[0]).argmin()) % r
+    if np.abs(k43[sig] - k12).max() > 1e-6 * np.abs(k12).max():
+        raise BlockIntertwinerDim(0, "no Delta(K) weight match")
+    e43, f43 = b43.e[sig][:, mate], b43.f[sig][:, mate]
+    # link s of block m: mu_s a1 = mu_(s-1) b1 and mu_s a2 = mu_(s-1) b2
+    a1, b1, a2, b2 = e43, b12.e, np.roll(b12.f, 1, axis=0), np.roll(f43, 1, axis=0)
+    weight = np.abs(a1) ** 2 + np.abs(a2) ** 2
+    if np.any(np.sort(weight, axis=0)[1] <= 1e-16 * weight.max(axis=0)):
+        raise BlockIntertwinerDim(2, "both recurrence coefficients vanish")
+    ratio = (a1.conj() * b1 + a2.conj() * b2) / np.maximum(weight, 1e-300)
+    m = np.arange(r)
+    links = (weight.argmin(axis=0) + m[:, None]) % r  # from the weakest link on
+    step = ratio[links, m]
+    step[0] = 1.0
+    mu = np.empty_like(step)
+    mu[links, m] = np.cumprod(step, axis=0)
+    prev = np.roll(mu, 1, axis=0)
+    unbalanced = np.abs(mu * a1 - prev * b1) + np.abs(mu * a2 - prev * b2)
+    if np.any(unbalanced.max(axis=0) > 1e-6 * (abs(mu) * weight ** 0.5).max(axis=0)):
+        raise BlockIntertwinerDim(0, "the weight recurrence does not close")
+    pieces = np.zeros((r, r * r, r * r), dtype=complex)
+    pieces[:, b43.classes[sig][:, :, None], b12.classes[:, None, :]] = (
+        mu.T[:, :, None, None]
+        * b43.vecs[sig][:, :, mate].transpose(2, 0, 1)[..., None]
+        * b12.covecs.transpose(1, 0, 2)[:, :, None, :])
+    pieces /= np.linalg.norm(pieces, axis=(1, 2))[:, None, None]
     return BlockBraiding(y1=y1, y2=y2, y4=y4, y3=y3,
-                         V1=V1, V2=V2, V4=V4, V3=V3, blocks=tuple(blocks))
+                         V1=V1, V2=V2, V4=V4, V3=V3, blocks=tuple(pieces))
 
 
 # --- sideways and scalar comparison ------------------------------------------
 
-def sideways_matrices(
-    c: np.ndarray,
-    c_inv: np.ndarray,
-    d4: DualityData,
-    d2: DualityData,
-    r: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def sideways_matrices(c: np.ndarray, c_inv: np.ndarray, d4: DualityData,
+                      d2: DualityData, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The two sideways morphisms built from a braiding and dualities.
 
     s_plus_L : V4* (x) V1 -> V3 (x) V2* threads the braiding through a left
@@ -301,9 +299,8 @@ def proportionality(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
     return complex(s), res
 
 
-def equal_mod_roots(
-    a: np.ndarray, b: np.ndarray, r: int, tol: float = 1e-6
-) -> tuple[bool, complex, float]:
+def equal_mod_roots(a: np.ndarray, b: np.ndarray, r: int,
+                    tol: float = 1e-6) -> tuple[bool, complex, float]:
     """Check a = zeta b with zeta an r^2-th root of unity; return (ok, zeta, res)."""
     s, res = proportionality(a, b)
     if res > tol:
@@ -350,9 +347,7 @@ def _on_strands(c: np.ndarray, pos: int, m: np.ndarray, r: int) -> np.ndarray:
     return (c @ m.reshape(r, r * r, k)).reshape(r ** 3, k)
 
 
-def unipotent_series(
-    V1: CyclicModule, V2: CyclicModule, p: RootParams
-) -> np.ndarray:
+def unipotent_series(V1: CyclicModule, V2: CyclicModule, p: RootParams) -> np.ndarray:
     """The quantum exponential Sum_n a_n E^n (x) F^n on V1 (x) V2.
 
     a_n = (q - q^{-1})^n q^{n(n-1)/2} / [n]! with [n] the balanced quantum
@@ -373,7 +368,7 @@ def unipotent_series(
             Fn = Fn @ V2.F
             # a_n / a_{n-1} = (q - q^{-1}) q^{n-1} / [n]
             coef *= (q - 1 / q) * q ** (n - 1) * p.qbracket(1) / p.qbracket(n)
-        S += coef * np.kron(En, Fn)
+        S += coef * kron(En, Fn)
     return S
 
 
@@ -431,17 +426,21 @@ def steinberg_pair_braiding(
                             V1=V1, V2=V2, V4=V4, V3=V3, c=c)
 
 
-def _anchored_triple_solve(
-    trip: tuple[YColor, YColor, YColor],
-    provider: "BraidingProvider",
-    tol: float,
-) -> dict:
+def _probes(r: int) -> np.ndarray:
+    """Two fixed pseudo-random complex vectors on three strands, seeded by r."""
+    g = np.random.default_rng(r).standard_normal((2, r ** 3, 2))
+    return g[0] + 1j * g[1]
+
+
+def _anchored_triple_solve(trip: tuple[YColor, YColor, YColor],
+                           provider: "BraidingProvider", tol: float) -> dict:
     """Resolve the two generic braidings of one braid-relation triple.
 
     Every member pair that involves the Steinberg color enters with its
     closed-form matrix; each side must have exactly one other member, whose
     block scalars are unknown.  The relation is linear in the two sets of
-    block scalars, and their joint nullspace must be one-dimensional.  Each
+    block scalars.  It is imposed on two fixed probe vectors (`_probes`), a
+    system of 2 r^3 rows, whose joint nullspace must be one-dimensional.  Each
     solution is det-normalized; a pair already cached, or determined by both
     sides, must agree with its first determination up to an r^2-th root of
     unity, and any other is sideways-checked and cached.  The full relation
@@ -450,7 +449,7 @@ def _anchored_triple_solve(
     """
     r = provider.p.r
     pairs_l, pairs_r, out = _yb_pairs(*trip, tol)
-    sides = []
+    unks, cols = [], []
     for pairs, word in ((pairs_l, _WORD_L), (pairs_r, _WORD_R)):
         generic = [i for i, (a, b) in enumerate(pairs)
                    if not (provider.is_steinberg(a) or provider.is_steinberg(b))]
@@ -458,38 +457,25 @@ def _anchored_triple_solve(
             raise UnresolvableYB(f"{len(generic)} unresolved braidings on one "
                                  "side of the relation, want 1")
         i0 = generic[0]
-        known = {i: provider.braiding(*pair)
-                 for i, pair in enumerate(pairs) if i != i0}
-        unk = (i0, pairs[i0], block_braiding(*pairs[i0], provider))
-        sides.append((word, known, unk))
-
-    def columns(word, known, unk, out):
-        # column j of out is (pre @ b_j @ post).ravel(), with b_j the j-th
-        # block on the unknown's strands; all blocks go through pre side by side
-        i0, _, bb = unk
-        post = np.eye(r ** 3, dtype=complex)
-        for i in range(i0):
-            post = _on_strands(known[i].c, word[i], post, r)
-        cols = np.hstack([_on_strands(b, word[i0], post, r)
-                          for b in bb.blocks])
-        for i in range(i0 + 1, len(word)):
-            cols = _on_strands(known[i].c, word[i], cols, r)
-        out[...] = cols.reshape(r ** 3, -1, r ** 3).swapaxes(0, 1).reshape(-1, r ** 6).T
-
-    unks = [unk for _, _, unk in sides]
-    nl = len(unks[0][2].blocks)
-    # both sides fill one matrix, the right one negated in place: each r^6-row
-    # temporary costs fresh pages whenever the allocator has trimmed its heap
-    a = np.empty((r ** 6, nl + len(unks[1][2].blocks)), dtype=complex)
-    columns(*sides[0], a[:, :nl])
-    columns(*sides[1], a[:, nl:])
-    np.negative(a[:, nl:], out=a[:, nl:])
-    ns = _nullspace(a)
+        known = [None if i == i0 else provider.braiding(*pair).c
+                 for i, pair in enumerate(pairs)]
+        bb = block_braiding(*pairs[i0], provider)
+        unks.append((pairs[i0], bb))
+        # column j is this side, with the j-th block for the unknown braiding,
+        # applied to the probes and raveled; all blocks go through side by side
+        m = _probes(r)
+        for c, pos in zip(known, word):
+            m = (_on_strands(c, pos, m, r) if c is not None else
+                 np.hstack([_on_strands(b, pos, m, r) for b in bb.blocks]))
+        n = len(bb.blocks)
+        cols.append(m.reshape(r ** 3, n, -1).swapaxes(1, 2).reshape(-1, n))
+    ns = _nullspace(np.hstack([cols[0], -cols[1]]))
     if ns.shape[1] != 1:
         raise UnresolvableYB(f"braid-relation joint nullspace dim {ns.shape[1]}")
+    nl = cols[0].shape[1]
     added: list = []
     try:
-        for (_, pair, bb), lam in zip(unks, (ns[:nl, 0], ns[nl:, 0])):
+        for (pair, bb), lam in zip(unks, (ns[:nl, 0], ns[nl:, 0])):
             c = _unit_det(bb.assemble(lam), tol)
             key = provider.pair_key(*pair)
             if key in provider._braidings:
@@ -514,13 +500,8 @@ def _anchored_triple_solve(
     return {**report, "colors": out}
 
 
-def resolve_scalars_yb(
-    y1: YColor,
-    y2: YColor,
-    y3: YColor,
-    provider: "BraidingProvider",
-    tol: float = 1e-9,
-) -> dict:
+def resolve_scalars_yb(y1: YColor, y2: YColor, y3: YColor,
+                       provider: "BraidingProvider", tol: float = 1e-9) -> dict:
     """Resolve and verify the six braidings of a braid-relation triple.
 
     Each of the six pairs appearing in the two sides of the colored braid
@@ -553,11 +534,13 @@ def _verified_relation(provider, pairs_l, pairs_r, tol) -> dict:
 
 
 def _total_from_cache(provider, pairs, word):
-    r = provider.p.r
-    total = np.eye(r ** 3, dtype=complex)
-    for (a, b), pos in zip(pairs, word):
-        hb = provider.braiding(a, b)
-        total = _on_strands(hb.c, pos, total, r)
+    """One side of the braid relation as an r^3 x r^3 matrix; the first
+    braiding enters as its kron embedding, the others by `_on_strands`."""
+    eye = np.eye(provider.p.r, dtype=complex)
+    c = provider.braiding(*pairs[0]).c
+    total = kron(c, eye) if word[0] == 0 else kron(eye, c)
+    for (a, b), pos in zip(pairs[1:], word[1:]):
+        total = _on_strands(provider.braiding(a, b).c, pos, total, provider.p.r)
     return total
 
 
@@ -577,27 +560,38 @@ class BraidingProvider:
         self.modules: dict = {}
         self._braidings: dict = {}
         self._duals: dict = {}
+        self._chars: dict = {}
         self.steinberg = steinberg_ycolor(p)
-        self._st_key = _char_key(char_from_ycolor(self.steinberg, p, tol))
+        self._st_key = self._lookup(self.steinberg)[1]
+
+    def _lookup(self, y: YColor) -> tuple[ZChar, tuple]:
+        """The character of a color and its cache key, computed once per
+        color.  A color failing the Chebyshev check is not stored, so it
+        raises ChebyshevMismatch on every lookup."""
+        try:
+            return self._chars[y]
+        except KeyError:
+            chi = char_from_ycolor(y, self.p, self.tol)
+            self._chars[y] = found = (chi, _char_key(chi))
+            return found
 
     def char(self, y: YColor) -> ZChar:
-        return char_from_ycolor(y, self.p, self.tol)
+        return self._lookup(y)[0]
 
     def is_steinberg(self, y: YColor) -> bool:
-        return _char_key(self.char(y)) == self._st_key
+        return self._lookup(y)[1] == self._st_key
 
     def pair_key(self, y1: YColor, y2: YColor):
-        return (_char_key(self.char(y1)), _char_key(self.char(y2)))
+        return (self._lookup(y1)[1], self._lookup(y2)[1])
 
     def module(self, y: YColor) -> CyclicModule:
-        chi = self.char(y)
-        key = _char_key(chi)
+        chi, key = self._lookup(y)
         if key not in self.modules:
             self.modules[key] = build_cyclic_module(chi, self.p, self.tol)
         return self.modules[key]
 
     def duality(self, y: YColor) -> DualityData:
-        key = _char_key(self.char(y))
+        key = self._lookup(y)[1]
         if key not in self._duals:
             self._duals[key] = duality_tensors(self.module(y))
         return self._duals[key]
@@ -674,9 +668,7 @@ class BraidingProvider:
 
 # --- twist --------------------------------------------------------------------
 
-def twist(
-    y: YColor, provider: BraidingProvider, tol: float = 1e-9
-) -> ModScalar:
+def twist(y: YColor, provider: BraidingProvider, tol: float = 1e-9) -> ModScalar:
     """The twist scalar of a color, from braiding with its diagonal partner.
 
     Computed by closing the braiding c_{x, alpha(x)} to the right; the left
@@ -715,9 +707,8 @@ def twist(
     return ModScalar(complex(s), r)
 
 
-def steinberg_encirclement(
-    y: YColor, provider: BraidingProvider, tol: float = 1e-9
-) -> ModScalar:
+def steinberg_encirclement(y: YColor, provider: BraidingProvider,
+                           tol: float = 1e-9) -> ModScalar:
     """Close a generic strand around its double braiding with Steinberg.
 
     The composite c_{st, y^-} . c_{y, st} is an endomorphism of

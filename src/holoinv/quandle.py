@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .params import RootParams, cheb_first_kind, cheb_first_kind_roots
+from .params import RootParams, cheb_first_kind_roots
 
 _ID2 = np.eye(2, dtype=complex)
 
@@ -71,23 +71,6 @@ def steinberg_qcolor(p: RootParams) -> QColor:
     """The one permitted parabolic color: g = (-1)^(r-1) Id, z = 2(-1)^(l-1)."""
     s = -p.sign_r  # (-1)^(r-1)
     return QColor(s * np.eye(2, dtype=complex), 2.0 * (-p.sign_ell))
-
-
-def in_Q(c: QColor, p: RootParams, tol: Optional[float] = None) -> bool:
-    """Membership in the coloring set.
-
-    Requires the trace relation Cb_r(z) = (-1)^(l+1) tr(g), and excludes the
-    parabolic boundary Cb_r(z) = +-2 except at the single distinguished
-    central point.
-    """
-    tol = p.tol if tol is None else tol
-    lhs = cheb_first_kind(p.r, c.z)
-    rhs = p.sign_ell_plus1 * c.trace()
-    if abs(lhs - rhs) > tol * max(1.0, abs(rhs)):
-        return False
-    if min(abs(lhs - 2.0), abs(lhs + 2.0)) <= tol:
-        return c.approx_eq(steinberg_qcolor(p), max(tol, 1e-9))
-    return True
 
 
 def z_candidates(trace: complex, p: RootParams) -> list[complex]:

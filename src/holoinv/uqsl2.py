@@ -225,36 +225,34 @@ class DualityData:
 def duality_tensors(V: CyclicModule) -> DualityData:
     r = V.r
     kdiag = np.diag(V.K)
-    Kp = np.diag(kdiag ** (1 - r))
-    Km = np.diag(kdiag ** (r - 1))
-    ev_L = np.zeros((1, r * r), dtype=complex)
-    coev_L = np.zeros((r * r, 1), dtype=complex)
-    ev_R = np.zeros((1, r * r), dtype=complex)
-    coev_R = np.zeros((r * r, 1), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            ev_L[0, i * r + j] = 1.0 if i == j else 0.0
-            ev_R[0, j * r + i] = Kp[i, j]
-            coev_R[j * r + i, 0] = Km[i, j]
-        coev_L[i * r + i, 0] = 1.0
-    return DualityData(ev_L=ev_L, coev_L=coev_L, ev_R=ev_R, coev_R=coev_R)
+    eye = np.eye(r, dtype=complex)
+    return DualityData(ev_L=eye.reshape(1, r * r), coev_L=eye.reshape(r * r, 1),
+                       ev_R=np.diag(kdiag ** (1 - r)).reshape(1, r * r),
+                       coev_R=np.diag(kdiag ** (r - 1)).reshape(r * r, 1))
 
 
 # --- coproduct action and Casimir blocks -------------------------------------
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two matrices as one broadcast outer product; the
+    entries are bitwise those of np.kron."""
+    (m, n), (k, l) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * k, n * l)
+
 
 def coproduct_matrices(V1: CyclicModule, V2: CyclicModule) -> dict[str, np.ndarray]:
     I1 = np.eye(V1.r, dtype=complex)
     I2 = np.eye(V2.r, dtype=complex)
     return {
-        "E": np.kron(I1, V2.E) + np.kron(V1.E, V2.K),
-        "F": np.kron(V1.K_inv(), V2.F) + np.kron(V1.F, I2),
-        "K": np.kron(V1.K, V2.K),
+        "E": kron(I1, V2.E) + kron(V1.E, V2.K),
+        "F": kron(V1.K_inv(), V2.F) + kron(V1.F, I2),
+        "K": kron(V1.K, V2.K),
     }
 
 
 def coproduct_casimir(V1: CyclicModule, V2: CyclicModule) -> np.ndarray:
     d = coproduct_matrices(V1, V2)
-    return casimir_matrix(d["E"], d["F"], d["K"], np.linalg.inv(d["K"]), V1.p)
+    return casimir_matrix(d["E"], d["F"], d["K"], np.diag(1 / np.diag(d["K"])), V1.p)
 
 
 def tensor_central_scalars(chi1: ZChar, chi2: ZChar) -> dict[str, complex]:
@@ -278,58 +276,84 @@ def predicted_casimir_values(
     return cheb_first_kind_roots(c, p.r)
 
 
+def weight_classes(r: int) -> np.ndarray:
+    """Row s: the coordinates i r + j of e_i (x) f_j with i + j = s mod r, by i.
+    K (x) K is the scalar k1 k2 xi^(2(r - 1 - s)) on this weight class; Delta(E)
+    maps it to class s - 1 and Delta(F) to class s + 1, mod r."""
+    i = np.arange(r)
+    return i * r + (i[:, None] - i) % r
+
+
 @dataclass(frozen=True)
 class CasimirBlocks:
-    """Eigen decomposition of the coproduct Casimir on V1 (x) V2.
+    """Weight-graded eigen decomposition of the coproduct Casimir on V1 (x) V2.
 
-    `values[i]` is the i-th eigenvalue; `bases[i]` an (r^2, r) matrix of
-    eigenvectors; `cobases[i]` the matching rows of the inverse eigenvector
-    matrix, so that bases[i] @ cobases[i] is the spectral projector.
+    Each eigenvalue `values[m]` has one eigenvector u per weight class s:
+    `vecs[s, :, m]` on the coordinates `classes[s]`, where Delta(K) is
+    `weights[s]`, with `covecs[s, m, :]` the matching row of that class's
+    inverse eigenvector matrix.  Delta(E) u = `e[s, m]` u' and Delta(F) u =
+    `f[s, m]` u'', u' and u'' being the block's vectors in classes s - 1 and
+    s + 1.  `bases[m]` and `cobases[m]` embed the vectors as (r^2, r) and
+    (r, r^2) matrices, so that bases[m] @ cobases[m] is the spectral projector.
     """
 
     values: tuple[complex, ...]
-    bases: tuple[np.ndarray, ...]
-    cobases: tuple[np.ndarray, ...]
+    classes: np.ndarray
+    weights: np.ndarray
+    vecs: np.ndarray
+    covecs: np.ndarray
+    e: np.ndarray
+    f: np.ndarray
+
+    @property
+    def bases(self) -> tuple[np.ndarray, ...]:
+        r = len(self.values)
+        out = np.zeros((r, r * r, r), dtype=complex)
+        out[:, self.classes, np.arange(r)[:, None]] = self.vecs.transpose(2, 0, 1)
+        return tuple(out)
+
+    @property
+    def cobases(self) -> tuple[np.ndarray, ...]:
+        r = len(self.values)
+        out = np.zeros((r, r, r * r), dtype=complex)
+        out[:, np.arange(r)[:, None], self.classes] = self.covecs.transpose(1, 0, 2)
+        return tuple(out)
 
 
 def casimir_block_structure(V1: CyclicModule, V2: CyclicModule) -> CasimirBlocks:
-    """Spectral blocks of Delta(Omega); exactly r eigenvalues of multiplicity r.
+    """Spectral blocks of Delta(Omega), one r x r eigenproblem per weight class.
 
-    Raises DegenerateSpectrum when eigenvalue clusters are closer than the
-    relative gap 1e-6 or the multiplicity pattern is not r x r.
+    Delta(Omega) commutes with Delta(K) = K (x) K, which is diagonal with r
+    weight classes of dimension r (`weight_classes`), so each class block
+    carries every Casimir value once.  Each class spectrum is matched
+    against `predicted_casimir_values` within the relative gap 1e-6.
+    Raises DegenerateSpectrum when a value repeats inside a class or the
+    class spectra disagree (with the prediction, hence with each other).
     """
-    p = V1.p
-    r = p.r
-    om = coproduct_casimir(V1, V2)
-    w, vecs = np.linalg.eig(om)
-    scale = max(1.0, float(np.abs(w).max()))
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    vecs = vecs[:, order]
-    clusters: list[list[int]] = []
-    for idx in range(len(w)):
-        for cl in clusters:
-            if abs(w[cl[0]] - w[idx]) <= 1e-6 * scale:
-                cl.append(idx)
-                break
-        else:
-            clusters.append([idx])
-    if len(clusters) != r or any(len(cl) != r for cl in clusters):
-        raise DegenerateSpectrum(
-            f"cluster sizes {[len(c) for c in clusters]} (want {r} x {r})"
-        )
-    # inter-cluster gap check
-    means = [np.mean([w[i] for i in cl]) for cl in clusters]
-    for i in range(len(means)):
-        for j in range(i + 1, len(means)):
-            if abs(means[i] - means[j]) < 1e-6 * scale:
-                raise DegenerateSpectrum("eigenvalue clusters too close")
-    vinv = np.linalg.inv(vecs)
-    values, bases, cobases = [], [], []
-    for cl in clusters:
-        values.append(complex(np.mean([w[i] for i in cl])))
-        bases.append(vecs[:, cl])
-        cobases.append(vinv[cl, :])
+    p, r = V1.p, V1.p.r
+    idx = weight_classes(r)
+    d = coproduct_matrices(V1, V2)
+    om = casimir_matrix(d["E"], d["F"], d["K"], np.diag(1 / np.diag(d["K"])), p)
+    w, vecs = np.linalg.eig(om[idx[:, :, None], idx[:, None, :]])
+    pred = np.asarray(predicted_casimir_values(V1.chi, V2.chi, p))
+    gap = 1e-6 * max(1.0, float(np.abs(w).max()))
+    i, j = np.triu_indices(r, 1)
+    if np.abs(w[:, i] - w[:, j]).min() <= gap:
+        raise DegenerateSpectrum("a Casimir value repeats inside a weight class")
+    dist = np.abs(w[:, :, None] - pred)
+    label = dist.argmin(axis=2)
+    if (dist.min(axis=2).max() > gap
+            or np.any(np.sort(label, axis=1) != np.arange(r))):
+        raise DegenerateSpectrum("the weight-class Casimir spectra disagree")
+    cls = np.arange(r)[:, None]
+    order = np.empty_like(label)  # order[s, m]: column of value m in class s
+    order[cls, label] = np.arange(r)
+    u = vecs[cls, :, order].transpose(0, 2, 1)
+    v = np.linalg.inv(vecs)[cls, order]
+    # Delta(E) maps class s to s - 1 and Delta(F) to s + 1
+    e, f = (np.einsum("smi,sij,sjm->sm", np.roll(v, k, axis=0),
+                      d[g][np.roll(idx, k, axis=0)[:, :, None], idx[:, None, :]], u)
+            for g, k in (("E", 1), ("F", -1)))
     return CasimirBlocks(
-        values=tuple(values), bases=tuple(bases), cobases=tuple(cobases)
-    )
+        values=tuple(complex(x) for x in w[cls, order].mean(axis=0)),
+        classes=idx, weights=np.diag(d["K"])[idx[:, 0]], vecs=u, covecs=v, e=e, f=f)

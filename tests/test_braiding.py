@@ -22,7 +22,13 @@ from holoinv.braiding import (
     twist,
     unipotent_series,
 )
-from holoinv.errors import HoloinvError, Undefined, UnresolvableYB
+from holoinv.errors import (
+    BlockIntertwinerDim,
+    ChebyshevMismatch,
+    HoloinvError,
+    Undefined,
+    UnresolvableYB,
+)
 from holoinv.params import root_params
 from holoinv.quandle import z_candidates
 from holoinv.sl2factor import GStarElem, YColor, random_ycolor
@@ -505,3 +511,93 @@ def test_twist_raises_undefined_off_the_alpha_domain(ell):
     y = YColor(g, z_candidates(g.trace(), p)[0])
     with pytest.raises(Undefined):
         twist(y, BraidingProvider(p))
+
+
+# --- lean cold resolution -----------------------------------------------------
+
+def _random_module(provider, rng):
+    while True:
+        try:
+            return provider.module(random_ycolor(rng, provider.p))
+        except HoloinvError:
+            continue
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_unipotent_series_matches_kron_bitwise(ell):
+    # the series as it was written with np.kron (reference)
+    p = root_params(ell)
+    provider = BraidingProvider(p)
+    rng = np.random.default_rng(170 + ell)
+    for V1, V2 in ((provider.module(provider.steinberg), _random_module(provider, rng)),
+                   (_random_module(provider, rng), _random_module(provider, rng))):
+        r, q = p.r, p.xi
+        want = np.zeros((r * r, r * r), dtype=complex)
+        En = Fn = np.eye(r, dtype=complex)
+        coef = 1.0 + 0j
+        for n in range(r):
+            if n:
+                En, Fn = En @ V1.E, Fn @ V2.F
+                coef *= (q - 1 / q) * q ** (n - 1) * p.qbracket(1) / p.qbracket(n)
+            want += coef * np.kron(En, Fn)
+        assert np.array_equal(unipotent_series(V1, V2, p), want)
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 7])
+def test_block_pieces_are_rank_r_intertwiners(ell):
+    # each recurrence-built piece intertwines Delta(E), Delta(F), Delta(K),
+    # and the r pieces of a pair sum to an invertible matrix
+    provider = BraidingProvider(root_params(ell))
+    r = provider.p.r
+    for y1, y2 in _random_pairs(provider, 2, seed=180 + ell):
+        bb = braiding.block_braiding(y1, y2, provider)
+        d12 = coproduct_matrices(bb.V1, bb.V2)
+        d43 = coproduct_matrices(bb.V4, bb.V3)
+        assert len(bb.blocks) == r
+        for piece in bb.blocks:
+            sv = np.linalg.svd(piece, compute_uv=False)
+            assert sv[r - 1] > 1e-6 * sv[0] and sv[r] < 1e-10 * sv[0]
+            for u in "EFK":
+                res = np.linalg.norm(piece @ d12[u] - d43[u] @ piece)
+                assert res <= 1e-10 * np.linalg.norm(d12[u]), (u, res)
+        sv = np.linalg.svd(sum(bb.blocks), compute_uv=False)
+        assert sv[-1] > 1e-8 * sv[0]
+
+
+def test_recurrence_raises_when_its_coefficients_vanish(monkeypatch):
+    provider = BraidingProvider(root_params(3))
+    (y1, y2), = _random_pairs(provider, 1, seed=190)
+    braiding.block_braiding(y1, y2, provider)
+    real = braiding.casimir_block_structure
+
+    def silent(V1, V2):
+        b = real(V1, V2)
+        return dataclasses.replace(b, e=0 * b.e, f=0 * b.f)
+
+    monkeypatch.setattr(braiding, "casimir_block_structure", silent)
+    with pytest.raises(BlockIntertwinerDim, match="vanish"):
+        braiding.block_braiding(y1, y2, provider)
+
+
+def test_character_key_is_computed_once_per_color(monkeypatch):
+    provider = BraidingProvider(root_params(3))
+    hb = _generic_braiding(provider, seed=200)
+    char = braiding.char_from_ycolor
+    calls = []
+
+    def counting(y, *args):
+        calls.append(y)
+        return char(y, *args)
+
+    monkeypatch.setattr(braiding, "char_from_ycolor", counting)
+    for _ in range(3):
+        assert provider.braiding(hb.y1, hb.y2) is hb
+        provider.duality(hb.y2)
+        assert not provider.is_steinberg(hb.y1)
+    assert calls == []
+    # a color failing the Chebyshev check is not remembered
+    bad = dataclasses.replace(hb.y1, z=hb.y1.z + 0.5)
+    for _ in range(2):
+        with pytest.raises(ChebyshevMismatch):
+            provider.pair_key(bad, hb.y2)
+    assert calls == [bad, bad]

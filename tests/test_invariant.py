@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+import holoinv.braiding as braiding
 import holoinv.invariant as invariant
 
 from holoinv.braiding import BraidingProvider, ModScalar, equal_mod_roots
@@ -38,7 +41,13 @@ from holoinv.invariant import (
 )
 from holoinv.modtrace import modified_dim
 from holoinv.params import root_params
-from holoinv.quandle import random_sl2
+from holoinv.quandle import (
+    QColor,
+    gauge_act_matrix,
+    propagate_qcolors,
+    random_sl2,
+    z_candidates,
+)
 from holoinv.sl2factor import (
     FactorizationOracle,
     q_functor,
@@ -417,3 +426,62 @@ def test_non_scalar_cut_tangle_raises(providers, monkeypatch):
     monkeypatch.setattr(provider, "duality", perturbed)
     with pytest.raises(NonScalarResult):
         evaluate_Fprime(link, provider)
+
+
+# --- braiding resolution at large r -------------------------------------------
+
+def test_braiding_solves_stay_at_r4_rows(monkeypatch):
+    # the braid-relation solve stacked r^6 rows, one per entry of an
+    # r^3 x r^3 relation; every system is now at most r^4 rows tall
+    rows = []
+    nullspace = braiding._nullspace
+
+    def recording(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return nullspace(a, *args, **kwargs)
+
+    monkeypatch.setattr(braiding, "_nullspace", recording)
+    for ell in (5, 7):
+        provider = BraidingProvider(root_params(ell))
+        r = provider.p.r
+        rows.clear()
+        for link in _closures(ell):
+            for e in link.edges():
+                evaluate_F(cut_edge(link, e), provider)
+        assert any(not (provider.is_steinberg(hb.y1) or provider.is_steinberg(hb.y2))
+                   for hb in provider._braidings.values())
+        assert rows and max(rows) <= r ** 4, (ell, max(rows))
+
+
+def _log_phase_gap(a: ModScalar, b: ModScalar) -> float:
+    """The larger of |r^2 log|a/b|| and |r^2 arg(a/b)| mod 2 pi: a comparison
+    of the canonical values a^(r^2) and b^(r^2) that cannot overflow."""
+    n = a.r * a.r
+    va, vb = complex(a.value), complex(b.value)
+    return max(abs(n * (math.log(abs(va)) - math.log(abs(vb)))),
+               abs(math.remainder(n * (cmath.phase(va) - cmath.phase(vb)), math.tau)))
+
+
+def _hopf(ell, style, rng):
+    """The Hopf link as `commuting_link` builds it, or as the benchmark
+    corpus does: a random g and two distinct z drawn at random."""
+    if style == "conftest":
+        return commuting_link(ell, [1, 1])
+    g = random_sl2(rng)
+    zs = z_candidates(np.trace(g), root_params(ell))
+    i, j = rng.choice(len(zs), size=2, replace=False)
+    return closure(propagate_qcolors(braid_diagram(2, [1, 1]),
+                                     [QColor(g, zs[i]), QColor(g, zs[j])]))
+
+
+@pytest.mark.parametrize("style", ["conftest", "perfbench"])
+@pytest.mark.parametrize("ell", [9, 11])
+def test_hopf_at_large_ell_is_gauge_independent(ell, style):
+    # canonical values are v^(r^2) with r^2 = 81 and 121 here, beyond the
+    # float range for |v| of a few units, so the comparison is in log form
+    rng = np.random.default_rng(210 + ell)
+    d = _hopf(ell, style, rng)
+    values = [tilde_Fprime(link, BraidingProvider(root_params(ell))).value
+              for link in (d, gauge_act_matrix(random_sl2(rng), d))]
+    assert all(np.isfinite(v.value) and abs(v.value) > 1e-6 for v in values)
+    assert _log_phase_gap(*values) <= 1e-6

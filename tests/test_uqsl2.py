@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from holoinv.errors import HoloinvError, NotAdmissible
+from holoinv.errors import DegenerateSpectrum, HoloinvError, NotAdmissible
 from holoinv.params import root_params
 from holoinv.sl2factor import random_ycolor
 from holoinv.uqsl2 import (
@@ -19,6 +21,7 @@ from holoinv.uqsl2 import (
     dual_rep,
     duality_tensors,
     is_admissible,
+    kron,
     predicted_casimir_values,
     steinberg_char,
     tensor_central_scalars,
@@ -157,3 +160,65 @@ def test_tensor_central_scalars_multiplicative():
     for gen in ("E", "F", "K"):
         mat = np.linalg.matrix_power(com[gen], p.r)
         assert np.abs(mat - s[gen] * eye).max() < 1e-7
+
+
+# --- weight-graded Casimir blocks ---------------------------------------------
+
+def _dense_projectors(V1, V2):
+    """Spectral projectors of Delta(Omega) from one dense eig of the r^2 x r^2
+    Casimir, its spectrum clustered with the relative gap 1e-6 (reference)."""
+    w, vecs = np.linalg.eig(coproduct_casimir(V1, V2))
+    vinv = np.linalg.inv(vecs)
+    scale = max(1.0, float(np.abs(w).max()))
+    clusters: list[list[int]] = []
+    for i in np.lexsort((w.imag, w.real)):
+        for cl in clusters:
+            if abs(w[cl[0]] - w[i]) <= 1e-6 * scale:
+                cl.append(i)
+                break
+        else:
+            clusters.append([i])
+    return {complex(np.mean(w[cl])): vecs[:, cl] @ vinv[cl] for cl in clusters}
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_graded_projectors_match_dense_eig(ell):
+    p, mods = _sample_modules(ell, 8, seed=40 + ell)
+    r = p.r
+    for V1, V2 in zip(mods[0::2], mods[1::2]):
+        dense = _dense_projectors(V1, V2)
+        blocks = casimir_block_structure(V1, V2)
+        assert len(dense) == len(blocks.values) == r
+        for v, b, cb in zip(blocks.values, blocks.bases, blocks.cobases):
+            assert b.shape == (r * r, r) and cb.shape == (r, r * r)
+            want = dense[min(dense, key=lambda u: abs(u - v))]
+            assert np.linalg.norm(b @ cb - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_graded_spectrum_raises_in_graded_terms():
+    # Steinberg (x) Steinberg has T_r(omega) = +-2, so its Casimir values
+    # coincide in pairs, inside every weight class
+    for ell in (3, 4, 5):
+        p = root_params(ell)
+        st = build_cyclic_module(steinberg_char(p), p)
+        with pytest.raises(DegenerateSpectrum, match="repeats"):
+            casimir_block_structure(st, st)
+    # a module labelled with a wrong E^r scalar predicts other Casimir
+    # values than its class blocks carry
+    p, (V1, V2) = _sample_modules(5, 2, seed=3)
+    off = dataclasses.replace(V1, chi=dataclasses.replace(V1.chi, e_r=2 * V1.chi.e_r))
+    with pytest.raises(DegenerateSpectrum, match="disagree"):
+        casimir_block_structure(off, V2)
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_coproduct_matrices_match_kron_bitwise(ell):
+    p, (V1, V2) = _sample_modules(ell, 2, seed=60 + ell)
+    I = np.eye(p.r, dtype=complex)
+    want = {"E": np.kron(I, V2.E) + np.kron(V1.E, V2.K),
+            "F": np.kron(V1.K_inv(), V2.F) + np.kron(V1.F, I),
+            "K": np.kron(V1.K, V2.K)}
+    got = coproduct_matrices(V1, V2)
+    assert all(np.array_equal(got[g], want[g]) for g in "EFK")
+    a, b = V1.E[:, :2], V2.F[:1]
+    assert np.array_equal(kron(a, b), np.kron(a, b))
