@@ -8,20 +8,20 @@ The construction is self-contained and anchored at the Steinberg color.
 When one factor of a pair is Steinberg (the self pair included), E or F
 acts nilpotently and the quantum exponential series S = Sum a_n E^n (x) F^n
 truncates exactly, so the braiding has the R-matrix form c = tau D S with
-tau the flip and D a diagonal Cartan factor, which the intertwining
-equations determine up to one scalar.
+tau the flip and D diagonal, which a recurrence along the (i, j) grid of
+V1 (x) V2 fixes up to one scalar.
 For a generic pair (x, y), the coproduct Casimir splits both tensor
-products into r matched eigenblocks.  K acts diagonally, so each block
-holds one vector per Delta(K) weight class; the Casimir is solved one r x r
-class at a time, and the one intertwiner of a matched block pair follows
-from the Delta(E) and Delta(F) recurrence between neighbouring classes.
-Intertwining thus fixes the braiding up to one scalar per block.  The
-block scalars are resolved by imposing the colored Yang-Baxter equation,
-on two fixed probe vectors, on the triple (x', st, y), where x' is the
-partner color with B(x', st) = (st, x): every other braiding in that
-relation involves the Steinberg color and is already known, which makes
-the relation linear in the two remaining unknown braidings, one per side,
-and pins them as a one-dimensional joint nullspace; the full relation is
+products into r matched eigenblocks, one vector per Delta(K) weight class
+each, solved once per pair and provider, one r x r class at a time.  The
+Delta(E) and Delta(F) recurrence between neighbouring classes gives the
+intertwiner of a matched block pair, which fixes the braiding up to one
+scalar per block.  The block scalars are resolved by imposing the colored
+Yang-Baxter equation, on two fixed probe vectors, on the triple
+(x', st, y), where x' is the partner color with B(x', st) = (st, x): every
+other braiding in that relation involves the Steinberg color and is
+already known, so the relation is linear in the unknown braiding of each
+side (at most ell the same pair, built once) and pins their block
+scalars as a one-dimensional joint nullspace; the full relation is
 verified afterwards.  The overall scale of each braiding is then fixed by
 det(c) = 1 via the principal root, which leaves exactly the r^2-th
 root-of-unity ambiguity the theory predicts; all scalar-level statements
@@ -56,6 +56,7 @@ from .sl2factor import (
     steinberg_ycolor,
 )
 from .uqsl2 import (
+    CasimirBlocks,
     CyclicModule,
     DualityData,
     ZChar,
@@ -232,7 +233,7 @@ def block_braiding(y1: YColor, y2: YColor,
         raise Undefined("pair obstruction vanishes")
     y4, y3 = sl2_B(y1, y2, tol)
     V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
-    b12, b43 = casimir_block_structure(V1, V2), casimir_block_structure(V4, V3)
+    b12, b43 = provider.blocks(y1, y2), provider.blocks(y4, y3)
     v12, v43 = np.array(b12.values), np.array(b43.values)
     hit = np.abs(v12[:, None] - v43) <= 1e-6 * max(1.0, np.abs(v12).max())
     if np.any(hit.sum(axis=1) != 1):
@@ -280,13 +281,14 @@ def sideways_matrices(c: np.ndarray, c_inv: np.ndarray, d4: DualityData,
     cup on V2 and a left cap on V4; s_minus_R : V3 (x) V2* -> V4* (x) V1 uses
     the inverse braiding with the right-handed cups and caps.  Both are
     contracted in index form, with c and c_inv as (out, out, in, in) tensors
-    and the cups and caps as r x r matrices.
+    and the cups and caps as r x r matrices: two matmuls and a transpose each.
     """
-    s_plus = np.einsum("ax,xyiz,zj->yjai", d4.ev_L.reshape(r, r),
-                       c.reshape(r, r, r, r), d2.coev_L.reshape(r, r))
-    s_minus = np.einsum("ax,ibxu,bv->aiuv", d4.coev_R.reshape(r, r),
-                        c_inv.reshape(r, r, r, r), d2.ev_R.reshape(r, r))
-    return s_plus.reshape(r * r, r * r), s_minus.reshape(r * r, r * r)
+    ev, coev = d4.ev_L.reshape(r, r), d2.coev_L.reshape(r, r)
+    s_plus = (ev @ c.reshape(r, r ** 3)).reshape(r ** 3, r) @ coev  # (a, y, i, j)
+    cut = d2.ev_R.reshape(r, r).T @ c_inv.reshape(r, r, r * r)  # (i, v, x u)
+    s_minus = d4.coev_R.reshape(r, r) @ cut.reshape(r * r, r, r)  # (i v, a, u)
+    return (s_plus.reshape((r,) * 4).transpose(1, 3, 0, 2).reshape(r * r, r * r),
+            s_minus.reshape((r,) * 4).transpose(2, 0, 3, 1).reshape(r * r, r * r))
 
 
 def proportionality(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
@@ -377,8 +379,7 @@ def steinberg_self_braiding(provider: "BraidingProvider") -> HolonomyBraiding:
 
     `steinberg_pair_braiding` on (st, st); a separate name, so that the
     self pair can be traced on its own (perfbench/spans.py)."""
-    st = provider.steinberg
-    return steinberg_pair_braiding(st, st, provider)
+    return steinberg_pair_braiding(provider.steinberg, provider.steinberg, provider)
 
 
 def steinberg_pair_braiding(
@@ -388,40 +389,51 @@ def steinberg_pair_braiding(
 
     It has the R-matrix form c = tau D S: tau is the flip, S the truncated
     `unipotent_series` and D a diagonal Cartan factor.  c intertwines
-    exactly when D A_u = B_u D for u in {E, F, K}, where
-    A_u = S rho12(Delta u) S^-1 and B_u = tau rho43(Delta u) tau; entrywise,
-    D_i (A_u)_ij = (B_u)_ij D_j.  B_u is a kron product with exact zeros,
-    so each of its structural nonzeros gives one equation on D, whose
-    solution must be one-dimensional, and A_u must vanish wherever B_u
-    does: without that check the result need not intertwine.
+    exactly when D_i (A_u)_ij = (B_u)_ij D_j for u in {E, F, K}, where
+    A_u = S rho12(Delta u) S^-1 and B_u = tau rho43(Delta u) tau.  A_u must
+    vanish wherever B_u does.  D lives on the (i, j) grid of V1 (x) V2, and
+    Delta(E), Delta(F) link grid neighbours, so D follows by recurrence
+    from D_(0, 0) = 1: down column 0, then along each row, every link
+    ratio the least-squares ratio of its E and F equations.  A link without
+    a coefficient on its far end would leave D free there; afterwards every
+    structural equation, not only the links, must hold.
     """
     p, tol = provider.p, provider.tol
     if not pair_defined(provider.char(y1), provider.char(y2), p, tol):
         raise Undefined("pair obstruction vanishes")
     y4, y3 = sl2_B(y1, y2, tol)
     V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
-    r = p.r
+    r, gate = p.r, max(1e3 * tol, 1e-8)
     S = unipotent_series(V1, V2, p)
     S_inv = np.linalg.inv(S)
-    tau, eye = flip_matrix(r, r), np.eye(r * r)
+    tau = flip_matrix(r, r)
     d12, d43 = coproduct_matrices(V1, V2), coproduct_matrices(V4, V3)
-    rows = []
-    for u in ("E", "F", "K"):
-        a = S @ d12[u] @ S_inv
-        b = tau @ d43[u] @ tau
+    A = np.array([S @ d12[u] @ S_inv for u in "EFK"])
+    B = np.array([tau @ d43[u] @ tau for u in "EFK"])
+    for u, a, b in zip("EFK", A, B):
         stray = np.abs(a[b == 0]).max(initial=0.0) / np.abs(a).max()
-        if stray > max(1e3 * tol, 1e-8):
+        if stray > gate:
             raise UnresolvableYB(f"no Cartan factor intertwines Delta({u}), "
                                  f"residual {stray:.3e}")
-        i, j = np.nonzero(b)
-        rows.append(a[i, j, None] * eye[i] - b[i, j, None] * eye[j])
-    ns = _nullspace(np.vstack(rows))
-    if ns.shape[1] != 1:
-        raise UnresolvableYB(
-            f"Cartan-factor nullspace dim {ns.shape[1]} for a "
-            "Steinberg-anchored pair"
-        )
-    c = _unit_det(tau @ (ns[:, :1] * S), tol)
+    # links P -> Q down column 0, then along the rows; x = D_Q / D_P solves
+    # a x = b for the E and F equations at (P, Q) and at (Q, P)
+    g = np.arange(r * r).reshape(r, r)
+    P = np.concatenate([g[:-1, 0], g[:, :-1].ravel()])
+    Q = np.concatenate([g[1:, 0], g[:, 1:].ravel()])
+    a = np.concatenate([B[:2, P, Q], A[:2, Q, P]])
+    b = np.concatenate([A[:2, P, Q], B[:2, Q, P]])
+    weight = (np.abs(a) ** 2).sum(axis=0)
+    if weight.min() <= 1e-16 * weight.max():
+        raise UnresolvableYB("Cartan factor not unique: a grid link has no equation")
+    step = (a.conj() * b).sum(axis=0) / weight
+    col = np.cumprod(np.r_[1, step[:r - 1]])
+    D = np.cumprod(np.column_stack([col, step[r - 1:].reshape(r, -1)]), axis=1).ravel()
+    _, i, j = np.nonzero(B)
+    lhs, rhs = D[i] * A[B != 0], B[B != 0] * D[j]
+    res = (np.abs(lhs - rhs) / np.maximum(np.abs(lhs) + np.abs(rhs), 1e-300)).max()
+    if res > gate:
+        raise UnresolvableYB(f"no Cartan factor intertwines, residual {res:.3e}")
+    c = _unit_det(tau @ (D[:, None] * S), tol)
     return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3,
                             V1=V1, V2=V2, V4=V4, V3=V3, c=c)
 
@@ -459,8 +471,10 @@ def _anchored_triple_solve(trip: tuple[YColor, YColor, YColor],
         i0 = generic[0]
         known = [None if i == i0 else provider.braiding(*pair).c
                  for i, pair in enumerate(pairs)]
-        bb = block_braiding(*pairs[i0], provider)
-        unks.append((pairs[i0], bb))
+        key = provider.pair_key(*pairs[i0])  # both sides often share it
+        bb = (unks[0][1] if unks and unks[0][0] == key
+              else block_braiding(*pairs[i0], provider))
+        unks.append((key, bb))
         # column j is this side, with the j-th block for the unknown braiding,
         # applied to the probes and raveled; all blocks go through side by side
         m = _probes(r)
@@ -475,17 +489,14 @@ def _anchored_triple_solve(trip: tuple[YColor, YColor, YColor],
     nl = cols[0].shape[1]
     added: list = []
     try:
-        for (pair, bb), lam in zip(unks, (ns[:nl, 0], ns[nl:, 0])):
+        for (key, bb), lam in zip(unks, (ns[:nl, 0], ns[nl:, 0])):
             c = _unit_det(bb.assemble(lam), tol)
-            key = provider.pair_key(*pair)
             if key in provider._braidings:
                 ok, _, res = equal_mod_roots(provider._braidings[key].c, c,
                                              r, max(1e3 * tol, 1e-8))
                 if not ok:
-                    raise UnresolvableYB(
-                        "repeated-pair determinations disagree, residual "
-                        f"{res:.3e}"
-                    )
+                    raise UnresolvableYB("repeated-pair determinations "
+                                         f"disagree, residual {res:.3e}")
                 continue
             hb = HolonomyBraiding(y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3,
                                   V1=bb.V1, V2=bb.V2, V4=bb.V4, V3=bb.V3, c=c)
@@ -527,9 +538,8 @@ def _verified_relation(provider, pairs_l, pairs_r, tol) -> dict:
     ok, zeta, resid = equal_mod_roots(lhs, rhs, provider.p.r,
                                       max(1e3 * tol, 1e-8))
     if not ok:
-        raise UnresolvableYB(
-            f"braid relation fails up to roots of unity, residual {resid:.3e}"
-        )
+        raise UnresolvableYB("braid relation fails up to roots of unity, "
+                             f"residual {resid:.3e}")
     return {"lhs": lhs, "rhs": rhs, "zeta": zeta, "residual": resid}
 
 
@@ -547,11 +557,11 @@ def _total_from_cache(provider, pairs, word):
 # --- provider ----------------------------------------------------------------
 
 class BraidingProvider:
-    """Caches modules, dualities and resolved braidings keyed by character.
+    """Caches modules, dualities, Casimir blocks and braidings by character.
 
     Braidings are resolved deterministically by anchoring Yang-Baxter
-    triples at the Steinberg color.  Every cyclic module the braidings use
-    comes from `module`, so each character's module is built once.
+    triples at the Steinberg color.  Modules and Casimir blocks come from
+    `module` and `blocks`, built once per character or pair of characters.
     """
 
     def __init__(self, p: RootParams, tol: float = 1e-9):
@@ -561,6 +571,7 @@ class BraidingProvider:
         self._braidings: dict = {}
         self._duals: dict = {}
         self._chars: dict = {}
+        self._blocks: dict = {}
         self.steinberg = steinberg_ycolor(p)
         self._st_key = self._lookup(self.steinberg)[1]
 
@@ -589,6 +600,13 @@ class BraidingProvider:
         if key not in self.modules:
             self.modules[key] = build_cyclic_module(chi, self.p, self.tol)
         return self.modules[key]
+
+    def blocks(self, y1: YColor, y2: YColor) -> CasimirBlocks:
+        key = self.pair_key(y1, y2)
+        if key not in self._blocks:
+            self._blocks[key] = casimir_block_structure(self.module(y1),
+                                                        self.module(y2))
+        return self._blocks[key]
 
     def duality(self, y: YColor) -> DualityData:
         key = self._lookup(y)[1]
@@ -653,9 +671,8 @@ class BraidingProvider:
         ok, _, res = equal_mod_roots(s_minus @ s_plus, eye, r,
                                      max(1e3 * self.tol, 1e-8))
         if not ok:
-            raise UnresolvableYB(
-                f"sideways morphisms do not invert, residual {res:.3e}"
-            )
+            raise UnresolvableYB("sideways morphisms do not invert, "
+                                 f"residual {res:.3e}")
 
     def braiding_inv(self, ya: YColor, yb: YColor):
         """Inverse braiding for a negative crossing with bottom colors (ya, yb).
@@ -676,18 +693,14 @@ def twist(y: YColor, provider: BraidingProvider, tol: float = 1e-9) -> ModScalar
     root of unity.  Where alpha or its inverse has no value, their
     OutsideGPrime (an Undefined) propagates.
     """
-    p = provider.p
-    r = p.r
+    r = provider.p.r
     I = np.eye(r, dtype=complex)
-    ax = y_alpha(y, tol)
-    az = y_alpha_inv(y, tol)
+    ax, az = y_alpha(y, tol), y_alpha_inv(y, tol)
     hb = provider.braiding(y, ax)
     if not (hb.y4.approx_eq(y, 1e-6) and hb.y3.approx_eq(ax, 1e-6)):
         raise AlphaUndefined("diagonal partner is not a braiding fixed point")
     dax = provider.duality(ax)
-    right = (
-        np.kron(I, dax.ev_R) @ np.kron(hb.c, I) @ np.kron(I, dax.coev_L)
-    )
+    right = np.kron(I, dax.ev_R) @ np.kron(hb.c, I) @ np.kron(I, dax.coev_L)
     s, res = proportionality(right, I)
     if res > max(tol * 1e3, 1e-8):
         raise NonScalarResult(f"twist endomorphism residual {res:.3e}")
@@ -696,9 +709,7 @@ def twist(y: YColor, provider: BraidingProvider, tol: float = 1e-9) -> ModScalar
     # left version through the inverse diagonal
     hb2 = provider.braiding(az, y)
     daz = provider.duality(az)
-    left = (
-        np.kron(daz.ev_L, I) @ np.kron(I, hb2.c) @ np.kron(daz.coev_R, I)
-    )
+    left = np.kron(daz.ev_L, I) @ np.kron(I, hb2.c) @ np.kron(daz.coev_R, I)
     s2, res2 = proportionality(left, I)
     if res2 > max(tol * 1e3, 1e-8):
         raise NonScalarResult(f"left twist endomorphism residual {res2:.3e}")

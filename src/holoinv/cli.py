@@ -145,14 +145,18 @@ def load_link(path: str, tol: float = 1e-9) -> tuple[int, Diagram]:
         strands = _int(b["strands"], "braid 'strands'")
         if strands < 1:
             raise ParseError("a braid needs at least one strand")
+        if len(colors) != strands:
+            raise ParseError(f"{len(colors)} colors for {strands} strands")
         d = braid_diagram(strands, [_int(w, "a braid letter")
                                     for w in b["word"]])
         colored = propagate_qcolors(d, [_qcolor(c) for c in colors], tol)
         return ell, closure(colored, tol)
     if "slices" in data:
         d = Diagram(data.get("bottom_signs", ""), data["slices"])
-        d = d.with_colors({e: _qcolor(c)
-                           for e, c in data.get("edge_colors", {}).items()})
+        colors = data.get("edge_colors", {})
+        if unknown := sorted(set(colors) - set(d.edges())):
+            raise ParseError(f"'edge_colors' names no edge of the diagram: {unknown}")
+        d = d.with_colors({e: _qcolor(c) for e, c in colors.items()})
         if not d.is_closed():
             raise ParseError("slice diagrams must be closed")
         if not d.fully_colored():

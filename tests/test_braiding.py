@@ -29,6 +29,7 @@ from holoinv.errors import (
     Undefined,
     UnresolvableYB,
 )
+from holoinv.invariant import tilde_Fprime
 from holoinv.params import root_params
 from holoinv.quandle import z_candidates
 from holoinv.sl2factor import GStarElem, YColor, random_ycolor
@@ -38,6 +39,8 @@ from holoinv.uqsl2 import (
     coproduct_matrices,
     steinberg_char,
 )
+
+from conftest import commuting_link, riley_trefoil
 
 
 def _random_pairs(provider, n, seed):
@@ -473,9 +476,8 @@ def test_steinberg_solver_rejects_a_generic_pair(providers):
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_steinberg_solver_rejects_a_broken_coproduct(ell, monkeypatch):
-    # Delta_43(E) with one structural nonzero dropped: the diagonal solve
-    # alone may still be one-dimensional, so only the check that A_u
-    # vanishes wherever B_u does can reject it
+    # Delta_43(E) with one structural nonzero dropped: that equation on D
+    # is gone, so the check that A_u vanishes wherever B_u does rejects it
     provider = BraidingProvider(root_params(ell))
     st = provider.steinberg
     y = _steinberg_partners(provider, 1, seed=170 + ell)[0]
@@ -493,6 +495,34 @@ def test_steinberg_solver_rejects_a_broken_coproduct(ell, monkeypatch):
 
     monkeypatch.setattr(braiding, "coproduct_matrices", broken)
     with pytest.raises(UnresolvableYB):
+        braiding.steinberg_pair_braiding(y, st, provider)
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_steinberg_solver_checks_every_cartan_equation(ell, monkeypatch):
+    # Delta_43(E) with one structural nonzero scaled by 1.5 on a link that
+    # the recurrence does not walk: the coordinate a r + b of V4 (x) V3 is
+    # the grid point (b, a) after the flip, and an entry of 1 (x) E with
+    # a >= 1 links two rows of grid column a >= 1.  Only the residual of
+    # every equation, not the links alone, sees it.
+    provider = BraidingProvider(root_params(ell))
+    r, st = provider.p.r, provider.steinberg
+    y = _steinberg_partners(provider, 1, seed=175 + ell)[0]
+    hb = provider.braiding(y, st)
+    V4, V3 = hb.V4, hb.V3
+    real = braiding.coproduct_matrices
+
+    def skewed(V1, V2):
+        d = real(V1, V2)
+        if V1 is V4 and V2 is V3:
+            E = d["E"].copy()
+            x, z = next((x, z) for x, z in np.argwhere(E) if x // r == z // r >= 1)
+            E[x, z] *= 1.5
+            d = {**d, "E": E}
+        return d
+
+    monkeypatch.setattr(braiding, "coproduct_matrices", skewed)
+    with pytest.raises(UnresolvableYB, match="residual"):
         braiding.steinberg_pair_braiding(y, st, provider)
 
 
@@ -574,9 +604,33 @@ def test_recurrence_raises_when_its_coefficients_vanish(monkeypatch):
         b = real(V1, V2)
         return dataclasses.replace(b, e=0 * b.e, f=0 * b.f)
 
+    # the provider keeps each pair's blocks, so a fresh one reaches the patch
     monkeypatch.setattr(braiding, "casimir_block_structure", silent)
     with pytest.raises(BlockIntertwinerDim, match="vanish"):
-        braiding.block_braiding(y1, y2, provider)
+        braiding.block_braiding(y1, y2, BraidingProvider(root_params(3)))
+
+
+@pytest.mark.parametrize("link, n_pairs", [("hopf", 2), ("trefoil", 3)])
+def test_casimir_blocks_and_block_braidings_are_built_once(link, n_pairs,
+                                                           monkeypatch):
+    # a provider keeps each pair's Casimir blocks, and both sides of an
+    # anchored relation share their unknown pair, so one block braiding
+    # serves the whole triple
+    calls: dict = {}
+    for name in ("casimir_block_structure", "block_braiding",
+                 "_anchored_triple_solve"):
+        def counting(*args, _real=getattr(braiding, name),
+                     _seen=calls.setdefault(name, [])):
+            _seen.append(args[:2])
+            return _real(*args)
+
+        monkeypatch.setattr(braiding, name, counting)
+    d = commuting_link(5, [1, 1]) if link == "hopf" else riley_trefoil(5)
+    tilde_Fprime(d, BraidingProvider(root_params(5)))
+    modules = [(id(V1), id(V2)) for V1, V2 in calls["casimir_block_structure"]]
+    assert len(modules) == len(set(modules)) == n_pairs
+    assert len(calls["block_braiding"]) == n_pairs
+    assert len(calls["_anchored_triple_solve"]) == n_pairs
 
 
 def test_character_key_is_computed_once_per_color(monkeypatch):

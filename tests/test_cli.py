@@ -121,6 +121,29 @@ def test_malformed_braid_exits_parse_error(tmp_path, capsys, braid, colors,
     assert json.loads(out)["error"]["kind"] == "ParseError"
 
 
+@pytest.mark.parametrize("n_colors", [1, 3])
+def test_braid_color_count_must_match_strands(tmp_path, capsys, n_colors):
+    f = tmp_path / "hopf.json"
+    write_link_file(f, 3, [1, 1])
+    doc = json.loads(f.read_text())
+    doc["colors"] = (doc["colors"] * 2)[:n_colors]
+    f.write_text(json.dumps(doc))
+    code, out = _run(capsys, ["invariant", str(f)])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "ParseError"
+
+
+def test_unknown_edge_id_exits_parse_error(tmp_path, capsys):
+    f = tmp_path / "unknot.json"
+    _write_zero_corner_unknot(f)
+    doc = json.loads(f.read_text())
+    doc["edge_colors"]["7:0"] = doc["edge_colors"]["1:0"]
+    f.write_text(json.dumps(doc))
+    code, out = _run(capsys, ["invariant", str(f)])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "ParseError"
+
+
 def _write_zero_corner_unknot(path) -> None:
     # slice-form unknot at ell 3 whose holonomy [[0, 1], [-1, t]] has a zero
     # upper-left entry, so the lift in the identity gauge fails
