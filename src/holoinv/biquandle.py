@@ -1,6 +1,6 @@
 """Biquandles: partial crossing calculus on an abstract color set.
 
-A biquandle oracle exposes five partial maps on a color set X:
+A biquandle oracle is any object with these partial maps on a color set X:
 
     B      : X x X -> X x X   positive crossing, bottom to top
     B_inv  : inverse of B
@@ -10,53 +10,19 @@ A biquandle oracle exposes five partial maps on a color set X:
 
 A map raises `errors.Undefined` (or a subclass) where it has no value and
 never returns None; callers treat that as a normal outcome and may retry
-after a gauge move.  The module provides the derived
-structures: the associated quandle, harpoon (slide) actions of words on
-colors, the probe ("guitar") recoloring of a diagram by associated-quandle
-colors, fibered products, and a semi-cyclic example which is total (defined
-everywhere).  The SL(2, C) factorization biquandle that the pipeline colors
-with is `sl2factor.FactorizationOracle`.
+after a gauge move.  The module provides the associated quandle, a
+semi-cyclic example which is total (defined everywhere), and sampled axiom
+checks.  The SL(2, C) factorization biquandle that the pipeline colors with
+is `sl2factor.FactorizationOracle`; its z-fibre swap is built into
+`sl2factor.sl2_B`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
-from .errors import (
-    InconsistentColoring,
-    InternalInconsistency,
-    InvariantViolation,
-    Undefined,
-)
-
-
-class BiquandleOracle:
-    """Base class: partial maps raising Undefined where they have no value."""
-
-    def B(self, x, y):
-        raise NotImplementedError
-
-    def B_inv(self, x, y):
-        raise NotImplementedError
-
-    def S(self, x, y):
-        raise NotImplementedError
-
-    def S_inv(self, x, y):
-        raise NotImplementedError
-
-    def alpha(self, x):
-        raise NotImplementedError
-
-    def alpha_inv(self, x):
-        raise NotImplementedError
-
-
-def _eq(a, b, tol=1e-9):
-    if hasattr(a, "approx_eq"):
-        return a.approx_eq(b, tol)
-    return a == b
+from .errors import Undefined
 
 
 # --- derived quandle --------------------------------------------------------
@@ -67,7 +33,7 @@ class QuandleOracle:
     inv_op: Callable[[Any, Any], Any]
 
 
-def associated_quandle(bq: BiquandleOracle) -> QuandleOracle:
+def associated_quandle(bq) -> QuandleOracle:
     """The quandle x |> y = B1(x, S1(x, y)) derived from a biquandle.
 
     Division: the unique c with a = b |> c is B_inv(b, S(a, b)[1])[0].
@@ -81,130 +47,6 @@ def associated_quandle(bq: BiquandleOracle) -> QuandleOracle:
         return bq.B_inv(b, bq.S(a, b)[1])[0]
 
     return QuandleOracle(op=op, inv_op=inv_op)
-
-
-# --- fibered products --------------------------------------------------------
-
-@dataclass(frozen=True)
-class FiberedColor:
-    x: Any
-    z: Any
-
-    def approx_eq(self, other: "FiberedColor", tol: float = 1e-9) -> bool:
-        za = abs(self.z - other.z) <= tol if isinstance(self.z, (int, float, complex)) else _eq(self.z, other.z, tol)
-        return _eq(self.x, other.x, tol) and za
-
-
-class FiberedBiquandle(BiquandleOracle):
-    """Pairs (x, z) with fibers swapping at crossings: the z's just trade places."""
-
-    def __init__(self, bq: BiquandleOracle):
-        self.bq = bq
-
-    def _pair(self, v, za, zb):
-        return (FiberedColor(v[0], zb), FiberedColor(v[1], za))
-
-    def B(self, a, b):
-        return self._pair(self.bq.B(a.x, b.x), a.z, b.z)
-
-    def B_inv(self, a, b):
-        return self._pair(self.bq.B_inv(a.x, b.x), a.z, b.z)
-
-    def S(self, a, b):
-        return self._pair(self.bq.S(a.x, b.x), a.z, b.z)
-
-    def S_inv(self, a, b):
-        return self._pair(self.bq.S_inv(a.x, b.x), a.z, b.z)
-
-    def alpha(self, a):
-        return FiberedColor(self.bq.alpha(a.x), a.z)
-
-    def alpha_inv(self, a):
-        return FiberedColor(self.bq.alpha_inv(a.x), a.z)
-
-
-def fibered_product(
-    bq: BiquandleOracle,
-    f: Callable[[Any], Any],
-    g: Callable[[Any], Any],
-    sampler: Optional[Callable[[], tuple[Any, Any]]] = None,
-    samples: int = 64,
-    tol: float = 1e-9,
-) -> FiberedBiquandle:
-    """Biquandle on {(x, z) : f(x) = g(z)} with crossing-swapped z components.
-
-    When a sampler of color pairs is supplied, the invariance precondition
-    f(x4) = f(x2), f(x3) = f(x1) for (x4, x3) = B(x1, x2) is spot-checked and
-    InvariantViolation raised on failure.
-    """
-    if sampler is not None:
-        for _ in range(samples):
-            x1, x2 = sampler()
-            try:
-                x4, x3 = bq.B(x1, x2)
-            except Undefined:
-                continue
-            if abs(f(x4) - f(x2)) > tol or abs(f(x3) - f(x1)) > tol:
-                raise InvariantViolation("f is not a crossing invariant")
-    return FiberedBiquandle(bq)
-
-
-# --- harpoon actions ---------------------------------------------------------
-
-def harpoon_letter(bq: BiquandleOracle, x, sign: str, b, direction: str):
-    """Slide the probe color b past one signed strand colored x."""
-    if direction == "up":
-        return bq.B(x, b)[0] if sign == "+" else bq.S(b, x)[1]
-    if direction == "down":
-        return bq.B_inv(x, b)[0] if sign == "+" else bq.S(x, b)[0]
-    raise ValueError("direction must be 'up' or 'down'")
-
-
-def harpoon_word(
-    w: Sequence[tuple[Any, str]], b, direction: str, bq: BiquandleOracle
-):
-    """Left fold of the harpoon action of a signed word over the probe b."""
-    cur = b
-    for x, sign in w:
-        cur = harpoon_letter(bq, x, sign, cur, direction)
-    return cur
-
-
-def reverse_word(w: Sequence[tuple[Any, str]]):
-    return [(x, "-" if s == "+" else "+") for x, s in reversed(list(w))]
-
-
-# --- the probe recoloring ----------------------------------------------------
-
-def guitar_map(d, bq: BiquandleOracle, tol: float = 1e-9):
-    """Recolor an X-colored diagram by associated-quandle colors.
-
-    For each edge, a probe is pulled westward to the boundary: starting from
-    the edge's own color (twisted by alpha if the edge points down), every
-    strand passed multiplies by a down-harpoon step (its inverse for downward
-    strands).  Values from different levels of the same edge must agree.
-    Intended for total biquandles; the generic matrix case has its own region
-    implementation.
-    """
-    out: dict[str, Any] = {}
-    for t in range(d.n_slices + 1):
-        signs = d.level_signs(t)
-        for i in range(len(signs)):
-            e = d.edge_at(t, i)
-            x = d.edge_colors.get(e)
-            if x is None:
-                raise InconsistentColoring(f"edge {e} is uncolored")
-            cur = x if signs[i] == "+" else bq.alpha(x)
-            for j in range(i - 1, -1, -1):
-                xj = d.edge_colors[d.edge_at(t, j)]
-                step = bq.B_inv if signs[j] == "+" else bq.S
-                cur = step(xj, cur)[0]
-            if e in out:
-                if not _eq(out[e], cur, tol * 1e3):
-                    raise InternalInconsistency(f"edge {e} probe values disagree")
-            else:
-                out[e] = cur
-    return d.map_colors(lambda c: None).with_colors(out)
 
 
 # --- semi-cyclic example ------------------------------------------------------
@@ -229,7 +71,7 @@ class SemiCyclicColor:
         return self.a is None or abs(self.a - other.a) <= tol
 
 
-class SemiCyclicBiquandle(BiquandleOracle):
+class SemiCyclicBiquandle:
     """A total biquandle on pairs (kappa, eps) with kappa invertible."""
 
     def B(self, p: SemiCyclicColor, q: SemiCyclicColor):
@@ -266,7 +108,7 @@ class SemiCyclicBiquandle(BiquandleOracle):
 # --- sampled axiom checks ------------------------------------------------------
 
 def check_biquandle_axioms(
-    bq: BiquandleOracle,
+    bq,
     sampler: Callable[[], Any],
     samples: int = 200,
     tol: float = 1e-9,
@@ -338,7 +180,7 @@ def check_biquandle_axioms(
     return report
 
 
-def _yb_side(bq: BiquandleOracle, x, y, z, left_first: bool):
+def _yb_side(bq, x, y, z, left_first: bool):
     a, b, c = x, y, z
     if left_first:
         a, b = bq.B(a, b)

@@ -4,7 +4,8 @@ A braiding here is an isomorphism c : V1 (x) V2 -> V4 (x) V3 whose target
 colors are the biquandle images (chi4, chi3) = B(chi1, chi2), intertwining
 the coproduct action: c rho12(Delta u) = rho43(Delta u) c for u in {E, F, K}.
 
-The construction is self-contained and anchored at the Steinberg color.
+The construction is self-contained and anchored at the Steinberg color;
+every braiding comes from `steinberg_pair_braiding` or `block_braiding`.
 When one factor of a pair is Steinberg (the self pair included), E or F
 acts nilpotently and the quantum exponential series S = Sum a_n E^n (x) F^n
 truncates exactly, so the braiding has the R-matrix form c = tau D S with
@@ -26,8 +27,6 @@ verified afterwards.  The overall scale of each braiding is then fixed by
 det(c) = 1 via the principal root, which leaves exactly the r^2-th
 root-of-unity ambiguity the theory predicts; all scalar-level statements
 are therefore made modulo that group, through ModScalar.
-`skolem_noether_solve` recovers the matrix conjugating V1 (x) V2 from the
-images of its six generator slots.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .errors import (
     BlockIntertwinerDim,
     DegenerateSpectrum,
     NonScalarResult,
-    NullspaceDimension,
     SingularSolution,
     Undefined,
     UnresolvableYB,
@@ -153,48 +151,6 @@ class HolonomyBraiding(_Colored):
         if self._c_inv is None:
             self._c_inv = np.linalg.inv(self.c)
         return self._c_inv
-
-
-def _sylvester_system(pairs) -> np.ndarray:
-    """Stacked matrices of X -> X A - B X on column-major vec X, one per (A, B).
-
-    Each is kron(A^T, I) - kron(I, B), written entry by entry without the
-    kron products; the entries are bitwise those of the kron form.
-    """
-    n = len(pairs[0][0])
-    idx = np.arange(n)
-    out = np.zeros((len(pairs), n, n, n, n), dtype=complex)
-    for g, (a, b) in enumerate(pairs):
-        out[g][:, idx, :, idx] = a.T
-        out[g][idx, :, idx, :] -= b
-    return out.reshape(len(pairs) * n * n, n * n)
-
-
-# --- Skolem-Noether solve ------------------------------------------------------
-
-def generator_slots(V1: CyclicModule, V2: CyclicModule) -> dict[str, np.ndarray]:
-    """The six generator images E (x) 1, ..., 1 (x) K on V1 (x) V2."""
-    I1, I2 = np.eye(V1.r, dtype=complex), np.eye(V2.r, dtype=complex)
-    return {**{g + "1": kron(getattr(V1, g), I2) for g in "EFK"},
-            **{g + "2": kron(I1, getattr(V2, g)) for g in "EFK"}}
-
-
-def skolem_noether_solve(auto: dict[str, np.ndarray], V1: CyclicModule,
-                         V2: CyclicModule, tol: float = 1e-9) -> np.ndarray:
-    """Solve R rho12(g) = auto[g] R for the six generator slots g.
-
-    The solution space must be one-dimensional; the representative is scaled
-    to det(R) = 1 with the principal root, and returned *without* the flip
-    (callers compose with the swap to produce a braiding).
-    """
-    slots = generator_slots(V1, V2)
-    n = V1.r * V2.r
-    ns = _nullspace(_sylvester_system(
-        [(a, np.asarray(auto[g], dtype=complex)) for g, a in slots.items()]))
-    if ns.shape[1] != 1:
-        raise NullspaceDimension(ns.shape[1])
-    R = ns[:, 0].reshape((n, n), order="F")
-    return _unit_det(R, tol)
 
 
 # --- Casimir blocks ------------------------------------------------------------
@@ -403,7 +359,7 @@ def steinberg_pair_braiding(
         raise Undefined("pair obstruction vanishes")
     y4, y3 = sl2_B(y1, y2, tol)
     V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
-    r, gate = p.r, max(1e3 * tol, 1e-8)
+    r, gate = p.r, provider.gate
     S = unipotent_series(V1, V2, p)
     S_inv = np.linalg.inv(S)
     tau = flip_matrix(r, r)
@@ -445,7 +401,7 @@ def _probes(r: int) -> np.ndarray:
 
 
 def _anchored_triple_solve(trip: tuple[YColor, YColor, YColor],
-                           provider: "BraidingProvider", tol: float) -> dict:
+                           provider: "BraidingProvider") -> dict:
     """Resolve the two generic braidings of one braid-relation triple.
 
     Every member pair that involves the Steinberg color enters with its
@@ -460,7 +416,7 @@ def _anchored_triple_solve(trip: tuple[YColor, YColor, YColor],
     braidings cached here are dropped again.
     """
     r = provider.p.r
-    pairs_l, pairs_r, out = _yb_pairs(*trip, tol)
+    pairs_l, pairs_r, out = _yb_pairs(*trip, provider.tol)
     unks, cols = [], []
     for pairs, word in ((pairs_l, _WORD_L), (pairs_r, _WORD_R)):
         generic = [i for i, (a, b) in enumerate(pairs)
@@ -490,10 +446,10 @@ def _anchored_triple_solve(trip: tuple[YColor, YColor, YColor],
     added: list = []
     try:
         for (key, bb), lam in zip(unks, (ns[:nl, 0], ns[nl:, 0])):
-            c = _unit_det(bb.assemble(lam), tol)
+            c = _unit_det(bb.assemble(lam), provider.tol)
             if key in provider._braidings:
                 ok, _, res = equal_mod_roots(provider._braidings[key].c, c,
-                                             r, max(1e3 * tol, 1e-8))
+                                             r, provider.gate)
                 if not ok:
                     raise UnresolvableYB("repeated-pair determinations "
                                          f"disagree, residual {res:.3e}")
@@ -503,7 +459,7 @@ def _anchored_triple_solve(trip: tuple[YColor, YColor, YColor],
             provider._check_sideways(hb)
             provider._braidings[key] = hb
             added.append(key)
-        report = _verified_relation(provider, pairs_l, pairs_r, tol)
+        report = _verified_relation(provider, pairs_l, pairs_r)
     except Exception:
         for key in added:
             provider._braidings.pop(key, None)
@@ -512,7 +468,7 @@ def _anchored_triple_solve(trip: tuple[YColor, YColor, YColor],
 
 
 def resolve_scalars_yb(y1: YColor, y2: YColor, y3: YColor,
-                       provider: "BraidingProvider", tol: float = 1e-9) -> dict:
+                       provider: "BraidingProvider") -> dict:
     """Resolve and verify the six braidings of a braid-relation triple.
 
     Each of the six pairs appearing in the two sides of the colored braid
@@ -520,23 +476,22 @@ def resolve_scalars_yb(y1: YColor, y2: YColor, y3: YColor,
     for Steinberg-anchored pairs, linear Yang-Baxter solve for generic
     pairs, cached braidings reused as-is), and the assembled relation is
     verified to hold up to a single r^2-th root of unity with residual
-    <= 1e3 tol.  Returns the two composite matrices, the root factor, the
-    residual, and the output colors.
+    <= provider.gate.  Returns the two composite matrices, the root factor,
+    the residual, and the output colors.
     """
-    pairs_l, pairs_r, out = _yb_pairs(y1, y2, y3, tol)
+    pairs_l, pairs_r, out = _yb_pairs(y1, y2, y3, provider.tol)
     for a, b in pairs_l + pairs_r:
         provider.braiding(a, b)
-    return {**_verified_relation(provider, pairs_l, pairs_r, tol),
+    return {**_verified_relation(provider, pairs_l, pairs_r),
             "colors": out}
 
 
-def _verified_relation(provider, pairs_l, pairs_r, tol) -> dict:
+def _verified_relation(provider, pairs_l, pairs_r) -> dict:
     """Both sides of the braid relation from cached braidings, which must
     agree up to one r^2-th root of unity."""
     lhs = _total_from_cache(provider, pairs_l, _WORD_L)
     rhs = _total_from_cache(provider, pairs_r, _WORD_R)
-    ok, zeta, resid = equal_mod_roots(lhs, rhs, provider.p.r,
-                                      max(1e3 * tol, 1e-8))
+    ok, zeta, resid = equal_mod_roots(lhs, rhs, provider.p.r, provider.gate)
     if not ok:
         raise UnresolvableYB("braid relation fails up to roots of unity, "
                              f"residual {resid:.3e}")
@@ -567,6 +522,7 @@ class BraidingProvider:
     def __init__(self, p: RootParams, tol: float = 1e-9):
         self.p = p
         self.tol = tol
+        self.gate = max(1e3 * tol, 1e-8)  # bound of every residual check
         self.modules: dict = {}
         self._braidings: dict = {}
         self._duals: dict = {}
@@ -639,21 +595,17 @@ class BraidingProvider:
         In the triple (y1', st, y2) with B(y1', st) = (st, y1), the only
         members not involving the Steinberg color are (y1, y2) and one
         partner pair, each appearing once per side, so the relation is
-        linear in their block scalars.  The placement with the anchor on
-        the other strand serves as a fallback for degenerate spectra.
+        linear in their block scalars.  This one placement is the only one
+        tried; where it fails, the pair raises UnresolvableYB.
         """
-        st = self.steinberg
-        last: Exception | None = None
-        for trip in ((self._preflip(y1), st, y2),
-                     (y1, st, self._preflip(y2))):
-            try:
-                _anchored_triple_solve(trip, self, self.tol)
-            except Undefined as e:
-                last = e
-                continue
-            if key in self._braidings:
-                return self._braidings[key]
-        raise UnresolvableYB(f"could not resolve braiding scalars: {last}")
+        try:
+            _anchored_triple_solve((self._preflip(y1), self.steinberg, y2), self)
+        except Undefined as e:
+            raise UnresolvableYB(f"could not resolve braiding scalars: {e}") from e
+        if key not in self._braidings:
+            raise UnresolvableYB("could not resolve braiding scalars: "
+                                 "the anchored relation misses the pair")
+        return self._braidings[key]
 
     def _check_sideways(self, hb: HolonomyBraiding) -> None:
         """Reject any braiding whose sideways morphisms fail to invert.
@@ -668,8 +620,7 @@ class BraidingProvider:
         d2 = self.duality(hb.y2)
         s_plus, s_minus = sideways_matrices(hb.c, hb.c_inv(), d4, d2, r)
         eye = np.eye(r * r, dtype=complex)
-        ok, _, res = equal_mod_roots(s_minus @ s_plus, eye, r,
-                                     max(1e3 * self.tol, 1e-8))
+        ok, _, res = equal_mod_roots(s_minus @ s_plus, eye, r, self.gate)
         if not ok:
             raise UnresolvableYB("sideways morphisms do not invert, "
                                  f"residual {res:.3e}")
@@ -685,7 +636,7 @@ class BraidingProvider:
 
 # --- twist --------------------------------------------------------------------
 
-def twist(y: YColor, provider: BraidingProvider, tol: float = 1e-9) -> ModScalar:
+def twist(y: YColor, provider: BraidingProvider) -> ModScalar:
     """The twist scalar of a color, from braiding with its diagonal partner.
 
     Computed by closing the braiding c_{x, alpha(x)} to the right; the left
@@ -693,7 +644,7 @@ def twist(y: YColor, provider: BraidingProvider, tol: float = 1e-9) -> ModScalar
     root of unity.  Where alpha or its inverse has no value, their
     OutsideGPrime (an Undefined) propagates.
     """
-    r = provider.p.r
+    r, tol, gate = provider.p.r, provider.tol, provider.gate
     I = np.eye(r, dtype=complex)
     ax, az = y_alpha(y, tol), y_alpha_inv(y, tol)
     hb = provider.braiding(y, ax)
@@ -702,7 +653,7 @@ def twist(y: YColor, provider: BraidingProvider, tol: float = 1e-9) -> ModScalar
     dax = provider.duality(ax)
     right = np.kron(I, dax.ev_R) @ np.kron(hb.c, I) @ np.kron(I, dax.coev_L)
     s, res = proportionality(right, I)
-    if res > max(tol * 1e3, 1e-8):
+    if res > gate:
         raise NonScalarResult(f"twist endomorphism residual {res:.3e}")
     if abs(s) <= 1e-6:
         raise NonScalarResult("twist scalar vanishes")
@@ -711,15 +662,14 @@ def twist(y: YColor, provider: BraidingProvider, tol: float = 1e-9) -> ModScalar
     daz = provider.duality(az)
     left = np.kron(daz.ev_L, I) @ np.kron(I, hb2.c) @ np.kron(daz.coev_R, I)
     s2, res2 = proportionality(left, I)
-    if res2 > max(tol * 1e3, 1e-8):
+    if res2 > gate:
         raise NonScalarResult(f"left twist endomorphism residual {res2:.3e}")
-    if not ModScalar(s, r).approx_eq(ModScalar(s2, r), max(tol * 1e3, 1e-8)):
+    if not ModScalar(s, r).approx_eq(ModScalar(s2, r), gate):
         raise NonScalarResult("left and right twists disagree beyond roots")
     return ModScalar(complex(s), r)
 
 
-def steinberg_encirclement(y: YColor, provider: BraidingProvider,
-                           tol: float = 1e-9) -> ModScalar:
+def steinberg_encirclement(y: YColor, provider: BraidingProvider) -> ModScalar:
     """Close a generic strand around its double braiding with Steinberg.
 
     The composite c_{st, y^-} . c_{y, st} is an endomorphism of
@@ -735,6 +685,6 @@ def steinberg_encirclement(y: YColor, provider: BraidingProvider,
     I = np.eye(r, dtype=complex)
     closed = np.kron(d.ev_L, I) @ np.kron(I, double) @ np.kron(d.coev_R, I)
     s, res = proportionality(closed, I)
-    if res > max(tol * 1e3, 1e-8):
+    if res > provider.gate:
         raise NonScalarResult(f"encirclement residual {res:.3e}")
     return ModScalar(complex(s), r)

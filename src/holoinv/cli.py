@@ -111,9 +111,10 @@ def _cpair(z: complex) -> list:
 
 
 def _matrix(v: Any) -> np.ndarray:
-    m = np.array([[_cplx(e) for e in row] for row in v], dtype=complex)
-    if m.shape != (2, 2):
+    if not (isinstance(v, list) and len(v) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in v)):
         raise ParseError("holonomy matrices must be 2x2")
+    m = np.array([[_cplx(e) for e in row] for row in v], dtype=complex)
     if abs(np.linalg.det(m) - 1.0) > 1e-6:
         raise ParseError("holonomy matrix is not in SL2")
     return m
@@ -123,6 +124,15 @@ def _qcolor(v: Any) -> QColor:
     if not isinstance(v, dict) or "g" not in v or "z" not in v:
         raise ParseError("a color needs fields 'g' and 'z'")
     return QColor(_matrix(v["g"]), _cplx(v["z"]))
+
+
+def _slice(s: Any) -> tuple[int, str]:
+    """A slice of a link file: [offset, piece] or {"offset": .., "piece": ..}."""
+    if isinstance(s, dict) and "offset" in s and "piece" in s:
+        s = [s["offset"], s["piece"]]
+    if not (isinstance(s, list) and len(s) == 2 and isinstance(s[1], str)):
+        raise ParseError(f"a slice is [offset, piece], got {s!r}")
+    return _int(s[0], "a slice offset"), s[1]
 
 
 def load_link(path: str, tol: float = 1e-9) -> tuple[int, Diagram]:
@@ -152,8 +162,13 @@ def load_link(path: str, tol: float = 1e-9) -> tuple[int, Diagram]:
         colored = propagate_qcolors(d, [_qcolor(c) for c in colors], tol)
         return ell, closure(colored, tol)
     if "slices" in data:
-        d = Diagram(data.get("bottom_signs", ""), data["slices"])
+        signs, slices = data.get("bottom_signs", ""), data["slices"]
         colors = data.get("edge_colors", {})
+        if not (isinstance(signs, (str, list)) and isinstance(slices, list)
+                and isinstance(colors, dict)):
+            raise ParseError("'bottom_signs', 'slices' and 'edge_colors' must be "
+                             "a string or list, a list and an object")
+        d = Diagram(signs, [_slice(s) for s in slices])
         if unknown := sorted(set(colors) - set(d.edges())):
             raise ParseError(f"'edge_colors' names no edge of the diagram: {unknown}")
         d = d.with_colors({e: _qcolor(c) for e, c in colors.items()})
@@ -323,10 +338,10 @@ def _suite_braiding(p: RootParams, n: int, seed: int, tol: float) -> dict:
         tries += 1
         y1, y2, y3 = (random_ycolor(rng, p) for _ in range(3))
         try:
-            rep = resolve_scalars_yb(y1, y2, y3, provider, tol)
+            rep = resolve_scalars_yb(y1, y2, y3, provider)
             worst = max(worst, rep["residual"])
-            t = twist(y1, provider, tol)
-            enc = steinberg_encirclement(y1, provider, tol)
+            t = twist(y1, provider)
+            enc = steinberg_encirclement(y1, provider)
         except HoloinvError:
             continue
         used += 1
@@ -392,7 +407,7 @@ def _add_common(sp: argparse.ArgumentParser, need_ell: bool) -> None:
 
 def _config(args: argparse.Namespace, ell: int) -> RunConfig:
     return RunConfig(
-        ell=args.ell if getattr(args, "ell", None) else ell,
+        ell=ell if getattr(args, "ell", None) is None else args.ell,
         tol=args.tol,
         seed=args.seed,
         max_gauge_attempts=args.max_gauge,

@@ -109,19 +109,13 @@ class Diagram:
     def __init__(
         self,
         bottom_signs: Sequence[str],
-        slices: Sequence[Slice | tuple | dict],
+        slices: Sequence[Slice | tuple],
         edge_colors: Optional[dict[str, Any]] = None,
     ):
-        norm = []
-        for s in slices:
-            if isinstance(s, Slice):
-                norm.append(s)
-            elif isinstance(s, dict):
-                norm.append(Slice(int(s["offset"]), str(s["piece"])))
-            else:
-                norm.append(Slice(int(s[0]), str(s[1])))
+        norm = [s if isinstance(s, Slice) else Slice(int(s[0]), str(s[1]))
+                for s in slices]
         self.bottom_signs = tuple(bottom_signs)
-        if any(s not in "+-" for s in self.bottom_signs):
+        if any(s not in ("+", "-") for s in self.bottom_signs):
             raise ParseError("signs must be '+' or '-'")
         self.slices = tuple(norm)
         self._build()
@@ -588,11 +582,12 @@ def propagate_colors(
 ) -> Diagram:
     """Color all edges from the bottom word using a biquandle-style oracle.
 
-    Crossings fire forward (B/B_inv) or backward once the opposite side is
-    known; cups/caps need no rule since their legs are one edge.  The
-    oracle's Undefined propagates where a needed partial value is missing;
-    InconsistentColoring is raised if constraints clash or edges stay
-    uncolored.
+    One forward sweep: crossings fire in slice order (B for X+, B_inv for
+    X-), and each output must agree with any color its edge already has,
+    which checks the seams of a closed diagram.  Cups and caps need no rule
+    since their legs are one edge.  The oracle's Undefined propagates where
+    a needed partial value is missing; InconsistentColoring is raised if a
+    crossing has an uncolored input, colors clash, or edges stay uncolored.
     """
     if len(bottom) != len(d.bottom_signs):
         raise InconsistentColoring("bottom color count mismatch")
@@ -607,44 +602,19 @@ def propagate_colors(
 
     for i, c in enumerate(bottom):
         put(d.edge_at(0, i), c)
-    progress = True
-    while progress:
-        progress = False
-        for t, sl in enumerate(d.slices):
-            if sl.piece not in ("X+", "X-"):
-                continue
-            o = sl.offset
-            e_in = (d.edge_at(t, o), d.edge_at(t, o + 1))
-            e_out = (d.edge_at(t + 1, o), d.edge_at(t + 1, o + 1))
-            ins = [colors.get(e) for e in e_in]
-            outs = [colors.get(e) for e in e_out]
-            if all(x is not None for x in ins) and any(x is None for x in outs):
-                f = oracle.B if sl.piece == "X+" else oracle.B_inv
-                v = f(ins[0], ins[1])
-                put(e_out[0], v[0])
-                put(e_out[1], v[1])
-                progress = True
-            elif all(x is not None for x in outs) and any(x is None for x in ins):
-                f = oracle.B_inv if sl.piece == "X+" else oracle.B
-                v = f(outs[0], outs[1])
-                put(e_in[0], v[0])
-                put(e_in[1], v[1])
-                progress = True
-    out = d.with_colors(colors)
-    if not out.fully_colored():
-        raise InconsistentColoring("coloring did not reach every edge")
-    # validate every crossing (catches inconsistent seams on closed diagrams)
     for t, sl in enumerate(d.slices):
         if sl.piece not in ("X+", "X-"):
             continue
         o = sl.offset
-        f = oracle.B if sl.piece == "X+" else oracle.B_inv
-        v = f(colors[d.edge_at(t, o)], colors[d.edge_at(t, o + 1)])
-        if not (
-            colors_equal(v[0], colors[d.edge_at(t + 1, o)], tol)
-            and colors_equal(v[1], colors[d.edge_at(t + 1, o + 1)], tol)
-        ):
-            raise InconsistentColoring(f"crossing at slice {t} inconsistent")
+        ins = [colors.get(d.edge_at(t, i)) for i in (o, o + 1)]
+        if any(x is None for x in ins):
+            raise InconsistentColoring(f"crossing at slice {t} has an uncolored input")
+        v = (oracle.B if sl.piece == "X+" else oracle.B_inv)(*ins)
+        put(d.edge_at(t + 1, o), v[0])
+        put(d.edge_at(t + 1, o + 1), v[1])
+    out = d.with_colors(colors)
+    if not out.fully_colored():
+        raise InconsistentColoring("coloring did not reach every edge")
     return out
 
 

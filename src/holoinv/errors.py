@@ -47,10 +47,6 @@ class Undefined(HoloinvError):
     """A generically-defined map was evaluated outside its domain."""
 
 
-class InvariantViolation(HoloinvError):
-    pass
-
-
 class OutsideGPrime(Undefined):
     """Matrix not in the domain of the factorization chart (m11 = 0)."""
 
@@ -82,12 +78,6 @@ class DegenerateSpectrum(Undefined):
 
 
 # --- braiding ---
-
-class NullspaceDimension(HoloinvError):
-    def __init__(self, dim: int, message: str = ""):
-        self.dim = dim
-        super().__init__(message or f"nullspace dimension {dim}, expected 1")
-
 
 class SingularSolution(Undefined):
     pass

@@ -172,7 +172,7 @@ def evaluate_Fprime(d: Diagram, provider: BraidingProvider,
         raise InconsistentColoring("cut edge has no color")
     m = evaluate_F(tangle, provider)
     s, res = proportionality(m, np.eye(provider.p.r, dtype=complex))
-    if res > max(1e3 * tol, 1e-8):
+    if res > provider.gate:
         raise NonScalarResult(
             f"1-1 tangle is not scalar on the cut color, residual {res:.3e}"
         )
@@ -247,5 +247,5 @@ def gauge_orbit_compare(d: Diagram, generators: Sequence[Any],
         "base": base,
         "generators": len(generators),
         "max_deviation": worst,
-        "pass": worst <= max(1e3 * provider.tol, 1e-8) * 1e2,
+        "pass": worst <= provider.gate * 1e2,
     }

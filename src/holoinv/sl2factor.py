@@ -165,9 +165,9 @@ def alpha_inv(y: YColor, tol: float = 1e-9) -> YColor:
 class FactorizationOracle:
     """The SL(2, C) factorization biquandle on X-colors.
 
-    Its maps are the ones above, so the z fibres swap at crossings as in
-    `biquandle.FiberedBiquandle`, and a map raises OutsideGPrime (an
-    Undefined) where a solve leaves G'.
+    Its maps are the ones above, so the z fibres swap at crossings (each
+    output keeps the z of the opposite input, as `sl2_B` builds it), and a
+    map raises OutsideGPrime (an Undefined) where a solve leaves G'.
     """
 
     def __init__(self, tol: float = 1e-9):

@@ -3,9 +3,8 @@
 Each test exercises one headline guarantee of the package at full sample
 scale: biquandle axioms, the associated-quandle law, the coloring
 translation functor, cyclic module invariants, Casimir block structure,
-the inner-automorphism solver, braiding coherence, Steinberg encirclement,
-the modified dimension, the renormalized invariant pipeline, and CLI
-determinism.
+braiding coherence, Steinberg encirclement, the modified dimension, the
+renormalized invariant pipeline, and CLI determinism.
 """
 
 from __future__ import annotations
@@ -24,11 +23,8 @@ from holoinv.biquandle import (
 from holoinv.braiding import (
     ModScalar,
     equal_mod_roots,
-    generator_slots,
-    pair_defined,
     resolve_scalars_yb,
     sideways_matrices,
-    skolem_noether_solve,
     steinberg_encirclement,
     twist,
 )
@@ -254,36 +250,7 @@ def test_casimir_spectrum_blocks(ell):
         assert np.abs(w1 - w2).max() <= 1e-6 * scale
 
 
-# --- 6. inner-automorphism solver ----------------------------------------------
-
-def test_skolem_noether_at_scale(providers):
-    provider = providers[4]
-    p = provider.p
-    rng = np.random.default_rng(112)
-    n = p.r * p.r
-    found = 0
-    while found < 100:
-        y1, y2 = random_ycolor(rng, p), random_ycolor(rng, p)
-        try:
-            chi1, chi2 = provider.char(y1), provider.char(y2)
-            if not pair_defined(chi1, chi2, p):
-                continue
-            V1 = provider.module(y1)
-            V2 = provider.module(y2)
-        except HoloinvError:
-            continue
-        R0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        R0 = R0 / np.linalg.det(R0) ** (1.0 / n)
-        slots = generator_slots(V1, V2)
-        auto = {g: R0 @ m @ np.linalg.inv(R0) for g, m in slots.items()}
-        R = skolem_noether_solve(auto, V1, V2)
-        ok, zeta, res = equal_mod_roots(R, R0, p.r, 1e-7)
-        assert ok and res < 1e-7
-        assert abs(zeta ** (p.r ** 2) - 1.0) < 1e-7
-        found += 1
-
-
-# --- 7. braiding coherence -------------------------------------------------------
+# --- 6. braiding coherence -------------------------------------------------------
 
 @pytest.mark.parametrize("ell", [3, 4])
 def test_braiding_coherence_at_scale(providers, ell):
@@ -324,7 +291,7 @@ def test_braiding_coherence_at_scale(providers, ell):
                 pass
 
 
-# --- 8. Steinberg encirclement ----------------------------------------------------
+# --- 7. Steinberg encirclement ----------------------------------------------------
 
 @pytest.mark.parametrize("ell", [3, 4])
 def test_steinberg_encirclement_at_scale(providers, ell):
@@ -343,7 +310,7 @@ def test_steinberg_encirclement_at_scale(providers, ell):
         assert s.approx_eq(want, 1e-6)
 
 
-# --- 9. modified dimension ----------------------------------------------------------
+# --- 8. modified dimension ----------------------------------------------------------
 
 def test_modified_dimension_at_scale():
     for ell in (3, 4, 5, 6):
@@ -376,7 +343,7 @@ def test_modified_dimension_gauge_invariant_along_orbits():
         assert rep["pass"] and rep["max_deviation"] <= 1e-9, (ell, rep)
 
 
-# --- 10. invariant pipeline -----------------------------------------------------------
+# --- 9. invariant pipeline ------------------------------------------------------------
 
 def test_pipeline_unknot_is_modified_dimension(providers):
     for ell in (3, 4):
@@ -422,7 +389,7 @@ def test_pipeline_reidemeister_independence(providers):
         assert va.approx_eq(vb, 1e-6)
 
 
-# --- 11. determinism --------------------------------------------------------------------
+# --- 10. determinism --------------------------------------------------------------------
 
 def test_cli_invariant_deterministic(tmp_path, capsys):
     f = tmp_path / "link.json"

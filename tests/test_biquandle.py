@@ -1,4 +1,4 @@
-"""Biquandle axioms, the associated quandle law, and harpoon/guitar moves."""
+"""Biquandle axioms and the associated quandle law."""
 
 from __future__ import annotations
 
@@ -9,10 +9,6 @@ from holoinv.biquandle import (
     SemiCyclicColor,
     associated_quandle,
     check_biquandle_axioms,
-    fibered_product,
-    guitar_map,
-    harpoon_word,
-    reverse_word,
 )
 from holoinv.params import root_params
 from holoinv.quandle import inv2
@@ -67,57 +63,3 @@ def test_associated_quandle_is_matrix_conjugation():
         back = q.inv_op(a, c)
         worst = max(worst, float(np.abs(psi(back.g) - psi(b.g)).max()))
     assert worst <= 1e-8
-
-
-def test_fibered_product_keeps_fiber():
-    bq = FactorizationOracle()
-    rng = np.random.default_rng(3)
-    p = root_params(4)
-
-    def sampler():
-        return random_ycolor(rng, p), random_ycolor(rng, p)
-
-    # trace of psi is a crossing invariant, so the fibered product is legal
-    from holoinv.biquandle import FiberedColor
-
-    fp = fibered_product(bq, lambda x: np.trace(psi(x.g)),
-                         lambda z: z, sampler=sampler, samples=40)
-    x, y = sampler()
-    a = FiberedColor(x, np.trace(psi(x.g)))
-    b = FiberedColor(y, np.trace(psi(y.g)))
-    x4, x3 = fp.B(a, b)
-    # fibers trade places at the crossing and stay matched to the new colors
-    assert abs(x4.z - np.trace(psi(x4.x.g))) < 1e-7
-    assert abs(x3.z - np.trace(psi(x3.x.g))) < 1e-7
-
-
-def test_harpoon_word_inverts_on_reversal():
-    bq = FactorizationOracle()
-    rng = np.random.default_rng(4)
-    p = root_params(4)
-    for _ in range(20):
-        w = [(random_ycolor(rng, p), "+") for _ in range(3)]
-        b = random_ycolor(rng, p)
-        fwd = harpoon_word(w, b, "down", bq)
-        back = harpoon_word(reverse_word(w), fwd, "down", bq)
-        assert back.approx_eq(b, 1e-7)
-
-
-def test_guitar_map_on_semicyclic_braid():
-    # total biquandle: the probe recoloring is defined on any colored braid
-    from holoinv.diagram import braid_diagram, propagate_colors
-
-    rng = np.random.default_rng(5)
-    bq = SemiCyclicBiquandle()
-
-    def sample():
-        k = 0.0
-        while abs(k) < 0.2:
-            k = complex(rng.normal(), rng.normal())
-        return SemiCyclicColor(k, complex(rng.normal(), rng.normal()))
-
-    d = propagate_colors(braid_diagram(2, [1, 1]), [sample(), sample()], bq)
-    g = guitar_map(d, bq)
-    assert g.fully_colored()
-    # the leftmost bottom edge needs no probe steps: color unchanged
-    assert g.color_at(0, 0).approx_eq(d.color_at(0, 0), 1e-9)

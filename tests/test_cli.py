@@ -191,6 +191,52 @@ def test_bad_ell_exits_parse_error(capsys):
     assert code == 1
 
 
+def test_ell_zero_override_exits_parse_error(tmp_path, capsys):
+    # --ell 0 overrides the file's ell like any other value, and is rejected
+    f = tmp_path / "hopf.json"
+    write_link_file(f, 3, [1, 1])
+    code, out = _run(capsys, ["invariant", str(f), "--ell", "0"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize("path, value", [
+    (["slices"], 5),
+    (["slices"], [[0]]),
+    (["slices"], [5]),
+    (["bottom_signs"], 5),
+    (["bottom_signs"], [5]),
+    (["edge_colors"], []),
+    (["edge_colors", "1:0", "g"], 5),
+    (["edge_colors", "1:0", "g"], [1, 2]),
+], ids=["slices-number", "slice-short", "slice-number", "signs-number",
+        "sign-number", "colors-list", "g-number", "g-row"])
+def test_malformed_link_structure_exits_parse_error(tmp_path, capsys, path,
+                                                    value):
+    f = tmp_path / "unknot.json"
+    _write_zero_corner_unknot(f)
+    doc = json.loads(f.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    f.write_text(json.dumps(doc))
+    code, out = _run(capsys, ["invariant", str(f)])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "ParseError"
+
+
+def test_slices_may_be_objects(tmp_path, capsys):
+    f = tmp_path / "unknot.json"
+    _write_zero_corner_unknot(f)
+    code, want = _run(capsys, ["invariant", str(f)])
+    assert code == 0
+    doc = json.loads(f.read_text())
+    doc["slices"] = [{"offset": o, "piece": p} for o, p in doc["slices"]]
+    f.write_text(json.dumps(doc))
+    assert _run(capsys, ["invariant", str(f)]) == (0, want)
+
+
 def test_axioms_pass_and_fail(tmp_path, capsys):
     code, out = _run(capsys, ["axioms", "--ell", "4", "--samples", "50",
                               "--triples", "2", "--seed", "1"])

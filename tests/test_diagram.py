@@ -16,7 +16,13 @@ from holoinv.diagram import (
     propagate_colors,
     tensor,
 )
-from holoinv.errors import NotClosed, NoSuchEdge, ParseError, WordMismatch
+from holoinv.errors import (
+    InconsistentColoring,
+    NotClosed,
+    NoSuchEdge,
+    ParseError,
+    WordMismatch,
+)
 
 
 class _ToyOracle:
@@ -92,10 +98,23 @@ def test_cut_edge_keeps_colors():
     assert t.color_at(0, 0) == t.color_at(t.n_slices, 0)
 
 
-def test_propagate_colors_fires_both_ways():
+def test_propagate_colors_fires_positive_and_negative_crossings():
     d = braid_diagram(2, [1, -1])
     colored = propagate_colors(d, ["a", "b"], _ToyOracle())
     assert colored.top_word() == (("a", "+"), ("b", "+"))
+
+
+def test_propagate_colors_rejects_a_clashing_preset_color():
+    d = braid_diagram(2, [1])
+    d = d.with_colors({d.edge_at(1, 0): "c"})  # B(a, b) puts b there
+    with pytest.raises(InconsistentColoring, match="two colors"):
+        propagate_colors(d, ["a", "b"], _ToyOracle())
+
+
+def test_propagate_colors_rejects_an_unreachable_crossing_input():
+    # an uncolored closure: the crossing's inputs come from cups, not the bottom
+    with pytest.raises(InconsistentColoring, match="uncolored input"):
+        propagate_colors(closure(braid_diagram(2, [1])), [], _ToyOracle())
 
 
 def test_rmove_r2_insert_and_undo():
