@@ -3,7 +3,6 @@
 Subcommands:
 
     invariant   compute the renormalized invariant of a colored link file
-    axioms      run the sampled axiom suites and print a pass/fail table
     dim         evaluate the modified dimension at a Casimir value
     color       lift a holonomy coloring to factorization colors
     gauge-orbit recompute the invariant along a sampled gauge orbit
@@ -23,9 +22,10 @@ explicit closed slice diagram,
 Complex numbers are written as [re, im] (a bare number means a real value);
 the holonomy "g" is a 2x2 matrix of such entries with determinant 1.
 
-Exit codes: 0 success; 1 parse or validation failure; 2 a computation was
-undefined (gauge search exhausted, modified-dimension pole, non-generic
-input); 3 an axiom suite failed.  Output is deterministic JSON with
+Exit codes: 0 success; 1 parse or validation failure, of the command line
+included; 2 a computation was undefined (gauge search exhausted,
+modified-dimension pole, non-generic input).  Every run but `--help` prints
+one JSON object, an error included.  Output is deterministic JSON with
 full-precision floats: fixed (input, seed, flags) give byte-identical runs.
 """
 
@@ -39,34 +39,15 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .biquandle import SemiCyclicBiquandle, SemiCyclicColor, check_biquandle_axioms
-from .braiding import (
-    BraidingProvider,
-    resolve_scalars_yb,
-    steinberg_encirclement,
-    twist,
-)
+from .braiding import BraidingProvider
 from .diagram import Diagram, braid_diagram, closure
 from .errors import HoloinvError, ParseError, Singular
 from .invariant import gauge_fix, gauge_orbit_compare, tilde_Fprime
-from .modtrace import (
-    alpha_from_omega,
-    check_dim_gauge_invariance,
-    dual_casimir_scalar,
-    modified_dim,
-    modified_dim_product,
-)
-from .params import RootParams, root_params
-from .quandle import QColor, check_quandle_axioms, propagate_qcolors, random_qcolor
-from .sl2factor import FactorizationOracle, random_gstar, random_ycolor
-from .uqsl2 import (
-    ZChar,
-    build_cyclic_module,
-    char_from_ycolor,
-    duality_tensors,
-    is_admissible,
-    steinberg_char,
-)
+from .modtrace import alpha_from_omega, dual_casimir_scalar, modified_dim
+from .params import root_params
+from .quandle import QColor, propagate_qcolors, random_qcolor
+from .sl2factor import random_gstar
+from .uqsl2 import ZChar, build_cyclic_module, is_admissible, steinberg_char
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -80,8 +61,6 @@ class RunConfig:
     def __post_init__(self):
         if self.ell < 3:
             raise ParseError("ell must be >= 3")
-        if self.tol <= 0:
-            raise ParseError("tol must be positive")
 
 
 # --- JSON (de)serialization ---------------------------------------------------
@@ -90,7 +69,10 @@ def _cplx(v: Any) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, list) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        try:
+            return complex(float(v[0]), float(v[1]))
+        except (TypeError, ValueError):
+            pass
     raise ParseError(f"expected a number or [re, im] pair, got {v!r}")
 
 
@@ -185,7 +167,7 @@ def _emit(obj: dict) -> None:
 
 
 def _provider(cfg: RunConfig) -> BraidingProvider:
-    return BraidingProvider(root_params(cfg.ell, cfg.tol), cfg.tol)
+    return BraidingProvider(root_params(cfg.ell), cfg.tol)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -202,8 +184,8 @@ def cmd_invariant(args: argparse.Namespace) -> int:
 
 def cmd_dim(args: argparse.Namespace) -> int:
     cfg = _config(args, args.ell)
-    p = root_params(cfg.ell, cfg.tol)
-    omega = complex(args.omega)
+    p = root_params(cfg.ell)
+    omega = args.omega
     # a character with this Casimir value and no nilpotent part
     if abs(omega - steinberg_char(p).omega) <= cfg.tol:
         chi_full = steinberg_char(p)
@@ -266,133 +248,28 @@ def cmd_gauge_orbit(args: argparse.Namespace) -> int:
     return 0
 
 
-# --- axiom suites -----------------------------------------------------------------
-
-def _suite_quandle(p: RootParams, n: int, seed: int) -> dict:
-    rep = check_quandle_axioms(samples=n, seed=seed, p=p)
-    return {"max_residual": rep["max_violation"],
-            "pass": rep["max_violation"] <= 1e-8}
-
-
-def _suite_biquandle_sl2(p: RootParams, n: int, seed: int, tol: float) -> dict:
-    rng = np.random.default_rng(seed)
-    rep = check_biquandle_axioms(FactorizationOracle(tol),
-                                 lambda: random_ycolor(rng, p),
-                                 samples=n, tol=1e-8)
-    return {"max_residual": rep["max_violation"], "skipped": rep["skipped"],
-            "pass": rep["max_violation"] == 0.0}
-
-
-def _suite_biquandle_semicyclic(n: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-
-    def sample():
-        k = 0.0
-        while abs(k) < 0.2:
-            k = complex(rng.normal(), rng.normal())
-        return SemiCyclicColor(k, complex(rng.normal(), rng.normal()))
-
-    rep = check_biquandle_axioms(SemiCyclicBiquandle(), sample,
-                                 samples=n, tol=1e-8)
-    return {"max_residual": rep["max_violation"], "skipped": rep["skipped"],
-            "pass": rep["max_violation"] == 0.0}
-
-
-def _suite_modules(p: RootParams, n: int, seed: int, tol: float) -> dict:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    used = 0
-    xi = p.xi
-    for _ in range(n):
-        y = random_ycolor(rng, p)
-        try:
-            chi = char_from_ycolor(y, p, tol)
-            V = build_cyclic_module(chi, p, tol)
-        except HoloinvError:
-            continue
-        used += 1
-        E, F, K, Ki = V.E, V.F, V.K, V.K_inv()
-        rel1 = np.abs(K @ E @ Ki - xi ** 2 * E).max()
-        rel2 = np.abs(K @ F @ Ki - xi ** -2 * F).max()
-        rel3 = np.abs(E @ F - F @ E - (K - Ki) / p.qbracket(1)).max()
-        r = p.r
-        cen = max(
-            np.abs(np.linalg.matrix_power(E, r) - chi.e_r * np.eye(r)).max(),
-            np.abs(np.linalg.matrix_power(F, r) - chi.f_r * np.eye(r)).max(),
-            np.abs(np.linalg.matrix_power(K, r) - chi.kappa * np.eye(r)).max(),
-        )
-        cas = np.abs(V.omega_matrix() - chi.omega * np.eye(r)).max()
-        dd = duality_tensors(V)
-        qdim = abs((dd.ev_R @ dd.coev_L)[0, 0])
-        worst = max(worst, rel1, rel2, rel3, cen, cas, qdim)
-    return {"samples": used, "max_residual": worst, "pass": worst <= 1e-7}
-
-
-def _suite_braiding(p: RootParams, n: int, seed: int, tol: float) -> dict:
-    provider = BraidingProvider(p, tol)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    used = 0
-    tries = 0
-    while used < n and tries < 10 * n:
-        tries += 1
-        y1, y2, y3 = (random_ycolor(rng, p) for _ in range(3))
-        try:
-            rep = resolve_scalars_yb(y1, y2, y3, provider)
-            worst = max(worst, rep["residual"])
-            t = twist(y1, provider)
-            enc = steinberg_encirclement(y1, provider)
-        except HoloinvError:
-            continue
-        used += 1
-        worst = max(worst, abs(abs(t.value) - 1.0))
-        worst = max(worst, abs(enc.canonical / complex(p.r) ** (p.r ** 2) - 1.0))
-    return {"samples": used, "max_residual": worst,
-            "pass": used > 0 and worst <= 1e-6}
-
-
-def _suite_modified_dim(p: RootParams, n: int, seed: int, tol: float) -> dict:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    used = 0
-    for _ in range(n):
-        y = random_ycolor(rng, p)
-        try:
-            chi = char_from_ycolor(y, p, tol)
-            d0 = modified_dim(chi, p, tol)
-            a = alpha_from_omega(chi.omega, p)
-            d1 = modified_dim_product(a, p, tol)
-        except HoloinvError:
-            continue
-        used += 1
-        worst = max(worst, abs(d1 - d0))
-    gauge = check_dim_gauge_invariance(p, samples=min(n, 200), seed=seed,
-                                       tol=1e-9)
-    worst = max(worst, gauge["max_deviation"])
-    return {"samples": used, "max_residual": worst, "pass": worst <= 1e-8}
-
-
-def cmd_axioms(args: argparse.Namespace) -> int:
-    cfg = _config(args, args.ell)
-    p = root_params(cfg.ell, cfg.tol)
-    n = args.samples
-    suites = {
-        "quandle": _suite_quandle(p, n, cfg.seed),
-        "biquandle_sl2": _suite_biquandle_sl2(p, n, cfg.seed, cfg.tol),
-        "biquandle_semicyclic": _suite_biquandle_semicyclic(n, cfg.seed),
-        "modules": _suite_modules(p, max(n // 5, 20), cfg.seed, cfg.tol),
-        "braiding": _suite_braiding(p, args.triples, cfg.seed, cfg.tol),
-        "modified_dim": _suite_modified_dim(p, n, cfg.seed, cfg.tol),
-    }
-    ok = all(s["pass"] for s in suites.values())
-    _emit({"ell": cfg.ell, "pass": bool(ok),
-           "suites": {k: {kk: (bool(vv) if kk == "pass" else vv)
-                          for kk, vv in v.items()}
-                      for k, v in suites.items()}})
-    return 0 if ok else 3
-
-
 # --- argument plumbing --------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ParseError, so it too prints one JSON object."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
+
+
+def _positive(kind: type):
+    """An argparse type: a number of `kind` that is greater than zero."""
+
+    def parse(text: str):
+        v = kind(text)
+        if not v > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return v
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return parse
+
 
 def _add_common(sp: argparse.ArgumentParser, need_ell: bool) -> None:
     if need_ell:
@@ -400,9 +277,9 @@ def _add_common(sp: argparse.ArgumentParser, need_ell: bool) -> None:
     else:
         sp.add_argument("--ell", type=int, default=None,
                         help="override the link file's ell")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_positive(float), default=1e-9)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-gauge", type=int, default=100)
+    sp.add_argument("--max-gauge", type=_positive(int), default=100)
 
 
 def _config(args: argparse.Namespace, ell: int) -> RunConfig:
@@ -415,7 +292,7 @@ def _config(args: argparse.Namespace, ell: int) -> RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="holoinv",
         description="quantum invariants of links with SL2(C) holonomy",
     )
@@ -426,16 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, need_ell=False)
     sp.set_defaults(func=cmd_invariant)
 
-    sp = sub.add_parser("axioms", help="run the sampled axiom suites")
-    _add_common(sp, need_ell=True)
-    sp.add_argument("--samples", type=int, default=500)
-    sp.add_argument("--triples", type=int, default=2,
-                    help="braid-relation triples in the braiding suite")
-    sp.set_defaults(func=cmd_axioms)
-
     sp = sub.add_parser("dim", help="modified dimension at a Casimir value")
     _add_common(sp, need_ell=True)
-    sp.add_argument("--omega", required=True,
+    sp.add_argument("--omega", type=complex, required=True,
                     help="Casimir value as a Python complex literal")
     sp.add_argument("--dual-check", action="store_true")
     sp.set_defaults(func=cmd_dim)
@@ -454,13 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return 1 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # only --help exits; a usage error is a ParseError
+        return e.code
     except (ParseError, ValueError) as e:
         _emit({"error": {"kind": type(e).__name__, "message": str(e)}})
         return 1

@@ -416,10 +416,10 @@ def _require(cond: bool, msg: str):
 def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
     """Apply or undo a generator Reidemeister move at a given location.
 
-    `oracle` is a biquandle oracle with partial maps B, B_inv, S, S_inv and
-    alpha; where one has no value it raises Undefined, which propagates.  Colors
-    outside the modified disk are untouched (edge identities outside the disk
-    are preserved by reindexing).
+    `oracle` is a biquandle oracle (see `sl2factor.FactorizationOracle`) with
+    partial maps B, B_inv, S, S_inv and alpha; where one has no value it
+    raises Undefined, which propagates.  Colors outside the modified disk are
+    untouched (edge identities outside the disk are preserved by reindexing).
     """
     i, o = m.slice_index, m.offset
     sl = d.slices

@@ -21,24 +21,21 @@ every gauge move preserves the Casimir coordinate z of a color.
 from __future__ import annotations
 
 import cmath
-from typing import Optional
 
 import numpy as np
 
-from .errors import HoloinvError, NonScalarResult, Singular
+from .errors import NonScalarResult, Singular
 from .params import RootParams, cheb_second_kind
-from .sl2factor import random_ycolor, sl2_B, sl2_B_inv
-from .uqsl2 import CyclicModule, ZChar, casimir_matrix, char_from_ycolor, dual_rep
+from .uqsl2 import CyclicModule, ZChar, casimir_matrix, dual_rep
 
 
-def modified_dim(chi: ZChar, p: RootParams, tol: Optional[float] = None) -> complex:
+def modified_dim(chi: ZChar, p: RootParams, tol: float = 1e-9) -> complex:
     """d(chi) = (-1)^(r-1) r / S_(r-1)((-1)^r chi(Omega)).
 
     S_n is the second-kind Chebyshev recurrence.  Raises Singular when the
     denominator vanishes (the bracket [a + r - j] of the product form is
     zero), which happens exactly when a is an integer not divisible by r.
     """
-    tol = p.tol if tol is None else tol
     den = cheb_second_kind(p.r - 1, p.sign_r * chi.omega)
     if abs(den) <= tol * max(1.0, float(p.r)):
         raise Singular(f"modified dimension pole at chi(Omega) = {chi.omega}")
@@ -59,9 +56,8 @@ def alpha_from_omega(omega: complex, p: RootParams) -> complex:
 
 
 def modified_dim_product(alpha: complex, p: RootParams,
-                         tol: Optional[float] = None) -> complex:
+                         tol: float = 1e-9) -> complex:
     """Cross-check form: (-1)^(r-1) prod_{j=1}^{r-1} [j] / [alpha + r - j]."""
-    tol = p.tol if tol is None else tol
     out = complex(-p.sign_r)
     for j in range(1, p.r):
         den = p.qbracket(alpha + p.r - j)
@@ -72,9 +68,8 @@ def modified_dim_product(alpha: complex, p: RootParams,
 
 
 def modified_dim_ratio(alpha: complex, p: RootParams,
-                       tol: Optional[float] = None) -> complex:
+                       tol: float = 1e-9) -> complex:
     """Cross-check form: (-1)^(r-1) r [alpha] / [r alpha], for [r alpha] != 0."""
-    tol = p.tol if tol is None else tol
     den = p.qbracket(p.r * alpha)
     if abs(den) <= tol:
         raise Singular("bracket [r alpha] vanishes")
@@ -99,41 +94,3 @@ def dual_casimir_scalar(V: CyclicModule, p: RootParams,
     d = dual_rep(V)
     return casimir_scalar(d.E, d.F, d.K, p, tol)
 
-
-def check_dim_gauge_invariance(p: RootParams, samples: int = 1000,
-                               seed: int = 0, tol: float = 1e-9) -> dict:
-    """Verify d is constant along biquandle gauge moves.
-
-    For sampled pairs (y', y) the transformed color B1(y', y) (and its
-    inverse-move counterpart) keeps the Casimir coordinate, so d agrees
-    exactly; a short harpoon-word orbit is also walked.  Returns a report
-    with the worst deviation and the sample count actually used.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    used = 0
-    for _ in range(samples):
-        ya = random_ycolor(rng, p)
-        yb = random_ycolor(rng, p)
-        try:
-            d_ref = modified_dim(char_from_ycolor(yb, p, tol), p, tol)
-            y4, _ = sl2_B(ya, yb, tol)
-            d_fwd = modified_dim(char_from_ycolor(y4, p, tol), p, tol)
-            _, v = sl2_B_inv(ya, yb, tol)
-            d_inv = modified_dim(char_from_ycolor(ya, p, tol), p, tol)
-            d_inv2 = modified_dim(char_from_ycolor(v, p, tol), p, tol)
-        except HoloinvError:
-            continue
-        used += 1
-        worst = max(worst, abs(d_fwd - d_ref), abs(d_inv2 - d_inv))
-        # short harpoon orbit of yb: the first output of B keeps z
-        y = yb
-        for _ in range(3):
-            partner = random_ycolor(rng, p)
-            try:
-                y, _ = sl2_B(partner, y, tol)
-                d_orb = modified_dim(char_from_ycolor(y, p, tol), p, tol)
-            except HoloinvError:
-                break
-            worst = max(worst, abs(d_orb - d_ref))
-    return {"samples": used, "max_deviation": worst, "pass": worst <= tol}

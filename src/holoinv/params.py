@@ -83,7 +83,6 @@ class RootParams:
     """Parameters attached to the root of unity xi = exp(2*pi*i/ell)."""
 
     ell: int
-    tol: float = 1e-9
     r: int = field(init=False)
 
     def __post_init__(self):
@@ -123,5 +122,5 @@ class RootParams:
 
 
 @lru_cache(maxsize=32)
-def root_params(ell: int, tol: float = 1e-9) -> RootParams:
-    return RootParams(ell, tol)
+def root_params(ell: int) -> RootParams:
+    return RootParams(ell)

@@ -15,7 +15,7 @@ east, the top colors are (a^(-1) b a, a).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -128,45 +128,6 @@ def random_qcolor(rng: np.random.Generator, p: RootParams) -> QColor:
     g = random_sl2(rng)
     zs = z_candidates(complex(g[0, 0] + g[1, 1]), p)
     return QColor(g, zs[rng.integers(len(zs))])
-
-
-def _qdist(a: QColor, b: QColor) -> float:
-    return float(np.abs(a.g - b.g).max() + abs(a.z - b.z))
-
-
-def check_quandle_axioms(
-    op=q_act,
-    inv_op=q_act_inv,
-    sampler=None,
-    samples: int = 1000,
-    seed: int = 0,
-    p: Optional[RootParams] = None,
-) -> dict:
-    """Report max violations of the quandle axioms over sampled triples.
-
-    Checked: (i) a |> (b |> c) = (a |> b) |> (a |> c), (ii) b |> inv_op(b, a)
-    recovers a (unique division), (iii) a |> a = a.  Violations are reported,
-    not raised.
-    """
-    rng = np.random.default_rng(seed)
-    if sampler is None:
-        from .params import root_params
-
-        pp = p or root_params(3)
-        sampler = lambda: random_qcolor(rng, pp)  # noqa: E731
-    report = {"samples": samples, "distributivity": 0.0, "division": 0.0,
-              "idempotence": 0.0}
-    for _ in range(samples):
-        a, b, c = sampler(), sampler(), sampler()
-        lhs = op(a, op(b, c))
-        rhs = op(op(a, b), op(a, c))
-        report["distributivity"] = max(report["distributivity"], _qdist(lhs, rhs))
-        report["division"] = max(report["division"], _qdist(op(b, inv_op(b, a)), a))
-        report["idempotence"] = max(report["idempotence"], _qdist(op(a, a), a))
-    report["max_violation"] = max(
-        report["distributivity"], report["division"], report["idempotence"]
-    )
-    return report
 
 
 def gauge_act_matrix(h: np.ndarray, d):

@@ -165,9 +165,19 @@ def alpha_inv(y: YColor, tol: float = 1e-9) -> YColor:
 class FactorizationOracle:
     """The SL(2, C) factorization biquandle on X-colors.
 
-    Its maps are the ones above, so the z fibres swap at crossings (each
-    output keeps the z of the opposite input, as `sl2_B` builds it), and a
-    map raises OutsideGPrime (an Undefined) where a solve leaves G'.
+    A biquandle oracle has these partial maps on a color set X:
+
+        B      : X x X -> X x X   positive crossing, bottom to top
+        B_inv  : inverse of B
+        S      : sideways map, S(B1(x,y), x) = (B2(x,y), y)
+        S_inv  : inverse of S
+        alpha  : diagonal bijection with B(x, alpha(x)) = (x, alpha(x))
+
+    A map raises `errors.Undefined` (or a subclass) where it has no value and
+    never returns None; callers treat that as a normal outcome and may retry
+    after a gauge move.  Here the maps are the ones above, so the z fibres
+    swap at crossings (each output keeps the z of the opposite input, as
+    `sl2_B` builds it), and a map raises OutsideGPrime where a solve leaves G'.
     """
 
     def __init__(self, tol: float = 1e-9):

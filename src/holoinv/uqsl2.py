@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Optional
 
 import numpy as np
 
@@ -51,10 +50,9 @@ class ZChar:
         )
 
 
-def char_from_ycolor(y: YColor, p: RootParams, tol: Optional[float] = None) -> ZChar:
+def char_from_ycolor(y: YColor, p: RootParams, tol: float = 1e-9) -> ZChar:
     """Characters from factorization colors: kappa, [1]^(-r) eps,
     (-1)^l [1]^(-r) phi/kappa, z."""
-    tol = p.tol if tol is None else tol
     br = p.qbracket(1) ** p.r
     chi = ZChar(
         kappa=y.g.kappa,
@@ -88,9 +86,8 @@ def cheb_defect(chi: ZChar, p: RootParams) -> complex:
     return cheb_first_kind(p.r, chi.omega) - rhs
 
 
-def is_admissible(chi: ZChar, p: RootParams, tol: Optional[float] = None) -> bool:
+def is_admissible(chi: ZChar, p: RootParams, tol: float = 1e-9) -> bool:
     """Non-parabolic trace condition guaranteeing a simple cyclic module."""
-    tol = p.tol if tol is None else tol
     if is_steinberg(chi, p, max(tol, 1e-9)):
         return True
     t = trace_psi(chi, p)
@@ -134,7 +131,7 @@ def branch_roots(kappa: complex, p: RootParams) -> list[complex]:
 
 
 def build_cyclic_module(
-    chi: ZChar, p: RootParams, tol: Optional[float] = None
+    chi: ZChar, p: RootParams, tol: float = 1e-9
 ) -> CyclicModule:
     """Construct the cyclic module of an admissible character.
 
@@ -145,7 +142,6 @@ def build_cyclic_module(
     rejected (including both boundary traces at ell = 4: simplicity of the
     module is only guaranteed away from the parabolic locus).
     """
-    tol = p.tol if tol is None else tol
     if not is_admissible(chi, p, tol):
         raise NotAdmissible("parabolic holonomy trace")
     r, xi = p.r, p.xi

@@ -14,12 +14,6 @@ import json
 import numpy as np
 import pytest
 
-from holoinv.biquandle import (
-    SemiCyclicBiquandle,
-    SemiCyclicColor,
-    associated_quandle,
-    check_biquandle_axioms,
-)
 from holoinv.braiding import (
     ModScalar,
     equal_mod_roots,
@@ -32,12 +26,7 @@ from holoinv.cli import main as cli_main
 from holoinv.diagram import RMove, apply_rmove, braid_diagram, propagate_colors
 from holoinv.errors import HoloinvError, Undefined
 from holoinv.invariant import evaluate_Fprime, gauge_orbit_compare, tilde_Fprime
-from holoinv.modtrace import (
-    alpha_from_omega,
-    check_dim_gauge_invariance,
-    modified_dim,
-    modified_dim_product,
-)
+from holoinv.modtrace import alpha_from_omega, modified_dim, modified_dim_product
 from holoinv.params import root_params
 from holoinv.quandle import QuandleCrossingOracle, inv2, random_sl2
 from holoinv.sl2factor import (
@@ -58,6 +47,8 @@ from holoinv.uqsl2 import (
     predicted_casimir_values,
 )
 
+from axioms import associated_quandle, check_biquandle_axioms, \
+    check_dim_gauge_invariance
 from conftest import commuting_link, random_unknot_qcolor, unknot_diagram, \
     write_link_file
 
@@ -74,21 +65,6 @@ def test_biquandle_axioms_sl2_factorization():
 
     rep = check_biquandle_axioms(bq, sample, samples=1000, tol=1e-8)
     assert rep["samples"] - rep["skipped"] >= 1000 * 0.9
-    assert rep["max_violation"] == 0.0, rep
-
-
-def test_biquandle_axioms_semicyclic():
-    rng = np.random.default_rng(102)
-
-    def sample():
-        k = 0.0
-        while abs(k) < 0.2:
-            k = complex(rng.normal(), rng.normal())
-        return SemiCyclicColor(k, complex(rng.normal(), rng.normal()))
-
-    rep = check_biquandle_axioms(SemiCyclicBiquandle(), sample, samples=1000,
-                                 tol=1e-8)
-    assert rep["skipped"] == 0
     assert rep["max_violation"] == 0.0, rep
 
 

@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from holoinv.biquandle import (
-    SemiCyclicBiquandle,
-    SemiCyclicColor,
-    associated_quandle,
-    check_biquandle_axioms,
-)
 from holoinv.params import root_params
 from holoinv.quandle import inv2
 from holoinv.sl2factor import FactorizationOracle, psi, random_ycolor
+
+from axioms import associated_quandle, check_biquandle_axioms
 
 
 def _ysampler(ell, seed):
@@ -30,20 +26,6 @@ def test_sl2_factorization_biquandle_axioms():
         return random_ycolor(rng, p)
 
     rep = check_biquandle_axioms(bq, sample, samples=300, tol=1e-8)
-    assert rep["max_violation"] == 0.0
-
-
-def test_semicyclic_biquandle_axioms():
-    rng = np.random.default_rng(1)
-
-    def sample():
-        k = 0.0
-        while abs(k) < 0.2:
-            k = complex(rng.normal(), rng.normal())
-        return SemiCyclicColor(k, complex(rng.normal(), rng.normal()))
-
-    rep = check_biquandle_axioms(SemiCyclicBiquandle(), sample, samples=400,
-                                 tol=1e-8)
     assert rep["max_violation"] == 0.0
 
 

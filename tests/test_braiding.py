@@ -29,8 +29,15 @@ from holoinv.errors import (
 )
 from holoinv.invariant import tilde_Fprime
 from holoinv.params import root_params
-from holoinv.quandle import z_candidates
-from holoinv.sl2factor import GStarElem, YColor, random_ycolor
+from holoinv.diagram import braid_diagram, closure
+from holoinv.quandle import QColor, propagate_qcolors, z_candidates
+from holoinv.sl2factor import (
+    GStarElem,
+    YColor,
+    gauge_act_diagram,
+    random_gstar,
+    random_ycolor,
+)
 from holoinv.uqsl2 import (
     build_cyclic_module,
     DualityData,
@@ -492,6 +499,28 @@ def test_steinberg_solver_checks_every_cartan_equation(ell, monkeypatch):
     monkeypatch.setattr(braiding, "coproduct_matrices", skewed)
     with pytest.raises(UnresolvableYB, match="residual"):
         braiding.steinberg_pair_braiding(y, st, provider)
+
+
+@pytest.mark.parametrize("ell", [4, 8])
+def test_steinberg_check_is_normwise_on_the_riley_trefoil(ell):
+    # Riley's trefoil coloring without a conjugation: in these gauges some
+    # Steinberg equations have an entry of B that is only rounding noise,
+    # which an entrywise relative residual rejected
+    m = np.exp(0.3 + 0.7j)
+    x = np.array([[m, 1], [0, 1 / m]])
+    y = np.array([[m, 0], [1 - m**2 - m**-2, 1 / m]])
+    p = root_params(ell)
+    z = z_candidates(m + 1 / m, p)[0]
+    d = closure(propagate_qcolors(braid_diagram(2, [1, 1, 1]),
+                                  [QColor(x, z), QColor(y, z)]))
+    rng = np.random.default_rng(0)
+    vals = [tilde_Fprime(gauge_act_diagram(random_gstar(rng), d),
+                         BraidingProvider(p)).value.canonical
+            for _ in range(10)]
+    assert all(abs(v / vals[0] - 1) <= 1e-8 for v in vals)
+    if ell == 4:
+        # 16 tau^2 with the trefoil's Reidemeister torsion tau = 2
+        assert abs(vals[0] - 64) <= 1e-8 * 64
 
 
 def test_unit_det_survives_an_underflowing_determinant():

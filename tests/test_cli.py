@@ -237,16 +237,43 @@ def test_slices_may_be_objects(tmp_path, capsys):
     assert _run(capsys, ["invariant", str(f)]) == (0, want)
 
 
-def test_axioms_pass_and_fail(tmp_path, capsys):
-    code, out = _run(capsys, ["axioms", "--ell", "4", "--samples", "50",
-                              "--triples", "2", "--seed", "1"])
-    assert code == 0, out
-    doc = json.loads(out)
-    assert all(s["pass"] for s in doc["suites"].values())
-    # absurd tolerance forces a reported failure and exit code 3
-    code, _ = _run(capsys, ["axioms", "--ell", "4", "--samples", "20",
-                            "--triples", "1", "--tol", "1e-300"])
-    assert code == 3
+_BAD_ARGV = {
+    "invariant-tol-zero": ["invariant", "LINK", "--tol", "0"],
+    "invariant-tol-negative": ["invariant", "LINK", "--tol", "-1"],
+    "color-tol-zero": ["color", "LINK", "--tol", "0"],
+    "color-tol-negative": ["color", "LINK", "--tol", "-1"],
+    "orbit-tol-zero": ["gauge-orbit", "LINK", "--tol", "0"],
+    "orbit-tol-negative": ["gauge-orbit", "LINK", "--tol", "-1"],
+    "max-gauge-zero": ["invariant", "LINK", "--max-gauge", "0"],
+    "max-gauge-negative": ["color", "LINK", "--max-gauge", "-3"],
+    "z-text": ["invariant", "BAD_Z"],
+    "omega-text": ["dim", "--ell", "4", "--omega", "abc"],
+    "unknown-command": ["knot", "LINK"],
+    "axioms-command": ["axioms", "--ell", "4"],
+    "tol-text": ["invariant", "LINK", "--tol", "abc"],
+    "ell-text": ["invariant", "LINK", "--ell", "x"],
+    "no-link": ["invariant"],
+}
+
+
+@pytest.mark.parametrize("argv", _BAD_ARGV.values(), ids=_BAD_ARGV.keys())
+def test_bad_flag_or_value_prints_one_parse_error(tmp_path, capsys, argv):
+    link, bad_z = tmp_path / "hopf.json", tmp_path / "bad_z.json"
+    write_link_file(link, 3, [1, 1])
+    doc = json.loads(link.read_text())
+    doc["colors"][0]["z"] = ["a", 1]
+    bad_z.write_text(json.dumps(doc))
+    files = {"LINK": str(link), "BAD_Z": str(bad_z)}
+    code, out = _run(capsys, [files.get(a, a) for a in argv])
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "ParseError"
+
+
+def test_help_exits_zero(capsys):
+    code, out = _run(capsys, ["--help"])
+    assert code == 0 and "usage" in out
 
 
 def test_color_gauge_orbit_roundtrip(tmp_path, capsys):

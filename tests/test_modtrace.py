@@ -8,7 +8,6 @@ import pytest
 from holoinv.errors import Singular
 from holoinv.modtrace import (
     alpha_from_omega,
-    check_dim_gauge_invariance,
     modified_dim,
     modified_dim_product,
     modified_dim_ratio,
@@ -16,6 +15,8 @@ from holoinv.modtrace import (
 from holoinv.params import root_params
 from holoinv.quandle import z_candidates
 from holoinv.uqsl2 import ZChar, steinberg_char
+
+from axioms import check_dim_gauge_invariance
 
 
 def _random_chars(p, n, seed):

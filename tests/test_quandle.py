@@ -7,7 +7,6 @@ import numpy as np
 from holoinv.params import root_params
 from holoinv.quandle import (
     QuandleCrossingOracle,
-    check_quandle_axioms,
     gauge_act,
     inv2,
     q_act,
@@ -17,6 +16,8 @@ from holoinv.quandle import (
     steinberg_qcolor,
     z_candidates,
 )
+
+from axioms import check_quandle_axioms
 
 
 def test_quandle_axioms_sampled():
