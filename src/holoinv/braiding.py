@@ -44,7 +44,7 @@ from .errors import (
     Undefined,
     UnresolvableYB,
 )
-from .params import RootParams
+from .params import GATE, TOL, RootParams
 from .sl2factor import (
     YColor,
     alpha as y_alpha,
@@ -78,7 +78,7 @@ class ModScalar:
     def canonical(self) -> complex:
         return complex(self.value) ** (self.r * self.r)
 
-    def approx_eq(self, other: "ModScalar", tol: float = 1e-9) -> bool:
+    def approx_eq(self, other: "ModScalar", tol: float = TOL) -> bool:
         a, b = self.canonical, other.canonical
         return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
@@ -86,16 +86,16 @@ class ModScalar:
         return f"ModScalar({self.value:.6g} mod Theta_{self.r**2})"
 
 
-def pair_defined(chi1: ZChar, chi2: ZChar, p: RootParams, tol: float = 1e-9) -> bool:
+def pair_defined(chi1: ZChar, chi2: ZChar, p: RootParams) -> bool:
     """Nonvanishing of the pair obstruction
     1 + (-1)^l [1]^(2r) chi1(K^-r E^r) chi2(F^r K^r)."""
     w = 1.0 + p.sign_ell * p.qbracket(1) ** (2 * p.r) * (
         chi1.e_r / chi1.kappa
     ) * (chi2.f_r * chi2.kappa)
-    return abs(w) > tol
+    return abs(w) > TOL
 
 
-def _nullspace(a: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
+def _nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical nullspace of a.
 
     A tall a is first reduced to its R factor: same row space and singular
@@ -106,16 +106,16 @@ def _nullspace(a: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
     _, s, vh = np.linalg.svd(a, full_matrices=full)
     if s.size == 0:
         return vh.conj().T
-    cutoff = rel_tol * max(1.0, s[0])
+    cutoff = 1e-8 * max(1.0, s[0])
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
 
 
-def _unit_det(c: np.ndarray, tol: float) -> np.ndarray:
+def _unit_det(c: np.ndarray) -> np.ndarray:
     """c / det(c)^(1/n) with the principal root, from the log-determinant so
     that a determinant beyond the float range neither under- nor overflows."""
     sv = np.linalg.svd(c, compute_uv=False)
-    if sv[-1] <= tol * max(1.0, sv[0]):
+    if sv[-1] <= TOL * max(1.0, sv[0]):
         raise SingularSolution("braiding matrix is singular")
     sign, logdet = np.linalg.slogdet(c)
     return c * np.exp(-(logdet + 1j * np.angle(sign)) / c.shape[0])
@@ -129,16 +129,12 @@ def flip_matrix(m: int, n: int) -> np.ndarray:
 
 @dataclass
 class _Colored:
-    """The colors (y1, y2) -> (y4, y3) of a crossing and their modules."""
+    """The colors (y1, y2) -> (y4, y3) of a crossing."""
 
     y1: YColor
     y2: YColor
     y4: YColor
     y3: YColor
-    V1: CyclicModule
-    V2: CyclicModule
-    V4: CyclicModule
-    V3: CyclicModule
 
 
 @dataclass
@@ -184,11 +180,10 @@ def block_braiding(y1: YColor, y2: YColor,
     block.  BlockIntertwinerDim is raised when both coefficients of a second
     link vanish, or when mu leaves a link unbalanced.
     """
-    p, tol, r = provider.p, provider.tol, provider.p.r
-    if not pair_defined(provider.char(y1), provider.char(y2), p, tol):
+    p, r = provider.p, provider.p.r
+    if not pair_defined(provider.char(y1), provider.char(y2), p):
         raise Undefined("pair obstruction vanishes")
-    y4, y3 = sl2_B(y1, y2, tol)
-    V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
+    y4, y3 = sl2_B(y1, y2)
     b12, b43 = provider.blocks(y1, y2), provider.blocks(y4, y3)
     v12, v43 = np.array(b12.values), np.array(b43.values)
     hit = np.abs(v12[:, None] - v43) <= 1e-6 * max(1.0, np.abs(v12).max())
@@ -223,8 +218,7 @@ def block_braiding(y1: YColor, y2: YColor,
         * b43.vecs[sig][:, :, mate].transpose(2, 0, 1)[..., None]
         * b12.covecs.transpose(1, 0, 2)[:, :, None, :])
     pieces /= np.linalg.norm(pieces, axis=(1, 2))[:, None, None]
-    return BlockBraiding(y1=y1, y2=y2, y4=y4, y3=y3,
-                         V1=V1, V2=V2, V4=V4, V3=V3, blocks=tuple(pieces))
+    return BlockBraiding(y1=y1, y2=y2, y4=y4, y3=y3, blocks=tuple(pieces))
 
 
 # --- sideways and scalar comparison ------------------------------------------
@@ -275,7 +269,7 @@ _WORD_L = (0, 1, 0)
 _WORD_R = (1, 0, 1)
 
 
-def _yb_pairs(y1: YColor, y2: YColor, y3: YColor, tol: float):
+def _yb_pairs(y1: YColor, y2: YColor, y3: YColor):
     """The six colored pairs of the braid relation and the output colors."""
     sides = []
     for word in (_WORD_L, _WORD_R):
@@ -283,7 +277,7 @@ def _yb_pairs(y1: YColor, y2: YColor, y3: YColor, tol: float):
         pairs = []
         for pos in word:
             a, b = colors[pos], colors[pos + 1]
-            t4, t3 = sl2_B(a, b, tol)
+            t4, t3 = sl2_B(a, b)
             pairs.append((a, b))
             colors[pos], colors[pos + 1] = t4, t3
         sides.append((pairs, colors))
@@ -354,12 +348,11 @@ def steinberg_pair_braiding(
     a coefficient on its far end would leave D free there; afterwards every
     structural equation, not only the links, must hold.
     """
-    p, tol = provider.p, provider.tol
-    if not pair_defined(provider.char(y1), provider.char(y2), p, tol):
+    p, r = provider.p, provider.p.r
+    if not pair_defined(provider.char(y1), provider.char(y2), p):
         raise Undefined("pair obstruction vanishes")
-    y4, y3 = sl2_B(y1, y2, tol)
+    y4, y3 = sl2_B(y1, y2)
     V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
-    r, gate = p.r, provider.gate
     S = unipotent_series(V1, V2, p)
     S_inv = np.linalg.inv(S)
     tau = flip_matrix(r, r)
@@ -368,7 +361,7 @@ def steinberg_pair_braiding(
     B = np.array([tau @ d43[u] @ tau for u in "EFK"])
     for u, a, b in zip("EFK", A, B):
         stray = np.abs(a[b == 0]).max(initial=0.0) / np.abs(a).max()
-        if stray > gate:
+        if stray > GATE:
             raise UnresolvableYB(f"no Cartan factor intertwines Delta({u}), "
                                  f"residual {stray:.3e}")
     # links P -> Q down column 0, then along the rows; x = D_Q / D_P solves
@@ -392,11 +385,10 @@ def steinberg_pair_braiding(
         lhs, rhs = D[i] * a[i, j], b[i, j] * D[j]
         size = (np.abs(lhs) + np.abs(rhs)).max()
         res = max(res, np.abs(lhs - rhs).max() / max(size, 1e-300))
-    if res > gate:
+    if res > GATE:
         raise UnresolvableYB(f"no Cartan factor intertwines, residual {res:.3e}")
-    c = _unit_det(tau @ (D[:, None] * S), tol)
-    return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3,
-                            V1=V1, V2=V2, V4=V4, V3=V3, c=c)
+    c = _unit_det(tau @ (D[:, None] * S))
+    return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3, c=c)
 
 
 def _probes(r: int) -> np.ndarray:
@@ -421,7 +413,7 @@ def _anchored_triple_solve(trip: tuple[YColor, YColor, YColor],
     braidings cached here are dropped again.
     """
     r = provider.p.r
-    pairs_l, pairs_r, out = _yb_pairs(*trip, provider.tol)
+    pairs_l, pairs_r, out = _yb_pairs(*trip)
     unks, cols = [], []
     for pairs, word in ((pairs_l, _WORD_L), (pairs_r, _WORD_R)):
         generic = [i for i, (a, b) in enumerate(pairs)
@@ -451,16 +443,14 @@ def _anchored_triple_solve(trip: tuple[YColor, YColor, YColor],
     added: list = []
     try:
         for (key, bb), lam in zip(unks, (ns[:nl, 0], ns[nl:, 0])):
-            c = _unit_det(bb.assemble(lam), provider.tol)
+            c = _unit_det(bb.assemble(lam))
             if key in provider._braidings:
-                ok, _, res = equal_mod_roots(provider._braidings[key].c, c,
-                                             r, provider.gate)
+                ok, _, res = equal_mod_roots(provider._braidings[key].c, c, r, GATE)
                 if not ok:
                     raise UnresolvableYB("repeated-pair determinations "
                                          f"disagree, residual {res:.3e}")
                 continue
-            hb = HolonomyBraiding(y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3,
-                                  V1=bb.V1, V2=bb.V2, V4=bb.V4, V3=bb.V3, c=c)
+            hb = HolonomyBraiding(y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3, c=c)
             provider._check_sideways(hb)
             provider._braidings[key] = hb
             added.append(key)
@@ -481,10 +471,10 @@ def resolve_scalars_yb(y1: YColor, y2: YColor, y3: YColor,
     for Steinberg-anchored pairs, linear Yang-Baxter solve for generic
     pairs, cached braidings reused as-is), and the assembled relation is
     verified to hold up to a single r^2-th root of unity with residual
-    <= provider.gate.  Returns the two composite matrices, the root factor,
+    <= GATE.  Returns the two composite matrices, the root factor,
     the residual, and the output colors.
     """
-    pairs_l, pairs_r, out = _yb_pairs(y1, y2, y3, provider.tol)
+    pairs_l, pairs_r, out = _yb_pairs(y1, y2, y3)
     for a, b in pairs_l + pairs_r:
         provider.braiding(a, b)
     return {**_verified_relation(provider, pairs_l, pairs_r),
@@ -496,7 +486,7 @@ def _verified_relation(provider, pairs_l, pairs_r) -> dict:
     agree up to one r^2-th root of unity."""
     lhs = _total_from_cache(provider, pairs_l, _WORD_L)
     rhs = _total_from_cache(provider, pairs_r, _WORD_R)
-    ok, zeta, resid = equal_mod_roots(lhs, rhs, provider.p.r, provider.gate)
+    ok, zeta, resid = equal_mod_roots(lhs, rhs, provider.p.r, GATE)
     if not ok:
         raise UnresolvableYB("braid relation fails up to roots of unity, "
                              f"residual {resid:.3e}")
@@ -524,10 +514,8 @@ class BraidingProvider:
     `module` and `blocks`, built once per character or pair of characters.
     """
 
-    def __init__(self, p: RootParams, tol: float = 1e-9):
+    def __init__(self, p: RootParams):
         self.p = p
-        self.tol = tol
-        self.gate = max(1e3 * tol, 1e-8)  # bound of every residual check
         self.modules: dict = {}
         self._braidings: dict = {}
         self._duals: dict = {}
@@ -543,7 +531,7 @@ class BraidingProvider:
         try:
             return self._chars[y]
         except KeyError:
-            chi = char_from_ycolor(y, self.p, self.tol)
+            chi = char_from_ycolor(y, self.p)
             self._chars[y] = found = (chi, _char_key(chi))
             return found
 
@@ -559,7 +547,7 @@ class BraidingProvider:
     def module(self, y: YColor) -> CyclicModule:
         chi, key = self._lookup(y)
         if key not in self.modules:
-            self.modules[key] = build_cyclic_module(chi, self.p, self.tol)
+            self.modules[key] = build_cyclic_module(chi, self.p)
         return self.modules[key]
 
     def blocks(self, y1: YColor, y2: YColor) -> CasimirBlocks:
@@ -592,7 +580,7 @@ class BraidingProvider:
 
     def _preflip(self, y: YColor) -> YColor:
         """The color y' with B(y', st) = (st, y); at odd ell y' = y."""
-        return sl2_B(y, self.steinberg, self.tol)[1]
+        return sl2_B(y, self.steinberg)[1]
 
     def _resolve_anchored(self, y1: YColor, y2: YColor, key) -> HolonomyBraiding:
         """Resolve a generic pair through a Steinberg-anchored braid relation.
@@ -625,7 +613,7 @@ class BraidingProvider:
         d2 = self.duality(hb.y2)
         s_plus, s_minus = sideways_matrices(hb.c, hb.c_inv(), d4, d2, r)
         eye = np.eye(r * r, dtype=complex)
-        ok, _, res = equal_mod_roots(s_minus @ s_plus, eye, r, self.gate)
+        ok, _, res = equal_mod_roots(s_minus @ s_plus, eye, r, GATE)
         if not ok:
             raise UnresolvableYB("sideways morphisms do not invert, "
                                  f"residual {res:.3e}")
@@ -634,7 +622,7 @@ class BraidingProvider:
         """Inverse braiding for a negative crossing with bottom colors (ya, yb).
 
         Returns (top colors (u, v) = B_inv(ya, yb), matrix of c_{u,v}^(-1))."""
-        u, v = sl2_B_inv(ya, yb, self.tol)
+        u, v = sl2_B_inv(ya, yb)
         hb = self.braiding(u, v)
         return (u, v), hb.c_inv()
 
@@ -649,16 +637,16 @@ def twist(y: YColor, provider: BraidingProvider) -> ModScalar:
     root of unity.  Where alpha or its inverse has no value, their
     OutsideGPrime (an Undefined) propagates.
     """
-    r, tol, gate = provider.p.r, provider.tol, provider.gate
+    r = provider.p.r
     I = np.eye(r, dtype=complex)
-    ax, az = y_alpha(y, tol), y_alpha_inv(y, tol)
+    ax, az = y_alpha(y), y_alpha_inv(y)
     hb = provider.braiding(y, ax)
     if not (hb.y4.approx_eq(y, 1e-6) and hb.y3.approx_eq(ax, 1e-6)):
         raise AlphaUndefined("diagonal partner is not a braiding fixed point")
     dax = provider.duality(ax)
     right = np.kron(I, dax.ev_R) @ np.kron(hb.c, I) @ np.kron(I, dax.coev_L)
     s, res = proportionality(right, I)
-    if res > gate:
+    if res > GATE:
         raise NonScalarResult(f"twist endomorphism residual {res:.3e}")
     if abs(s) <= 1e-6:
         raise NonScalarResult("twist scalar vanishes")
@@ -667,9 +655,9 @@ def twist(y: YColor, provider: BraidingProvider) -> ModScalar:
     daz = provider.duality(az)
     left = np.kron(daz.ev_L, I) @ np.kron(I, hb2.c) @ np.kron(daz.coev_R, I)
     s2, res2 = proportionality(left, I)
-    if res2 > gate:
+    if res2 > GATE:
         raise NonScalarResult(f"left twist endomorphism residual {res2:.3e}")
-    if not ModScalar(s, r).approx_eq(ModScalar(s2, r), gate):
+    if not ModScalar(s, r).approx_eq(ModScalar(s2, r), GATE):
         raise NonScalarResult("left and right twists disagree beyond roots")
     return ModScalar(complex(s), r)
 
@@ -690,6 +678,6 @@ def steinberg_encirclement(y: YColor, provider: BraidingProvider) -> ModScalar:
     I = np.eye(r, dtype=complex)
     closed = np.kron(d.ev_L, I) @ np.kron(I, double) @ np.kron(d.coev_R, I)
     s, res = proportionality(closed, I)
-    if res > provider.gate:
+    if res > GATE:
         raise NonScalarResult(f"encirclement residual {res:.3e}")
     return ModScalar(complex(s), r)

@@ -22,6 +22,10 @@ explicit closed slice diagram,
 Complex numbers are written as [re, im] (a bare number means a real value);
 the holonomy "g" is a 2x2 matrix of such entries with determinant 1.
 
+Every subcommand takes --ell, a non-negative --seed and a positive
+--max-gauge; the numerical tolerance is fixed at `params.TOL`, and no option
+sets it.
+
 Exit codes: 0 success; 1 parse or validation failure, of the command line
 included; 2 a computation was undefined (gauge search exhausted,
 modified-dimension pole, non-generic input).  Every run but `--help` prints
@@ -34,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -44,23 +47,10 @@ from .diagram import Diagram, braid_diagram, closure
 from .errors import HoloinvError, ParseError, Singular
 from .invariant import gauge_fix, gauge_orbit_compare, tilde_Fprime
 from .modtrace import alpha_from_omega, dual_casimir_scalar, modified_dim
-from .params import root_params
+from .params import TOL, root_params
 from .quandle import QColor, propagate_qcolors, random_qcolor
 from .sl2factor import random_gstar
 from .uqsl2 import ZChar, build_cyclic_module, is_admissible, steinberg_char
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide options."""
-
-    ell: int
-    tol: float = 1e-9
-    seed: int = 0
-    max_gauge_attempts: int = 100
-
-    def __post_init__(self):
-        if self.ell < 3:
-            raise ParseError("ell must be >= 3")
 
 
 # --- JSON (de)serialization ---------------------------------------------------
@@ -117,7 +107,7 @@ def _slice(s: Any) -> tuple[int, str]:
     return _int(s[0], "a slice offset"), s[1]
 
 
-def load_link(path: str, tol: float = 1e-9) -> tuple[int, Diagram]:
+def load_link(path: str) -> tuple[int, Diagram]:
     """Parse a link file into (ell, closed Q-colored diagram)."""
     try:
         with open(path) as f:
@@ -141,8 +131,8 @@ def load_link(path: str, tol: float = 1e-9) -> tuple[int, Diagram]:
             raise ParseError(f"{len(colors)} colors for {strands} strands")
         d = braid_diagram(strands, [_int(w, "a braid letter")
                                     for w in b["word"]])
-        colored = propagate_qcolors(d, [_qcolor(c) for c in colors], tol)
-        return ell, closure(colored, tol)
+        colored = propagate_qcolors(d, [_qcolor(c) for c in colors])
+        return ell, closure(colored)
     if "slices" in data:
         signs, slices = data.get("bottom_signs", ""), data["slices"]
         colors = data.get("edge_colors", {})
@@ -166,44 +156,46 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _provider(cfg: RunConfig) -> BraidingProvider:
-    return BraidingProvider(root_params(cfg.ell), cfg.tol)
+def _ell(args: argparse.Namespace, file_ell: Optional[int] = None) -> int:
+    """The run's ell: --ell when given, else the link file's."""
+    ell = file_ell if args.ell is None else args.ell
+    if ell < 3:
+        raise ParseError("ell must be >= 3")
+    return ell
 
 
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_invariant(args: argparse.Namespace) -> int:
-    ell, d = load_link(args.link, args.tol)
-    cfg = _config(args, ell)
-    provider = _provider(cfg)
-    res = tilde_Fprime(d, provider, seed=cfg.seed,
-                       max_gauge=cfg.max_gauge_attempts)
+    ell, d = load_link(args.link)
+    provider = BraidingProvider(root_params(_ell(args, ell)))
+    res = tilde_Fprime(d, provider, seed=args.seed, max_gauge=args.max_gauge)
     _emit(res.as_json_dict())
     return 0
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
-    cfg = _config(args, args.ell)
-    p = root_params(cfg.ell)
+    ell = _ell(args)
+    p = root_params(ell)
     omega = args.omega
     # a character with this Casimir value and no nilpotent part
-    if abs(omega - steinberg_char(p).omega) <= cfg.tol:
+    if abs(omega - steinberg_char(p).omega) <= TOL:
         chi_full = steinberg_char(p)
     else:
         kappa_roots = np.roots([1.0, p.sign_ell * p.cheb(omega), 1.0])
         chi_full = ZChar(kappa=complex(kappa_roots[0]), e_r=0.0, f_r=0.0,
                          omega=omega)
-    if not is_admissible(chi_full, p, cfg.tol):
+    if not is_admissible(chi_full, p):
         raise Singular(f"omega {omega} has parabolic non-Steinberg holonomy")
-    value = modified_dim(chi_full, p, cfg.tol)
-    out = {"ell": cfg.ell, "omega": _cpair(omega), "dim": _cpair(value),
+    value = modified_dim(chi_full, p)
+    out = {"ell": ell, "omega": _cpair(omega), "dim": _cpair(value),
            "alpha": _cpair(alpha_from_omega(omega, p))}
     if args.dual_check:
         # recompute through the Casimir scalar of the dual module
-        V = build_cyclic_module(chi_full, p, cfg.tol)
+        V = build_cyclic_module(chi_full, p)
         dual_value = modified_dim(
             ZChar(kappa=0.0, e_r=0.0, f_r=0.0,
-                  omega=dual_casimir_scalar(V, p, cfg.tol)), p, cfg.tol)
+                  omega=dual_casimir_scalar(V, p)), p)
         out["dim_via_dual"] = _cpair(dual_value)
         out["dual_deviation"] = abs(dual_value - value)
     _emit(out)
@@ -211,12 +203,11 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
-    ell, d = load_link(args.link, args.tol)
-    cfg = _config(args, ell)
-    gauge, lifted, attempts = gauge_fix(d, cfg.seed, cfg.max_gauge_attempts,
-                                        cfg.tol)
+    ell, d = load_link(args.link)
+    ell = _ell(args, ell)
+    gauge, lifted, attempts = gauge_fix(d, args.seed, args.max_gauge)
     out = {
-        "ell": cfg.ell,
+        "ell": ell,
         "attempts": attempts,
         "gauge": {"kappa": _cpair(gauge.kappa), "eps": _cpair(gauge.eps),
                   "phi": _cpair(gauge.phi)},
@@ -231,18 +222,17 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_gauge_orbit(args: argparse.Namespace) -> int:
-    ell, d = load_link(args.link, args.tol)
-    cfg = _config(args, ell)
-    provider = _provider(cfg)
-    rng = np.random.default_rng(cfg.seed + 1)
-    p = provider.p
+    ell, d = load_link(args.link)
+    ell = _ell(args, ell)
+    p = root_params(ell)
+    rng = np.random.default_rng(args.seed + 1)
     gens: list = []
     for _ in range(args.generators):
         gens.append(random_gstar(rng))
         gens.append(random_qcolor(rng, p))
-    rep = gauge_orbit_compare(d, gens, provider, seed=cfg.seed,
-                              max_gauge=cfg.max_gauge_attempts)
-    _emit({"ell": cfg.ell, "base": _cpair(rep["base"]),
+    rep = gauge_orbit_compare(d, gens, BraidingProvider(p), seed=args.seed,
+                              max_gauge=args.max_gauge)
+    _emit({"ell": ell, "base": _cpair(rep["base"]),
            "generators": rep["generators"],
            "max_deviation": rep["max_deviation"], "pass": bool(rep["pass"])})
     return 0
@@ -258,16 +248,17 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _positive(kind: type):
-    """An argparse type: a number of `kind` that is greater than zero."""
+def _count(low: int):
+    """An argparse type: an integer no less than `low`, which is 0 or 1."""
 
-    def parse(text: str):
-        v = kind(text)
-        if not v > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    def parse(text: str) -> int:
+        v = int(text)
+        if v < low:
+            word = "positive" if low else "non-negative"
+            raise argparse.ArgumentTypeError(f"must be {word}, got {text}")
         return v
 
-    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    parse.__name__ = "int"  # argparse names it in "invalid ... value"
     return parse
 
 
@@ -277,18 +268,8 @@ def _add_common(sp: argparse.ArgumentParser, need_ell: bool) -> None:
     else:
         sp.add_argument("--ell", type=int, default=None,
                         help="override the link file's ell")
-    sp.add_argument("--tol", type=_positive(float), default=1e-9)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-gauge", type=_positive(int), default=100)
-
-
-def _config(args: argparse.Namespace, ell: int) -> RunConfig:
-    return RunConfig(
-        ell=ell if getattr(args, "ell", None) is None else args.ell,
-        tol=args.tol,
-        seed=args.seed,
-        max_gauge_attempts=args.max_gauge,
-    )
+    sp.add_argument("--seed", type=_count(0), default=0)
+    sp.add_argument("--max-gauge", type=_count(1), default=100)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gauge-orbit", help="invariant along a sampled gauge orbit")
     sp.add_argument("link")
     _add_common(sp, need_ell=False)
-    sp.add_argument("--generators", type=int, default=3)
+    sp.add_argument("--generators", type=_count(1), default=3)
     sp.set_defaults(func=cmd_gauge_orbit)
     return ap
 

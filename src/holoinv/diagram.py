@@ -39,6 +39,7 @@ from .errors import (
     PatternMismatch,
     WordMismatch,
 )
+from .params import TOL
 
 PIECES = ("X+", "X-", "evL", "evR", "coevL", "coevR")
 
@@ -69,7 +70,7 @@ class Slice:
             raise ParseError("negative slice offset")
 
 
-def colors_equal(a: Any, b: Any, tol: float = 1e-9) -> bool:
+def colors_equal(a: Any, b: Any, tol: float = TOL) -> bool:
     if a is None or b is None:
         return a is None and b is None
     if hasattr(a, "approx_eq"):
@@ -242,9 +243,7 @@ def identity(word: Iterable[tuple[Any, str]]) -> Diagram:
     )
 
 
-def _remap_colors(
-    new: Diagram, parts: list[tuple[Diagram, Callable]], tol: float = 1e-9
-) -> Diagram:
+def _remap_colors(new: Diagram, parts: list[tuple[Diagram, Callable]]) -> Diagram:
     """Transfer colors of sub-diagrams into `new`, port by port.
 
     `parts` pairs each old diagram with a callable mapping its ports to ports
@@ -262,13 +261,13 @@ def _remap_colors(
                 continue
             e_new = new.edge_at(*q)
             c = old.edge_colors[e_old]
-            if e_new in out and not colors_equal(out[e_new], c, tol):
+            if e_new in out and not colors_equal(out[e_new], c):
                 raise InconsistentColoring(f"edge {e_new} gets conflicting colors")
             out[e_new] = c
     return new.with_colors(out)
 
 
-def compose(d1: Diagram, d2: Diagram, tol: float = 1e-9) -> Diagram:
+def compose(d1: Diagram, d2: Diagram) -> Diagram:
     """Stack d2 on top of d1 (d1 first)."""
     if d1.top_signs != tuple(d2.bottom_signs):
         raise WordMismatch(
@@ -277,16 +276,14 @@ def compose(d1: Diagram, d2: Diagram, tol: float = 1e-9) -> Diagram:
     for i in range(d1.width(d1.n_slices)):
         c1 = d1.color_at(d1.n_slices, i)
         c2 = d2.color_at(0, i)
-        if c1 is not None and c2 is not None and not colors_equal(c1, c2, tol):
+        if c1 is not None and c2 is not None and not colors_equal(c1, c2):
             raise WordMismatch(f"boundary colors differ at position {i}")
     n1 = d1.n_slices
     new = Diagram(d1.bottom_signs, d1.slices + d2.slices)
-    return _remap_colors(
-        new, [(d1, lambda p: p), (d2, lambda p: (p[0] + n1, p[1]))], tol
-    )
+    return _remap_colors(new, [(d1, lambda p: p), (d2, lambda p: (p[0] + n1, p[1]))])
 
 
-def tensor(d1: Diagram, d2: Diagram, tol: float = 1e-9) -> Diagram:
+def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     """Place d2 to the right of d1 (d1's slices first, then d2's shifted)."""
     n1 = d1.n_slices
     w1_top = d1.width(n1)
@@ -301,10 +298,10 @@ def tensor(d1: Diagram, d2: Diagram, tol: float = 1e-9) -> Diagram:
             return (0, d1.width(0) + i)
         return (t + n1, w1_top + i)
 
-    return _remap_colors(new, [(d1, lambda p: p), (d2, map2)], tol)
+    return _remap_colors(new, [(d1, lambda p: p), (d2, map2)])
 
 
-def closure(d: Diagram, tol: float = 1e-9) -> Diagram:
+def closure(d: Diagram) -> Diagram:
     """Trace closure around the right side."""
     if d.bottom_signs != d.top_signs:
         raise WordMismatch("closure needs equal bottom and top words")
@@ -319,13 +316,13 @@ def closure(d: Diagram, tol: float = 1e-9) -> Diagram:
         post.append(Slice(i, "evR" if s == "+" else "evL"))
     new = Diagram([], pre + mid + post)
     npre = len(pre)
-    colored = _remap_colors(new, [(d, lambda p: (p[0] + npre, p[1]))], tol)
+    colored = _remap_colors(new, [(d, lambda p: (p[0] + npre, p[1]))])
     # closure seams must match colors; union-find enforced merging, but if the
     # original diagram had different colors top/bottom, _remap_colors raised.
     return colored
 
 
-def _bend_open(tangle: Diagram, p: int, tol: float) -> Diagram:
+def _bend_open(tangle: Diagram, p: int) -> Diagram:
     """Bend an n-n tangle into a 1-1 tangle keeping boundary strand p.
 
     Strands left of p return around the left, strands right of p around the
@@ -358,10 +355,10 @@ def _bend_open(tangle: Diagram, p: int, tol: float) -> Diagram:
     new = Diagram([w[p]], pre + mid + post)
     npre = len(pre)
     # port map for the original tangle: level t -> npre + t, position i -> m + i
-    return _remap_colors(new, [(tangle, lambda q: (q[0] + npre, q[1] + m))], tol)
+    return _remap_colors(new, [(tangle, lambda q: (q[0] + npre, q[1] + m))])
 
 
-def cut_edge(d: Diagram, e: Optional[str] = None, tol: float = 1e-9) -> Diagram:
+def cut_edge(d: Diagram, e: Optional[str] = None) -> Diagram:
     """Open one edge of a closed diagram into a 1-1 tangle with boundary (x,+).
 
     Default edge: lexicographically least (in (level, position) port order).
@@ -393,8 +390,8 @@ def cut_edge(d: Diagram, e: Optional[str] = None, tol: float = 1e-9) -> Diagram:
     # the cut edge touches ports in both halves; it legitimately becomes two
     # edges (bottom and top boundary) with the same color, which per-port
     # transfer allows
-    rolled = _remap_colors(rolled, [(d, port_map)], tol)
-    return _bend_open(rolled, p, tol)
+    rolled = _remap_colors(rolled, [(d, port_map)])
+    return _bend_open(rolled, p)
 
 
 # --- Reidemeister moves ---------------------------------------------------
@@ -413,7 +410,7 @@ def _require(cond: bool, msg: str):
         raise PatternMismatch(msg)
 
 
-def apply_rmove(d: Diagram, m: RMove, oracle, tol: float = 1e-9) -> Diagram:
+def apply_rmove(d: Diagram, m: RMove, oracle) -> Diagram:
     """Apply or undo a generator Reidemeister move at a given location.
 
     `oracle` is a biquandle oracle (see `sl2factor.FactorizationOracle`) with
@@ -577,9 +574,7 @@ def _recolor_patch(d: Diagram, i: int, n: int, o: int, width: int, oracle) -> Di
 
 # --- generic coloring propagation -----------------------------------------
 
-def propagate_colors(
-    d: Diagram, bottom: Sequence[Any], oracle, tol: float = 1e-9
-) -> Diagram:
+def propagate_colors(d: Diagram, bottom: Sequence[Any], oracle) -> Diagram:
     """Color all edges from the bottom word using a biquandle-style oracle.
 
     One forward sweep: crossings fire in slice order (B for X+, B_inv for
@@ -595,7 +590,7 @@ def propagate_colors(
 
     def put(e: str, c: Any):
         if e in colors:
-            if not colors_equal(colors[e], c, tol):
+            if not colors_equal(colors[e], c):
                 raise InconsistentColoring(f"edge {e} forced to two colors")
         else:
             colors[e] = c

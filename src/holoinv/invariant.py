@@ -41,6 +41,7 @@ from .errors import (
     Undefined,
 )
 from .modtrace import modified_dim
+from .params import GATE, TOL
 from .quandle import QColor, gauge_act, gauge_act_matrix
 from .sl2factor import (
     GStarElem,
@@ -124,7 +125,7 @@ def evaluate_F(d: Diagram, provider: BraidingProvider,
     """
     if d.max_width() > max_width:
         raise ParseError(f"diagram width {d.max_width()} exceeds the guard {max_width}")
-    r, tol, w0 = provider.p.r, provider.tol, len(d.bottom_signs)
+    r, w0 = provider.p.r, len(d.bottom_signs)
     # labels 0..w0-1 are the bottom boundary; slice t outputs 2w0 + 2t + k
     cur = list(range(w0, 2 * w0))
     net = [(np.eye(r, dtype=complex), [w0 + k, k]) for k in range(w0)]
@@ -141,7 +142,7 @@ def evaluate_F(d: Diagram, provider: BraidingProvider,
                 tops, m = provider.braiding_inv(ya, yb)
             for k in range(2):
                 got = d.color_at(t + 1, o + k)
-                if got is not None and not colors_equal(tops[k], got, 1e3 * tol):
+                if got is not None and not colors_equal(tops[k], got, 1e3 * TOL):
                     raise InconsistentColoring(
                         f"crossing at slice {t}: stored top color disagrees "
                         "with the biquandle output")
@@ -165,23 +166,22 @@ def evaluate_Fprime(d: Diagram, provider: BraidingProvider,
     extracts the scalar by which it acts on the simple module of the cut
     color, and multiplies by that color's modified dimension.
     """
-    tol = provider.tol
-    tangle = cut_edge(d, cut, tol)
+    tangle = cut_edge(d, cut)
     x = tangle.color_at(0, 0)
     if x is None:
         raise InconsistentColoring("cut edge has no color")
     m = evaluate_F(tangle, provider)
     s, res = proportionality(m, np.eye(provider.p.r, dtype=complex))
-    if res > provider.gate:
+    if res > GATE:
         raise NonScalarResult(
             f"1-1 tangle is not scalar on the cut color, residual {res:.3e}"
         )
-    dchi = modified_dim(provider.char(x), provider.p, tol)
+    dchi = modified_dim(provider.char(x), provider.p)
     return ModScalar(dchi * s, provider.p.r)
 
 
-def gauge_fix(d: Diagram, seed: int = 0, max_gauge: int = 100,
-              tol: float = 1e-9) -> tuple[GStarElem, Diagram, int]:
+def gauge_fix(d: Diagram, seed: int = 0,
+              max_gauge: int = 100) -> tuple[GStarElem, Diagram, int]:
     """Find a gauge in which a Q-colored diagram lifts to factorization colors.
 
     Tries the identity gauge first, then gauges drawn by `random_gstar` from
@@ -195,7 +195,7 @@ def gauge_fix(d: Diagram, seed: int = 0, max_gauge: int = 100,
         x = GStarElem.one() if k == 0 else random_gstar(rng)
         dd = gauge_act_diagram(x, d) if k else d
         try:
-            return x, q_functor_inv(dd, tol), k + 1
+            return x, q_functor_inv(dd), k + 1
         except Undefined as e:
             last = str(e)
     raise GaugeExhausted(
@@ -214,7 +214,7 @@ def tilde_Fprime(d: Diagram, provider: BraidingProvider,
     of the result does not depend on the gauge, the cut edge, or the
     diagram representative.
     """
-    gauge, lifted, attempts = gauge_fix(d, seed, max_gauge, provider.tol)
+    gauge, lifted, attempts = gauge_fix(d, seed, max_gauge)
     e = cut if cut is not None else lifted.edges()[0]
     value = evaluate_Fprime(lifted, provider, e)
     return InvariantResult(value=value, gauge_used=gauge,
@@ -247,5 +247,5 @@ def gauge_orbit_compare(d: Diagram, generators: Sequence[Any],
         "base": base,
         "generators": len(generators),
         "max_deviation": worst,
-        "pass": worst <= provider.gate * 1e2,
+        "pass": worst <= GATE * 1e2,
     }

@@ -25,11 +25,11 @@ import cmath
 import numpy as np
 
 from .errors import NonScalarResult, Singular
-from .params import RootParams, cheb_second_kind
+from .params import TOL, RootParams, cheb_second_kind
 from .uqsl2 import CyclicModule, ZChar, casimir_matrix, dual_rep
 
 
-def modified_dim(chi: ZChar, p: RootParams, tol: float = 1e-9) -> complex:
+def modified_dim(chi: ZChar, p: RootParams) -> complex:
     """d(chi) = (-1)^(r-1) r / S_(r-1)((-1)^r chi(Omega)).
 
     S_n is the second-kind Chebyshev recurrence.  Raises Singular when the
@@ -37,7 +37,7 @@ def modified_dim(chi: ZChar, p: RootParams, tol: float = 1e-9) -> complex:
     zero), which happens exactly when a is an integer not divisible by r.
     """
     den = cheb_second_kind(p.r - 1, p.sign_r * chi.omega)
-    if abs(den) <= tol * max(1.0, float(p.r)):
+    if abs(den) <= TOL * max(1.0, float(p.r)):
         raise Singular(f"modified dimension pole at chi(Omega) = {chi.omega}")
     return -p.sign_r * p.r / den
 
@@ -55,42 +55,39 @@ def alpha_from_omega(omega: complex, p: RootParams) -> complex:
     return complex(a.real % p.ell, a.imag)
 
 
-def modified_dim_product(alpha: complex, p: RootParams,
-                         tol: float = 1e-9) -> complex:
+def modified_dim_product(alpha: complex, p: RootParams) -> complex:
     """Cross-check form: (-1)^(r-1) prod_{j=1}^{r-1} [j] / [alpha + r - j]."""
     out = complex(-p.sign_r)
     for j in range(1, p.r):
         den = p.qbracket(alpha + p.r - j)
-        if abs(den) <= tol:
+        if abs(den) <= TOL:
             raise Singular(f"bracket [alpha + {p.r - j}] vanishes")
         out *= p.qbracket(j) / den
     return out
 
 
-def modified_dim_ratio(alpha: complex, p: RootParams,
-                       tol: float = 1e-9) -> complex:
+def modified_dim_ratio(alpha: complex, p: RootParams) -> complex:
     """Cross-check form: (-1)^(r-1) r [alpha] / [r alpha], for [r alpha] != 0."""
     den = p.qbracket(p.r * alpha)
-    if abs(den) <= tol:
+    if abs(den) <= TOL:
         raise Singular("bracket [r alpha] vanishes")
     return -p.sign_r * p.r * p.qbracket(alpha) / den
 
 
 def casimir_scalar(E: np.ndarray, F: np.ndarray, K: np.ndarray,
-                   p: RootParams, tol: float = 1e-9) -> complex:
+                   p: RootParams) -> complex:
     """Scalar by which the Casimir acts on an irreducible set of matrices."""
     # E F is formed first and passed with F = I, so the bracket scales the
     # product; that fixes the rounding `holoinv dim --dual-check` prints
     om = casimir_matrix(E @ F, np.eye(len(E)), K, np.linalg.inv(K), p)
     s = np.trace(om) / om.shape[0]
-    if np.linalg.norm(om - s * np.eye(om.shape[0])) > tol * 1e3 * max(1.0, abs(s)):
+    if np.linalg.norm(om - s * np.eye(om.shape[0])) > TOL * 1e3 * max(1.0, abs(s)):
         raise NonScalarResult("Casimir does not act by a scalar")
     return complex(s)
 
 
-def dual_casimir_scalar(V: CyclicModule, p: RootParams,
-                        tol: float = 1e-9) -> complex:
+def dual_casimir_scalar(V: CyclicModule, p: RootParams) -> complex:
     """chi*(Omega): the Casimir scalar of the dual module."""
     d = dual_rep(V)
-    return casimir_scalar(d.E, d.F, d.K, p, tol)
+    return casimir_scalar(d.E, d.F, d.K, p)
 

@@ -11,6 +11,10 @@ the normalized second-kind polynomial S_n with S_n(2 cos t) =
 sin((n+1)t)/sin(t).  Both are evaluated by the three-term recurrence for
 numerical stability; first-kind coefficients are also available exactly in
 integer arithmetic for the structural tests.
+
+`TOL` is the one numerical tolerance: every threshold of the package is
+formed from it where the comparison is made, and `GATE` bounds every
+relative residual check.  The invariant is exact, so neither is an input.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+TOL = 1e-9
+GATE = 1e3 * TOL  # one ulp above the literal 1e-6
 
 
 def cheb_first_kind(n: int, t: complex) -> complex:

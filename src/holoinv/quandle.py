@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import RootParams, cheb_first_kind_roots
+from .params import TOL, RootParams, cheb_first_kind_roots
 
 _ID2 = np.eye(2, dtype=complex)
 
@@ -41,7 +41,7 @@ class QColor:
     g: np.ndarray
     z: complex
 
-    def approx_eq(self, other: "QColor", tol: float = 1e-9) -> bool:
+    def approx_eq(self, other: "QColor", tol: float = TOL) -> bool:
         return (
             np.allclose(self.g, other.g, rtol=0.0, atol=tol)
             and abs(self.z - other.z) <= tol
@@ -109,11 +109,11 @@ class QuandleCrossingOracle:
         return x
 
 
-def propagate_qcolors(d, bottom: Sequence[QColor], tol: float = 1e-9):
+def propagate_qcolors(d, bottom: Sequence[QColor]):
     """Color a diagram's edges from bottom Q-colors."""
     from .diagram import propagate_colors
 
-    return propagate_colors(d, bottom, QuandleCrossingOracle(), tol)
+    return propagate_colors(d, bottom, QuandleCrossingOracle())
 
 
 def random_sl2(rng: np.random.Generator) -> np.ndarray:

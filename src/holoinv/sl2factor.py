@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentColoring, InternalInconsistency, OutsideGPrime
-from .params import RootParams
+from .params import TOL, RootParams
 from .quandle import QColor, inv2, mat2, z_candidates
 
 _ID2 = np.eye(2, dtype=complex)
@@ -68,7 +68,7 @@ class GStarElem:
             1.0 / self.kappa, -self.eps / self.kappa, -self.phi / self.kappa
         )
 
-    def approx_eq(self, o: "GStarElem", tol: float = 1e-9) -> bool:
+    def approx_eq(self, o: "GStarElem", tol: float = TOL) -> bool:
         return (
             abs(self.kappa - o.kappa) <= tol
             and abs(self.eps - o.eps) <= tol
@@ -90,12 +90,12 @@ def psi(x: GStarElem) -> np.ndarray:
     return x.matrix()
 
 
-def psi_inv(m: np.ndarray, tol: float = 1e-9) -> GStarElem:
+def psi_inv(m: np.ndarray) -> GStarElem:
     """Invert psi on G'; raises OutsideGPrime off the domain."""
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det - 1.0) > tol * max(1.0, float(np.abs(m).max()) ** 2):
+    if abs(det - 1.0) > TOL * max(1.0, float(np.abs(m).max()) ** 2):
         raise OutsideGPrime("matrix is not in SL(2,C)")
-    if abs(m[0, 0]) <= tol:
+    if abs(m[0, 0]) <= TOL:
         raise OutsideGPrime("vanishing upper-left entry")
     return GStarElem(complex(m[0, 0]), complex(-m[0, 1]), complex(m[1, 0]))
 
@@ -107,7 +107,7 @@ class YColor:
     g: GStarElem
     z: complex
 
-    def approx_eq(self, other: "YColor", tol: float = 1e-9) -> bool:
+    def approx_eq(self, other: "YColor", tol: float = TOL) -> bool:
         return self.g.approx_eq(other.g, tol) and abs(self.z - other.z) <= tol
 
     def __repr__(self):
@@ -120,46 +120,46 @@ def steinberg_ycolor(p: RootParams) -> YColor:
     return YColor(GStarElem(complex(s), 0.0, 0.0), 2.0 * (-p.sign_ell))
 
 
-def _conj_solve(h: np.ndarray, m: np.ndarray, tol: float) -> GStarElem:
-    return psi_inv(h @ m @ inv2(h), tol)
+def _conj_solve(h: np.ndarray, m: np.ndarray) -> GStarElem:
+    return psi_inv(h @ m @ inv2(h))
 
 
-def sl2_B(y1: YColor, y2: YColor, tol: float = 1e-9) -> tuple[YColor, YColor]:
+def sl2_B(y1: YColor, y2: YColor) -> tuple[YColor, YColor]:
     """Positive-crossing map; raises OutsideGPrime when a solve leaves G'."""
     x1, x2 = y1.g, y2.g
-    x4 = _conj_solve(x1.phi_minus(), psi(x2), tol)
-    x3 = _conj_solve(inv2(x4.phi_plus()), psi(x1), tol)
+    x4 = _conj_solve(x1.phi_minus(), psi(x2))
+    x3 = _conj_solve(inv2(x4.phi_plus()), psi(x1))
     return (YColor(x4, y2.z), YColor(x3, y1.z))
 
 
-def sl2_B_inv(y4: YColor, y3: YColor, tol: float = 1e-9) -> tuple[YColor, YColor]:
+def sl2_B_inv(y4: YColor, y3: YColor) -> tuple[YColor, YColor]:
     x4, x3 = y4.g, y3.g
-    x1 = _conj_solve(x4.phi_plus(), psi(x3), tol)
-    x2 = _conj_solve(inv2(x1.phi_minus()), psi(x4), tol)
+    x1 = _conj_solve(x4.phi_plus(), psi(x3))
+    x2 = _conj_solve(inv2(x1.phi_minus()), psi(x4))
     return (YColor(x1, y3.z), YColor(x2, y4.z))
 
 
-def sl2_S(y4: YColor, y1: YColor, tol: float = 1e-9) -> tuple[YColor, YColor]:
+def sl2_S(y4: YColor, y1: YColor) -> tuple[YColor, YColor]:
     """Sideways map: S(B1(x,y), x) = (B2(x,y), y)."""
     x4, x1 = y4.g, y1.g
-    x3 = _conj_solve(inv2(x4.phi_plus()), psi(x1), tol)
-    x2 = _conj_solve(inv2(x1.phi_minus()), psi(x4), tol)
+    x3 = _conj_solve(inv2(x4.phi_plus()), psi(x1))
+    x2 = _conj_solve(inv2(x1.phi_minus()), psi(x4))
     return (YColor(x3, y1.z), YColor(x2, y4.z))
 
 
-def sl2_S_inv(y3: YColor, y2: YColor, tol: float = 1e-9) -> tuple[YColor, YColor]:
+def sl2_S_inv(y3: YColor, y2: YColor) -> tuple[YColor, YColor]:
     """Inverse sideways map, via S^(-1) = (i x Id) B (Id x i) on the G* parts."""
-    a, b = sl2_B(YColor(y3.g, y3.z), YColor(y2.g.inv(), y2.z), tol)
+    a, b = sl2_B(YColor(y3.g, y3.z), YColor(y2.g.inv(), y2.z))
     return (YColor(a.g.inv(), y2.z), YColor(b.g, y3.z))
 
 
-def alpha(y: YColor, tol: float = 1e-9) -> YColor:
+def alpha(y: YColor) -> YColor:
     """The biquandle diagonal: B(x, alpha(x)) = (x, alpha(x))."""
-    return YColor(psi_inv(inv2(psi(y.g.inv())), tol), y.z)
+    return YColor(psi_inv(inv2(psi(y.g.inv()))), y.z)
 
 
-def alpha_inv(y: YColor, tol: float = 1e-9) -> YColor:
-    return YColor(psi_inv(inv2(psi(y.g)), tol).inv(), y.z)
+def alpha_inv(y: YColor) -> YColor:
+    return YColor(psi_inv(inv2(psi(y.g))).inv(), y.z)
 
 
 class FactorizationOracle:
@@ -180,26 +180,12 @@ class FactorizationOracle:
     `sl2_B` builds it), and a map raises OutsideGPrime where a solve leaves G'.
     """
 
-    def __init__(self, tol: float = 1e-9):
-        self.tol = tol
-
-    def B(self, a, b):
-        return sl2_B(a, b, self.tol)
-
-    def B_inv(self, a, b):
-        return sl2_B_inv(a, b, self.tol)
-
-    def S(self, a, b):
-        return sl2_S(a, b, self.tol)
-
-    def S_inv(self, a, b):
-        return sl2_S_inv(a, b, self.tol)
-
-    def alpha(self, x):
-        return alpha(x, self.tol)
-
-    def alpha_inv(self, x):
-        return alpha_inv(x, self.tol)
+    B = staticmethod(sl2_B)
+    B_inv = staticmethod(sl2_B_inv)
+    S = staticmethod(sl2_S)
+    S_inv = staticmethod(sl2_S_inv)
+    alpha = staticmethod(alpha)
+    alpha_inv = staticmethod(alpha_inv)
 
 
 def random_gstar(rng: np.random.Generator) -> GStarElem:
@@ -219,7 +205,7 @@ def random_ycolor(rng: np.random.Generator, p: RootParams) -> YColor:
 
 # --- the holonomy functor ---------------------------------------------------
 
-def q_functor(d, tol: float = 1e-9):
+def q_functor(d):
     """Turn an X-colored diagram into the Q-colored diagram of its holonomies.
 
     At each horizontal level the region west of everything carries the
@@ -244,7 +230,7 @@ def q_functor(d, tol: float = 1e-9):
                 h = h @ inv2(y.g.phi_plus())
                 q = QColor(h @ psi(y.g) @ inv2(h), y.z)
             if e in qcolors:
-                if not qcolors[e].approx_eq(q, tol * 1e3):
+                if not qcolors[e].approx_eq(q, TOL * 1e3):
                     raise InternalInconsistency(
                         f"edge {e} receives conflicting holonomies"
                     )
@@ -253,7 +239,7 @@ def q_functor(d, tol: float = 1e-9):
     return d.map_colors(lambda y: None).with_colors(qcolors)
 
 
-def q_functor_inv(d, tol: float = 1e-9):
+def q_functor_inv(d):
     """Recover an X-coloring from a Q-colored diagram, when all solves stay in G'.
 
     Scans each level west to east; an upward strand with Q-color q and west
@@ -271,9 +257,9 @@ def q_functor_inv(d, tol: float = 1e-9):
                 raise InconsistentColoring(f"edge {e} is uncolored")
             y = ycolors.get(e)
             if y is None:
-                y = YColor(psi_inv(inv2(h) @ q.g @ h, tol), q.z)
+                y = YColor(psi_inv(inv2(h) @ q.g @ h), q.z)
                 if s == "-":
-                    y = alpha_inv(y, tol)
+                    y = alpha_inv(y)
                 ycolors[e] = y
             if s == "+":
                 h = h @ y.g.phi_plus()
@@ -281,9 +267,9 @@ def q_functor_inv(d, tol: float = 1e-9):
                 h = h @ inv2(y.g.phi_plus())
     out = d.map_colors(lambda q: None).with_colors(ycolors)
     # round-trip check guards against inconsistent input colorings
-    back = q_functor(out, tol)
+    back = q_functor(out)
     for e, q in d.edge_colors.items():
-        if not back.edge_colors[e].approx_eq(q, tol * 1e3):
+        if not back.edge_colors[e].approx_eq(q, TOL * 1e3):
             raise InternalInconsistency(f"round trip fails on edge {e}")
     return out
 

@@ -28,7 +28,7 @@ from .errors import (
     DegenerateSpectrum,
     NotAdmissible,
 )
-from .params import RootParams, cheb_first_kind, cheb_first_kind_roots
+from .params import TOL, RootParams, cheb_first_kind, cheb_first_kind_roots
 from .sl2factor import YColor
 
 
@@ -41,7 +41,7 @@ class ZChar:
     f_r: complex
     omega: complex
 
-    def approx_eq(self, o: "ZChar", tol: float = 1e-9) -> bool:
+    def approx_eq(self, o: "ZChar", tol: float = TOL) -> bool:
         return (
             abs(self.kappa - o.kappa) <= tol
             and abs(self.e_r - o.e_r) <= tol
@@ -50,7 +50,7 @@ class ZChar:
         )
 
 
-def char_from_ycolor(y: YColor, p: RootParams, tol: float = 1e-9) -> ZChar:
+def char_from_ycolor(y: YColor, p: RootParams) -> ZChar:
     """Characters from factorization colors: kappa, [1]^(-r) eps,
     (-1)^l [1]^(-r) phi/kappa, z."""
     br = p.qbracket(1) ** p.r
@@ -60,7 +60,7 @@ def char_from_ycolor(y: YColor, p: RootParams, tol: float = 1e-9) -> ZChar:
         f_r=p.sign_ell * y.g.phi / (br * y.g.kappa),
         omega=y.z,
     )
-    if abs(cheb_defect(chi, p)) > tol * 1e2:
+    if abs(cheb_defect(chi, p)) > TOL * 1e2:
         raise ChebyshevMismatch("character fails the Chebyshev compatibility")
     return chi
 
@@ -70,8 +70,8 @@ def steinberg_char(p: RootParams) -> ZChar:
                  omega=2.0 * (-p.sign_ell))
 
 
-def is_steinberg(chi: ZChar, p: RootParams, tol: float = 1e-9) -> bool:
-    return chi.approx_eq(steinberg_char(p), tol)
+def is_steinberg(chi: ZChar, p: RootParams) -> bool:
+    return chi.approx_eq(steinberg_char(p), TOL)
 
 
 def trace_psi(chi: ZChar, p: RootParams) -> complex:
@@ -86,12 +86,12 @@ def cheb_defect(chi: ZChar, p: RootParams) -> complex:
     return cheb_first_kind(p.r, chi.omega) - rhs
 
 
-def is_admissible(chi: ZChar, p: RootParams, tol: float = 1e-9) -> bool:
+def is_admissible(chi: ZChar, p: RootParams) -> bool:
     """Non-parabolic trace condition guaranteeing a simple cyclic module."""
-    if is_steinberg(chi, p, max(tol, 1e-9)):
+    if is_steinberg(chi, p):
         return True
     t = trace_psi(chi, p)
-    return abs(t - 2.0) > tol and abs(t + 2.0) > tol
+    return abs(t - 2.0) > TOL and abs(t + 2.0) > TOL
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,7 @@ def branch_roots(kappa: complex, p: RootParams) -> list[complex]:
     return [k0 * zeta ** j for j in range(p.r)]
 
 
-def build_cyclic_module(
-    chi: ZChar, p: RootParams, tol: float = 1e-9
-) -> CyclicModule:
+def build_cyclic_module(chi: ZChar, p: RootParams) -> CyclicModule:
     """Construct the cyclic module of an admissible character.
 
     The root k is the principal r-th root of (-1)^(r-1) kappa; when f_r = 0
@@ -142,16 +140,16 @@ def build_cyclic_module(
     rejected (including both boundary traces at ell = 4: simplicity of the
     module is only guaranteed away from the parabolic locus).
     """
-    if not is_admissible(chi, p, tol):
+    if not is_admissible(chi, p):
         raise NotAdmissible("parabolic holonomy trace")
     r, xi = p.r, p.xi
     roots = branch_roots(chi.kappa, p)
-    if abs(chi.f_r) > tol:
+    if abs(chi.f_r) > TOL:
         k = roots[0]
     else:
         k = None
         for cand in roots:
-            if abs(chi.omega - (-p.sign_ell) * (cand + 1.0 / cand)) <= tol * 1e2 * max(
+            if abs(chi.omega - (-p.sign_ell) * (cand + 1.0 / cand)) <= TOL * 1e2 * max(
                 1.0, abs(chi.omega)
             ):
                 k = cand
@@ -166,13 +164,13 @@ def build_cyclic_module(
         F[i, i - 1] = 1.0
     F[0, r - 1] = chi.f_r
     br1 = p.qbracket(1)
-    if abs(chi.f_r) > tol:
+    if abs(chi.f_r) > TOL:
         eps_p = (chi.omega + p.sign_ell * (k + 1.0 / k)) / (br1 ** 2 * chi.f_r)
     else:
         den = prod(
             p.qbracket(i) * (k * xi ** (-i) - xi ** i / k) for i in range(1, r)
         )
-        if abs(den) <= tol:
+        if abs(den) <= TOL:
             raise BranchInconsistent("degenerate branch denominator")
         eps_p = -p.sign_r * br1 ** (2 * r) * chi.e_r / den
     E = np.zeros((r, r), dtype=complex)

@@ -191,12 +191,12 @@ def check_dim_gauge_invariance(p: RootParams, samples: int = 1000,
         ya = random_ycolor(rng, p)
         yb = random_ycolor(rng, p)
         try:
-            d_ref = modified_dim(char_from_ycolor(yb, p, tol), p, tol)
-            y4, _ = sl2_B(ya, yb, tol)
-            d_fwd = modified_dim(char_from_ycolor(y4, p, tol), p, tol)
-            _, v = sl2_B_inv(ya, yb, tol)
-            d_inv = modified_dim(char_from_ycolor(ya, p, tol), p, tol)
-            d_inv2 = modified_dim(char_from_ycolor(v, p, tol), p, tol)
+            d_ref = modified_dim(char_from_ycolor(yb, p), p)
+            y4, _ = sl2_B(ya, yb)
+            d_fwd = modified_dim(char_from_ycolor(y4, p), p)
+            _, v = sl2_B_inv(ya, yb)
+            d_inv = modified_dim(char_from_ycolor(ya, p), p)
+            d_inv2 = modified_dim(char_from_ycolor(v, p), p)
         except HoloinvError:
             continue
         used += 1
@@ -206,8 +206,8 @@ def check_dim_gauge_invariance(p: RootParams, samples: int = 1000,
         for _ in range(3):
             partner = random_ycolor(rng, p)
             try:
-                y, _ = sl2_B(partner, y, tol)
-                d_orb = modified_dim(char_from_ycolor(y, p, tol), p, tol)
+                y, _ = sl2_B(partner, y)
+                d_orb = modified_dim(char_from_ycolor(y, p), p)
             except HoloinvError:
                 break
             worst = max(worst, abs(d_orb - d_ref))

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,8 +191,10 @@ def test_gauge_budget_exhausted_from_color_and_invariant(tmp_path, capsys):
 
 
 def test_bad_ell_exits_parse_error(capsys):
-    code, _ = _run(capsys, ["dim", "--ell", "2", "--omega", "0"])
+    code, out = _run(capsys, ["dim", "--ell", "2", "--omega", "0"])
     assert code == 1
+    assert json.loads(out)["error"] == {"kind": "ParseError",
+                                        "message": "ell must be >= 3"}
 
 
 def test_ell_zero_override_exits_parse_error(tmp_path, capsys):
@@ -238,19 +244,23 @@ def test_slices_may_be_objects(tmp_path, capsys):
 
 
 _BAD_ARGV = {
+    # there is no --tol option: each of these is an unrecognized argument
     "invariant-tol-zero": ["invariant", "LINK", "--tol", "0"],
     "invariant-tol-negative": ["invariant", "LINK", "--tol", "-1"],
     "color-tol-zero": ["color", "LINK", "--tol", "0"],
     "color-tol-negative": ["color", "LINK", "--tol", "-1"],
     "orbit-tol-zero": ["gauge-orbit", "LINK", "--tol", "0"],
     "orbit-tol-negative": ["gauge-orbit", "LINK", "--tol", "-1"],
+    "tol-text": ["invariant", "LINK", "--tol", "abc"],
     "max-gauge-zero": ["invariant", "LINK", "--max-gauge", "0"],
     "max-gauge-negative": ["color", "LINK", "--max-gauge", "-3"],
+    "seed-negative": ["invariant", "LINK", "--seed", "-1"],
+    "generators-zero": ["gauge-orbit", "LINK", "--generators", "0"],
+    "generators-negative": ["gauge-orbit", "LINK", "--generators", "-2"],
     "z-text": ["invariant", "BAD_Z"],
     "omega-text": ["dim", "--ell", "4", "--omega", "abc"],
     "unknown-command": ["knot", "LINK"],
     "axioms-command": ["axioms", "--ell", "4"],
-    "tol-text": ["invariant", "LINK", "--tol", "abc"],
     "ell-text": ["invariant", "LINK", "--ell", "x"],
     "no-link": ["invariant"],
 }
@@ -274,6 +284,26 @@ def test_bad_flag_or_value_prints_one_parse_error(tmp_path, capsys, argv):
 def test_help_exits_zero(capsys):
     code, out = _run(capsys, ["--help"])
     assert code == 0 and "usage" in out
+
+
+@pytest.mark.parametrize("command", ["invariant", "dim", "color", "gauge-orbit"])
+def test_no_subcommand_offers_a_tolerance(capsys, command):
+    code, out = _run(capsys, [command, "--help"])
+    assert code == 0 and "--seed" in out and "--tol" not in out
+
+
+def test_child_process_prints_what_main_prints(tmp_path, capsys):
+    # `python -m holoinv.cli` in a fresh interpreter, as a shell runs it
+    f = tmp_path / "hopf.json"
+    write_link_file(f, 3, [1, 1])
+    code, want = _run(capsys, ["invariant", str(f)])
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-m", "holoinv.cli", "invariant", str(f)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert (code, child.returncode) == (0, 0), child.stderr
+    assert child.stdout == want
 
 
 def test_color_gauge_orbit_roundtrip(tmp_path, capsys):
