@@ -19,8 +19,9 @@ explicit closed slice diagram,
     {"ell": 4, "bottom_signs": "", "slices": [[0, "coevL"], [0, "evR"]],
      "edge_colors": {"1:0": {"g": [[..],[..]], "z": ..}}}
 
-Complex numbers are written as [re, im] (a bare number means a real value);
-the holonomy "g" is a 2x2 matrix of such entries with determinant 1.
+Complex numbers are written as [re, im] (a bare number means a real value)
+and must be finite; the holonomy "g" is a 2x2 matrix of such entries with
+determinant 1, and "z" must satisfy Cb_r(z) = (-1)^(l+1) tr g at the run's ell.
 
 Every subcommand takes --ell, a non-negative --seed and a positive
 --max-gauge; the numerical tolerance is fixed at `params.TOL`, and no option
@@ -36,6 +37,7 @@ full-precision floats: fixed (input, seed, flags) give byte-identical runs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from typing import Any, Optional
@@ -47,7 +49,7 @@ from .diagram import Diagram, braid_diagram, closure
 from .errors import HoloinvError, ParseError, Singular
 from .invariant import gauge_fix, gauge_orbit_compare, tilde_Fprime
 from .modtrace import alpha_from_omega, dual_casimir_scalar, modified_dim
-from .params import TOL, root_params
+from .params import GATE, TOL, root_params
 from .quandle import QColor, propagate_qcolors, random_qcolor
 from .sl2factor import random_gstar
 from .uqsl2 import ZChar, build_cyclic_module, is_admissible, steinberg_char
@@ -56,14 +58,16 @@ from .uqsl2 import ZChar, build_cyclic_module, is_admissible, steinberg_char
 # --- JSON (de)serialization ---------------------------------------------------
 
 def _cplx(v: Any) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
+    pair = [v, 0.0] if isinstance(v, (int, float)) else v
+    if isinstance(pair, list) and len(pair) == 2:
         try:
-            return complex(float(v[0]), float(v[1]))
-        except (TypeError, ValueError):
+            z = complex(float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError, OverflowError):
             pass
-    raise ParseError(f"expected a number or [re, im] pair, got {v!r}")
+        else:
+            if cmath.isfinite(z):
+                return z
+    raise ParseError(f"expected a finite number or [re, im] pair, got {v!r}")
 
 
 def _int(v: Any, what: str) -> int:
@@ -156,11 +160,19 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _ell(args: argparse.Namespace, file_ell: Optional[int] = None) -> int:
-    """The run's ell: --ell when given, else the link file's."""
+def _ell(args: argparse.Namespace, file_ell: Optional[int] = None,
+         d: Optional[Diagram] = None) -> int:
+    """The run's ell: --ell when given, else the link file's.  Each color of
+    `d` must satisfy Cb_r(z) = (-1)^(l+1) tr g at it, to GATE: looser than
+    `uqsl2.char_from_ycolor`, so no color that the lift accepts is refused."""
     ell = file_ell if args.ell is None else args.ell
     if ell < 3:
         raise ParseError("ell must be >= 3")
+    p = root_params(ell)
+    for e, c in (d.edge_colors.items() if d is not None else ()):
+        if abs(p.cheb(c.z) - p.sign_ell_plus1 * c.trace()) > GATE:
+            raise ParseError(f"the color of edge {e} fails the Chebyshev "
+                             f"relation Cb_r(z) = (-1)^(l+1) tr g at ell {ell}")
     return ell
 
 
@@ -168,7 +180,7 @@ def _ell(args: argparse.Namespace, file_ell: Optional[int] = None) -> int:
 
 def cmd_invariant(args: argparse.Namespace) -> int:
     ell, d = load_link(args.link)
-    provider = BraidingProvider(root_params(_ell(args, ell)))
+    provider = BraidingProvider(root_params(_ell(args, ell, d)))
     res = tilde_Fprime(d, provider, seed=args.seed, max_gauge=args.max_gauge)
     _emit(res.as_json_dict())
     return 0
@@ -204,7 +216,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 def cmd_color(args: argparse.Namespace) -> int:
     ell, d = load_link(args.link)
-    ell = _ell(args, ell)
+    ell = _ell(args, ell, d)
     gauge, lifted, attempts = gauge_fix(d, args.seed, args.max_gauge)
     out = {
         "ell": ell,
@@ -223,7 +235,7 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 def cmd_gauge_orbit(args: argparse.Namespace) -> int:
     ell, d = load_link(args.link)
-    ell = _ell(args, ell)
+    ell = _ell(args, ell, d)
     p = root_params(ell)
     rng = np.random.default_rng(args.seed + 1)
     gens: list = []
@@ -262,6 +274,16 @@ def _count(low: int):
     return parse
 
 
+def _finite(text: str) -> complex:
+    """An argparse type: a finite Python complex literal."""
+    if cmath.isfinite(v := complex(text)):
+        return v
+    raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+
+
+_finite.__name__ = "complex"  # argparse names it in "invalid ... value"
+
+
 def _add_common(sp: argparse.ArgumentParser, need_ell: bool) -> None:
     if need_ell:
         sp.add_argument("--ell", type=int, required=True)
@@ -286,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dim", help="modified dimension at a Casimir value")
     _add_common(sp, need_ell=True)
-    sp.add_argument("--omega", type=complex, required=True,
+    sp.add_argument("--omega", type=_finite, required=True,
                     help="Casimir value as a Python complex literal")
     sp.add_argument("--dual-check", action="store_true")
     sp.set_defaults(func=cmd_dim)

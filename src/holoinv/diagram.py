@@ -105,7 +105,11 @@ class _UnionFind:
 
 
 class Diagram:
-    """An oriented framed tangle diagram with optional edge colors."""
+    """An oriented framed tangle diagram with optional edge colors.
+
+    Its structure (level signs, edge ids, port -> edge id table) depends only
+    on the bottom signs and the slices, so recolored copies share it.
+    """
 
     def __init__(
         self,
@@ -120,13 +124,20 @@ class Diagram:
             raise ParseError("signs must be '+' or '-'")
         self.slices = tuple(norm)
         self._build()
-        self.edge_colors: dict[str, Any] = {}
-        if edge_colors:
-            known = {_fmt(x) for x in self._edge_ids}
-            for e, c in edge_colors.items():
-                if e not in known:
-                    raise NoSuchEdge(e)
-                self.edge_colors[e] = c
+        self._set_colors(edge_colors or {})
+
+    def _set_colors(self, colors: dict[str, Any]):
+        for e in colors:
+            if e not in self._edges:
+                raise NoSuchEdge(e)
+        self.edge_colors: dict[str, Any] = dict(colors)
+
+    def _recolored(self, colors: dict[str, Any]) -> "Diagram":
+        """A diagram sharing this one's structure, with the given colors."""
+        new = object.__new__(Diagram)
+        new.__dict__.update(self.__dict__)
+        new._set_colors(colors)
+        return new
 
     # --- structure ---
 
@@ -163,9 +174,11 @@ class Diagram:
         # make sure every port of the top level exists
         for i in range(len(cur)):
             uf.add((len(self.slices), i))
-        self._uf = uf
         self._level_signs = [tuple(s) for s in signs]
-        self._edge_ids = sorted({uf.find(p) for p in uf.parent})
+        self._port_edge = {p: _fmt(uf.find(p)) for p in uf.parent}
+        # an edge's root is its least port; the ids in port order, as dict keys
+        self._edges = dict.fromkeys(_fmt(p) for p in sorted(uf.parent)
+                                    if uf.parent[p] == p)
 
     @property
     def n_slices(self) -> int:
@@ -186,12 +199,13 @@ class Diagram:
 
     def edge_at(self, t: int, i: int) -> str:
         """Edge id of the strand at level t, position i."""
-        if not (0 <= t <= self.n_slices) or not (0 <= i < self.width(t)):
-            raise NoSuchEdge(f"no port at level {t} position {i}")
-        return _fmt(self._uf.find((t, i)))
+        try:
+            return self._port_edge[t, i]
+        except KeyError:
+            raise NoSuchEdge(f"no port at level {t} position {i}") from None
 
     def edges(self) -> list[str]:
-        return [_fmt(e) for e in self._edge_ids]
+        return list(self._edges)
 
     def is_closed(self) -> bool:
         return not self.bottom_signs and not self.top_signs
@@ -215,15 +229,13 @@ class Diagram:
     def with_colors(self, mapping: dict[str, Any]) -> "Diagram":
         merged = dict(self.edge_colors)
         merged.update(mapping)
-        return Diagram(self.bottom_signs, self.slices, merged)
+        return self._recolored(merged)
 
     def map_colors(self, f: Callable[[Any], Any]) -> "Diagram":
-        return Diagram(
-            self.bottom_signs, self.slices, {e: f(c) for e, c in self.edge_colors.items()}
-        )
+        return self._recolored({e: f(c) for e, c in self.edge_colors.items()})
 
     def fully_colored(self) -> bool:
-        return all(e in self.edge_colors for e in self.edges())
+        return all(e in self.edge_colors for e in self._edges)
 
     def __repr__(self):
         b = "".join(self.bottom_signs)
@@ -252,12 +264,11 @@ def _remap_colors(new: Diagram, parts: list[tuple[Diagram, Callable]]) -> Diagra
     """
     out: dict[str, Any] = {}
     for old, port_map in parts:
-        for port in old._uf.parent:
+        for port, e_old in old._port_edge.items():
+            if e_old not in old.edge_colors:
+                continue
             q = port_map(port)
             if q is None:
-                continue
-            e_old = _fmt(old._uf.find(port))
-            if e_old not in old.edge_colors:
                 continue
             e_new = new.edge_at(*q)
             c = old.edge_colors[e_old]
@@ -316,82 +327,58 @@ def closure(d: Diagram) -> Diagram:
         post.append(Slice(i, "evR" if s == "+" else "evL"))
     new = Diagram([], pre + mid + post)
     npre = len(pre)
-    colored = _remap_colors(new, [(d, lambda p: (p[0] + npre, p[1]))])
-    # closure seams must match colors; union-find enforced merging, but if the
-    # original diagram had different colors top/bottom, _remap_colors raised.
-    return colored
-
-
-def _bend_open(tangle: Diagram, p: int) -> Diagram:
-    """Bend an n-n tangle into a 1-1 tangle keeping boundary strand p.
-
-    Strands left of p return around the left, strands right of p around the
-    right, connecting bottom strand j to top strand j by nested arcs.
-    """
-    w = list(tangle.bottom_signs)
-    if tangle.top_signs != tuple(w):
-        raise WordMismatch("bending needs equal boundary words")
-    m, k = p, len(w) - p - 1
-    pre: list[Slice] = []
-    # left arcs: a cup created at offset `step` nests inside the earlier
-    # ones, so creating j = m-1 first puts strand j's return leg at m-1-j and
-    # its other leg at m+j, where the tangle (shifted by m) has strand j.
-    for step, j in enumerate(range(m - 1, -1, -1)):
-        s = w[j]
-        pre.append(Slice(step, "coevR" if s == "+" else "coevL"))
-    # right arcs: create cup for j = 0 .. k-1
-    for j in range(k):
-        s = w[p + 1 + j]
-        pre.append(Slice(2 * m + 1 + j, "coevL" if s == "+" else "coevR"))
-    mid = [Slice(s.offset + m, s.piece) for s in tangle.slices]
-    post: list[Slice] = []
-    wlen = len(w)
-    for j in range(m):  # left caps, innermost (j=0) first
-        s = w[j]
-        post.append(Slice(m - 1 - j, "evL" if s == "+" else "evR"))
-    for j in range(k - 1, -1, -1):  # right caps, innermost (j=k-1) first
-        s = w[p + 1 + j]
-        post.append(Slice(1 + j, "evR" if s == "+" else "evL"))
-    new = Diagram([w[p]], pre + mid + post)
-    npre = len(pre)
-    # port map for the original tangle: level t -> npre + t, position i -> m + i
-    return _remap_colors(new, [(tangle, lambda q: (q[0] + npre, q[1] + m))])
+    # a seam whose top and bottom colors differ makes _remap_colors raise
+    return _remap_colors(new, [(d, lambda p: (p[0] + npre, p[1]))])
 
 
 def cut_edge(d: Diagram, e: Optional[str] = None) -> Diagram:
     """Open one edge of a closed diagram into a 1-1 tangle with boundary (x,+).
 
     Default edge: lexicographically least (in (level, position) port order).
+    The diagram is unrolled at a level where the edge is upward strand p,
+    and the n-n tangle this gives is bent open keeping strand p: strands
+    left of p return around the left, strands right of p around the right.
     """
     if not d.is_closed():
         raise NotClosed("cut_edge needs a closed diagram")
     if e is None:
-        if not d._edge_ids:
-            raise NoSuchEdge("empty diagram")
-        e = _fmt(d._edge_ids[0])
-    if e not in d.edges():
-        raise NoSuchEdge(e)
+        e = next(iter(d._edges), None)
+    if e not in d._edges:
+        raise NoSuchEdge(e or "empty diagram")
     # cut at the first upward port of the edge.  One exists at some level
     # 1..n-1: a closed diagram has no ports at levels 0 and n, crossings take
     # only upward strands, and a cup or cap joins a downward leg to an
     # upward one, so every edge has an upward port.
-    t, p = next((t, i) for t in range(1, d.n_slices) for i in range(d.width(t))
-                if d.edge_at(t, i) == e and d.level_signs(t)[i] == "+")
-    # unroll: top part first, then bottom part; the cut level becomes boundary
-    rolled = Diagram(d.level_signs(t), d.slices[t:] + d.slices[:t])
-    n_top = d.n_slices - t
-
-    def port_map(q):
-        lv, i = q
-        if lv >= t:
-            return (lv - t, i)
-        return (lv + n_top, i)
-
-    # the cut edge touches ports in both halves; it legitimately becomes two
-    # edges (bottom and top boundary) with the same color, which per-port
-    # transfer allows
-    rolled = _remap_colors(rolled, [(d, port_map)])
-    return _bend_open(rolled, p)
+    t, p = next((t, i) for t in range(1, d.n_slices)
+                for i, s in enumerate(d.level_signs(t))
+                if s == "+" and d._port_edge[t, i] == e)
+    w = d.level_signs(t)
+    m, k = p, len(w) - p - 1
+    pre: list[Slice] = []
+    # left arcs: a cup created at offset `step` nests inside the earlier
+    # ones, so creating j = m-1 first puts strand j's return leg at m-1-j and
+    # its other leg at m+j, where the tangle (shifted by m) has strand j.
+    for step, j in enumerate(range(m - 1, -1, -1)):
+        pre.append(Slice(step, "coevR" if w[j] == "+" else "coevL"))
+    # right arcs: create cup for j = 0 .. k-1
+    for j in range(k):
+        s = w[p + 1 + j]
+        pre.append(Slice(2 * m + 1 + j, "coevL" if s == "+" else "coevR"))
+    mid = [Slice(s.offset + m, s.piece) for s in d.slices[t:] + d.slices[:t]]
+    post: list[Slice] = []
+    for j in range(m):  # left caps, innermost (j=0) first
+        post.append(Slice(m - 1 - j, "evL" if w[j] == "+" else "evR"))
+    for j in range(k - 1, -1, -1):  # right caps, innermost (j=k-1) first
+        s = w[p + 1 + j]
+        post.append(Slice(1 + j, "evR" if s == "+" else "evL"))
+    new = Diagram([w[p]], pre + mid + post)
+    # port (lv, i) of d lies at level lv - t of the unrolled tangle if lv >= t,
+    # else at lv + n - t; bending adds npre to the level and m to the position.
+    # The cut edge legitimately becomes two edges (bottom and top boundary)
+    # with the same color, which per-port transfer allows.
+    below, above = len(pre) + d.n_slices - t, len(pre) - t
+    return _remap_colors(new, [(d, lambda q: (
+        q[0] + (above if q[0] >= t else below), q[1] + m))])
 
 
 # --- Reidemeister moves ---------------------------------------------------

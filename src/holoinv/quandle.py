@@ -43,7 +43,7 @@ class QColor:
 
     def approx_eq(self, other: "QColor", tol: float = TOL) -> bool:
         return (
-            np.allclose(self.g, other.g, rtol=0.0, atol=tol)
+            np.abs(self.g - other.g).max() <= tol
             and abs(self.z - other.z) <= tol
         )
 

@@ -259,6 +259,11 @@ _BAD_ARGV = {
     "generators-negative": ["gauge-orbit", "LINK", "--generators", "-2"],
     "z-text": ["invariant", "BAD_Z"],
     "omega-text": ["dim", "--ell", "4", "--omega", "abc"],
+    "omega-nan": ["dim", "--ell", "3", "--omega", "nan"],
+    "omega-infinite": ["dim", "--ell", "3", "--omega", "inf"],
+    "g-nan": ["invariant", "NAN_G"],
+    "z-infinite": ["color", "INF_Z"],
+    "z-huge": ["invariant", "BIG_Z"],
     "unknown-command": ["knot", "LINK"],
     "axioms-command": ["axioms", "--ell", "4"],
     "ell-text": ["invariant", "LINK", "--ell", "x"],
@@ -268,17 +273,49 @@ _BAD_ARGV = {
 
 @pytest.mark.parametrize("argv", _BAD_ARGV.values(), ids=_BAD_ARGV.keys())
 def test_bad_flag_or_value_prints_one_parse_error(tmp_path, capsys, argv):
-    link, bad_z = tmp_path / "hopf.json", tmp_path / "bad_z.json"
+    link = tmp_path / "hopf.json"
     write_link_file(link, 3, [1, 1])
-    doc = json.loads(link.read_text())
-    doc["colors"][0]["z"] = ["a", 1]
-    bad_z.write_text(json.dumps(doc))
-    files = {"LINK": str(link), "BAD_Z": str(bad_z)}
+    files = {"LINK": str(link)}
+    for name, path, value in [("BAD_Z", ["z"], ["a", 1]),
+                              ("NAN_G", ["g", 0, 1], [float("nan"), 0.0]),
+                              ("INF_Z", ["z"], float("inf")),
+                              ("BIG_Z", ["z"], 10**400)]:
+        doc = json.loads(link.read_text())
+        node = doc["colors"][0]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(doc))
     code, out = _run(capsys, [files.get(a, a) for a in argv])
     assert code == 1
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize("command", ["invariant", "color", "gauge-orbit"])
+def test_color_off_the_chebyshev_relation_exits_parse_error(tmp_path, capsys,
+                                                           command):
+    # tr diag(2, 1/2) = 5/2, but Cb_3(0.3) = 0.3^3 - 3 * 0.3 = -0.873
+    f = tmp_path / "off.json"
+    g = [[2, 0], [0, 0.5]]
+    f.write_text(json.dumps({"ell": 3, "braid": {"strands": 2, "word": [1, 1]},
+                             "colors": [{"g": g, "z": 0.3}] * 2}))
+    code, out = _run(capsys, [command, str(f)])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "ParseError" and "edge 1:0" in err["message"]
+
+
+def test_ell_override_rechecks_the_chebyshev_relation(tmp_path, capsys):
+    # z fits the file's ell 3 (r = 3), not ell 5 (r = 5)
+    f = tmp_path / "hopf.json"
+    write_link_file(f, 3, [1, 1])
+    assert _run(capsys, ["color", str(f)])[0] == 0
+    code, out = _run(capsys, ["color", str(f), "--ell", "5"])
+    assert code == 1
+    assert "Chebyshev" in json.loads(out)["error"]["message"]
 
 
 def test_help_exits_zero(capsys):

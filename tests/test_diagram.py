@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from holoinv.braiding import BraidingProvider
 from holoinv.diagram import (
     Diagram,
     RMove,
@@ -23,6 +24,10 @@ from holoinv.errors import (
     ParseError,
     WordMismatch,
 )
+from holoinv.invariant import tilde_Fprime
+from holoinv.params import root_params
+
+from conftest import commuting_link, riley_trefoil
 
 
 class _ToyOracle:
@@ -96,6 +101,53 @@ def test_cut_edge_keeps_colors():
     t = cut_edge(cl)
     assert t.fully_colored()
     assert t.color_at(0, 0) == t.color_at(t.n_slices, 0)
+
+
+def test_edge_at_rejects_ports_outside_the_diagram():
+    d = closure(braid_diagram(2, [1, -1]))
+    n = d.n_slices
+    for t in (-1, n + 1):
+        with pytest.raises(NoSuchEdge):
+            d.edge_at(t, 0)
+    for t in range(n + 1):
+        for i in (-1, d.width(t)):
+            with pytest.raises(NoSuchEdge):
+                d.edge_at(t, i)
+        assert all(d.edge_at(t, i) in d.edges() for i in range(d.width(t)))
+
+
+def test_recolored_copies_share_structure_but_not_colors():
+    d = braid_diagram(2, [1])
+    colored = propagate_colors(d, ["a", "b"], _ToyOracle())
+    upper = colored.map_colors(str.upper)
+    assert d.edge_colors == {}
+    assert upper.edges() == colored.edges() == d.edges()
+    assert upper.edge_colors == {e: c.upper() for e, c in colored.edge_colors.items()}
+    for x in (colored, upper):
+        with pytest.raises(NoSuchEdge):
+            x.with_colors({"99:9": "z"})
+
+
+@pytest.mark.parametrize("link", ["commuting", "trefoil"])
+def test_warm_evaluation_builds_one_structure(link, monkeypatch):
+    # the gauge move, the lift and its round trip recolor the link's diagram;
+    # only the cut's 1-1 tangle has a new slice list
+    d = (commuting_link(5, [1, 1, 1, -1]) if link == "commuting"
+         else riley_trefoil(5))
+    provider = BraidingProvider(root_params(5))
+    for e in d.edges():
+        tilde_Fprime(d, provider, cut=e)  # resolves every braiding
+    build, built = Diagram._build, []
+
+    def counting(self):
+        built.append(self)
+        build(self)
+
+    monkeypatch.setattr(Diagram, "_build", counting)
+    for e in d.edges():
+        built.clear()
+        tilde_Fprime(d, provider, cut=e)
+        assert len(built) == 1, e
 
 
 def test_propagate_colors_fires_positive_and_negative_crossings():

@@ -6,6 +6,7 @@ import numpy as np
 
 from holoinv.params import root_params
 from holoinv.quandle import (
+    QColor,
     QuandleCrossingOracle,
     gauge_act,
     inv2,
@@ -38,6 +39,33 @@ def test_action_is_matrix_conjugation():
         assert c.z == b.z
         back = q_act_inv(a, c)
         assert np.abs(back.g - b.g).max() < 1e-9
+
+
+def test_approx_eq_agrees_with_allclose():
+    # the largest entry difference straddles tol; on a zero entry a shift by
+    # exactly tol is exact, so some pairs sit at the threshold itself
+    rng = np.random.default_rng(4)
+    tol = 1e-9
+    a = random_qcolor(rng, root_params(4))
+    decided = set()
+    for k in range(400):
+        g1 = a.g.copy()
+        j = divmod(int(rng.integers(4)), 2)
+        shift = tol * rng.choice([1j, 1.0]) * (1.0 if k % 4 == 0
+                                               else rng.uniform(0.5, 1.5))
+        if k % 4 == 0:
+            g1[j] = 0.0
+        g2 = g1 + rng.uniform(-0.5, 0.5, (2, 2)) * tol
+        g2[j] = g1[j] + shift
+        want = np.allclose(g1, g2, rtol=0.0, atol=tol)
+        assert QColor(g1, a.z).approx_eq(QColor(g2, a.z), tol) == want
+        assert QColor(g2, a.z).approx_eq(QColor(g1, a.z), tol) == want
+        decided.add((k % 4 == 0, want))
+    assert decided == {(True, True), (False, True), (False, False)}
+    nan = a.g.copy()
+    nan[1, 0] = np.nan
+    assert not QColor(nan, a.z).approx_eq(a)
+    assert not a.approx_eq(QColor(nan, a.z))
 
 
 def test_z_candidates_satisfy_chebyshev():
