@@ -4,29 +4,26 @@ A braiding here is an isomorphism c : V1 (x) V2 -> V4 (x) V3 whose target
 colors are the biquandle images (chi4, chi3) = B(chi1, chi2), intertwining
 the coproduct action: c rho12(Delta u) = rho43(Delta u) c for u in {E, F, K}.
 
-The construction is self-contained and anchored at the Steinberg color;
-every braiding comes from `steinberg_pair_braiding` or `block_braiding`.
+Every braiding has the R-matrix form of Kashaev-Reshetikhin: tau^-1 c =
+D Sum_n s_n E1^n (x) F2^n, with tau the flip, D diagonal (after a cyclic
+relabeling of the output grid) and s_n a quantum dilogarithm series.
 When one factor of a pair is Steinberg (the self pair included), E or F
-acts nilpotently and the quantum exponential series S = Sum a_n E^n (x) F^n
-truncates exactly, so the braiding has the R-matrix form c = tau D S with
-tau the flip and D diagonal, which a recurrence along the (i, j) grid of
-V1 (x) V2 fixes up to one scalar.
-For a generic pair (x, y), the coproduct Casimir splits both tensor
-products into r matched eigenblocks, one vector per Delta(K) weight class
-each, solved once per pair and provider, one r x r class at a time.  The
-Delta(E) and Delta(F) recurrence between neighbouring classes gives the
-intertwiner of a matched block pair, which fixes the braiding up to one
-scalar per block.  The block scalars are resolved by imposing the colored
-Yang-Baxter equation, on two fixed probe vectors, on the triple
-(x', st, y), where x' is the partner color with B(x', st) = (st, x): every
-other braiding in that relation involves the Steinberg color and is
-already known, so the relation is linear in the unknown braiding of each
-side (at most ell the same pair, built once) and pins their block
-scalars as a one-dimensional joint nullspace; the full relation is
-verified afterwards.  The overall scale of each braiding is then fixed by
-det(c) = 1 via the principal root, which leaves exactly the r^2-th
-root-of-unity ambiguity the theory predicts; all scalar-level statements
-are therefore made modulo that group, through ModScalar.
+acts nilpotently and the series is the truncated quantum exponential, so
+`steinberg_pair_braiding` fixes D by a recurrence along the (i, j) grid of
+V1 (x) V2, up to one scalar.
+For a generic pair, the coproduct Casimir splits both tensor products into
+r matched eigenblocks, one vector per Delta(K) weight class each, solved
+once per pair and provider, one r x r class at a time.  The Delta(E) and
+Delta(F) recurrence between neighbouring classes gives the intertwiner of
+a matched block pair (`block_braiding`), which fixes the braiding up to
+one scalar per block.  `generic_pair_braiding` picks the block scalars as
+the one combination with the R-matrix form: an r x r eigenproblem and a
+rank-one test, certified unique.  Each pair resolves on its own, and every
+braiding passes a sideways-invertibility check.  The overall scale of each
+braiding is then fixed by det(c) = 1 via the principal root, which leaves
+exactly the r^2-th root-of-unity ambiguity the theory predicts; all
+scalar-level statements are therefore made modulo that group, through
+ModScalar.
 """
 
 from __future__ import annotations
@@ -93,22 +90,6 @@ def pair_defined(chi1: ZChar, chi2: ZChar, p: RootParams) -> bool:
         chi1.e_r / chi1.kappa
     ) * (chi2.f_r * chi2.kappa)
     return abs(w) > TOL
-
-
-def _nullspace(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical nullspace of a.
-
-    A tall a is first reduced to its R factor: same row space and singular
-    values, at a fraction of the SVD's cost."""
-    if a.shape[0] > a.shape[1]:
-        a = np.linalg.qr(a, mode="r")
-    full = a.shape[0] < a.shape[1]
-    _, s, vh = np.linalg.svd(a, full_matrices=full)
-    if s.size == 0:
-        return vh.conj().T
-    cutoff = 1e-8 * max(1.0, s[0])
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
 
 
 def _unit_det(c: np.ndarray) -> np.ndarray:
@@ -261,43 +242,7 @@ def equal_mod_roots(a: np.ndarray, b: np.ndarray, r: int,
     return root_defect <= tol * 1e2, s, max(res, root_defect)
 
 
-# --- Yang-Baxter scalar resolution -------------------------------------------
-
-# positions of the six braidings in the two sides of the braid relation on
-# three strands; side L is sigma1 sigma2 sigma1, side R is sigma2 sigma1 sigma2
-_WORD_L = (0, 1, 0)
-_WORD_R = (1, 0, 1)
-
-
-def _yb_pairs(y1: YColor, y2: YColor, y3: YColor):
-    """The six colored pairs of the braid relation and the output colors."""
-    sides = []
-    for word in (_WORD_L, _WORD_R):
-        colors = [y1, y2, y3]
-        pairs = []
-        for pos in word:
-            a, b = colors[pos], colors[pos + 1]
-            t4, t3 = sl2_B(a, b)
-            pairs.append((a, b))
-            colors[pos], colors[pos + 1] = t4, t3
-        sides.append((pairs, colors))
-    (pairs_l, out_l), (pairs_r, out_r) = sides
-    for a, b in zip(out_l, out_r):
-        if not a.approx_eq(b, 1e-6):
-            raise Undefined("output colors of the braid relation disagree")
-    return pairs_l, pairs_r, out_l
-
-
-def _on_strands(c: np.ndarray, pos: int, m: np.ndarray, r: int) -> np.ndarray:
-    """Apply c to strands (pos, pos + 1) of m, whose r^3 rows are 3 strands.
-
-    Equals kron(c, I) @ m for pos 0 and kron(I, c) @ m for pos 1.
-    """
-    k = m.shape[1]
-    if pos == 0:
-        return (c @ m.reshape(r * r, r * k)).reshape(r ** 3, k)
-    return (c @ m.reshape(r, r * r, k)).reshape(r ** 3, k)
-
+# --- R-matrix-form braidings ------------------------------------------------
 
 def unipotent_series(V1: CyclicModule, V2: CyclicModule, p: RootParams) -> np.ndarray:
     """The quantum exponential Sum_n a_n E^n (x) F^n on V1 (x) V2.
@@ -306,8 +251,8 @@ def unipotent_series(V1: CyclicModule, V2: CyclicModule, p: RootParams) -> np.nd
     integer, truncated at n = r - 1.  The truncation is exact exactly when E
     acts nilpotently on V1 or F acts nilpotently on V2 (in particular when
     either factor is the Steinberg module).  It is the factor S of the
-    Steinberg-anchored braidings tau D S of `steinberg_pair_braiding`, the
-    only place the series is used.
+    braidings tau D S of `steinberg_pair_braiding`, the only place the
+    series is used.
     """
     r, q = p.r, p.xi
     S = np.zeros((r * r, r * r), dtype=complex)
@@ -391,117 +336,73 @@ def steinberg_pair_braiding(
     return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3, c=c)
 
 
-def _probes(r: int) -> np.ndarray:
-    """Two fixed pseudo-random complex vectors on three strands, seeded by r."""
-    g = np.random.default_rng(r).standard_normal((2, r ** 3, 2))
-    return g[0] + 1j * g[1]
+def _series_tables(bb: BlockBraiding, provider: "BraidingProvider") -> np.ndarray:
+    """The tables T_k[o, n] of the block pieces b_k, shape (r, r^2, r).
 
-
-def _anchored_triple_solve(trip: tuple[YColor, YColor, YColor],
-                           provider: "BraidingProvider") -> dict:
-    """Resolve the two generic braidings of one braid-relation triple.
-
-    Every member pair that involves the Steinberg color enters with its
-    closed-form matrix; each side must have exactly one other member, whose
-    block scalars are unknown.  The relation is linear in the two sets of
-    block scalars.  It is imposed on two fixed probe vectors (`_probes`), a
-    system of 2 r^3 rows, whose joint nullspace must be one-dimensional.  Each
-    solution is det-normalized; a pair already cached, or determined by both
-    sides, must agree with its first determination up to an r^2-th root of
-    unity, and any other is sideways-checked and cached.  The full relation
-    is then verified up to an r^2-th root of unity; on any failure the
-    braidings cached here are dropped again.
+    Row o = (i, j) is a point of the grid of V1 (x) V2, and E1^n (x) F2^n
+    has one nonzero in row o, den[o, n] at column (i + n, j - n).  T_k[o, n]
+    is the entry of tau^-1 b_k there over den[o, n], with the output grid
+    V3 (x) V4 read after the cyclic relabeling (i, j) -> (i + s, j) that
+    matches the Delta(K) weights.  Any relabeling (i + s + t, j - t) would
+    serve as well: E1 (x) F2 permutes the grid by (-1, 1) and keeps the form.
+    Each row is then scaled by min_n |den[o, n]|, which keeps the rank and
+    bounds every entry by the pieces': where E1 or F2 is (nearly) nilpotent,
+    an entry over a den that is only rounding noise must not dominate, and
+    over a den = 0 the entry is the piece's own, which the form sets to 0.
     """
     r = provider.p.r
-    pairs_l, pairs_r, out = _yb_pairs(*trip)
-    unks, cols = [], []
-    for pairs, word in ((pairs_l, _WORD_L), (pairs_r, _WORD_R)):
-        generic = [i for i, (a, b) in enumerate(pairs)
-                   if not (provider.is_steinberg(a) or provider.is_steinberg(b))]
-        if len(generic) != 1:
-            raise UnresolvableYB(f"{len(generic)} unresolved braidings on one "
-                                 "side of the relation, want 1")
-        i0 = generic[0]
-        known = [None if i == i0 else provider.braiding(*pair).c
-                 for i, pair in enumerate(pairs)]
-        key = provider.pair_key(*pairs[i0])  # both sides often share it
-        bb = (unks[0][1] if unks and unks[0][0] == key
-              else block_braiding(*pairs[i0], provider))
-        unks.append((key, bb))
-        # column j is this side, with the j-th block for the unknown braiding,
-        # applied to the probes and raveled; all blocks go through side by side
-        m = _probes(r)
-        for c, pos in zip(known, word):
-            m = (_on_strands(c, pos, m, r) if c is not None else
-                 np.hstack([_on_strands(b, pos, m, r) for b in bb.blocks]))
-        n = len(bb.blocks)
-        cols.append(m.reshape(r ** 3, n, -1).swapaxes(1, 2).reshape(-1, n))
-    ns = _nullspace(np.hstack([cols[0], -cols[1]]))
-    if ns.shape[1] != 1:
-        raise UnresolvableYB(f"braid-relation joint nullspace dim {ns.shape[1]}")
-    nl = cols[0].shape[1]
-    added: list = []
-    try:
-        for (key, bb), lam in zip(unks, (ns[:nl, 0], ns[nl:, 0])):
-            c = _unit_det(bb.assemble(lam))
-            if key in provider._braidings:
-                ok, _, res = equal_mod_roots(provider._braidings[key].c, c, r, GATE)
-                if not ok:
-                    raise UnresolvableYB("repeated-pair determinations "
-                                         f"disagree, residual {res:.3e}")
-                continue
-            hb = HolonomyBraiding(y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3, c=c)
-            provider._check_sideways(hb)
-            provider._braidings[key] = hb
-            added.append(key)
-        report = _verified_relation(provider, pairs_l, pairs_r)
-    except Exception:
-        for key in added:
-            provider._braidings.pop(key, None)
-        raise
-    return {**report, "colors": out}
+    V1, V2, V4, V3 = (provider.module(y) for y in (bb.y1, bb.y2, bb.y4, bb.y3))
+    k1, k2, k3, k4 = (np.diag(V.K) for V in (V1, V2, V3, V4))
+    # block_braiding has matched the weight classes, so one s fits
+    s = int(np.abs(k3 * k4[0] - k1[0] * k2[0]).argmin())
+    i = np.arange(r)
+    # e[i, n] = E1^n[i, i + n] and f[j, n] = F2^n[j, j - n], as cyclic walks
+    # over the one nonzero per row of E1 and of F2
+    e_step, f_step = np.diag(np.roll(V1.E, -1, axis=1)), np.diag(np.roll(V2.F, 1, axis=1))
+    e = np.cumprod(np.c_[np.ones(r), e_step[(i[:, None] + i[:-1]) % r]], axis=1)
+    f = np.cumprod(np.c_[np.ones(r), f_step[(i[:, None] - i[:-1]) % r]], axis=1)
+    den = (e[:, None] * f).reshape(r * r, r)
+    size = np.abs(den)
+    scale = np.divide(size.min(axis=1, keepdims=True), den,
+                      out=np.ones_like(den), where=size > 0)
+    ii, jj, nn = np.meshgrid(i, i, i, indexing="ij")
+    rows = jj * r + (ii + s) % r  # the pieces' rows are V4 (x) V3
+    cols = (ii + nn) % r * r + (jj - nn) % r
+    return np.array(bb.blocks)[:, rows, cols].reshape(r, r * r, r) * scale
 
 
-def resolve_scalars_yb(y1: YColor, y2: YColor, y3: YColor,
-                       provider: "BraidingProvider") -> dict:
-    """Resolve and verify the six braidings of a braid-relation triple.
+def generic_pair_braiding(y1: YColor, y2: YColor,
+                          provider: "BraidingProvider") -> HolonomyBraiding:
+    """Braiding of a pair without a Steinberg factor, by rank-one selection.
 
-    Each of the six pairs appearing in the two sides of the colored braid
-    relation on (y1, y2, y3) is resolved through the provider (closed-form
-    for Steinberg-anchored pairs, linear Yang-Baxter solve for generic
-    pairs, cached braidings reused as-is), and the assembled relation is
-    verified to hold up to a single r^2-th root of unity with residual
-    <= GATE.  Returns the two composite matrices, the root factor,
-    the residual, and the output colors.
+    A holonomy braiding has the R-matrix form tau^-1 c = D Sum_n s_n E1^n (x)
+    F2^n, D diagonal after a cyclic relabeling of the output grid, with s_n a
+    cyclic quantum dilogarithm (Kashaev-Reshetikhin).  Its table T[o, n] =
+    D_o s_n (`_series_tables`) has rank one.  c is the combination
+    Sum lambda_k b_k of the block pieces of `block_braiding` whose table
+    Sum lambda_k T_k has rank one.  The columns A_n of that table then
+    satisfy A_1 lambda = (s_1 / s_0) A_0 lambda, so lambda is one of the r
+    eigenvectors of A_0^+ A_1; the one whose table is nearest rank one, by
+    sigma_2 / sigma_1, is kept.  Its residual must be at most GATE and every
+    other candidate's larger by the factor GATE / TOL: otherwise the choice
+    is not certified unique, and UnresolvableYB is raised.
     """
-    pairs_l, pairs_r, out = _yb_pairs(y1, y2, y3)
-    for a, b in pairs_l + pairs_r:
-        provider.braiding(a, b)
-    return {**_verified_relation(provider, pairs_l, pairs_r),
-            "colors": out}
-
-
-def _verified_relation(provider, pairs_l, pairs_r) -> dict:
-    """Both sides of the braid relation from cached braidings, which must
-    agree up to one r^2-th root of unity."""
-    lhs = _total_from_cache(provider, pairs_l, _WORD_L)
-    rhs = _total_from_cache(provider, pairs_r, _WORD_R)
-    ok, zeta, resid = equal_mod_roots(lhs, rhs, provider.p.r, GATE)
-    if not ok:
-        raise UnresolvableYB("braid relation fails up to roots of unity, "
-                             f"residual {resid:.3e}")
-    return {"lhs": lhs, "rhs": rhs, "zeta": zeta, "residual": resid}
-
-
-def _total_from_cache(provider, pairs, word):
-    """One side of the braid relation as an r^3 x r^3 matrix; the first
-    braiding enters as its kron embedding, the others by `_on_strands`."""
-    eye = np.eye(provider.p.r, dtype=complex)
-    c = provider.braiding(*pairs[0]).c
-    total = kron(c, eye) if word[0] == 0 else kron(eye, c)
-    for (a, b), pos in zip(pairs[1:], word[1:]):
-        total = _on_strands(provider.braiding(a, b).c, pos, total, provider.p.r)
-    return total
+    try:
+        bb = block_braiding(y1, y2, provider)
+    except Undefined as e:
+        raise UnresolvableYB(f"could not resolve braiding scalars: {e}") from e
+    T = _series_tables(bb, provider)
+    ratio = np.linalg.lstsq(T[:, :, 0].T, T[:, :, 1].T, rcond=None)[0]
+    lam = np.linalg.eig(ratio)[1]
+    sv = np.linalg.svd(np.einsum("kon,km->mon", T, lam), compute_uv=False)
+    res = sv[:, 1] / np.maximum(sv[:, 0], 1e-300)
+    order = np.argsort(res)
+    best, second = res[order[:2]]
+    if not (best <= GATE and second >= best * GATE / TOL):
+        raise UnresolvableYB("no unique rank-one braiding: residual "
+                             f"{best:.3e}, next {second:.3e}")
+    c = _unit_det(bb.assemble(lam[:, order[0]]))
+    return HolonomyBraiding(y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3, c=c)
 
 
 # --- provider ----------------------------------------------------------------
@@ -509,9 +410,10 @@ def _total_from_cache(provider, pairs, word):
 class BraidingProvider:
     """Caches modules, dualities, Casimir blocks and braidings by character.
 
-    Braidings are resolved deterministically by anchoring Yang-Baxter
-    triples at the Steinberg color.  Modules and Casimir blocks come from
-    `module` and `blocks`, built once per character or pair of characters.
+    Each braiding is resolved on its own, deterministically: in closed form
+    for a pair with a Steinberg factor, by rank-one selection otherwise.
+    Modules and Casimir blocks come from `module` and `blocks`, built once
+    per character or pair of characters; only the requested pair is cached.
     """
 
     def __init__(self, p: RootParams):
@@ -573,40 +475,18 @@ class BraidingProvider:
         elif st1 or st2:
             hb = steinberg_pair_braiding(y1, y2, self)
         else:
-            hb = self._resolve_anchored(y1, y2, key)
+            hb = generic_pair_braiding(y1, y2, self)
         self._check_sideways(hb)
         self._braidings[key] = hb
         return hb
-
-    def _preflip(self, y: YColor) -> YColor:
-        """The color y' with B(y', st) = (st, y); at odd ell y' = y."""
-        return sl2_B(y, self.steinberg)[1]
-
-    def _resolve_anchored(self, y1: YColor, y2: YColor, key) -> HolonomyBraiding:
-        """Resolve a generic pair through a Steinberg-anchored braid relation.
-
-        In the triple (y1', st, y2) with B(y1', st) = (st, y1), the only
-        members not involving the Steinberg color are (y1, y2) and one
-        partner pair, each appearing once per side, so the relation is
-        linear in their block scalars.  This one placement is the only one
-        tried; where it fails, the pair raises UnresolvableYB.
-        """
-        try:
-            _anchored_triple_solve((self._preflip(y1), self.steinberg, y2), self)
-        except Undefined as e:
-            raise UnresolvableYB(f"could not resolve braiding scalars: {e}") from e
-        if key not in self._braidings:
-            raise UnresolvableYB("could not resolve braiding scalars: "
-                                 "the anchored relation misses the pair")
-        return self._braidings[key]
 
     def _check_sideways(self, hb: HolonomyBraiding) -> None:
         """Reject any braiding whose sideways morphisms fail to invert.
 
         The two sideways morphisms of a genuine braiding compose to the
         identity up to an r^2-th root of unity; this is the property that
-        separates the braiding ray from other Yang-Baxter-compatible rays,
-        so it is enforced on every resolution.
+        separates the braiding ray from other intertwiners in the span of
+        the block pieces, so it is enforced on every resolution.
         """
         r = self.p.r
         d4 = self.duality(hb.y4)

@@ -260,10 +260,12 @@ def _remap_colors(new: Diagram, parts: list[tuple[Diagram, Callable]]) -> Diagra
 
     `parts` pairs each old diagram with a callable mapping its ports to ports
     of the new diagram, or to None for a port whose color is not carried
-    over.  Conflicting colors on a merged edge raise.
+    over.  Where a new edge merges different old edges, conflicting colors
+    raise; the ports of one old edge carry its one color and are not compared.
     """
     out: dict[str, Any] = {}
-    for old, port_map in parts:
+    source: dict[str, tuple[int, str]] = {}
+    for k, (old, port_map) in enumerate(parts):
         for port, e_old in old._port_edge.items():
             if e_old not in old.edge_colors:
                 continue
@@ -272,9 +274,10 @@ def _remap_colors(new: Diagram, parts: list[tuple[Diagram, Callable]]) -> Diagra
                 continue
             e_new = new.edge_at(*q)
             c = old.edge_colors[e_old]
-            if e_new in out and not colors_equal(out[e_new], c):
+            if (e_new in out and source[e_new] != (k, e_old)
+                    and not colors_equal(out[e_new], c)):
                 raise InconsistentColoring(f"edge {e_new} gets conflicting colors")
-            out[e_new] = c
+            out[e_new], source[e_new] = c, (k, e_old)
     return new.with_colors(out)
 
 

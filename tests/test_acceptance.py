@@ -17,7 +17,6 @@ import pytest
 from holoinv.braiding import (
     ModScalar,
     equal_mod_roots,
-    resolve_scalars_yb,
     sideways_matrices,
     steinberg_encirclement,
     twist,
@@ -51,6 +50,7 @@ from axioms import associated_quandle, check_biquandle_axioms, \
     check_dim_gauge_invariance
 from conftest import commuting_link, random_unknot_qcolor, unknot_diagram, \
     write_link_file
+from yb import resolve_scalars_yb
 
 
 # --- 1. biquandle axiom suite ------------------------------------------------

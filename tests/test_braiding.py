@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,6 @@ from holoinv.braiding import (
     equal_mod_roots,
     flip_matrix,
     pair_defined,
-    resolve_scalars_yb,
     sideways_matrices,
     steinberg_encirclement,
     twist,
@@ -27,8 +30,9 @@ from holoinv.errors import (
     Undefined,
     UnresolvableYB,
 )
+from holoinv.cli import load_link
 from holoinv.invariant import tilde_Fprime
-from holoinv.params import root_params
+from holoinv.params import GATE, root_params
 from holoinv.diagram import braid_diagram, closure
 from holoinv.quandle import QColor, propagate_qcolors, z_candidates
 from holoinv.sl2factor import (
@@ -46,6 +50,9 @@ from holoinv.uqsl2 import (
 )
 
 from conftest import commuting_link, riley_trefoil
+from yb import _nullspace, _on_strands, preflip, resolve_scalars_yb
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
 
 
 def _random_pairs(provider, n, seed):
@@ -196,55 +203,29 @@ def test_flip_matrix_swaps_factors():
 
 
 def test_failed_resolution_rolls_back_the_cache(monkeypatch):
-    # the final braid-relation check of every anchored solve is made to fail
+    # the sideways morphisms of one fresh pair are skewed, so its check fails;
+    # the cache must be as it was, and the pair must resolve once unpatched
     p = root_params(3)
-    fresh = BraidingProvider(p)
-    rng = np.random.default_rng(80)
-    while True:
-        y1, y2 = random_ycolor(rng, p), random_ycolor(rng, p)
-        try:
-            want = fresh.braiding(y1, y2)
-        except HoloinvError:
-            continue
-        if not (fresh.is_steinberg(y1) or fresh.is_steinberg(y2)):
-            break
-
-    total = braiding._total_from_cache
-
-    def skewed(provider, pairs, word):
-        out = total(provider, pairs, word)
-        if word == braiding._WORD_L:
-            out = out.copy()
-            out[0, 0] += 1.0
-        return out
-
     provider = BraidingProvider(p)
-    monkeypatch.setattr(braiding, "_total_from_cache", skewed)
-    with pytest.raises(UnresolvableYB):
-        provider.braiding(y1, y2)
-    st = provider.pair_key(provider.steinberg, provider.steinberg)[0]
-    assert all(st in key for key in provider._braidings)
+    _generic_braiding(provider, seed=80)
+    want = _generic_braiding(BraidingProvider(p), seed=81)
+    cached = dict(provider._braidings)
+    real = braiding.sideways_matrices
+
+    def skewed(*args):
+        s_plus, s_minus = real(*args)
+        s_plus = s_plus.copy()
+        s_plus[0, 0] += 1.0
+        return s_plus, s_minus
+
+    monkeypatch.setattr(braiding, "sideways_matrices", skewed)
+    with pytest.raises(UnresolvableYB, match="sideways"):
+        provider.braiding(want.y1, want.y2)
+    assert provider._braidings == cached
     monkeypatch.undo()
-    got = provider.braiding(y1, y2)
+    got = provider.braiding(want.y1, want.y2)
     ok, _, res = equal_mod_roots(got.c, want.c, p.r, 1e-7)
     assert ok, res
-
-
-def test_redetermined_pair_must_agree_with_the_cache():
-    # an anchored solve determines its generic pairs afresh; where a pair is
-    # already cached the two rays must agree up to an r^2-th root of unity
-    provider = BraidingProvider(root_params(4))
-    hb = _generic_braiding(provider, 83)
-    key = provider.pair_key(hb.y1, hb.y2)
-    trip = (provider._preflip(hb.y1), provider.steinberg, hb.y2)
-    cached = dict(provider._braidings)
-    braiding._anchored_triple_solve(trip, provider)
-    assert all(provider._braidings[k] is v for k, v in cached.items())
-    provider._braidings[key] = dataclasses.replace(hb, c=hb.c * np.exp(0.3j))
-    cached = dict(provider._braidings)
-    with pytest.raises(UnresolvableYB, match="disagree"):
-        braiding._anchored_triple_solve(trip, provider)
-    assert provider._braidings.keys() == cached.keys()
 
 
 # --- index-form braiding layer ------------------------------------------------
@@ -294,7 +275,7 @@ def test_strand_product_matches_kron(r):
     I = np.eye(r, dtype=complex)
     for pos, embedded in ((0, np.kron(c, I)), (1, np.kron(I, c))):
         want = embedded @ m
-        got = braiding._on_strands(c, pos, m, r)
+        got = _on_strands(c, pos, m, r)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -355,19 +336,19 @@ def test_tall_nullspace_qr_matches_svd(r):
     rng = np.random.default_rng(130 + r)
     n = 2 * r
     a = _crandn(rng, r ** 6, n)
-    ns = braiding._nullspace(a)
+    ns = _nullspace(a)
     assert ns.shape == (n, 0) and _plain_nullspace(a).shape == (n, 0)
     # plant the null direction v by projecting it out of every row
     v = _crandn(rng, n)
     v /= np.linalg.norm(v)
     a = a - np.outer(a @ v, v.conj())
-    got, want = braiding._nullspace(a), _plain_nullspace(a)
+    got, want = _nullspace(a), _plain_nullspace(a)
     assert got.shape == want.shape == (n, 1)
     assert abs(abs(np.vdot(got[:, 0], want[:, 0])) - 1.0) < 1e-10
     assert abs(abs(np.vdot(got[:, 0], v)) - 1.0) < 1e-10
 
 
-# --- Steinberg-anchored braidings ---------------------------------------------
+# --- Steinberg pair braidings ------------------------------------------------
 
 def _weight_self_braiding(provider):
     """The Steinberg self braiding from its integer K-weights (reference)."""
@@ -390,7 +371,7 @@ def _block_pair_braiding(y1, y2, provider):
     S_inv = np.linalg.inv(unipotent_series(V1, V2, provider.p))
     tau = flip_matrix(r, r)
     off = ~np.eye(r * r, dtype=bool)
-    ns = braiding._nullspace(
+    ns = _nullspace(
         np.array([(tau @ b @ S_inv)[off] for b in bb.blocks]).T)
     assert ns.shape[1] == 1
     return braiding._unit_det(bb.assemble(ns[:, 0]))
@@ -610,12 +591,10 @@ def test_recurrence_raises_when_its_coefficients_vanish(monkeypatch):
 @pytest.mark.parametrize("link, n_pairs", [("hopf", 2), ("trefoil", 3)])
 def test_casimir_blocks_and_block_braidings_are_built_once(link, n_pairs,
                                                            monkeypatch):
-    # a provider keeps each pair's Casimir blocks, and both sides of an
-    # anchored relation share their unknown pair, so one block braiding
-    # serves the whole triple
+    # a provider keeps each pair's Casimir blocks, and each generic pair
+    # builds its block braiding once
     calls: dict = {}
-    for name in ("casimir_block_structure", "block_braiding",
-                 "_anchored_triple_solve"):
+    for name in ("casimir_block_structure", "block_braiding"):
         def counting(*args, _real=getattr(braiding, name),
                      _seen=calls.setdefault(name, [])):
             _seen.append(args[:2])
@@ -627,7 +606,6 @@ def test_casimir_blocks_and_block_braidings_are_built_once(link, n_pairs,
     modules = [(id(V1), id(V2)) for V1, V2 in calls["casimir_block_structure"]]
     assert len(modules) == len(set(modules)) == n_pairs
     assert len(calls["block_braiding"]) == n_pairs
-    assert len(calls["_anchored_triple_solve"]) == n_pairs
 
 
 def test_character_key_is_computed_once_per_color(monkeypatch):
@@ -652,3 +630,93 @@ def test_character_key_is_computed_once_per_color(monkeypatch):
         with pytest.raises(ChebyshevMismatch):
             provider.pair_key(bad, hb.y2)
     assert calls == [bad, bad]
+
+
+# --- rank-one selection: uniqueness and the braid relation ---------------------
+
+def _patched_pieces(monkeypatch, edit):
+    """Make `block_braiding` hand out edited pieces (a function of the pieces
+    and the pair's input modules)."""
+    real = braiding.block_braiding
+
+    def patched(y1, y2, provider):
+        bb = real(y1, y2, provider)
+        pieces = [b / np.linalg.norm(b) for b in
+                  edit(list(bb.blocks), provider.module(y1), provider.module(y2))]
+        return dataclasses.replace(bb, blocks=tuple(pieces))
+
+    monkeypatch.setattr(braiding, "block_braiding", patched)
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_two_rank_one_candidates_are_not_a_braiding(ell, monkeypatch):
+    # c (E1 (x) F2) has the series form too, with the coefficients shifted by
+    # one; pieces spanning both c and it leave the choice open
+    want = _generic_braiding(BraidingProvider(root_params(ell)), seed=210 + ell)
+    provider = BraidingProvider(root_params(ell))
+    provider.braiding(provider.steinberg, provider.steinberg)
+    cached = dict(provider._braidings)
+    _patched_pieces(monkeypatch, lambda pieces, V1, V2:
+                    [want.c, want.c @ np.kron(V1.E, V2.F)] + pieces[2:])
+    with pytest.raises(UnresolvableYB, match="unique"):
+        provider.braiding(want.y1, want.y2)
+    assert provider._braidings == cached
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_a_perturbed_piece_leaves_no_rank_one_braiding(ell, monkeypatch):
+    # noise of 1e-4 on one piece keeps every candidate's table off rank one
+    # by far more than GATE; nothing may be cached
+    p = root_params(ell)
+    want = _generic_braiding(BraidingProvider(p), seed=220 + ell)
+    noise = _crandn(np.random.default_rng(ell), p.r ** 2, p.r ** 2)
+    _patched_pieces(monkeypatch, lambda pieces, V1, V2: [
+        pieces[0] + 1e-4 * noise / np.linalg.norm(noise)] + pieces[1:])
+    provider = BraidingProvider(p)
+    with pytest.raises(UnresolvableYB, match="rank-one"):
+        provider.braiding(want.y1, want.y2)
+    assert provider._braidings == {}
+
+
+def _generic_pairs(provider, links):
+    """The generic pairs that evaluating the links resolves."""
+    for d in links:
+        tilde_Fprime(d, provider)
+    return [(hb.y1, hb.y2) for hb in provider._braidings.values()
+            if not (provider.is_steinberg(hb.y1) or provider.is_steinberg(hb.y2))]
+
+
+def _assert_braid_relations(provider, pairs):
+    # the relation on (y1', st, y2), where the pair meets four pairs with a
+    # Steinberg factor, and on an all-generic triple through the same pair
+    st = provider.steinberg
+    assert pairs
+    for y1, y2 in pairs:
+        for trip in ((preflip(y1, provider), st, y2), (y1, y2, y1)):
+            rep = resolve_scalars_yb(*trip, provider)
+            assert rep["residual"] <= GATE
+
+
+@pytest.mark.parametrize("ell", range(3, 8))
+def test_braid_relation_holds_on_resolved_pairs(ell):
+    provider = BraidingProvider(root_params(ell))
+    links = [commuting_link(ell, [1, 1]), commuting_link(ell, [1, 1, 1, -1]),
+             riley_trefoil(ell)]
+    _assert_braid_relations(provider, _generic_pairs(provider, links))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_braid_relation_holds_on_the_cold_corpus(seed, tmp_path, monkeypatch):
+    # the benchmark's own link generator, loaded read-only from its path
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, corpus)
+    spec.loader.exec_module(corpus)
+    rng = np.random.default_rng(seed)
+    links = []
+    for case in corpus.cases(("hopf", "mix2", "s3", "t23", "t25"), 5, rng, 2):
+        path = tmp_path / f"{case.name}_{case.gauge}.json"
+        path.write_text(json.dumps(case.doc))
+        links.append(load_link(str(path))[1])
+    provider = BraidingProvider(root_params(5))
+    _assert_braid_relations(provider, _generic_pairs(provider, links))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from holoinv.braiding import BraidingProvider
@@ -26,6 +27,7 @@ from holoinv.errors import (
 )
 from holoinv.invariant import tilde_Fprime
 from holoinv.params import root_params
+from holoinv.quandle import QColor
 
 from conftest import commuting_link, riley_trefoil
 
@@ -126,6 +128,21 @@ def test_recolored_copies_share_structure_but_not_colors():
     for x in (colored, upper):
         with pytest.raises(NoSuchEdge):
             x.with_colors({"99:9": "z"})
+
+
+def test_closure_compares_only_colors_of_different_edges():
+    # the through strand's bottom and top ports lie on one edge, whose one
+    # color must not be compared with itself: a NaN entry equals nothing
+    d = Diagram(["+"], [(0, "coevL"), (0, "evR")])
+    nan = QColor(np.array([[np.nan, 0], [0, 1]]), 0.0)
+    one = QColor(np.eye(2), 0.0)
+    cl = closure(d.with_colors({e: nan for e in d.edges()}))
+    assert all(c is nan for c in cl.edge_colors.values())
+    # a seam that joins two edges of different colors still conflicts
+    bd = braid_diagram(2, [1])
+    top = {bd.edge_at(bd.n_slices, i) for i in range(2)}
+    with pytest.raises(InconsistentColoring, match="conflicting"):
+        closure(bd.with_colors({e: one if e in top else nan for e in bd.edges()}))
 
 
 @pytest.mark.parametrize("link", ["commuting", "trefoil"])

@@ -430,27 +430,24 @@ def test_non_scalar_cut_tangle_raises(providers, monkeypatch):
 
 # --- braiding resolution at large r -------------------------------------------
 
-def test_braiding_solves_stay_at_r4_rows(monkeypatch):
-    # the braid-relation solve stacked r^6 rows, one per entry of an
-    # r^3 x r^3 relation; every system is now at most r^4 rows tall
-    rows = []
-    nullspace = braiding._nullspace
+def test_generic_pairs_resolve_without_steinberg_pairs(monkeypatch):
+    # a generic pair is selected from its own block pieces; no braid
+    # relation anchored at the Steinberg color is solved along the way
+    calls = []
+    real = braiding.steinberg_pair_braiding
 
-    def recording(a, *args, **kwargs):
-        rows.append(a.shape[0])
-        return nullspace(a, *args, **kwargs)
+    def recording(*args):
+        calls.append(args[:2])
+        return real(*args)
 
-    monkeypatch.setattr(braiding, "_nullspace", recording)
+    monkeypatch.setattr(braiding, "steinberg_pair_braiding", recording)
     for ell in (5, 7):
         provider = BraidingProvider(root_params(ell))
-        r = provider.p.r
-        rows.clear()
         for link in _closures(ell):
-            for e in link.edges():
-                evaluate_F(cut_edge(link, e), provider)
+            evaluate_F(cut_edge(link, link.edges()[0]), provider)
         assert any(not (provider.is_steinberg(hb.y1) or provider.is_steinberg(hb.y2))
                    for hb in provider._braidings.values())
-        assert rows and max(rows) <= r ** 4, (ell, max(rows))
+        assert calls == [], ell
 
 
 def _log_phase_gap(a: ModScalar, b: ModScalar) -> float:

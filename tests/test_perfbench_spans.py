@@ -50,6 +50,8 @@ def test_span_lookup_points_fire(monkeypatch):
         spans.install(tracer)
         provider = braiding.BraidingProvider(root_params(3))
         invariant.tilde_Fprime(commuting_link(3, [1, 1]), provider)
+        # generic pairs resolve without Steinberg pairs, so ask for one
+        provider.braiding(provider.steinberg, provider.steinberg)
     finally:
         for owner, attrs in saved:
             for name, value in attrs.items():
