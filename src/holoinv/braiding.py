@@ -5,25 +5,22 @@ colors are the biquandle images (chi4, chi3) = B(chi1, chi2), intertwining
 the coproduct action: c rho12(Delta u) = rho43(Delta u) c for u in {E, F, K}.
 
 Every braiding has the R-matrix form of Kashaev-Reshetikhin: tau^-1 c =
-D Sum_n s_n E1^n (x) F2^n, with tau the flip, D diagonal (after a cyclic
-relabeling of the output grid) and s_n a quantum dilogarithm series.
-When one factor of a pair is Steinberg (the self pair included), E or F
-acts nilpotently and the series is the truncated quantum exponential, so
-`steinberg_pair_braiding` fixes D by a recurrence along the (i, j) grid of
-V1 (x) V2, up to one scalar.
-For a generic pair, the coproduct Casimir splits both tensor products into
-r matched eigenblocks, one vector per Delta(K) weight class each, solved
-once per pair and provider, one r x r class at a time.  The Delta(E) and
-Delta(F) recurrence between neighbouring classes gives the intertwiner of
-a matched block pair (`block_braiding`), which fixes the braiding up to
-one scalar per block.  `generic_pair_braiding` picks the block scalars as
-the one combination with the R-matrix form: an r x r eigenproblem and a
-rank-one test, certified unique.  Each pair resolves on its own, and every
+D Sum_n s_n E1^n (x) F2^n, with tau the flip, D diagonal after a cyclic
+relabeling of the output grid that matches the Delta(K) weights, and s_n
+the cyclic quantum dilogarithm series, whose root is read off the K
+weights.  `rmatrix_braiding` builds the series and fixes D by a recurrence
+along the (i, j) grid of V1 (x) V2, up to one scalar; every intertwining
+equation must then hold.  A pair with a Steinberg factor has root 1: the
+truncated quantum exponential.  Each pair resolves on its own, and every
 braiding passes a sideways-invertibility check.  The overall scale of each
 braiding is then fixed by det(c) = 1 via the principal root, which leaves
 exactly the r^2-th root-of-unity ambiguity the theory predicts; all
 scalar-level statements are therefore made modulo that group, through
 ModScalar.
+
+`block_braiding` builds the braiding of a generic pair up to one scalar
+per Casimir block instead.  The pipeline does not call it; it is the
+reference that the tests compare braidings against.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from .sl2factor import (
     steinberg_ycolor,
 )
 from .uqsl2 import (
-    CasimirBlocks,
     CyclicModule,
     DualityData,
     ZChar,
@@ -102,12 +98,6 @@ def _unit_det(c: np.ndarray) -> np.ndarray:
     return c * np.exp(-(logdet + 1j * np.angle(sign)) / c.shape[0])
 
 
-def flip_matrix(m: int, n: int) -> np.ndarray:
-    """The swap V (x) W -> W (x) V on coordinates, dim V = m, dim W = n."""
-    eye = np.eye(m * n, dtype=complex).reshape(m, n, m * n)
-    return eye.swapaxes(0, 1).reshape(m * n, m * n)
-
-
 @dataclass
 class _Colored:
     """The colors (y1, y2) -> (y4, y3) of a crossing."""
@@ -130,7 +120,7 @@ class HolonomyBraiding(_Colored):
         return self._c_inv
 
 
-# --- Casimir blocks ------------------------------------------------------------
+# --- Casimir blocks (reference) -------------------------------------------------
 
 @dataclass
 class BlockBraiding(_Colored):
@@ -142,14 +132,9 @@ class BlockBraiding(_Colored):
         return sum(l * b for l, b in zip(lambdas, self.blocks))
 
 
-def _char_key(chi: ZChar, digits: int = 9):
-    return tuple((round(complex(z).real, digits), round(complex(z).imag, digits))
-                 for z in (chi.kappa, chi.e_r, chi.f_r, chi.omega))
-
-
 def block_braiding(y1: YColor, y2: YColor,
                    provider: "BraidingProvider") -> BlockBraiding:
-    """Build the braiding of a pair up to block scalars.
+    """Build the braiding of a pair up to block scalars (a test reference).
 
     The Casimir blocks of V1 (x) V2 and V4 (x) V3 are matched by eigenvalue.
     A block has one vector u_s per weight class s, and Delta(K) matches class
@@ -165,7 +150,8 @@ def block_braiding(y1: YColor, y2: YColor,
     if not pair_defined(provider.char(y1), provider.char(y2), p):
         raise Undefined("pair obstruction vanishes")
     y4, y3 = sl2_B(y1, y2)
-    b12, b43 = provider.blocks(y1, y2), provider.blocks(y4, y3)
+    b12, b43 = (casimir_block_structure(provider.module(a), provider.module(b))
+                for a, b in ((y1, y2), (y4, y3)))
     v12, v43 = np.array(b12.values), np.array(b43.values)
     hit = np.abs(v12[:, None] - v43) <= 1e-6 * max(1.0, np.abs(v12).max())
     if np.any(hit.sum(axis=1) != 1):
@@ -244,15 +230,14 @@ def equal_mod_roots(a: np.ndarray, b: np.ndarray, r: int,
 
 # --- R-matrix-form braidings ------------------------------------------------
 
-def unipotent_series(V1: CyclicModule, V2: CyclicModule, p: RootParams) -> np.ndarray:
-    """The quantum exponential Sum_n a_n E^n (x) F^n on V1 (x) V2.
+def dilog_series(V1: CyclicModule, V2: CyclicModule, rho: complex,
+                 p: RootParams) -> np.ndarray:
+    """The cyclic quantum dilogarithm Sum_n s_n E^n (x) F^n on V1 (x) V2.
 
-    a_n = (q - q^{-1})^n q^{n(n-1)/2} / [n]! with [n] the balanced quantum
-    integer, truncated at n = r - 1.  The truncation is exact exactly when E
-    acts nilpotently on V1 or F acts nilpotently on V2 (in particular when
-    either factor is the Steinberg module).  It is the factor S of the
-    braidings tau D S of `steinberg_pair_braiding`, the only place the
-    series is used.
+    s_0 = 1 and s_n / s_(n-1) = [1]^2 / (xi (1 - rho xi^(-2n))), for n < r.
+    rho = 1 gives the truncated quantum exponential, whose truncation is
+    exact when E acts nilpotently on V1 or F on V2 (the Steinberg module).
+    A root rho = xi^(2n) with 0 < n < r is a pole: UnresolvableYB.
     """
     r, q = p.r, p.xi
     S = np.zeros((r * r, r * r), dtype=complex)
@@ -263,47 +248,47 @@ def unipotent_series(V1: CyclicModule, V2: CyclicModule, p: RootParams) -> np.nd
         if n:
             En = En @ V1.E
             Fn = Fn @ V2.F
-            # a_n / a_{n-1} = (q - q^{-1}) q^{n-1} / [n]
-            coef *= (q - 1 / q) * q ** (n - 1) * p.qbracket(1) / p.qbracket(n)
+            pole = 1 - rho * q ** (-2 * n)
+            if abs(pole) <= TOL:
+                raise UnresolvableYB(f"the series has a pole at n = {n}")
+            coef *= p.qbracket(1) ** 2 / (q * pole)
         S += coef * kron(En, Fn)
     return S
 
 
-def steinberg_self_braiding(provider: "BraidingProvider") -> HolonomyBraiding:
-    """The braiding of the Steinberg module with itself.
+def rmatrix_braiding(y1: YColor, y2: YColor,
+                     provider: "BraidingProvider") -> HolonomyBraiding:
+    """The braiding of a pair, in the R-matrix form of Kashaev-Reshetikhin.
 
-    `steinberg_pair_braiding` on (st, st); a separate name, so that the
-    self pair can be traced on its own (perfbench/spans.py)."""
-    return steinberg_pair_braiding(provider.steinberg, provider.steinberg, provider)
-
-
-def steinberg_pair_braiding(
-    y1: YColor, y2: YColor, provider: "BraidingProvider"
-) -> HolonomyBraiding:
-    """Braiding of a pair with a Steinberg factor, the self pair included.
-
-    It has the R-matrix form c = tau D S: tau is the flip, S the truncated
-    `unipotent_series` and D a diagonal Cartan factor.  c intertwines
-    exactly when D_i (A_u)_ij = (B_u)_ij D_j for u in {E, F, K}, where
-    A_u = S rho12(Delta u) S^-1 and B_u = tau rho43(Delta u) tau.  A_u must
-    vanish wherever B_u does.  D lives on the (i, j) grid of V1 (x) V2, and
-    Delta(E), Delta(F) link grid neighbours, so D follows by recurrence
-    from D_(0, 0) = 1: down column 0, then along each row, every link
-    ratio the least-squares ratio of its E and F equations.  A link without
-    a coefficient on its far end would leave D free there; afterwards every
-    structural equation, not only the links, must hold.
+    c = tau P D S: tau is the flip, S the `dilog_series` and D a diagonal
+    Cartan factor on the (i, j) grid of V1 (x) V2, read on V3 (x) V4 after
+    the relabeling P : (i, j) -> (i + s, j) that matches the Delta(K)
+    weights.  The series root is rho = K1[0, 0] / K3[s, s].  c intertwines
+    exactly when D_o (A_u)_oo' = (B_u)_oo' D_o' for u in {E, F, K}, where
+    A_u = S rho12(Delta u) S^-1 and B_u = (tau P)^-1 rho43(Delta u) tau P.
+    A_u must vanish wherever B_u does.  Delta(E), Delta(F) link grid
+    neighbours, so D follows by recurrence from D_(0, 0) = 1: down column
+    0, then along each row, every link ratio the least-squares ratio of its
+    E and F equations.  A link without a coefficient on its far end would
+    leave D free there; afterwards every structural equation, not only the
+    links, must hold.
     """
     p, r = provider.p, provider.p.r
     if not pair_defined(provider.char(y1), provider.char(y2), p):
         raise Undefined("pair obstruction vanishes")
     y4, y3 = sl2_B(y1, y2)
     V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
-    S = unipotent_series(V1, V2, p)
+    k1, k2, k3, k4 = (np.diag(V.K) for V in (V1, V2, V3, V4))
+    s = int(np.abs(k3 * k4[0] - k1[0] * k2[0]).argmin())
+    S = dilog_series(V1, V2, k1[0] / k3[s], p)
     S_inv = np.linalg.inv(S)
-    tau = flip_matrix(r, r)
+    # grid point (i, j) of V1 (x) V2 lands on (i + s, j) of V3 (x) V4, which
+    # is coordinate j r + i + s of V4 (x) V3
+    i, j = np.divmod(np.arange(r * r), r)
+    out = j * r + (i + s) % r
     d12, d43 = coproduct_matrices(V1, V2), coproduct_matrices(V4, V3)
     A = np.array([S @ d12[u] @ S_inv for u in "EFK"])
-    B = np.array([tau @ d43[u] @ tau for u in "EFK"])
+    B = np.array([d43[u][out[:, None], out] for u in "EFK"])
     for u, a, b in zip("EFK", A, B):
         stray = np.abs(a[b == 0]).max(initial=0.0) / np.abs(a).max()
         if stray > GATE:
@@ -332,88 +317,39 @@ def steinberg_pair_braiding(
         res = max(res, np.abs(lhs - rhs).max() / max(size, 1e-300))
     if res > GATE:
         raise UnresolvableYB(f"no Cartan factor intertwines, residual {res:.3e}")
-    c = _unit_det(tau @ (D[:, None] * S))
-    return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3, c=c)
+    c = np.empty_like(S)
+    c[out] = D[:, None] * S
+    return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3, c=_unit_det(c))
 
 
-def _series_tables(bb: BlockBraiding, provider: "BraidingProvider") -> np.ndarray:
-    """The tables T_k[o, n] of the block pieces b_k, shape (r, r^2, r).
-
-    Row o = (i, j) is a point of the grid of V1 (x) V2, and E1^n (x) F2^n
-    has one nonzero in row o, den[o, n] at column (i + n, j - n).  T_k[o, n]
-    is the entry of tau^-1 b_k there over den[o, n], with the output grid
-    V3 (x) V4 read after the cyclic relabeling (i, j) -> (i + s, j) that
-    matches the Delta(K) weights.  Any relabeling (i + s + t, j - t) would
-    serve as well: E1 (x) F2 permutes the grid by (-1, 1) and keeps the form.
-    Each row is then scaled by min_n |den[o, n]|, which keeps the rank and
-    bounds every entry by the pieces': where E1 or F2 is (nearly) nilpotent,
-    an entry over a den that is only rounding noise must not dominate, and
-    over a den = 0 the entry is the piece's own, which the form sets to 0.
-    """
-    r = provider.p.r
-    V1, V2, V4, V3 = (provider.module(y) for y in (bb.y1, bb.y2, bb.y4, bb.y3))
-    k1, k2, k3, k4 = (np.diag(V.K) for V in (V1, V2, V3, V4))
-    # block_braiding has matched the weight classes, so one s fits
-    s = int(np.abs(k3 * k4[0] - k1[0] * k2[0]).argmin())
-    i = np.arange(r)
-    # e[i, n] = E1^n[i, i + n] and f[j, n] = F2^n[j, j - n], as cyclic walks
-    # over the one nonzero per row of E1 and of F2
-    e_step, f_step = np.diag(np.roll(V1.E, -1, axis=1)), np.diag(np.roll(V2.F, 1, axis=1))
-    e = np.cumprod(np.c_[np.ones(r), e_step[(i[:, None] + i[:-1]) % r]], axis=1)
-    f = np.cumprod(np.c_[np.ones(r), f_step[(i[:, None] - i[:-1]) % r]], axis=1)
-    den = (e[:, None] * f).reshape(r * r, r)
-    size = np.abs(den)
-    scale = np.divide(size.min(axis=1, keepdims=True), den,
-                      out=np.ones_like(den), where=size > 0)
-    ii, jj, nn = np.meshgrid(i, i, i, indexing="ij")
-    rows = jj * r + (ii + s) % r  # the pieces' rows are V4 (x) V3
-    cols = (ii + nn) % r * r + (jj - nn) % r
-    return np.array(bb.blocks)[:, rows, cols].reshape(r, r * r, r) * scale
+def steinberg_pair_braiding(
+    y1: YColor, y2: YColor, provider: "BraidingProvider"
+) -> HolonomyBraiding:
+    """`rmatrix_braiding` on a pair with a Steinberg factor; a separate name,
+    so that these pairs can be traced on their own (perfbench/spans.py)."""
+    return rmatrix_braiding(y1, y2, provider)
 
 
-def generic_pair_braiding(y1: YColor, y2: YColor,
-                          provider: "BraidingProvider") -> HolonomyBraiding:
-    """Braiding of a pair without a Steinberg factor, by rank-one selection.
-
-    A holonomy braiding has the R-matrix form tau^-1 c = D Sum_n s_n E1^n (x)
-    F2^n, D diagonal after a cyclic relabeling of the output grid, with s_n a
-    cyclic quantum dilogarithm (Kashaev-Reshetikhin).  Its table T[o, n] =
-    D_o s_n (`_series_tables`) has rank one.  c is the combination
-    Sum lambda_k b_k of the block pieces of `block_braiding` whose table
-    Sum lambda_k T_k has rank one.  The columns A_n of that table then
-    satisfy A_1 lambda = (s_1 / s_0) A_0 lambda, so lambda is one of the r
-    eigenvectors of A_0^+ A_1; the one whose table is nearest rank one, by
-    sigma_2 / sigma_1, is kept.  Its residual must be at most GATE and every
-    other candidate's larger by the factor GATE / TOL: otherwise the choice
-    is not certified unique, and UnresolvableYB is raised.
-    """
-    try:
-        bb = block_braiding(y1, y2, provider)
-    except Undefined as e:
-        raise UnresolvableYB(f"could not resolve braiding scalars: {e}") from e
-    T = _series_tables(bb, provider)
-    ratio = np.linalg.lstsq(T[:, :, 0].T, T[:, :, 1].T, rcond=None)[0]
-    lam = np.linalg.eig(ratio)[1]
-    sv = np.linalg.svd(np.einsum("kon,km->mon", T, lam), compute_uv=False)
-    res = sv[:, 1] / np.maximum(sv[:, 0], 1e-300)
-    order = np.argsort(res)
-    best, second = res[order[:2]]
-    if not (best <= GATE and second >= best * GATE / TOL):
-        raise UnresolvableYB("no unique rank-one braiding: residual "
-                             f"{best:.3e}, next {second:.3e}")
-    c = _unit_det(bb.assemble(lam[:, order[0]]))
-    return HolonomyBraiding(y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3, c=c)
+def steinberg_self_braiding(provider: "BraidingProvider") -> HolonomyBraiding:
+    """`rmatrix_braiding` on (st, st), traced on its own like
+    `steinberg_pair_braiding`."""
+    return rmatrix_braiding(provider.steinberg, provider.steinberg, provider)
 
 
 # --- provider ----------------------------------------------------------------
 
-class BraidingProvider:
-    """Caches modules, dualities, Casimir blocks and braidings by character.
+def _char_key(chi: ZChar, digits: int = 9):
+    return tuple((round(complex(z).real, digits), round(complex(z).imag, digits))
+                 for z in (chi.kappa, chi.e_r, chi.f_r, chi.omega))
 
-    Each braiding is resolved on its own, deterministically: in closed form
-    for a pair with a Steinberg factor, by rank-one selection otherwise.
-    Modules and Casimir blocks come from `module` and `blocks`, built once
-    per character or pair of characters; only the requested pair is cached.
+
+class BraidingProvider:
+    """Caches modules, dualities and braidings by character.
+
+    Each braiding is resolved on its own, deterministically, by
+    `rmatrix_braiding`; pairs with a Steinberg factor enter it through
+    their own names.  Modules come from `module`, built once per character;
+    only the requested pair is cached.
     """
 
     def __init__(self, p: RootParams):
@@ -422,7 +358,6 @@ class BraidingProvider:
         self._braidings: dict = {}
         self._duals: dict = {}
         self._chars: dict = {}
-        self._blocks: dict = {}
         self.steinberg = steinberg_ycolor(p)
         self._st_key = self._lookup(self.steinberg)[1]
 
@@ -452,13 +387,6 @@ class BraidingProvider:
             self.modules[key] = build_cyclic_module(chi, self.p)
         return self.modules[key]
 
-    def blocks(self, y1: YColor, y2: YColor) -> CasimirBlocks:
-        key = self.pair_key(y1, y2)
-        if key not in self._blocks:
-            self._blocks[key] = casimir_block_structure(self.module(y1),
-                                                        self.module(y2))
-        return self._blocks[key]
-
     def duality(self, y: YColor) -> DualityData:
         key = self._lookup(y)[1]
         if key not in self._duals:
@@ -475,7 +403,7 @@ class BraidingProvider:
         elif st1 or st2:
             hb = steinberg_pair_braiding(y1, y2, self)
         else:
-            hb = generic_pair_braiding(y1, y2, self)
+            hb = rmatrix_braiding(y1, y2, self)
         self._check_sideways(hb)
         self._braidings[key] = hb
         return hb

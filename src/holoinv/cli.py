@@ -48,11 +48,11 @@ from .braiding import BraidingProvider
 from .diagram import Diagram, braid_diagram, closure
 from .errors import HoloinvError, ParseError, Singular
 from .invariant import gauge_fix, gauge_orbit_compare, tilde_Fprime
-from .modtrace import alpha_from_omega, dual_casimir_scalar, modified_dim
+from .modtrace import alpha_from_omega, modified_dim
 from .params import GATE, TOL, root_params
 from .quandle import QColor, propagate_qcolors, random_qcolor
 from .sl2factor import random_gstar
-from .uqsl2 import ZChar, build_cyclic_module, is_admissible, steinberg_char
+from .uqsl2 import ZChar, is_admissible, steinberg_char
 
 
 # --- JSON (de)serialization ---------------------------------------------------
@@ -199,18 +199,9 @@ def cmd_dim(args: argparse.Namespace) -> int:
                          omega=omega)
     if not is_admissible(chi_full, p):
         raise Singular(f"omega {omega} has parabolic non-Steinberg holonomy")
-    value = modified_dim(chi_full, p)
-    out = {"ell": ell, "omega": _cpair(omega), "dim": _cpair(value),
-           "alpha": _cpair(alpha_from_omega(omega, p))}
-    if args.dual_check:
-        # recompute through the Casimir scalar of the dual module
-        V = build_cyclic_module(chi_full, p)
-        dual_value = modified_dim(
-            ZChar(kappa=0.0, e_r=0.0, f_r=0.0,
-                  omega=dual_casimir_scalar(V, p)), p)
-        out["dim_via_dual"] = _cpair(dual_value)
-        out["dual_deviation"] = abs(dual_value - value)
-    _emit(out)
+    _emit({"ell": ell, "omega": _cpair(omega),
+           "dim": _cpair(modified_dim(chi_full, p)),
+           "alpha": _cpair(alpha_from_omega(omega, p))})
     return 0
 
 
@@ -310,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, need_ell=True)
     sp.add_argument("--omega", type=_finite, required=True,
                     help="Casimir value as a Python complex literal")
-    sp.add_argument("--dual-check", action="store_true")
     sp.set_defaults(func=cmd_dim)
 
     sp = sub.add_parser("color", help="lift a holonomy coloring")

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import cmath
 
-import numpy as np
-
-from .errors import NonScalarResult, Singular
+from .errors import Singular
 from .params import TOL, RootParams, cheb_second_kind
-from .uqsl2 import CyclicModule, ZChar, casimir_matrix, dual_rep
+from .uqsl2 import ZChar
 
 
 def modified_dim(chi: ZChar, p: RootParams) -> complex:
@@ -72,22 +70,3 @@ def modified_dim_ratio(alpha: complex, p: RootParams) -> complex:
     if abs(den) <= TOL:
         raise Singular("bracket [r alpha] vanishes")
     return -p.sign_r * p.r * p.qbracket(alpha) / den
-
-
-def casimir_scalar(E: np.ndarray, F: np.ndarray, K: np.ndarray,
-                   p: RootParams) -> complex:
-    """Scalar by which the Casimir acts on an irreducible set of matrices."""
-    # E F is formed first and passed with F = I, so the bracket scales the
-    # product; that fixes the rounding `holoinv dim --dual-check` prints
-    om = casimir_matrix(E @ F, np.eye(len(E)), K, np.linalg.inv(K), p)
-    s = np.trace(om) / om.shape[0]
-    if np.linalg.norm(om - s * np.eye(om.shape[0])) > TOL * 1e3 * max(1.0, abs(s)):
-        raise NonScalarResult("Casimir does not act by a scalar")
-    return complex(s)
-
-
-def dual_casimir_scalar(V: CyclicModule, p: RootParams) -> complex:
-    """chi*(Omega): the Casimir scalar of the dual module."""
-    d = dual_rep(V)
-    return casimir_scalar(d.E, d.F, d.K, p)
-

@@ -15,13 +15,12 @@ from holoinv import braiding
 from holoinv.braiding import (
     BraidingProvider,
     ModScalar,
+    dilog_series,
     equal_mod_roots,
-    flip_matrix,
     pair_defined,
     sideways_matrices,
     steinberg_encirclement,
     twist,
-    unipotent_series,
 )
 from holoinv.errors import (
     BlockIntertwinerDim,
@@ -50,7 +49,8 @@ from holoinv.uqsl2 import (
 )
 
 from conftest import commuting_link, riley_trefoil
-from yb import _nullspace, _on_strands, preflip, resolve_scalars_yb
+from yb import (_nullspace, _on_strands, flip_matrix, preflip,
+                resolve_scalars_yb)
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
 
@@ -170,7 +170,7 @@ def test_unipotent_series_truncation_is_exact():
     # E nilpotent on the Steinberg module kills all terms from degree r on
     p = root_params(4)
     V0 = build_cyclic_module(steinberg_char(p), p)
-    S = unipotent_series(V0, V0, p)
+    S = dilog_series(V0, V0, 1.0, p)
     extra = np.kron(np.linalg.matrix_power(V0.E, p.r),
                     np.linalg.matrix_power(V0.F, p.r))
     assert np.abs(extra).max() < 1e-12
@@ -359,7 +359,7 @@ def _weight_self_braiding(provider):
     qh = np.exp(1j * np.pi / p.ell)  # principal square root of q
     cartan = np.diag([qh ** (wi * wj) for wi in weights for wj in weights])
     return braiding._unit_det(
-        flip_matrix(r, r) @ cartan @ unipotent_series(V, V, p))
+        flip_matrix(r, r) @ cartan @ dilog_series(V, V, 1.0, p))
 
 
 def _block_pair_braiding(y1, y2, provider):
@@ -368,7 +368,7 @@ def _block_pair_braiding(y1, y2, provider):
     bb = braiding.block_braiding(y1, y2, provider)
     r = provider.p.r
     V1, V2 = provider.module(y1), provider.module(y2)
-    S_inv = np.linalg.inv(unipotent_series(V1, V2, provider.p))
+    S_inv = np.linalg.inv(dilog_series(V1, V2, 1.0, provider.p))
     tau = flip_matrix(r, r)
     off = ~np.eye(r * r, dtype=bool)
     ns = _nullspace(
@@ -423,13 +423,6 @@ def test_steinberg_pair_matches_block_oracle(ell):
             done += 1
 
 
-def test_steinberg_solver_rejects_a_generic_pair(providers):
-    provider = providers[4]
-    for y1, y2 in _random_pairs(provider, 2, seed=160):
-        with pytest.raises(UnresolvableYB):
-            braiding.steinberg_pair_braiding(y1, y2, provider)
-
-
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_steinberg_solver_rejects_a_broken_coproduct(ell, monkeypatch):
     # Delta_43(E) with one structural nonzero dropped: that equation on D
@@ -458,9 +451,9 @@ def test_steinberg_solver_rejects_a_broken_coproduct(ell, monkeypatch):
 def test_steinberg_solver_checks_every_cartan_equation(ell, monkeypatch):
     # Delta_43(E) with one structural nonzero scaled by 1.5 on a link that
     # the recurrence does not walk: the coordinate a r + b of V4 (x) V3 is
-    # the grid point (b, a) after the flip, and an entry of 1 (x) E with
-    # a >= 1 links two rows of grid column a >= 1.  Only the residual of
-    # every equation, not the links alone, sees it.
+    # the grid point (b - s, a) after the flip and the relabeling, and an
+    # entry of 1 (x) E with a >= 1 links two rows of grid column a >= 1.
+    # Only the residual of every equation, not the links alone, sees it.
     provider = BraidingProvider(root_params(ell))
     r, st = provider.p.r, provider.steinberg
     y = _steinberg_partners(provider, 1, seed=175 + ell)[0]
@@ -533,12 +526,15 @@ def _random_module(provider, rng):
 
 @pytest.mark.parametrize("ell", [3, 5])
 def test_unipotent_series_matches_kron_bitwise(ell):
-    # the series as it was written with np.kron (reference)
+    # the series as it was written with np.kron (reference), at the root
+    # rho = 1 of a Steinberg pair and at a generic root
     p = root_params(ell)
     provider = BraidingProvider(p)
     rng = np.random.default_rng(170 + ell)
-    for V1, V2 in ((provider.module(provider.steinberg), _random_module(provider, rng)),
-                   (_random_module(provider, rng), _random_module(provider, rng))):
+    st = provider.module(provider.steinberg)
+    for rho, V1, V2 in ((1.0, st, _random_module(provider, rng)),
+                        (0.8 + 0.3j, _random_module(provider, rng),
+                         _random_module(provider, rng))):
         r, q = p.r, p.xi
         want = np.zeros((r * r, r * r), dtype=complex)
         En = Fn = np.eye(r, dtype=complex)
@@ -546,9 +542,9 @@ def test_unipotent_series_matches_kron_bitwise(ell):
         for n in range(r):
             if n:
                 En, Fn = En @ V1.E, Fn @ V2.F
-                coef *= (q - 1 / q) * q ** (n - 1) * p.qbracket(1) / p.qbracket(n)
+                coef *= p.qbracket(1) ** 2 / (q * (1 - rho * q ** (-2 * n)))
             want += coef * np.kron(En, Fn)
-        assert np.array_equal(unipotent_series(V1, V2, p), want)
+        assert np.array_equal(dilog_series(V1, V2, rho, p), want)
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 7])
@@ -582,30 +578,9 @@ def test_recurrence_raises_when_its_coefficients_vanish(monkeypatch):
         b = real(V1, V2)
         return dataclasses.replace(b, e=0 * b.e, f=0 * b.f)
 
-    # the provider keeps each pair's blocks, so a fresh one reaches the patch
     monkeypatch.setattr(braiding, "casimir_block_structure", silent)
     with pytest.raises(BlockIntertwinerDim, match="vanish"):
-        braiding.block_braiding(y1, y2, BraidingProvider(root_params(3)))
-
-
-@pytest.mark.parametrize("link, n_pairs", [("hopf", 2), ("trefoil", 3)])
-def test_casimir_blocks_and_block_braidings_are_built_once(link, n_pairs,
-                                                           monkeypatch):
-    # a provider keeps each pair's Casimir blocks, and each generic pair
-    # builds its block braiding once
-    calls: dict = {}
-    for name in ("casimir_block_structure", "block_braiding"):
-        def counting(*args, _real=getattr(braiding, name),
-                     _seen=calls.setdefault(name, [])):
-            _seen.append(args[:2])
-            return _real(*args)
-
-        monkeypatch.setattr(braiding, name, counting)
-    d = commuting_link(5, [1, 1]) if link == "hopf" else riley_trefoil(5)
-    tilde_Fprime(d, BraidingProvider(root_params(5)))
-    modules = [(id(V1), id(V2)) for V1, V2 in calls["casimir_block_structure"]]
-    assert len(modules) == len(set(modules)) == n_pairs
-    assert len(calls["block_braiding"]) == n_pairs
+        braiding.block_braiding(y1, y2, provider)
 
 
 def test_character_key_is_computed_once_per_color(monkeypatch):
@@ -632,50 +607,29 @@ def test_character_key_is_computed_once_per_color(monkeypatch):
     assert calls == [bad, bad]
 
 
-# --- rank-one selection: uniqueness and the braid relation ---------------------
-
-def _patched_pieces(monkeypatch, edit):
-    """Make `block_braiding` hand out edited pieces (a function of the pieces
-    and the pair's input modules)."""
-    real = braiding.block_braiding
-
-    def patched(y1, y2, provider):
-        bb = real(y1, y2, provider)
-        pieces = [b / np.linalg.norm(b) for b in
-                  edit(list(bb.blocks), provider.module(y1), provider.module(y2))]
-        return dataclasses.replace(bb, blocks=tuple(pieces))
-
-    monkeypatch.setattr(braiding, "block_braiding", patched)
-
+# --- the series root, the block reference and the braid relation ------------
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_two_rank_one_candidates_are_not_a_braiding(ell, monkeypatch):
-    # c (E1 (x) F2) has the series form too, with the coefficients shifted by
-    # one; pieces spanning both c and it leave the choice open
-    want = _generic_braiding(BraidingProvider(root_params(ell)), seed=210 + ell)
+    # the root rho xi^2 shifts the series coefficients by one, which gives
+    # the form of c (E1 (x) F2), the other rank-one candidate in a block
+    # span; no Cartan factor makes it, or any root rho xi^(2m) with m != 0,
+    # intertwine (for rho = 1 the root is a pole of the series).  Generic
+    # and Steinberg pairs raise, and nothing is cached.
     provider = BraidingProvider(root_params(ell))
-    provider.braiding(provider.steinberg, provider.steinberg)
-    cached = dict(provider._braidings)
-    _patched_pieces(monkeypatch, lambda pieces, V1, V2:
-                    [want.c, want.c @ np.kron(V1.E, V2.F)] + pieces[2:])
-    with pytest.raises(UnresolvableYB, match="unique"):
-        provider.braiding(want.y1, want.y2)
-    assert provider._braidings == cached
-
-
-@pytest.mark.parametrize("ell", [3, 5])
-def test_a_perturbed_piece_leaves_no_rank_one_braiding(ell, monkeypatch):
-    # noise of 1e-4 on one piece keeps every candidate's table off rank one
-    # by far more than GATE; nothing may be cached
-    p = root_params(ell)
-    want = _generic_braiding(BraidingProvider(p), seed=220 + ell)
-    noise = _crandn(np.random.default_rng(ell), p.r ** 2, p.r ** 2)
-    _patched_pieces(monkeypatch, lambda pieces, V1, V2: [
-        pieces[0] + 1e-4 * noise / np.linalg.norm(noise)] + pieces[1:])
-    provider = BraidingProvider(p)
-    with pytest.raises(UnresolvableYB, match="rank-one"):
-        provider.braiding(want.y1, want.y2)
-    assert provider._braidings == {}
+    r, st = provider.p.r, provider.steinberg
+    hb = _generic_braiding(provider, seed=210 + ell)
+    y = _steinberg_partners(provider, 1, seed=220 + ell)[0]
+    real = braiding.dilog_series
+    for m in range(1, r):
+        monkeypatch.setattr(braiding, "dilog_series", lambda V1, V2, rho, p:
+                            real(V1, V2, rho * p.xi ** (2 * m), p))
+        fresh = BraidingProvider(provider.p)
+        pairs = [(hb.y1, hb.y2)] + ([(y, st), (st, y)] if m == 1 else [])
+        for pair in pairs:
+            with pytest.raises(UnresolvableYB):
+                fresh.braiding(*pair)
+        assert fresh._braidings == {}
 
 
 def _generic_pairs(provider, links):
@@ -686,12 +640,19 @@ def _generic_pairs(provider, links):
             if not (provider.is_steinberg(hb.y1) or provider.is_steinberg(hb.y2))]
 
 
-def _assert_braid_relations(provider, pairs):
-    # the relation on (y1', st, y2), where the pair meets four pairs with a
-    # Steinberg factor, and on an all-generic triple through the same pair
+def _assert_references_hold(provider, pairs):
+    # each braiding lies in the span of its pair's Casimir-block pieces
+    # (reference); the braid relation holds on (y1', st, y2), where the pair
+    # meets four pairs with a Steinberg factor, and on an all-generic triple
+    # through the same pair
     st = provider.steinberg
     assert pairs
     for y1, y2 in pairs:
+        c = provider.braiding(y1, y2).c
+        basis = np.array(braiding.block_braiding(y1, y2, provider).blocks)
+        basis = basis.reshape(len(basis), -1).T
+        lam = np.linalg.lstsq(basis, c.ravel(), rcond=None)[0]
+        assert np.abs(basis @ lam - c.ravel()).max() <= GATE * np.abs(c).max()
         for trip in ((preflip(y1, provider), st, y2), (y1, y2, y1)):
             rep = resolve_scalars_yb(*trip, provider)
             assert rep["residual"] <= GATE
@@ -702,7 +663,7 @@ def test_braid_relation_holds_on_resolved_pairs(ell):
     provider = BraidingProvider(root_params(ell))
     links = [commuting_link(ell, [1, 1]), commuting_link(ell, [1, 1, 1, -1]),
              riley_trefoil(ell)]
-    _assert_braid_relations(provider, _generic_pairs(provider, links))
+    _assert_references_hold(provider, _generic_pairs(provider, links))
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -719,4 +680,4 @@ def test_braid_relation_holds_on_the_cold_corpus(seed, tmp_path, monkeypatch):
         path.write_text(json.dumps(case.doc))
         links.append(load_link(str(path))[1])
     provider = BraidingProvider(root_params(5))
-    _assert_braid_relations(provider, _generic_pairs(provider, links))
+    _assert_references_hold(provider, _generic_pairs(provider, links))

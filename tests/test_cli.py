@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import holoinv.cli as cli
 from holoinv.cli import main
 from holoinv.params import root_params
 from holoinv.quandle import z_candidates
@@ -71,14 +74,6 @@ def test_dim_steinberg_is_one(capsys):
 def test_dim_parabolic_non_steinberg_exits_undefined(capsys):
     code, _ = _run(capsys, ["dim", "--ell", "4", "--omega", "2"])
     assert code == 2
-
-
-def test_dim_dual_check(capsys):
-    code, out = _run(capsys, ["dim", "--ell", "3", "--omega", "0.3+0.4j",
-                              "--dual-check"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["dual_deviation"] < 1e-7
 
 
 def test_malformed_json_exits_parse_error(tmp_path, capsys):
@@ -266,6 +261,7 @@ _BAD_ARGV = {
     "z-huge": ["invariant", "BIG_Z"],
     "unknown-command": ["knot", "LINK"],
     "axioms-command": ["axioms", "--ell", "4"],
+    "dual-check": ["dim", "--ell", "3", "--omega", "0.3+0.4j", "--dual-check"],
     "ell-text": ["invariant", "LINK", "--ell", "x"],
     "no-link": ["invariant"],
 }
@@ -354,3 +350,19 @@ def test_color_gauge_orbit_roundtrip(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] and doc["max_deviation"] < 1e-6
+
+
+def test_documented_commands_and_flags_are_the_parser_s():
+    # the subcommands and flags that cli.__doc__ and README's "Command
+    # line" section name are exactly the ones the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = cli.__doc__.split("Subcommands:", 1)[1].split("\n\n")[1]
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {o for sp in sub.choices.values() for a in sp._actions
+             for o in a.option_strings if o.startswith("--")}
+    assert set(re.findall(r"^    (\S+)", listed, re.M)) == set(sub.choices)
+    assert set(re.findall(r"^holoinv (\S+)", usage, re.M)) == set(sub.choices)
+    named = re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli.__doc__ + usage)
+    assert set(named) == flags

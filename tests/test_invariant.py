@@ -431,23 +431,27 @@ def test_non_scalar_cut_tangle_raises(providers, monkeypatch):
 # --- braiding resolution at large r -------------------------------------------
 
 def test_generic_pairs_resolve_without_steinberg_pairs(monkeypatch):
-    # a generic pair is selected from its own block pieces; no braid
-    # relation anchored at the Steinberg color is solved along the way
-    calls = []
-    real = braiding.steinberg_pair_braiding
+    # every pair is resolved by the R-matrix solver alone: no Steinberg
+    # pair, no Casimir block and no eigenproblem is needed along the way
+    calls: dict = {}
+    for owner, name in ((braiding, "steinberg_pair_braiding"),
+                        (braiding, "block_braiding"),
+                        (braiding, "casimir_block_structure"),
+                        (np.linalg, "eig")):
+        def recording(*args, _real=getattr(owner, name),
+                      _seen=calls.setdefault(name, [])):
+            _seen.append(args)
+            return _real(*args)
 
-    def recording(*args):
-        calls.append(args[:2])
-        return real(*args)
-
-    monkeypatch.setattr(braiding, "steinberg_pair_braiding", recording)
+        monkeypatch.setattr(owner, name, recording)
     for ell in (5, 7):
         provider = BraidingProvider(root_params(ell))
-        for link in _closures(ell):
-            evaluate_F(cut_edge(link, link.edges()[0]), provider)
+        for link in (commuting_link(ell, [1, 1]),
+                     commuting_link(ell, [1, 1, 1, -1]), riley_trefoil(ell)):
+            tilde_Fprime(link, provider)
         assert any(not (provider.is_steinberg(hb.y1) or provider.is_steinberg(hb.y2))
                    for hb in provider._braidings.values())
-        assert calls == [], ell
+        assert all(seen == [] for seen in calls.values()), (ell, calls.keys())
 
 
 def _log_phase_gap(a: ModScalar, b: ModScalar) -> float:
@@ -482,3 +486,32 @@ def test_hopf_at_large_ell_is_gauge_independent(ell, style):
               for link in (d, gauge_act_matrix(random_sl2(rng), d))]
     assert all(np.isfinite(v.value) and abs(v.value) > 1e-6 for v in values)
     assert _log_phase_gap(*values) <= 1e-6
+
+
+@pytest.mark.parametrize("ell", range(3, 8))
+def test_diagonal_closures_resolve_in_the_identity_gauge(ell):
+    # g = diag(lam, 1/lam) lifts to (lam, 0, 0): E and F act nilpotently,
+    # and the R-matrix solver must resolve the pairs as they are
+    p = root_params(ell)
+    rng = np.random.default_rng(230 + ell)
+    for lam in (2.0, 1.3 + 0.4j):
+        g = np.diag([lam, 1 / lam])
+        zs = z_candidates(np.trace(g), p)
+        for word in ([1, 1], [1, -1, 1, 1], [1, 1, 1, 1]):
+            d = closure(propagate_qcolors(braid_diagram(2, word),
+                                          [QColor(g, zs[0]), QColor(g, zs[-1])]))
+            res = tilde_Fprime(d, BraidingProvider(p))
+            assert res.attempts == 1
+            conj = tilde_Fprime(gauge_act_matrix(random_sl2(rng), d),
+                                BraidingProvider(p))
+            assert _log_phase_gap(res.value, conj.value) <= 1e-8, (lam, word)
+            if ell == 3 and lam == 2.0 and word == [1, 1]:
+                assert abs(res.value.canonical - 19683) <= 1e-8 * 19683
+
+
+def test_hopf_at_ell_13_does_not_depend_on_the_cut():
+    d = commuting_link(13, [1, 1])
+    provider = BraidingProvider(root_params(13))
+    values = [tilde_Fprime(d, provider, cut=e).value for e in d.edges()]
+    assert len(values) > 1
+    assert all(_log_phase_gap(v, values[0]) <= 1e-8 for v in values)

@@ -14,7 +14,13 @@ from holoinv.modtrace import (
 )
 from holoinv.params import root_params
 from holoinv.quandle import z_candidates
-from holoinv.uqsl2 import ZChar, steinberg_char
+from holoinv.uqsl2 import (
+    ZChar,
+    build_cyclic_module,
+    casimir_matrix,
+    dual_rep,
+    steinberg_char,
+)
 
 from axioms import check_dim_gauge_invariance
 
@@ -115,3 +121,23 @@ def test_trace_character_compatibility():
     m = m / np.sqrt(np.linalg.det(m))
     for z in z_candidates(np.trace(m), p):
         assert abs(p.cheb(z) - p.sign_ell_plus1 * np.trace(m)) < 1e-8
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6])
+def test_dual_module_has_the_same_modified_dimension(ell):
+    # the Casimir acts on the dual of V_chi by a scalar, and that Casimir
+    # value gives d(chi) again; characters as `holoinv dim` builds them
+    p = root_params(ell)
+    rng = np.random.default_rng(40 + ell)
+    omegas = [0.3 + 0.4j] + [complex(*rng.normal(size=2)) for _ in range(5)]
+    for omega in omegas:
+        kappa = np.roots([1.0, p.sign_ell * p.cheb(omega), 1.0])[0]
+        chi = ZChar(complex(kappa), 0.0, 0.0, omega)
+        d = dual_rep(build_cyclic_module(chi, p))
+        om = casimir_matrix(d.E @ d.F, np.eye(p.r), d.K, np.linalg.inv(d.K), p)
+        dual_omega = np.trace(om) / p.r
+        scale = max(1.0, abs(dual_omega))
+        assert np.abs(om - dual_omega * np.eye(p.r)).max() <= 1e-9 * scale
+        want = modified_dim(chi, p)
+        got = modified_dim(ZChar(1.0, 0.0, 0.0, dual_omega), p)
+        assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), omega

@@ -50,8 +50,12 @@ def test_span_lookup_points_fire(monkeypatch):
         spans.install(tracer)
         provider = braiding.BraidingProvider(root_params(3))
         invariant.tilde_Fprime(commuting_link(3, [1, 1]), provider)
-        # generic pairs resolve without Steinberg pairs, so ask for one
+        # the pipeline resolves neither Steinberg pairs nor Casimir blocks,
+        # so ask for both: the Steinberg self pair and a resolved generic
+        # pair's block pieces
+        hb = next(iter(provider._braidings.values()))
         provider.braiding(provider.steinberg, provider.steinberg)
+        braiding.block_braiding(hb.y1, hb.y2, provider)
     finally:
         for owner, attrs in saved:
             for name, value in attrs.items():

@@ -1,10 +1,10 @@
 """The colored braid relation, as an oracle for the tests (not collected).
 
-The program resolves each braiding on its own (`braiding.generic_pair_braiding`
-and the Steinberg closed forms); nothing in it imposes the Yang-Baxter
-equation.  These helpers assemble both sides of the braid relation on three
-strands from a provider's braidings, so that a test can check the relation
-to GATE modulo r^2-th roots of unity.
+The program resolves each braiding on its own (`braiding.rmatrix_braiding`);
+nothing in it imposes the Yang-Baxter equation.  These helpers assemble
+both sides of the braid relation on three strands from a provider's
+braidings, so that a test can check the relation to GATE modulo r^2-th
+roots of unity.
 """
 
 from __future__ import annotations
@@ -16,6 +16,12 @@ from holoinv.errors import Undefined, UnresolvableYB
 from holoinv.params import GATE
 from holoinv.sl2factor import YColor, sl2_B
 from holoinv.uqsl2 import kron
+
+
+def flip_matrix(m: int, n: int) -> np.ndarray:
+    """The swap V (x) W -> W (x) V on coordinates, dim V = m, dim W = n."""
+    eye = np.eye(m * n, dtype=complex).reshape(m, n, m * n)
+    return eye.swapaxes(0, 1).reshape(m * n, m * n)
 
 
 def _nullspace(a: np.ndarray) -> np.ndarray:
