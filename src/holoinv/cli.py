@@ -5,7 +5,6 @@ Subcommands:
     invariant   compute the renormalized invariant of a colored link file
     dim         evaluate the modified dimension at a Casimir value
     color       lift a holonomy coloring to factorization colors
-    gauge-orbit recompute the invariant along a sampled gauge orbit
 
 Link files are JSON.  Either a braid presentation,
 
@@ -23,15 +22,22 @@ Complex numbers are written as [re, im] (a bare number means a real value)
 and must be finite; the holonomy "g" is a 2x2 matrix of such entries with
 determinant 1, and "z" must satisfy Cb_r(z) = (-1)^(l+1) tr g at the run's ell.
 
-Every subcommand takes --ell, a non-negative --seed and a positive
---max-gauge; the numerical tolerance is fixed at `params.TOL`, and no option
+`invariant` and `color` take a link file, an optional --ell that overrides
+the file's, a non-negative --seed for the gauge retries and a positive
+--max-gauge, the number of gauges tried.  `dim` takes only --ell and
+--omega.  The numerical tolerance is fixed at `params.TOL`, and no option
 sets it.
 
 Exit codes: 0 success; 1 parse or validation failure, of the command line
 included; 2 a computation was undefined (gauge search exhausted,
-modified-dimension pole, non-generic input).  Every run but `--help` prints
-one JSON object, an error included.  Output is deterministic JSON with
-full-precision floats: fixed (input, seed, flags) give byte-identical runs.
+modified-dimension pole, non-generic input); 3 an internal error, any other
+exception (for example a float overflow), reported by its type and message.
+Every run but `--help` prints one JSON object, an error included.  Output
+is deterministic JSON with full-precision floats: fixed (input, seed, flags)
+give byte-identical runs.
+
+`closure`, `propagate_qcolors`, `load_link` and `main` are looked up in this
+module's namespace by the benchmark's traced run (perfbench/spans.py).
 """
 
 from __future__ import annotations
@@ -47,11 +53,10 @@ import numpy as np
 from .braiding import BraidingProvider
 from .diagram import Diagram, braid_diagram, closure
 from .errors import HoloinvError, ParseError, Singular
-from .invariant import gauge_fix, gauge_orbit_compare, tilde_Fprime
+from .invariant import gauge_fix, tilde_Fprime
 from .modtrace import alpha_from_omega, modified_dim
 from .params import GATE, TOL, root_params
-from .quandle import QColor, propagate_qcolors, random_qcolor
-from .sl2factor import random_gstar
+from .quandle import QColor, propagate_qcolors
 from .uqsl2 import ZChar, is_admissible, steinberg_char
 
 
@@ -224,23 +229,6 @@ def cmd_color(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gauge_orbit(args: argparse.Namespace) -> int:
-    ell, d = load_link(args.link)
-    ell = _ell(args, ell, d)
-    p = root_params(ell)
-    rng = np.random.default_rng(args.seed + 1)
-    gens: list = []
-    for _ in range(args.generators):
-        gens.append(random_gstar(rng))
-        gens.append(random_qcolor(rng, p))
-    rep = gauge_orbit_compare(d, gens, BraidingProvider(p), seed=args.seed,
-                              max_gauge=args.max_gauge)
-    _emit({"ell": ell, "base": _cpair(rep["base"]),
-           "generators": rep["generators"],
-           "max_deviation": rep["max_deviation"], "pass": bool(rep["pass"])})
-    return 0
-
-
 # --- argument plumbing --------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
@@ -275,12 +263,10 @@ def _finite(text: str) -> complex:
 _finite.__name__ = "complex"  # argparse names it in "invalid ... value"
 
 
-def _add_common(sp: argparse.ArgumentParser, need_ell: bool) -> None:
-    if need_ell:
-        sp.add_argument("--ell", type=int, required=True)
-    else:
-        sp.add_argument("--ell", type=int, default=None,
-                        help="override the link file's ell")
+def _add_link_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("link", help="JSON link file")
+    sp.add_argument("--ell", type=int, default=None,
+                    help="override the link file's ell")
     sp.add_argument("--seed", type=_count(0), default=0)
     sp.add_argument("--max-gauge", type=_count(1), default=100)
 
@@ -293,26 +279,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("invariant", help="renormalized invariant of a link file")
-    sp.add_argument("link", help="JSON link file")
-    _add_common(sp, need_ell=False)
+    _add_link_args(sp)
     sp.set_defaults(func=cmd_invariant)
 
     sp = sub.add_parser("dim", help="modified dimension at a Casimir value")
-    _add_common(sp, need_ell=True)
+    sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--omega", type=_finite, required=True,
                     help="Casimir value as a Python complex literal")
     sp.set_defaults(func=cmd_dim)
 
     sp = sub.add_parser("color", help="lift a holonomy coloring")
-    sp.add_argument("link")
-    _add_common(sp, need_ell=False)
+    _add_link_args(sp)
     sp.set_defaults(func=cmd_color)
-
-    sp = sub.add_parser("gauge-orbit", help="invariant along a sampled gauge orbit")
-    sp.add_argument("link")
-    _add_common(sp, need_ell=False)
-    sp.add_argument("--generators", type=_count(1), default=3)
-    sp.set_defaults(func=cmd_gauge_orbit)
     return ap
 
 
@@ -328,6 +306,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except HoloinvError as e:  # the computation is undefined on this input
         _emit({"error": {"kind": type(e).__name__, "message": str(e)}})
         return 2
+    except Exception as e:  # an internal error: still one JSON object
+        _emit({"error": {"kind": type(e).__name__, "message": str(e)}})
+        return 3
 
 
 if __name__ == "__main__":

@@ -33,10 +33,6 @@ class NoSuchEdge(HoloinvError):
     pass
 
 
-class PatternMismatch(HoloinvError):
-    pass
-
-
 # --- colorings ---
 
 class InconsistentColoring(HoloinvError):
@@ -90,10 +86,6 @@ class BlockIntertwinerDim(Undefined):
 
 
 class UnresolvableYB(Undefined):
-    pass
-
-
-class AlphaUndefined(Undefined):
     pass
 
 

@@ -11,7 +11,7 @@ has two closed forms,
 and the second form shows d(chi)^-1 is the degree r-1 second-kind Chebyshev
 polynomial evaluated at (-1)^r chi(Omega).  That reciprocal is the shipped
 evaluation path: it needs no branch choice for a and depends only on
-chi(Omega).  The a-parameter forms are kept as cross-check helpers.
+chi(Omega).  The tests check it against both a-parameter forms.
 
 d(chi) is a plain complex number (no root-of-unity ambiguity); it enters the
 renormalized invariant as an exact prefactor.  It is gauge invariant because
@@ -51,22 +51,3 @@ def alpha_from_omega(omega: complex, p: RootParams) -> complex:
     if a.imag < 0 or (a.imag == 0 and a.real < 0):
         a = -a
     return complex(a.real % p.ell, a.imag)
-
-
-def modified_dim_product(alpha: complex, p: RootParams) -> complex:
-    """Cross-check form: (-1)^(r-1) prod_{j=1}^{r-1} [j] / [alpha + r - j]."""
-    out = complex(-p.sign_r)
-    for j in range(1, p.r):
-        den = p.qbracket(alpha + p.r - j)
-        if abs(den) <= TOL:
-            raise Singular(f"bracket [alpha + {p.r - j}] vanishes")
-        out *= p.qbracket(j) / den
-    return out
-
-
-def modified_dim_ratio(alpha: complex, p: RootParams) -> complex:
-    """Cross-check form: (-1)^(r-1) r [alpha] / [r alpha], for [r alpha] != 0."""
-    den = p.qbracket(p.r * alpha)
-    if abs(den) <= TOL:
-        raise Singular("bracket [r alpha] vanishes")
-    return -p.sign_r * p.r * p.qbracket(alpha) / den

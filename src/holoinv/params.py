@@ -9,8 +9,7 @@ branch exp(2*pi*i*x/ell).
 T(2 cos t) = 2 cos(r t) (T(2) = 2, T(-2) = 2*(-1)**r); `cheb_second_kind` is
 the normalized second-kind polynomial S_n with S_n(2 cos t) =
 sin((n+1)t)/sin(t).  Both are evaluated by the three-term recurrence for
-numerical stability; first-kind coefficients are also available exactly in
-integer arithmetic for the structural tests.
+numerical stability.
 
 `TOL` is the one numerical tolerance: every threshold of the package is
 formed from it where the comparison is made, and `GATE` bounds every
@@ -37,19 +36,6 @@ def cheb_first_kind(n: int, t: complex) -> complex:
     prev, cur = 2.0 + 0.0j, complex(t)
     for _ in range(n - 1):
         prev, cur = cur, t * cur - prev
-    return cur
-
-
-def cheb_first_kind_coeffs(n: int) -> list[int]:
-    """Exact integer coefficients (ascending powers) of the degree-n polynomial."""
-    prev, cur = [2], [0, 1]
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
     return cur
 
 

@@ -21,8 +21,6 @@ import numpy as np
 
 from .params import TOL, RootParams, cheb_first_kind_roots
 
-_ID2 = np.eye(2, dtype=complex)
-
 
 def mat2(a, b, c, d) -> np.ndarray:
     return np.array([[a, b], [c, d]], dtype=complex)
@@ -67,12 +65,6 @@ def q_act_inv(a: QColor, b: QColor) -> QColor:
     return QColor(a.g @ b.g @ inv2(a.g), b.z)
 
 
-def steinberg_qcolor(p: RootParams) -> QColor:
-    """The one permitted parabolic color: g = (-1)^(r-1) Id, z = 2(-1)^(l-1)."""
-    s = -p.sign_r  # (-1)^(r-1)
-    return QColor(s * np.eye(2, dtype=complex), 2.0 * (-p.sign_ell))
-
-
 def z_candidates(trace: complex, p: RootParams) -> list[complex]:
     """All z with Cb_r(z) = (-1)^(l+1) * trace, i.e. w^r + w^(-r) = target."""
     # deduplicate numerically
@@ -84,10 +76,9 @@ def z_candidates(trace: complex, p: RootParams) -> list[complex]:
 
 
 class QuandleCrossingOracle:
-    """Biquandle-style crossing maps for quandle colors.
+    """The crossing maps of quandle colors, as `propagate_colors` reads them.
 
-    Positive crossing bottom (a, b) gives top (a^(-1) b a, a); the sideways
-    and twist maps follow, with trivial diagonal (alpha = id).
+    Positive crossing bottom (a, b) gives top (a^(-1) b a, a).
     """
 
     def B(self, a: QColor, b: QColor):
@@ -95,18 +86,6 @@ class QuandleCrossingOracle:
 
     def B_inv(self, c: QColor, d: QColor):
         return (d, q_act_inv(d, c))
-
-    def S(self, x4: QColor, x1: QColor):
-        return (x1, q_act_inv(x1, x4))
-
-    def S_inv(self, x3: QColor, x2: QColor):
-        return (q_act(x3, x2), x3)
-
-    def alpha(self, x: QColor):
-        return x
-
-    def alpha_inv(self, x: QColor):
-        return x
 
 
 def propagate_qcolors(d, bottom: Sequence[QColor]):
@@ -116,25 +95,6 @@ def propagate_qcolors(d, bottom: Sequence[QColor]):
     return propagate_colors(d, bottom, QuandleCrossingOracle())
 
 
-def random_sl2(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        det = np.linalg.det(m)
-        if abs(det) > 1e-6:
-            return m / np.sqrt(det)
-
-
-def random_qcolor(rng: np.random.Generator, p: RootParams) -> QColor:
-    g = random_sl2(rng)
-    zs = z_candidates(complex(g[0, 0] + g[1, 1]), p)
-    return QColor(g, zs[rng.integers(len(zs))])
-
-
 def gauge_act_matrix(h: np.ndarray, d):
     """Conjugate every holonomy of a Q-colored diagram by a fixed matrix h."""
     return d.map_colors(lambda c: QColor(h @ c.g @ inv2(h), c.z))
-
-
-def gauge_act(b: QColor, d):
-    """Gauge move by a color b: every edge color c becomes b acting on c."""
-    return d.map_colors(lambda c: q_act(b, c))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InconsistentColoring, InternalInconsistency, OutsideGPrime
 from .params import TOL, RootParams
-from .quandle import QColor, inv2, mat2, z_candidates
+from .quandle import QColor, gauge_act_matrix, inv2, mat2
 
 _ID2 = np.eye(2, dtype=complex)
 
@@ -56,13 +56,6 @@ class GStarElem:
         k, e, f = self.kappa, self.eps, self.phi
         return mat2(k, -e, f, (1.0 - e * f) / k)
 
-    def mul(self, o: "GStarElem") -> "GStarElem":
-        return GStarElem(
-            self.kappa * o.kappa,
-            o.eps + self.eps * o.kappa,
-            self.phi * o.kappa + o.phi,
-        )
-
     def inv(self) -> "GStarElem":
         return GStarElem(
             1.0 / self.kappa, -self.eps / self.kappa, -self.phi / self.kappa
@@ -74,9 +67,6 @@ class GStarElem:
             and abs(self.eps - o.eps) <= tol
             and abs(self.phi - o.phi) <= tol
         )
-
-    def trace(self) -> complex:
-        return self.kappa + (1.0 - self.eps * self.phi) / self.kappa
 
     @staticmethod
     def one() -> "GStarElem":
@@ -139,53 +129,10 @@ def sl2_B_inv(y4: YColor, y3: YColor) -> tuple[YColor, YColor]:
     return (YColor(x1, y3.z), YColor(x2, y4.z))
 
 
-def sl2_S(y4: YColor, y1: YColor) -> tuple[YColor, YColor]:
-    """Sideways map: S(B1(x,y), x) = (B2(x,y), y)."""
-    x4, x1 = y4.g, y1.g
-    x3 = _conj_solve(inv2(x4.phi_plus()), psi(x1))
-    x2 = _conj_solve(inv2(x1.phi_minus()), psi(x4))
-    return (YColor(x3, y1.z), YColor(x2, y4.z))
-
-
-def sl2_S_inv(y3: YColor, y2: YColor) -> tuple[YColor, YColor]:
-    """Inverse sideways map, via S^(-1) = (i x Id) B (Id x i) on the G* parts."""
-    a, b = sl2_B(YColor(y3.g, y3.z), YColor(y2.g.inv(), y2.z))
-    return (YColor(a.g.inv(), y2.z), YColor(b.g, y3.z))
-
-
-def alpha(y: YColor) -> YColor:
-    """The biquandle diagonal: B(x, alpha(x)) = (x, alpha(x))."""
-    return YColor(psi_inv(inv2(psi(y.g.inv()))), y.z)
-
-
 def alpha_inv(y: YColor) -> YColor:
+    """Inverse of the biquandle diagonal alpha, where B(x, alpha(x)) =
+    (x, alpha(x)); it untwists the downward strands of a lift."""
     return YColor(psi_inv(inv2(psi(y.g))).inv(), y.z)
-
-
-class FactorizationOracle:
-    """The SL(2, C) factorization biquandle on X-colors.
-
-    A biquandle oracle has these partial maps on a color set X:
-
-        B      : X x X -> X x X   positive crossing, bottom to top
-        B_inv  : inverse of B
-        S      : sideways map, S(B1(x,y), x) = (B2(x,y), y)
-        S_inv  : inverse of S
-        alpha  : diagonal bijection with B(x, alpha(x)) = (x, alpha(x))
-
-    A map raises `errors.Undefined` (or a subclass) where it has no value and
-    never returns None; callers treat that as a normal outcome and may retry
-    after a gauge move.  Here the maps are the ones above, so the z fibres
-    swap at crossings (each output keeps the z of the opposite input, as
-    `sl2_B` builds it), and a map raises OutsideGPrime where a solve leaves G'.
-    """
-
-    B = staticmethod(sl2_B)
-    B_inv = staticmethod(sl2_B_inv)
-    S = staticmethod(sl2_S)
-    S_inv = staticmethod(sl2_S_inv)
-    alpha = staticmethod(alpha)
-    alpha_inv = staticmethod(alpha_inv)
 
 
 def random_gstar(rng: np.random.Generator) -> GStarElem:
@@ -195,12 +142,6 @@ def random_gstar(rng: np.random.Generator) -> GStarElem:
     eps = complex(rng.normal(), rng.normal())
     phi = complex(rng.normal(), rng.normal())
     return GStarElem(kappa, eps, phi)
-
-
-def random_ycolor(rng: np.random.Generator, p: RootParams) -> YColor:
-    g = random_gstar(rng)
-    zs = z_candidates(g.trace(), p)
-    return YColor(g, zs[rng.integers(len(zs))])
 
 
 # --- the holonomy functor ---------------------------------------------------
@@ -276,7 +217,4 @@ def q_functor_inv(d):
 
 def gauge_act_diagram(x: GStarElem, d):
     """The gauge move by x: conjugate every Q-color by phi_plus(x)."""
-    from .quandle import gauge_act_matrix
-
     return gauge_act_matrix(x.phi_plus(), d)
-

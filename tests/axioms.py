@@ -3,7 +3,7 @@
 Each checker samples colors and reports its worst violation instead of
 raising, so a test can assert on the report: the quandle axioms of the
 conjugation quandle, the biquandle axioms of a biquandle oracle (see
-`sl2factor.FactorizationOracle`), the quandle derived from a biquandle, and
+`oracles.FactorizationOracle`), the quandle derived from a biquandle, and
 the gauge invariance of the modified dimension.
 """
 
@@ -17,9 +17,11 @@ import numpy as np
 from holoinv.errors import HoloinvError, Undefined
 from holoinv.modtrace import modified_dim
 from holoinv.params import RootParams, root_params
-from holoinv.quandle import QColor, q_act, q_act_inv, random_qcolor
-from holoinv.sl2factor import random_ycolor, sl2_B, sl2_B_inv
+from holoinv.quandle import QColor, q_act, q_act_inv
+from holoinv.sl2factor import sl2_B, sl2_B_inv
 from holoinv.uqsl2 import char_from_ycolor
+
+from samplers import random_qcolor, random_ycolor
 
 
 # --- quandle axioms ------------------------------------------------------------

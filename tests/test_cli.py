@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -14,11 +15,16 @@ import numpy as np
 import pytest
 
 import holoinv.cli as cli
+from holoinv.braiding import BraidingProvider
 from holoinv.cli import main
 from holoinv.params import root_params
 from holoinv.quandle import z_candidates
+from holoinv.sl2factor import random_gstar
 
-from conftest import write_link_file
+from conftest import commuting_link, write_link_file
+from samplers import gauge_orbit_compare, random_qcolor
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
 
 
 def _run(capsys, argv):
@@ -239,7 +245,8 @@ def test_slices_may_be_objects(tmp_path, capsys):
 
 
 _BAD_ARGV = {
-    # there is no --tol option: each of these is an unrecognized argument
+    # there is no --tol option: each of these is an unrecognized argument;
+    # there is no gauge-orbit command either, nor --seed or --max-gauge on dim
     "invariant-tol-zero": ["invariant", "LINK", "--tol", "0"],
     "invariant-tol-negative": ["invariant", "LINK", "--tol", "-1"],
     "color-tol-zero": ["color", "LINK", "--tol", "0"],
@@ -252,6 +259,8 @@ _BAD_ARGV = {
     "seed-negative": ["invariant", "LINK", "--seed", "-1"],
     "generators-zero": ["gauge-orbit", "LINK", "--generators", "0"],
     "generators-negative": ["gauge-orbit", "LINK", "--generators", "-2"],
+    "dim-seed": ["dim", "--ell", "3", "--omega", "0.3", "--seed", "0"],
+    "dim-max-gauge": ["dim", "--ell", "3", "--omega", "0.3", "--max-gauge", "5"],
     "z-text": ["invariant", "BAD_Z"],
     "omega-text": ["dim", "--ell", "4", "--omega", "abc"],
     "omega-nan": ["dim", "--ell", "3", "--omega", "nan"],
@@ -290,7 +299,7 @@ def test_bad_flag_or_value_prints_one_parse_error(tmp_path, capsys, argv):
     assert json.loads(lines[0])["error"]["kind"] == "ParseError"
 
 
-@pytest.mark.parametrize("command", ["invariant", "color", "gauge-orbit"])
+@pytest.mark.parametrize("command", ["invariant", "color"])
 def test_color_off_the_chebyshev_relation_exits_parse_error(tmp_path, capsys,
                                                            command):
     # tr diag(2, 1/2) = 5/2, but Cb_3(0.3) = 0.3^3 - 3 * 0.3 = -0.873
@@ -319,10 +328,18 @@ def test_help_exits_zero(capsys):
     assert code == 0 and "usage" in out
 
 
-@pytest.mark.parametrize("command", ["invariant", "dim", "color", "gauge-orbit"])
+@pytest.mark.parametrize("command", ["invariant", "dim", "color"])
 def test_no_subcommand_offers_a_tolerance(capsys, command):
     code, out = _run(capsys, [command, "--help"])
-    assert code == 0 and "--seed" in out and "--tol" not in out
+    assert code == 0 and "--ell" in out and "--tol" not in out
+
+
+def test_dim_takes_only_ell_and_omega():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"invariant", "dim", "color"}
+    flags = {o for a in sub.choices["dim"]._actions for o in a.option_strings}
+    assert flags == {"-h", "--help", "--ell", "--omega"}
 
 
 def test_child_process_prints_what_main_prints(tmp_path, capsys):
@@ -345,11 +362,75 @@ def test_color_gauge_orbit_roundtrip(tmp_path, capsys):
     code, out = _run(capsys, ["color", str(f), "--ell", "3"])
     assert code == 0
     assert "edges" in json.loads(out) or "colors" in json.loads(out)
-    code, out = _run(capsys, ["gauge-orbit", str(f), "--ell", "3",
-                              "--generators", "3"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["pass"] and doc["max_deviation"] < 1e-6
+    # the orbit that the former gauge-orbit command sampled at --seed 0:
+    # three random gauges and three quandle colors, drawn from seed 1
+    ell, d = cli.load_link(str(f))
+    p = root_params(ell)
+    rng = np.random.default_rng(1)
+    gens = [g for _ in range(3) for g in (random_gstar(rng), random_qcolor(rng, p))]
+    rep = gauge_orbit_compare(d, gens, BraidingProvider(p))
+    assert rep["pass"] and rep["max_deviation"] < 1e-6
+
+
+def _one_error(out: str) -> dict:
+    lines = out.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+def test_float_overflow_is_one_internal_error(tmp_path, capsys, monkeypatch):
+    # the benchmark corpus's T(2,3) at ell 15 (seed 1) has r^2 log|v| = 914,
+    # beyond the float range of the canonical value v^(r^2)
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, corpus)
+    spec.loader.exec_module(corpus)
+    case = corpus.cases(("t23",), 15, np.random.default_rng(1), 1)[0]
+    f = tmp_path / "t23.json"
+    f.write_text(json.dumps(case.doc))
+    code, out = _run(capsys, ["invariant", str(f)])
+    assert code == 3
+    assert _one_error(out)["kind"] == "OverflowError"
+
+
+def test_any_other_exception_is_one_internal_error(tmp_path, capsys,
+                                                    monkeypatch):
+    f = tmp_path / "hopf.json"
+    write_link_file(f, 3, [1, 1])
+
+    def broken(*args, **kwargs):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(cli, "tilde_Fprime", broken)
+    code, out = _run(capsys, ["invariant", str(f)])
+    assert code == 3
+    assert _one_error(out) == {"kind": "KeyError", "message": "'planted'"}
+
+
+def test_lift_round_trip_rejects_a_broken_crossing(tmp_path, capsys):
+    # the commuting Hopf link at ell 3 in slice form, with edge 3:0
+    # conjugated by a 1e-3 upper-triangular matrix: its trace and z still
+    # fit, but the two crossings it joins break the quandle relation, which
+    # only the lift's round trip (q_functor after q_functor_inv) detects
+    d = commuting_link(3, [1, 1])
+    h = np.array([[1.0, 1e-3], [0.0, 1.0]])
+
+    def cp(v):
+        return [complex(v).real, complex(v).imag]
+
+    colors = {}
+    for e, c in d.edge_colors.items():
+        g = h @ c.g @ np.linalg.inv(h) if e == "3:0" else c.g
+        colors[e] = {"g": [[cp(v) for v in row] for row in g], "z": cp(c.z)}
+    f = tmp_path / "broken.json"
+    f.write_text(json.dumps({
+        "ell": 3, "bottom_signs": "",
+        "slices": [[s.offset, s.piece] for s in d.slices],
+        "edge_colors": colors}))
+    for command in ("invariant", "color"):
+        code, out = _run(capsys, [command, str(f)])
+        assert code == 2
+        assert _one_error(out)["kind"] == "InternalInconsistency"
 
 
 def test_documented_commands_and_flags_are_the_parser_s():

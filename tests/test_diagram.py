@@ -8,15 +8,10 @@ import pytest
 from holoinv.braiding import BraidingProvider
 from holoinv.diagram import (
     Diagram,
-    RMove,
-    apply_rmove,
     braid_diagram,
     closure,
-    compose,
     cut_edge,
-    identity,
     propagate_colors,
-    tensor,
 )
 from holoinv.errors import (
     InconsistentColoring,
@@ -30,6 +25,16 @@ from holoinv.params import root_params
 from holoinv.quandle import QColor
 
 from conftest import commuting_link, riley_trefoil
+from moves import (
+    RMove,
+    apply_rmove,
+    bottom_word,
+    compose,
+    identity,
+    tensor,
+    top_word,
+    width,
+)
 
 
 class _ToyOracle:
@@ -56,8 +61,8 @@ class _ToyOracle:
 
 def test_identity_word_roundtrip():
     d = identity([("a", "+"), ("b", "-")])
-    assert d.bottom_word() == (("a", "+"), ("b", "-"))
-    assert d.top_word() == d.bottom_word()
+    assert bottom_word(d) == (("a", "+"), ("b", "-"))
+    assert top_word(d) == bottom_word(d)
     assert d.max_width() == 2
 
 
@@ -76,7 +81,7 @@ def test_compose_and_tensor_shapes():
     c = compose(d2, d1)
     assert c.n_slices == 2
     t = tensor(d1, d2)
-    assert t.width(0) == 4
+    assert width(t, 0) == 4
     with pytest.raises(WordMismatch):
         compose(braid_diagram(3, [1]), d1)
 
@@ -112,10 +117,10 @@ def test_edge_at_rejects_ports_outside_the_diagram():
         with pytest.raises(NoSuchEdge):
             d.edge_at(t, 0)
     for t in range(n + 1):
-        for i in (-1, d.width(t)):
+        for i in (-1, width(d, t)):
             with pytest.raises(NoSuchEdge):
                 d.edge_at(t, i)
-        assert all(d.edge_at(t, i) in d.edges() for i in range(d.width(t)))
+        assert all(d.edge_at(t, i) in d.edges() for i in range(width(d, t)))
 
 
 def test_recolored_copies_share_structure_but_not_colors():
@@ -170,7 +175,7 @@ def test_warm_evaluation_builds_one_structure(link, monkeypatch):
 def test_propagate_colors_fires_positive_and_negative_crossings():
     d = braid_diagram(2, [1, -1])
     colored = propagate_colors(d, ["a", "b"], _ToyOracle())
-    assert colored.top_word() == (("a", "+"), ("b", "+"))
+    assert top_word(colored) == (("a", "+"), ("b", "+"))
 
 
 def test_propagate_colors_rejects_a_clashing_preset_color():
@@ -191,18 +196,18 @@ def test_rmove_r2_insert_and_undo():
     m = RMove("RII_pp", 0, 0, "apply", "+-")
     up = apply_rmove(d, m, _ToyOracle())
     assert [s.piece for s in up.slices] == ["X+", "X-"]
-    assert up.top_word() == d.top_word()
+    assert top_word(up) == top_word(d)
     back = apply_rmove(up, RMove("RII_pp", 0, 0, "undo"), _ToyOracle())
     assert back.slices == d.slices
-    assert back.top_word() == d.top_word()
+    assert top_word(back) == top_word(d)
 
 
 def test_rmove_r3_preserves_boundary_colors():
     d = propagate_colors(braid_diagram(3, [1, 2, 1]), ["a", "b", "c"], _ToyOracle())
     moved = apply_rmove(d, RMove("RIII_ppp", 0, 0), _ToyOracle())
     assert [s.offset for s in moved.slices] == [1, 0, 1]
-    assert moved.bottom_word() == d.bottom_word()
-    assert moved.top_word() == d.top_word()
+    assert bottom_word(moved) == bottom_word(d)
+    assert top_word(moved) == top_word(d)
 
 
 def test_braid_diagram_validation():

@@ -15,15 +15,10 @@ import holoinv.invariant as invariant
 from holoinv.braiding import BraidingProvider, ModScalar, equal_mod_roots
 from holoinv.diagram import (
     Diagram,
-    RMove,
-    apply_rmove,
     braid_diagram,
     closure,
-    compose,
     cut_edge,
-    identity,
     propagate_colors,
-    tensor,
 )
 from holoinv.errors import (
     GaugeExhausted,
@@ -32,28 +27,12 @@ from holoinv.errors import (
     NonScalarResult,
     ParseError,
 )
-from holoinv.invariant import (
-    evaluate_F,
-    evaluate_Fprime,
-    gauge_fix,
-    gauge_orbit_compare,
-    tilde_Fprime,
-)
+from holoinv.invariant import evaluate_F, evaluate_Fprime, gauge_fix, tilde_Fprime
 from holoinv.modtrace import modified_dim
 from holoinv.params import root_params
-from holoinv.quandle import (
-    QColor,
-    gauge_act_matrix,
-    propagate_qcolors,
-    random_sl2,
-    z_candidates,
-)
-from holoinv.sl2factor import (
-    FactorizationOracle,
-    q_functor,
-    random_gstar,
-    random_ycolor,
-)
+from holoinv.quandle import QColor, gauge_act_matrix, propagate_qcolors, z_candidates
+from holoinv.sl2factor import q_functor, random_gstar
+from holoinv.uqsl2 import is_steinberg
 
 from conftest import (
     commuting_link,
@@ -61,6 +40,10 @@ from conftest import (
     riley_trefoil,
     unknot_diagram,
 )
+from moves import RMove, apply_rmove, compose, identity, tensor
+from oracles import FactorizationOracle
+from references import same_mod_roots
+from samplers import gauge_orbit_compare, random_sl2, random_ycolor
 
 
 def _colored_braid(ell, word, seed):
@@ -145,7 +128,7 @@ def test_unknot_evaluates_to_modified_dimension(providers):
         d, y = _y_unknot(provider, 30 + ell)
         v = evaluate_Fprime(d, provider)
         dchi = modified_dim(provider.char(y), provider.p)
-        assert v.approx_eq(ModScalar(complex(dchi), provider.p.r), 1e-8)
+        assert same_mod_roots(v, ModScalar(complex(dchi), provider.p.r), 1e-8)
 
 
 def _y_link(providers, ell, word, seed):
@@ -218,7 +201,7 @@ def test_pipeline_unknot_matches_modified_dimension(providers):
         y = next(iter(lifted.edge_colors.values()))
         dchi = modified_dim(provider.char(y), provider.p)
         want = ModScalar(complex(dchi), provider.p.r)
-        assert res.value.approx_eq(want, 1e-8)
+        assert same_mod_roots(res.value, want, 1e-8)
 
 
 def test_reversed_unknot_matches_modified_dimension():
@@ -235,7 +218,7 @@ def test_reversed_unknot_matches_modified_dimension():
         assert tangle.bottom_signs == ("+",)
         dchi = modified_dim(provider.char(tangle.color_at(0, 0)), provider.p)
         want = ModScalar(complex(dchi), provider.p.r)
-        assert res.value.approx_eq(want, 1e-8)
+        assert same_mod_roots(res.value, want, 1e-8)
 
 
 def test_pipeline_reidemeister_independence(providers):
@@ -246,7 +229,7 @@ def test_pipeline_reidemeister_independence(providers):
         b = commuting_link(ell, [1, 1, 1, -1], seed=21)
         va = tilde_Fprime(a, provider, seed=0).value
         vb = tilde_Fprime(b, provider, seed=0).value
-        assert va.approx_eq(vb, 1e-6)
+        assert same_mod_roots(va, vb, 1e-6)
 
 
 def test_pipeline_seed_independence(providers):
@@ -272,8 +255,8 @@ def test_gauge_orbit_invariance(providers):
 def test_width_guard_raises_parse_error(providers):
     provider = providers[4]
     d = braid_diagram(9, [1])
-    with pytest.raises(ParseError):
-        evaluate_F(d, provider, max_width=8)
+    with pytest.raises(ParseError, match="width 9 exceeds the guard 8"):
+        evaluate_F(d, provider)
 
 
 def test_gauge_exhausted_on_zero_budget(providers):
@@ -449,7 +432,8 @@ def test_generic_pairs_resolve_without_steinberg_pairs(monkeypatch):
         for link in (commuting_link(ell, [1, 1]),
                      commuting_link(ell, [1, 1, 1, -1]), riley_trefoil(ell)):
             tilde_Fprime(link, provider)
-        assert any(not (provider.is_steinberg(hb.y1) or provider.is_steinberg(hb.y2))
+        assert any(not (is_steinberg(provider.char(hb.y1), provider.p)
+                        or is_steinberg(provider.char(hb.y2), provider.p))
                    for hb in provider._braidings.values())
         assert all(seen == [] for seen in calls.values()), (ell, calls.keys())
 
@@ -507,6 +491,20 @@ def test_diagonal_closures_resolve_in_the_identity_gauge(ell):
             assert _log_phase_gap(res.value, conj.value) <= 1e-8, (lam, word)
             if ell == 3 and lam == 2.0 and word == [1, 1]:
                 assert abs(res.value.canonical - 19683) <= 1e-8 * 19683
+
+
+@pytest.mark.parametrize("ell", range(3, 8))
+def test_riley_trefoil_resolves_in_the_identity_gauge(ell):
+    # Riley's x = [[m, 1], [0, 1/m]] lifts to (m, -1, 0), a module with
+    # f_r = 0 and e_r != 0; with the right E^r its pairs resolve as they are
+    riley = tilde_Fprime(riley_trefoil(ell, seed=ell, conjugate=False),
+                         BraidingProvider(root_params(ell)), max_gauge=1)
+    conj = tilde_Fprime(riley_trefoil(ell, seed=ell),
+                        BraidingProvider(root_params(ell)))
+    assert _log_phase_gap(riley.value, conj.value) <= 1e-8
+    if ell == 4:
+        # 16 tau^2 with the trefoil's Reidemeister torsion tau = 2
+        assert abs(riley.value.canonical - 64) <= 1e-8 * 64
 
 
 def test_hopf_at_ell_13_does_not_depend_on_the_cut():

@@ -6,23 +6,13 @@ import numpy as np
 import pytest
 
 from holoinv.errors import Singular
-from holoinv.modtrace import (
-    alpha_from_omega,
-    modified_dim,
-    modified_dim_product,
-    modified_dim_ratio,
-)
+from holoinv.modtrace import alpha_from_omega, modified_dim
 from holoinv.params import root_params
 from holoinv.quandle import z_candidates
-from holoinv.uqsl2 import (
-    ZChar,
-    build_cyclic_module,
-    casimir_matrix,
-    dual_rep,
-    steinberg_char,
-)
+from holoinv.uqsl2 import ZChar, build_cyclic_module, casimir_matrix, steinberg_char
 
 from axioms import check_dim_gauge_invariance
+from references import dual_rep, modified_dim_product, modified_dim_ratio
 
 
 def _random_chars(p, n, seed):

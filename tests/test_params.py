@@ -8,12 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoinv.params import (
-    cheb_first_kind,
-    cheb_first_kind_coeffs,
-    cheb_second_kind,
-    root_params,
-)
+from holoinv.params import cheb_first_kind, cheb_second_kind, root_params
+
+from references import cheb_first_kind_coeffs
 
 
 @given(st.integers(0, 12), st.floats(-3.0, 3.0))

@@ -50,11 +50,11 @@ def test_span_lookup_points_fire(monkeypatch):
         spans.install(tracer)
         provider = braiding.BraidingProvider(root_params(3))
         invariant.tilde_Fprime(commuting_link(3, [1, 1]), provider)
-        # the pipeline resolves neither Steinberg pairs nor Casimir blocks,
-        # so ask for both: the Steinberg self pair and a resolved generic
-        # pair's block pieces
+        # the pipeline calls neither the Steinberg names nor the Casimir
+        # blocks, so call both: the Steinberg self pair and a resolved
+        # generic pair's block pieces
         hb = next(iter(provider._braidings.values()))
-        provider.braiding(provider.steinberg, provider.steinberg)
+        braiding.steinberg_self_braiding(provider)
         braiding.block_braiding(hb.y1, hb.y2, provider)
     finally:
         for owner, attrs in saved:

@@ -9,16 +9,15 @@ import pytest
 
 from holoinv.errors import DegenerateSpectrum, HoloinvError, NotAdmissible
 from holoinv.params import root_params
-from holoinv.sl2factor import random_ycolor
+from holoinv.quandle import z_candidates
+from holoinv.sl2factor import GStarElem, YColor, psi, random_gstar
 from holoinv.uqsl2 import (
     ZChar,
     build_cyclic_module,
     casimir_block_structure,
     char_from_ycolor,
     cheb_defect,
-    coproduct_casimir,
     coproduct_matrices,
-    dual_rep,
     duality_tensors,
     is_admissible,
     kron,
@@ -26,6 +25,15 @@ from holoinv.uqsl2 import (
     steinberg_char,
     tensor_central_scalars,
 )
+
+from references import (
+    block_bases,
+    block_cobases,
+    coproduct_casimir,
+    dual_rep,
+    omega_matrix,
+)
+from samplers import random_ycolor
 
 
 def _sample_modules(ell, n, seed):
@@ -42,26 +50,52 @@ def _sample_modules(ell, n, seed):
     return p, out
 
 
+def _branch_modules(p, n, seed):
+    """Modules of the branches of `build_cyclic_module` that random colors
+    miss: n lifts each with phi = 0 (f_r = 0, e_r != 0), eps = 0 (e_r = 0,
+    f_r != 0) and eps = phi = 0 (an ADO module), and the Steinberg module."""
+    rng = np.random.default_rng(seed)
+    out = {"steinberg": [build_cyclic_module(steinberg_char(p), p)]}
+    for branch, keep_eps, keep_phi in (("f_r = 0", 1, 0), ("e_r = 0", 0, 1),
+                                       ("ado", 0, 0)):
+        mods = out[branch] = []
+        while len(mods) < n:
+            x = random_gstar(rng)
+            g = GStarElem(x.kappa, keep_eps * x.eps, keep_phi * x.phi)
+            zs = z_candidates(complex(np.trace(psi(g))), p)
+            try:
+                chi = char_from_ycolor(YColor(g, zs[rng.integers(len(zs))]), p)
+                mods.append(build_cyclic_module(chi, p))
+            except HoloinvError:
+                continue
+    return out
+
+
 @pytest.mark.parametrize("ell", [3, 4, 5, 6])
 def test_module_defining_relations(ell):
+    # every branch: generic, f_r = 0 with e_r != 0, e_r = 0 with f_r != 0,
+    # ADO and Steinberg; E^r, F^r, K^r and Omega act by the character
     p, mods = _sample_modules(ell, 50, seed=ell)
+    branches = {"generic": mods, **_branch_modules(p, 20, seed=ell)}
     xi, r = p.xi, p.r
     eye = np.eye(r)
-    worst = 0.0
-    for V in mods:
-        E, F, K, Ki = V.E, V.F, V.K, V.K_inv()
-        worst = max(worst, np.abs(K @ E @ Ki - xi ** 2 * E).max())
-        worst = max(worst, np.abs(K @ F @ Ki - xi ** -2 * F).max())
-        worst = max(worst,
-                    np.abs(E @ F - F @ E - (K - Ki) / p.qbracket(1)).max())
-        chi = V.chi
-        worst = max(worst, np.abs(np.linalg.matrix_power(E, r) - chi.e_r * eye).max())
-        worst = max(worst, np.abs(np.linalg.matrix_power(F, r) - chi.f_r * eye).max())
-        worst = max(worst, np.abs(np.linalg.matrix_power(K, r) - chi.kappa * eye).max())
-        worst = max(worst, np.abs(V.omega_matrix() - chi.omega * eye).max())
-        # the character satisfies the degree-r Chebyshev compatibility
-        worst = max(worst, abs(cheb_defect(chi, p)))
-    assert worst <= 1e-7
+    worst = dict.fromkeys(branches, 0.0)
+    for branch, mods in branches.items():
+        for V in mods:
+            E, F, K, Ki = V.E, V.F, V.K, V.K_inv()
+            chi = V.chi
+            worst[branch] = max(
+                worst[branch],
+                np.abs(K @ E @ Ki - xi ** 2 * E).max(),
+                np.abs(K @ F @ Ki - xi ** -2 * F).max(),
+                np.abs(E @ F - F @ E - (K - Ki) / p.qbracket(1)).max(),
+                np.abs(np.linalg.matrix_power(E, r) - chi.e_r * eye).max(),
+                np.abs(np.linalg.matrix_power(F, r) - chi.f_r * eye).max(),
+                np.abs(np.linalg.matrix_power(K, r) - chi.kappa * eye).max(),
+                np.abs(omega_matrix(V) - chi.omega * eye).max(),
+                # the character satisfies the degree-r Chebyshev compatibility
+                abs(cheb_defect(chi, p)))
+    assert max(worst.values()) <= 1e-7, worst
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 6])
@@ -133,7 +167,7 @@ def test_casimir_blocks_on_tensor_products(ell):
         done += 1
         # exactly r distinct eigenvalues, each of multiplicity r
         assert len(blocks.values) == r
-        assert all(b.shape[1] == r for b in blocks.bases)
+        assert all(b.shape[1] == r for b in block_bases(blocks))
         # eigenvalues match the predicted two-cosine set
         pred = predicted_casimir_values(chi1, chi2, p)
         for v in blocks.values:
@@ -189,7 +223,8 @@ def test_graded_projectors_match_dense_eig(ell):
         dense = _dense_projectors(V1, V2)
         blocks = casimir_block_structure(V1, V2)
         assert len(dense) == len(blocks.values) == r
-        for v, b, cb in zip(blocks.values, blocks.bases, blocks.cobases):
+        for v, b, cb in zip(blocks.values, block_bases(blocks),
+                            block_cobases(blocks)):
             assert b.shape == (r * r, r) and cb.shape == (r, r * r)
             want = dense[min(dense, key=lambda u: abs(u - v))]
             assert np.linalg.norm(b @ cb - want) <= 1e-10 * np.linalg.norm(want)
