@@ -199,7 +199,11 @@ def cmd_dim(args: argparse.Namespace) -> int:
     if abs(omega - steinberg_char(p).omega) <= TOL:
         chi_full = steinberg_char(p)
     else:
-        kappa_roots = np.roots([1.0, p.sign_ell * p.cheb(omega), 1.0])
+        c = p.cheb(omega)
+        if not cmath.isfinite(c):
+            raise ParseError(f"omega {omega} is out of range: Cb_r(omega) "
+                             "is not finite")
+        kappa_roots = np.roots([1.0, p.sign_ell * c, 1.0])
         chi_full = ZChar(kappa=complex(kappa_roots[0]), e_r=0.0, f_r=0.0,
                          omega=omega)
     if not is_admissible(chi_full, p):

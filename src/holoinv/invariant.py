@@ -177,6 +177,15 @@ def evaluate_Fprime(d: Diagram, provider: BraidingProvider,
     return ModScalar(dchi * s, provider.p.r)
 
 
+def _gauges(seed: int):
+    """The identity gauge, then gauges drawn by `random_gstar` from `seed`;
+    the generator is made only when a second gauge is needed."""
+    yield GStarElem.one()
+    rng = np.random.default_rng(seed)
+    while True:
+        yield random_gstar(rng)
+
+
 def gauge_fix(d: Diagram, seed: int = 0,
               max_gauge: int = 100) -> tuple[GStarElem, Diagram, int]:
     """Find a gauge in which a Q-colored diagram lifts to factorization colors.
@@ -186,10 +195,8 @@ def gauge_fix(d: Diagram, seed: int = 0,
     GaugeExhausted after `max_gauge` failed lifts.  An uncolored edge is bad
     input, not a gauge failure: its InconsistentColoring is not retried.
     """
-    rng = np.random.default_rng(seed)
     last = ""
-    for k in range(max_gauge):
-        x = GStarElem.one() if k == 0 else random_gstar(rng)
+    for k, x in zip(range(max_gauge), _gauges(seed)):
         dd = gauge_act_diagram(x, d) if k else d
         try:
             return x, q_functor_inv(dd), k + 1

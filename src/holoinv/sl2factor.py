@@ -11,13 +11,18 @@ multiplied componentwise.  The map psi(x) = phi_plus(x) * phi_minus(x)^(-1) =
 a bijection from G* onto the dense open set G' of SL(2,C) matrices with
 nonzero upper-left entry, with inverse psi_inv.
 
+Here a 2x2 matrix [[a, b], [c, d]] is the tuple of complex scalars
+(a, b, c, d): at this size plain complex arithmetic is several times faster
+than numpy arrays.  Q-colors keep their ndarray holonomy, read once per edge.
+
 X-colors are pairs (x, z) with x in G* and Cb_r(z) = (-1)^(l+1) tr psi(x).
 The crossing map B conjugates the psi-images by the triangular parts and is
 defined whenever the intermediate matrices stay in G'; the z components just
-swap sides.  The holonomy functor q_functor turns an X-colored diagram into a
-Q-colored one by accumulating region holonomies west to east with phi_plus
-transition factors; q_functor_inv inverts it when every region solve stays in
-G', and `invariant.gauge_fix` searches the gauge orbit for a point where it
+swap sides.  The holonomy functor turns an X-colored diagram into a Q-colored
+one by accumulating region holonomies west to east with phi_plus transition
+factors; q_functor_inv inverts it when every region solve stays in G', in
+one scan that also maps every port back and checks it against the input,
+and `invariant.gauge_fix` searches the gauge orbit for a point where it
 does.
 """
 
@@ -29,9 +34,23 @@ import numpy as np
 
 from .errors import InconsistentColoring, InternalInconsistency, OutsideGPrime
 from .params import TOL, RootParams
-from .quandle import QColor, gauge_act_matrix, inv2, mat2
+from .quandle import gauge_act_matrix, mat2
 
-_ID2 = np.eye(2, dtype=complex)
+Mat2 = tuple[complex, complex, complex, complex]  # [[a, b], [c, d]]
+
+_ID = (1.0, 0.0, 0.0, 1.0)
+
+
+def _mul(m: Mat2, n: Mat2) -> Mat2:
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _inv(m: Mat2) -> Mat2:
+    a, b, c, d = m
+    det = a * d - b * c
+    return (d / det, -b / det, -c / det, a / det)
 
 
 @dataclass(frozen=True)
@@ -46,15 +65,19 @@ class GStarElem:
         if self.kappa == 0:
             raise ValueError("kappa must be nonzero")
 
-    def phi_plus(self) -> np.ndarray:
-        return mat2(self.kappa, 0.0, self.phi, 1.0)
+    def phi_plus(self) -> Mat2:
+        return (self.kappa, 0.0, self.phi, 1.0)
 
-    def phi_minus(self) -> np.ndarray:
-        return mat2(1.0, self.eps, 0.0, self.kappa)
+    def phi_plus_inv(self) -> Mat2:
+        return (1.0 / self.kappa, 0.0, -self.phi / self.kappa, 1.0)
 
-    def matrix(self) -> np.ndarray:
+    def phi_minus(self) -> Mat2:
+        return (1.0, self.eps, 0.0, self.kappa)
+
+    def matrix(self) -> Mat2:
+        """psi(x)."""
         k, e, f = self.kappa, self.eps, self.phi
-        return mat2(k, -e, f, (1.0 - e * f) / k)
+        return (k, -e, f, (1.0 - e * f) / k)
 
     def inv(self) -> "GStarElem":
         return GStarElem(
@@ -76,18 +99,14 @@ class GStarElem:
         return f"GStarElem({self.kappa:.6g}, {self.eps:.6g}, {self.phi:.6g})"
 
 
-def psi(x: GStarElem) -> np.ndarray:
-    return x.matrix()
-
-
-def psi_inv(m: np.ndarray) -> GStarElem:
+def psi_inv(m: Mat2) -> GStarElem:
     """Invert psi on G'; raises OutsideGPrime off the domain."""
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det - 1.0) > TOL * max(1.0, float(np.abs(m).max()) ** 2):
+    a, b, c, d = m
+    if abs(a * d - b * c - 1.0) > TOL * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2:
         raise OutsideGPrime("matrix is not in SL(2,C)")
-    if abs(m[0, 0]) <= TOL:
+    if abs(a) <= TOL:
         raise OutsideGPrime("vanishing upper-left entry")
-    return GStarElem(complex(m[0, 0]), complex(-m[0, 1]), complex(m[1, 0]))
+    return GStarElem(complex(a), complex(-b), complex(c))
 
 
 @dataclass(frozen=True)
@@ -110,29 +129,29 @@ def steinberg_ycolor(p: RootParams) -> YColor:
     return YColor(GStarElem(complex(s), 0.0, 0.0), 2.0 * (-p.sign_ell))
 
 
-def _conj_solve(h: np.ndarray, m: np.ndarray) -> GStarElem:
-    return psi_inv(h @ m @ inv2(h))
+def _conj_solve(h: Mat2, m: Mat2) -> GStarElem:
+    return psi_inv(_mul(_mul(h, m), _inv(h)))
 
 
 def sl2_B(y1: YColor, y2: YColor) -> tuple[YColor, YColor]:
     """Positive-crossing map; raises OutsideGPrime when a solve leaves G'."""
     x1, x2 = y1.g, y2.g
-    x4 = _conj_solve(x1.phi_minus(), psi(x2))
-    x3 = _conj_solve(inv2(x4.phi_plus()), psi(x1))
+    x4 = _conj_solve(x1.phi_minus(), x2.matrix())
+    x3 = _conj_solve(x4.phi_plus_inv(), x1.matrix())
     return (YColor(x4, y2.z), YColor(x3, y1.z))
 
 
 def sl2_B_inv(y4: YColor, y3: YColor) -> tuple[YColor, YColor]:
     x4, x3 = y4.g, y3.g
-    x1 = _conj_solve(x4.phi_plus(), psi(x3))
-    x2 = _conj_solve(inv2(x1.phi_minus()), psi(x4))
+    x1 = _conj_solve(x4.phi_plus(), x3.matrix())
+    x2 = _conj_solve(_inv(x1.phi_minus()), x4.matrix())
     return (YColor(x1, y3.z), YColor(x2, y4.z))
 
 
 def alpha_inv(y: YColor) -> YColor:
     """Inverse of the biquandle diagonal alpha, where B(x, alpha(x)) =
     (x, alpha(x)); it untwists the downward strands of a lift."""
-    return YColor(psi_inv(inv2(psi(y.g))).inv(), y.z)
+    return YColor(psi_inv(_inv(y.g.matrix())).inv(), y.z)
 
 
 def random_gstar(rng: np.random.Generator) -> GStarElem:
@@ -146,75 +165,51 @@ def random_gstar(rng: np.random.Generator) -> GStarElem:
 
 # --- the holonomy functor ---------------------------------------------------
 
-def q_functor(d):
-    """Turn an X-colored diagram into the Q-colored diagram of its holonomies.
-
-    At each horizontal level the region west of everything carries the
-    identity holonomy; crossing an upward strand colored x multiplies the
-    holonomy by phi_plus(x) (downward by its inverse).  An upward edge at a
-    level with west holonomy h receives Q-color h psi(x) h^(-1); a downward
-    edge uses the east holonomy.  Values computed at different levels for the
-    same edge must agree; otherwise the coloring was inconsistent.
-    """
-    qcolors: dict[str, QColor] = {}
-    for t in range(d.n_slices + 1):
-        h = _ID2
-        for i, s in enumerate(d.level_signs(t)):
-            e = d.edge_at(t, i)
-            y = d.edge_colors.get(e)
-            if y is None:
-                raise InconsistentColoring(f"edge {e} is uncolored")
-            if s == "+":
-                q = QColor(h @ psi(y.g) @ inv2(h), y.z)
-                h = h @ y.g.phi_plus()
-            else:
-                h = h @ inv2(y.g.phi_plus())
-                q = QColor(h @ psi(y.g) @ inv2(h), y.z)
-            if e in qcolors:
-                if not qcolors[e].approx_eq(q, TOL * 1e3):
-                    raise InternalInconsistency(
-                        f"edge {e} receives conflicting holonomies"
-                    )
-            else:
-                qcolors[e] = q
-    return d.map_colors(lambda y: None).with_colors(qcolors)
-
-
 def q_functor_inv(d):
     """Recover an X-coloring from a Q-colored diagram, when all solves stay in G'.
 
-    Scans each level west to east; an upward strand with Q-color q and west
-    holonomy h needs psi_inv(h^(-1) q h), a downward strand additionally
-    untwists by the diagonal.  Raises OutsideGPrime (an Undefined) when a
-    solve leaves G', and InconsistentColoring on an uncolored edge.
+    The holonomy functor colors the upward edge x at a level with west
+    holonomy h by h psi(x) h^(-1), a downward edge with its east holonomy,
+    where crossing a strand x multiplies the holonomy by phi_plus(x), or by
+    its inverse on a downward strand; the west end of each level carries
+    the identity.  This inverts it in one scan of the levels, west to east:
+    an edge met for the first time with Q-color q and west holonomy h gets
+    psi_inv(h^(-1) q h), a downward strand additionally untwisted by the
+    diagonal.  Every port then maps its edge's X-color back and checks it
+    against q to TOL * 1e3.  Raises OutsideGPrime (an Undefined) when a
+    solve leaves G', InconsistentColoring on an uncolored edge and, once
+    every solve has succeeded, InternalInconsistency when a port failed its
+    check: a failed solve stays the error that `gauge_fix` retries.
     """
     ycolors: dict[str, YColor] = {}
+    targets: dict[str, Mat2] = {}  # each edge's Q-color, read once
+    bad = None  # the first edge whose round trip fails
     for t in range(d.n_slices + 1):
-        h = _ID2
+        h = h_inv = _ID
         for i, s in enumerate(d.level_signs(t)):
             e = d.edge_at(t, i)
-            q = d.edge_colors.get(e)
+            q = targets.get(e)
             if q is None:
-                raise InconsistentColoring(f"edge {e} is uncolored")
-            y = ycolors.get(e)
-            if y is None:
-                y = YColor(psi_inv(inv2(h) @ q.g @ h), q.z)
-                if s == "-":
-                    y = alpha_inv(y)
-                ycolors[e] = y
+                c = d.edge_colors.get(e)
+                if c is None:
+                    raise InconsistentColoring(f"edge {e} is uncolored")
+                q = targets[e] = tuple(c.g.ravel().tolist())
+                y = YColor(psi_inv(_mul(_mul(h_inv, q), h)), c.z)
+                ycolors[e] = alpha_inv(y) if s == "-" else y
+            x = ycolors[e].g
             if s == "+":
-                h = h @ y.g.phi_plus()
+                back = _mul(_mul(h, x.matrix()), h_inv)
+                h, h_inv = _mul(h, x.phi_plus()), _mul(x.phi_plus_inv(), h_inv)
             else:
-                h = h @ inv2(y.g.phi_plus())
-    out = d.map_colors(lambda q: None).with_colors(ycolors)
-    # round-trip check guards against inconsistent input colorings
-    back = q_functor(out)
-    for e, q in d.edge_colors.items():
-        if not back.edge_colors[e].approx_eq(q, TOL * 1e3):
-            raise InternalInconsistency(f"round trip fails on edge {e}")
-    return out
+                h, h_inv = _mul(h, x.phi_plus_inv()), _mul(x.phi_plus(), h_inv)
+                back = _mul(_mul(h, x.matrix()), h_inv)
+            if bad is None and max(abs(u - v) for u, v in zip(back, q)) > TOL * 1e3:
+                bad = e
+    if bad is not None:
+        raise InternalInconsistency(f"round trip fails on edge {bad}")
+    return d.map_colors(lambda q: None).with_colors(ycolors)
 
 
 def gauge_act_diagram(x: GStarElem, d):
     """The gauge move by x: conjugate every Q-color by phi_plus(x)."""
-    return gauge_act_matrix(x.phi_plus(), d)
+    return gauge_act_matrix(mat2(*x.phi_plus()), d)

@@ -11,8 +11,8 @@ from holoinv.braiding import BraidingProvider
 from holoinv.diagram import Diagram, braid_diagram, closure
 from holoinv.params import root_params
 from holoinv.quandle import QColor, propagate_qcolors, z_candidates
-from holoinv.sl2factor import psi
 
+from references import psi
 from samplers import random_sl2, random_ycolor
 
 

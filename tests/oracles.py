@@ -10,12 +10,12 @@ biquandle (`FactorizationOracle`) and for the conjugation quandle
 
 from __future__ import annotations
 
-from holoinv.quandle import QColor, QuandleCrossingOracle, inv2, q_act, q_act_inv
+from holoinv.quandle import QColor, QuandleCrossingOracle, q_act, q_act_inv
 from holoinv.sl2factor import (
     YColor,
     _conj_solve,
+    _inv,
     alpha_inv,
-    psi,
     psi_inv,
     sl2_B,
     sl2_B_inv,
@@ -25,8 +25,8 @@ from holoinv.sl2factor import (
 def sl2_S(y4: YColor, y1: YColor) -> tuple[YColor, YColor]:
     """Sideways map: S(B1(x,y), x) = (B2(x,y), y)."""
     x4, x1 = y4.g, y1.g
-    x3 = _conj_solve(inv2(x4.phi_plus()), psi(x1))
-    x2 = _conj_solve(inv2(x1.phi_minus()), psi(x4))
+    x3 = _conj_solve(x4.phi_plus_inv(), x1.matrix())
+    x2 = _conj_solve(_inv(x1.phi_minus()), x4.matrix())
     return (YColor(x3, y1.z), YColor(x2, y4.z))
 
 
@@ -38,7 +38,7 @@ def sl2_S_inv(y3: YColor, y2: YColor) -> tuple[YColor, YColor]:
 
 def alpha(y: YColor) -> YColor:
     """The biquandle diagonal: B(x, alpha(x)) = (x, alpha(x))."""
-    return YColor(psi_inv(inv2(psi(y.g.inv()))), y.z)
+    return YColor(psi_inv(_inv(y.g.inv().matrix())), y.z)
 
 
 class FactorizationOracle:

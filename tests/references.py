@@ -1,11 +1,12 @@
 """Closed forms and cross-checks, for the tests (not collected).
 
 None of these runs in the pipeline.  They are the second computations that
-the tests hold the program against: the twist and the Steinberg
-encirclement of the braidings, the dual representation and the coproduct
-Casimir of the modules, the Casimir-block views of `uqsl2.CasimirBlocks`,
-the product and ratio forms of the modified dimension, and the exact
-Chebyshev coefficients.
+the tests hold the program against: the lift and the crossing maps of
+`holoinv.sl2factor` on 2x2 numpy arrays, with the holonomy functor
+`q_functor`; the twist and the Steinberg encirclement of the braidings, the
+dual representation and the coproduct Casimir of the modules, the
+Casimir-block views of `uqsl2.CasimirBlocks`, the product and ratio forms
+of the modified dimension, and the exact Chebyshev coefficients.
 """
 
 from __future__ import annotations
@@ -14,10 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from holoinv import sl2factor
 from holoinv.braiding import BlockBraiding, BraidingProvider, ModScalar, proportionality
-from holoinv.errors import NonScalarResult, Singular, Undefined
+from holoinv.errors import (
+    InconsistentColoring,
+    InternalInconsistency,
+    NonScalarResult,
+    OutsideGPrime,
+    Singular,
+    Undefined,
+)
 from holoinv.params import GATE, TOL, RootParams
-from holoinv.sl2factor import YColor, alpha_inv
+from holoinv.quandle import QColor, inv2, mat2
+from holoinv.sl2factor import GStarElem, YColor
 from holoinv.uqsl2 import (
     CasimirBlocks,
     CyclicModule,
@@ -39,6 +49,130 @@ def same_mod_roots(a: ModScalar, b: ModScalar, tol: float = TOL) -> bool:
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
 
 
+# --- the lift on 2x2 arrays ------------------------------------------------------
+# The ndarray form of sl2factor's maps, which the scalar ones must reproduce.
+
+_ID2 = np.eye(2, dtype=complex)
+
+
+def phi_plus(x: GStarElem) -> np.ndarray:
+    return mat2(x.kappa, 0.0, x.phi, 1.0)
+
+
+def phi_minus(x: GStarElem) -> np.ndarray:
+    return mat2(1.0, x.eps, 0.0, x.kappa)
+
+
+def psi(x: GStarElem) -> np.ndarray:
+    k, e, f = x.kappa, x.eps, x.phi
+    return mat2(k, -e, f, (1.0 - e * f) / k)
+
+
+def psi_inv(m: np.ndarray) -> GStarElem:
+    """Invert psi on G'; raises OutsideGPrime off the domain."""
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if abs(det - 1.0) > TOL * max(1.0, float(np.abs(m).max()) ** 2):
+        raise OutsideGPrime("matrix is not in SL(2,C)")
+    if abs(m[0, 0]) <= TOL:
+        raise OutsideGPrime("vanishing upper-left entry")
+    return GStarElem(complex(m[0, 0]), complex(-m[0, 1]), complex(m[1, 0]))
+
+
+def _conj_solve(h: np.ndarray, m: np.ndarray) -> GStarElem:
+    return psi_inv(h @ m @ inv2(h))
+
+
+def sl2_B(y1: YColor, y2: YColor) -> tuple[YColor, YColor]:
+    x1, x2 = y1.g, y2.g
+    x4 = _conj_solve(phi_minus(x1), psi(x2))
+    x3 = _conj_solve(inv2(phi_plus(x4)), psi(x1))
+    return (YColor(x4, y2.z), YColor(x3, y1.z))
+
+
+def sl2_B_inv(y4: YColor, y3: YColor) -> tuple[YColor, YColor]:
+    x4, x3 = y4.g, y3.g
+    x1 = _conj_solve(phi_plus(x4), psi(x3))
+    x2 = _conj_solve(inv2(phi_minus(x1)), psi(x4))
+    return (YColor(x1, y3.z), YColor(x2, y4.z))
+
+
+def alpha_inv(y: YColor) -> YColor:
+    return YColor(psi_inv(inv2(psi(y.g))).inv(), y.z)
+
+
+
+
+# --- the holonomy functor ---------------------------------------------------
+
+def q_functor(d):
+    """Turn an X-colored diagram into the Q-colored diagram of its holonomies.
+
+    At each horizontal level the region west of everything carries the
+    identity holonomy; crossing an upward strand colored x multiplies the
+    holonomy by phi_plus(x) (downward by its inverse).  An upward edge at a
+    level with west holonomy h receives Q-color h psi(x) h^(-1); a downward
+    edge uses the east holonomy.  Values computed at different levels for the
+    same edge must agree; otherwise the coloring was inconsistent.
+    """
+    qcolors: dict[str, QColor] = {}
+    for t in range(d.n_slices + 1):
+        h = _ID2
+        for i, s in enumerate(d.level_signs(t)):
+            e = d.edge_at(t, i)
+            y = d.edge_colors.get(e)
+            if y is None:
+                raise InconsistentColoring(f"edge {e} is uncolored")
+            if s == "+":
+                q = QColor(h @ psi(y.g) @ inv2(h), y.z)
+                h = h @ phi_plus(y.g)
+            else:
+                h = h @ inv2(phi_plus(y.g))
+                q = QColor(h @ psi(y.g) @ inv2(h), y.z)
+            if e in qcolors:
+                if not qcolors[e].approx_eq(q, TOL * 1e3):
+                    raise InternalInconsistency(
+                        f"edge {e} receives conflicting holonomies"
+                    )
+            else:
+                qcolors[e] = q
+    return d.map_colors(lambda y: None).with_colors(qcolors)
+
+
+def q_functor_inv(d):
+    """Recover an X-coloring from a Q-colored diagram, when all solves stay in G'.
+
+    Scans each level west to east; an upward strand with Q-color q and west
+    holonomy h needs psi_inv(h^(-1) q h), a downward strand additionally
+    untwists by the diagonal.  Raises OutsideGPrime (an Undefined) when a
+    solve leaves G', and InconsistentColoring on an uncolored edge.
+    """
+    ycolors: dict[str, YColor] = {}
+    for t in range(d.n_slices + 1):
+        h = _ID2
+        for i, s in enumerate(d.level_signs(t)):
+            e = d.edge_at(t, i)
+            q = d.edge_colors.get(e)
+            if q is None:
+                raise InconsistentColoring(f"edge {e} is uncolored")
+            y = ycolors.get(e)
+            if y is None:
+                y = YColor(psi_inv(inv2(h) @ q.g @ h), q.z)
+                if s == "-":
+                    y = alpha_inv(y)
+                ycolors[e] = y
+            if s == "+":
+                h = h @ phi_plus(y.g)
+            else:
+                h = h @ inv2(phi_plus(y.g))
+    out = d.map_colors(lambda q: None).with_colors(ycolors)
+    # round-trip check guards against inconsistent input colorings
+    back = q_functor(out)
+    for e, q in d.edge_colors.items():
+        if not back.edge_colors[e].approx_eq(q, TOL * 1e3):
+            raise InternalInconsistency(f"round trip fails on edge {e}")
+    return out
+
+
 # --- braidings -------------------------------------------------------------------
 
 def twist(y: YColor, provider: BraidingProvider) -> ModScalar:
@@ -51,7 +185,7 @@ def twist(y: YColor, provider: BraidingProvider) -> ModScalar:
     """
     r = provider.p.r
     I = np.eye(r, dtype=complex)
-    ax, az = alpha(y), alpha_inv(y)
+    ax, az = alpha(y), sl2factor.alpha_inv(y)
     hb = provider.braiding(y, ax)
     if not (hb.y4.approx_eq(y, 1e-6) and hb.y3.approx_eq(ax, 1e-6)):
         raise AlphaUndefined("diagonal partner is not a braiding fixed point")

@@ -17,7 +17,9 @@ from holoinv.diagram import Diagram
 from holoinv.invariant import tilde_Fprime
 from holoinv.params import GATE, RootParams
 from holoinv.quandle import QColor, gauge_act_matrix, q_act, z_candidates
-from holoinv.sl2factor import GStarElem, YColor, gauge_act_diagram, psi, random_gstar
+from holoinv.sl2factor import GStarElem, YColor, gauge_act_diagram, random_gstar
+
+from references import psi
 
 
 def gstar_mul(a: GStarElem, b: GStarElem) -> GStarElem:

@@ -22,7 +22,7 @@ from holoinv.invariant import evaluate_Fprime, tilde_Fprime
 from holoinv.modtrace import alpha_from_omega, modified_dim
 from holoinv.params import root_params
 from holoinv.quandle import inv2
-from holoinv.sl2factor import psi, q_functor, q_functor_inv, random_gstar
+from holoinv.sl2factor import q_functor_inv, random_gstar
 from holoinv.uqsl2 import (
     ZChar,
     build_cyclic_module,
@@ -43,6 +43,8 @@ from references import (
     coproduct_casimir,
     modified_dim_product,
     omega_matrix,
+    psi,
+    q_functor,
     same_mod_roots,
     steinberg_encirclement,
     twist,

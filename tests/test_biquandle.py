@@ -6,10 +6,10 @@ import numpy as np
 
 from holoinv.params import root_params
 from holoinv.quandle import inv2
-from holoinv.sl2factor import psi
 
 from axioms import associated_quandle, check_biquandle_axioms
 from oracles import FactorizationOracle
+from references import psi
 from samplers import random_ycolor
 
 

@@ -32,7 +32,7 @@ from holoinv.invariant import tilde_Fprime
 from holoinv.params import GATE, root_params
 from holoinv.diagram import braid_diagram, closure
 from holoinv.quandle import QColor, propagate_qcolors, z_candidates
-from holoinv.sl2factor import GStarElem, YColor, gauge_act_diagram, psi, random_gstar
+from holoinv.sl2factor import GStarElem, YColor, gauge_act_diagram, random_gstar
 from holoinv.uqsl2 import (
     build_cyclic_module,
     DualityData,
@@ -42,7 +42,7 @@ from holoinv.uqsl2 import (
 )
 
 from conftest import commuting_link, riley_trefoil
-from references import assemble, same_mod_roots, steinberg_encirclement, twist
+from references import assemble, psi, same_mod_roots, steinberg_encirclement, twist
 from samplers import random_ycolor
 from yb import (_nullspace, _on_strands, flip_matrix, preflip,
                 resolve_scalars_yb)

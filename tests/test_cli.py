@@ -265,6 +265,9 @@ _BAD_ARGV = {
     "omega-text": ["dim", "--ell", "4", "--omega", "abc"],
     "omega-nan": ["dim", "--ell", "3", "--omega", "nan"],
     "omega-infinite": ["dim", "--ell", "3", "--omega", "inf"],
+    "omega-cheb-overflows": ["dim", "--ell", "5", "--omega", "1e200"],
+    "omega-cheb-overflows-max": ["dim", "--ell", "5", "--omega", "1e308"],
+    "omega-cheb-overflows-imag": ["dim", "--ell", "5", "--omega", "1e200j"],
     "g-nan": ["invariant", "NAN_G"],
     "z-infinite": ["color", "INF_Z"],
     "z-huge": ["invariant", "BIG_Z"],

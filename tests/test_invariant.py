@@ -31,7 +31,7 @@ from holoinv.invariant import evaluate_F, evaluate_Fprime, gauge_fix, tilde_Fpri
 from holoinv.modtrace import modified_dim
 from holoinv.params import root_params
 from holoinv.quandle import QColor, gauge_act_matrix, propagate_qcolors, z_candidates
-from holoinv.sl2factor import q_functor, random_gstar
+from holoinv.sl2factor import random_gstar
 from holoinv.uqsl2 import is_steinberg
 
 from conftest import (
@@ -42,7 +42,7 @@ from conftest import (
 )
 from moves import RMove, apply_rmove, compose, identity, tensor
 from oracles import FactorizationOracle
-from references import same_mod_roots
+from references import q_functor, same_mod_roots
 from samplers import gauge_orbit_compare, random_sl2, random_ycolor
 
 

@@ -5,19 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import references
+from holoinv import quandle, sl2factor
 from holoinv.diagram import braid_diagram, propagate_colors
 from holoinv.errors import OutsideGPrime, Undefined
 from holoinv.invariant import gauge_fix
 from holoinv.params import root_params
-from holoinv.quandle import inv2
+from holoinv.quandle import QColor, inv2, propagate_qcolors, z_candidates
 from holoinv.sl2factor import (
     GStarElem,
     YColor,
     alpha_inv,
     gauge_act_diagram,
-    psi,
     psi_inv,
-    q_functor,
     q_functor_inv,
     random_gstar,
     sl2_B,
@@ -25,7 +25,9 @@ from holoinv.sl2factor import (
     steinberg_ycolor,
 )
 
+from conftest import commuting_link, riley_trefoil
 from oracles import FactorizationOracle, alpha, sl2_S
+from references import phi_minus, phi_plus, psi, q_functor
 from samplers import gstar_mul, random_ycolor
 
 
@@ -33,13 +35,12 @@ def test_psi_roundtrip_and_image():
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = random_gstar(rng)
-        m = psi(x)
-        assert abs(np.linalg.det(m) - 1.0) < 1e-9
-        back = psi_inv(m)
+        assert abs(np.linalg.det(psi(x)) - 1.0) < 1e-9
+        back = psi_inv(x.matrix())
         assert back.approx_eq(x, 1e-8)
     # matrices with vanishing upper-left entry are off the factorizable locus
     with pytest.raises(OutsideGPrime):
-        psi_inv(np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex))
+        psi_inv((0.0, 1.0, -1.0, 0.0))
 
 
 def test_B_solves_crossing_equations():
@@ -55,8 +56,8 @@ def test_B_solves_crossing_equations():
             continue
         prod_l, prod_r = gstar_mul(y4.g, y3.g), gstar_mul(y1.g, y2.g)
         assert prod_l.approx_eq(prod_r, 1e-7)
-        mix_l = y4.g.phi_plus() @ y3.g.phi_minus()
-        mix_r = y1.g.phi_minus() @ y2.g.phi_plus()
+        mix_l = phi_plus(y4.g) @ phi_minus(y3.g)
+        mix_r = phi_minus(y1.g) @ phi_plus(y2.g)
         assert np.abs(mix_l - mix_r).max() < 1e-7
         # z data trade places
         assert abs(y4.z - y2.z) < 1e-12 and abs(y3.z - y1.z) < 1e-12
@@ -128,7 +129,7 @@ def test_q_functor_roundtrip():
     assert count >= 20
 
 
-def test_gauge_fix_recovers_lift_after_bad_gauge():
+def test_gauge_fix_recovers_lift_after_bad_gauge(monkeypatch):
     d = _colored_braid(4, [1, 1], 7)
     q = q_functor(d)
     # a gauge built to zero the upper-left entry of the first bottom
@@ -138,13 +139,23 @@ def test_gauge_fix_recovers_lift_after_bad_gauge():
     broke = gauge_act_diagram(x, q)
     with pytest.raises(Undefined):
         q_functor_inv(broke)
-    gauge, lifted, _ = gauge_fix(broke, seed=1)
-    assert lifted.fully_colored()
-    # the recovered lift reproduces the holonomies in the found gauge
-    regauged = gauge_act_diagram(gauge, broke)
-    q2 = q_functor(lifted)
-    for e in broke.edge_colors:
-        assert q2.edge_colors[e].approx_eq(regauged.edge_colors[e], 1e-6)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(seed) or default_rng(seed))
+    gauge_fix(q)  # the identity gauge lifts: no generator is made
+    assert made == []
+    for seed in range(5):
+        gauge, lifted, attempts = gauge_fix(broke, seed=seed)
+        # the first gauge `random_gstar` draws from `seed`, as it always was
+        assert attempts == 2 and made[-1] == seed
+        assert gauge == random_gstar(default_rng(seed))
+        assert lifted.fully_colored()
+        # the recovered lift reproduces the holonomies in the found gauge
+        regauged = gauge_act_diagram(gauge, broke)
+        q2 = q_functor(lifted)
+        for e in broke.edge_colors:
+            assert q2.edge_colors[e].approx_eq(regauged.edge_colors[e], 1e-6)
 
 
 def test_gauge_act_diagram_conjugates_holonomy():
@@ -152,7 +163,7 @@ def test_gauge_act_diagram_conjugates_holonomy():
     q = q_functor(d)
     x = GStarElem(1.3 + 0.2j, 0.4, -0.7 + 0.1j)
     q2 = gauge_act_diagram(x, q)
-    h = x.phi_plus()
+    h = phi_plus(x)
     for e, c in q.edge_colors.items():
         want = h @ c.g @ inv2(h)
         assert np.abs(q2.edge_colors[e].g - want).max() < 1e-9
@@ -175,3 +186,110 @@ def test_propagation_through_undefined_crossing_raises_undefined():
     with pytest.raises(Undefined):
         propagate_colors(braid_diagram(2, [1]), list(_pair_off_g_prime()),
                          FactorizationOracle())
+
+
+# --- the scalar lift against the array lift it replaced -----------------------
+
+def _rel(a: GStarElem, b: GStarElem) -> float:
+    scale = max(1.0, abs(b.kappa), abs(b.eps), abs(b.phi))
+    return max(abs(a.kappa - b.kappa), abs(a.eps - b.eps),
+               abs(a.phi - b.phi)) / scale
+
+
+def _su2_braid(rng, ell):
+    """A 3-strand braid with negative crossings, Q-colored by random SU(2)
+    holonomies.  Their condition number 1 keeps the two lifts within ~1e-14
+    of each other; holonomy entries near 1e4 widen that to ~1e-11, where
+    either lift reproduces the coloring the holonomies came from only to
+    ~1e-9."""
+    p = root_params(ell)
+    bottom = []
+    for _ in range(3):
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        g = np.array([[a, -np.conj(b)], [b, np.conj(a)]]) / np.hypot(abs(a), abs(b))
+        bottom.append(QColor(g, z_candidates(np.trace(g), p)[0]))
+    return propagate_qcolors(braid_diagram(3, [1, -2, -1, 2, -1]), bottom)
+
+
+def _same_outcome(got, want):
+    """Two calls returned colors equal to 1e-12 relative, or raised alike."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+        return 0
+    for a, b in zip(got, want):
+        assert _rel(a.g, b.g) <= 1e-12 and a.z == b.z
+    return 1
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Undefined as e:
+        return e
+
+
+def test_scalar_lift_matches_the_array_lift():
+    rng = np.random.default_rng(8)
+    links = [riley_trefoil(5), riley_trefoil(4, conjugate=False)]
+    links += [commuting_link(ell, w, seed=ell) for ell in (3, 5, 7)
+              for w in ([1, 1], [1, 1, 1, -1], [-1, -1, 1, -1])]
+    links += [_su2_braid(rng, 4) for _ in range(8)]
+    lifted = 0
+    for d in links:
+        for k in range(4):  # the identity gauge, then random ones
+            dd = gauge_act_diagram(random_gstar(rng), d) if k else d
+            want = _outcome(references.q_functor_inv, dd)
+            got = _outcome(q_functor_inv, dd)
+            if isinstance(want, Exception):
+                lifted += _same_outcome(got, want)
+            else:
+                es = list(want.edge_colors)
+                lifted += _same_outcome([got.edge_colors[e] for e in es],
+                                        [want.edge_colors[e] for e in es])
+    assert lifted >= 60
+
+
+def test_crossing_maps_match_the_array_maps():
+    rng = np.random.default_rng(9)
+    p = root_params(5)
+    solved = 0
+    for _ in range(200):
+        y1, y2 = random_ycolor(rng, p), random_ycolor(rng, p)
+        for new, old in ((sl2_B, references.sl2_B),
+                         (sl2_B_inv, references.sl2_B_inv)):
+            want = _outcome(old, y1, y2)
+            solved += _same_outcome(_outcome(new, y1, y2), want)
+    assert solved >= 350
+    # off G': a vanishing upper-left entry, and a determinant other than 1
+    for m in ([[0.0, 1.0], [-1.0, 0.0]], [[2.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(OutsideGPrime):
+            references.psi_inv(np.array(m, dtype=complex))
+        with pytest.raises(OutsideGPrime):
+            psi_inv(tuple(np.ravel(m)))
+    # B_inv's first solve has upper-left entry kappa3 + eps3 phi4 = 0
+    pairs = [(sl2_B, references.sl2_B, _pair_off_g_prime()),
+             (sl2_B_inv, references.sl2_B_inv,
+              (YColor(GStarElem(1.0, 0.0, 1.0), 0.3),
+               YColor(GStarElem(2.0, -2.0, 0.5), 0.7)))]
+    for new, old, (y1, y2) in pairs:
+        with pytest.raises(OutsideGPrime, match="upper-left"):
+            old(y1, y2)
+        with pytest.raises(OutsideGPrime, match="upper-left"):
+            new(y1, y2)
+
+
+def test_lift_runs_without_array_arithmetic(monkeypatch):
+    # the identity-gauge lift computes on complex scalars: it still succeeds
+    # with the 2x2 ndarray helpers broken, under whichever name the lift
+    # could reach them (psi need not exist any more)
+    links = [commuting_link(5, [1, 1, 1, -1]), riley_trefoil(5)]
+
+    def broken(*args):
+        raise AssertionError("the lift used a 2x2 ndarray helper")
+
+    for owner in (quandle, sl2factor):
+        for name in ("inv2", "mat2", "psi"):
+            monkeypatch.setattr(owner, name, broken, raising=False)
+    for d in links:
+        gauge, lifted, attempts = gauge_fix(d)
+        assert attempts == 1 and lifted.fully_colored()

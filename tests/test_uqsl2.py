@@ -10,7 +10,7 @@ import pytest
 from holoinv.errors import DegenerateSpectrum, HoloinvError, NotAdmissible
 from holoinv.params import root_params
 from holoinv.quandle import z_candidates
-from holoinv.sl2factor import GStarElem, YColor, psi, random_gstar
+from holoinv.sl2factor import GStarElem, YColor, random_gstar
 from holoinv.uqsl2 import (
     ZChar,
     build_cyclic_module,
@@ -32,6 +32,7 @@ from references import (
     coproduct_casimir,
     dual_rep,
     omega_matrix,
+    psi,
 )
 from samplers import random_ycolor
 
