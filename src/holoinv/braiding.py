@@ -27,7 +27,7 @@ tests use `block_braiding` as the reference for every braiding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,14 +77,15 @@ def pair_defined(chi1: ZChar, chi2: ZChar, p: RootParams) -> bool:
     return abs(w) > TOL
 
 
-def _unit_det(c: np.ndarray) -> np.ndarray:
-    """c / det(c)^(1/n) with the principal root, from the log-determinant so
-    that a determinant beyond the float range neither under- nor overflows."""
+def _unit_det(c: np.ndarray) -> complex:
+    """The scale 1 / det(c)^(1/n), with the principal root, that gives c unit
+    determinant; from the log-determinant so that a determinant beyond the
+    float range neither under- nor overflows."""
     sv = np.linalg.svd(c, compute_uv=False)
     if sv[-1] <= TOL * max(1.0, sv[0]):
         raise SingularSolution("braiding matrix is singular")
     sign, logdet = np.linalg.slogdet(c)
-    return c * np.exp(-(logdet + 1j * np.angle(sign)) / c.shape[0])
+    return np.exp(-(logdet + 1j * np.angle(sign)) / c.shape[0])
 
 
 @dataclass
@@ -100,13 +101,7 @@ class _Colored:
 @dataclass
 class HolonomyBraiding(_Colored):
     c: np.ndarray
-    _c_inv: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def c_inv(self) -> np.ndarray:
-        """The inverse braiding matrix, computed on first use."""
-        if self._c_inv is None:
-            self._c_inv = np.linalg.inv(self.c)
-        return self._c_inv
+    c_inv: np.ndarray
 
 
 # --- Casimir blocks (reference, kept for perfbench/spans.py) ---------------------
@@ -257,7 +252,8 @@ def rmatrix_braiding(y1: YColor, y2: YColor,
     0, then along each row, every link ratio the least-squares ratio of its
     E and F equations.  A link without a coefficient on its far end would
     leave D free there; afterwards every structural equation, not only the
-    links, must hold.
+    links, must hold.  The inverse is S^-1 D^-1 (tau P)^-1, from the same
+    factors.
     """
     p, r = provider.p, provider.p.r
     if not pair_defined(provider.char(y1), provider.char(y2), p):
@@ -303,9 +299,11 @@ def rmatrix_braiding(y1: YColor, y2: YColor,
         res = max(res, np.abs(lhs - rhs).max() / max(size, 1e-300))
     if res > GATE:
         raise UnresolvableYB(f"no Cartan factor intertwines, residual {res:.3e}")
-    c = np.empty_like(S)
+    c, c_inv = np.empty_like(S), np.empty_like(S)
     c[out] = D[:, None] * S
-    return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3, c=_unit_det(c))
+    c_inv[:, out] = S_inv / D
+    u = _unit_det(c)
+    return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3, c=u * c, c_inv=c_inv / u)
 
 
 def steinberg_pair_braiding(
@@ -395,7 +393,7 @@ class BraidingProvider:
         r = self.p.r
         d4 = self.duality(hb.y4)
         d2 = self.duality(hb.y2)
-        s_plus, s_minus = sideways_matrices(hb.c, hb.c_inv(), d4, d2, r)
+        s_plus, s_minus = sideways_matrices(hb.c, hb.c_inv, d4, d2, r)
         eye = np.eye(r * r, dtype=complex)
         ok, _, res = equal_mod_roots(s_minus @ s_plus, eye, r, GATE)
         if not ok:
@@ -408,4 +406,4 @@ class BraidingProvider:
         Returns (top colors (u, v) = B_inv(ya, yb), matrix of c_{u,v}^(-1))."""
         u, v = sl2_B_inv(ya, yb)
         hb = self.braiding(u, v)
-        return (u, v), hb.c_inv()
+        return (u, v), hb.c_inv

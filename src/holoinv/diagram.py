@@ -19,9 +19,11 @@ closing a braid, cutting an edge and propagating colors.
 Edges are maximal arcs between slice events.  An edge is identified by the
 lexicographically least *port* it touches, where a port is a pair
 (level, position): level t is the horizontal line below slice t, position i
-the strand index at that level.  Ports are merged by union-find: pass-through
-strands connect consecutive levels, cups/caps merge their two legs into one
-edge, crossings terminate edges.
+the strand index at that level.  One upward scan names them: an edge begins
+at a bottom port, at a crossing output or at a cup, whose two legs are one
+edge, and pass-through strands carry it to the next level.  Only a cap joins
+two edges, and the joined edge keeps the lesser id, so every edge is named
+by the port where it begins, its least.
 
 Colors are opaque tokens stored per edge; propagation rules live with the
 quandle/biquandle oracles, not here.
@@ -43,19 +45,12 @@ from .params import TOL
 
 PIECES = ("X+", "X-", "evL", "evR", "coevL", "coevR")
 
-# (inputs, outputs) arity of each piece
-ARITY = {
-    "X+": (2, 2),
-    "X-": (2, 2),
-    "evL": (2, 0),
-    "evR": (2, 0),
-    "coevL": (0, 2),
-    "coevR": (0, 2),
-}
-
 # sign patterns consumed / produced
 IN_SIGNS = {"X+": "++", "X-": "++", "evL": "-+", "evR": "+-", "coevL": "", "coevR": ""}
 OUT_SIGNS = {"X+": "++", "X-": "++", "evL": "", "evR": "", "coevL": "+-", "coevR": "-+"}
+
+# (inputs, outputs) arity of each piece
+ARITY = {p: (len(IN_SIGNS[p]), len(OUT_SIGNS[p])) for p in PIECES}
 
 
 @dataclass(frozen=True)
@@ -78,36 +73,10 @@ def colors_equal(a: Any, b: Any, tol: float = TOL) -> bool:
     return a == b
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x):
-        self.add(x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller port as representative
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 class Diagram:
     """An oriented framed tangle diagram with optional edge colors.
 
-    Its structure (level signs, edge ids, port -> edge id table) depends only
+    Its structure (the signs and the edge ids of each level) depends only
     on the bottom signs and the slices, so recolored copies share it.
     """
 
@@ -142,9 +111,10 @@ class Diagram:
     # --- structure ---
 
     def _build(self):
-        uf = _UnionFind()
-        signs = [list(self.bottom_signs)]
-        cur = list(self.bottom_signs)
+        cur = self.bottom_signs
+        ids = tuple((0, i) for i in range(len(cur)))
+        signs, levels, born = [cur], [ids], list(ids)
+        joined = []  # (greater, lesser) ids, in the order caps join them
         for t, sl in enumerate(self.slices):
             o, piece = sl.offset, sl.piece
             nin, nout = ARITY[piece]
@@ -155,30 +125,31 @@ class Diagram:
                 raise ParseError(
                     f"slice {t} ({piece}@{o}) needs signs {IN_SIGNS[piece]!r}, got {got!r}"
                 )
-            # pass-through unions
-            for i in range(o):
-                uf.union((t, i), (t + 1, i))
-            for i in range(o + nin, len(cur)):
-                uf.union((t, i), (t + 1, i - nin + nout))
-            if piece in ("evL", "evR"):
-                uf.union((t, o), (t, o + 1))
-            elif piece in ("coevL", "coevR"):
-                uf.union((t + 1, o), (t + 1, o + 1))
-            # crossings: input ports die, output ports are fresh
-            for i in range(o, o + nin):
-                uf.add((t, i))
-            cur = cur[:o] + list(OUT_SIGNS[piece]) + cur[o + nin:]
-            for i in range(o, o + nout):
-                uf.add((t + 1, i))
-            signs.append(list(cur))
-        # make sure every port of the top level exists
-        for i in range(len(cur)):
-            uf.add((len(self.slices), i))
-        self._level_signs = [tuple(s) for s in signs]
-        self._port_edge = {p: _fmt(uf.find(p)) for p in uf.parent}
-        # an edge's root is its least port; the ids in port order, as dict keys
-        self._edges = dict.fromkeys(_fmt(p) for p in sorted(uf.parent)
-                                    if uf.parent[p] == p)
+            if not nin:  # a cup: both legs are one edge
+                new = ((t + 1, o),) * 2
+            elif nout:  # a crossing: the outputs are new edges
+                new = ((t + 1, o), (t + 1, o + 1))
+            else:  # a cap joins the edges of its legs
+                new = ()
+                a, b = sorted(ids[o:o + 2])
+                if a != b:
+                    joined.append((b, a))
+                    ids = tuple(a if e == b else e for e in ids)
+            born += new
+            cur = cur[:o] + tuple(OUT_SIGNS[piece]) + cur[o + nin:]
+            ids = ids[:o] + new + ids[o + nin:]
+            signs.append(cur)
+            levels.append(ids)
+        # a joined id becomes the id its cap kept, and follows that id's
+        # own later joins
+        root: dict[tuple[int, int], tuple[int, int]] = {}
+        for b, a in reversed(joined):
+            root[b] = root.get(a, a)
+        name = {p: _fmt(root.get(p, p)) for p in born}
+        self._level_signs = signs
+        self._level_edges = [tuple(name[p] for p in lv) for lv in levels]
+        # every edge begins at its least port, so `born` is in port order
+        self._edges = dict.fromkeys(name.values())
 
     @property
     def n_slices(self) -> int:
@@ -196,10 +167,12 @@ class Diagram:
 
     def edge_at(self, t: int, i: int) -> str:
         """Edge id of the strand at level t, position i."""
-        try:
-            return self._port_edge[t, i]
-        except KeyError:
-            raise NoSuchEdge(f"no port at level {t} position {i}") from None
+        if t >= 0 and i >= 0:
+            try:
+                return self._level_edges[t][i]
+            except IndexError:
+                pass
+        raise NoSuchEdge(f"no port at level {t} position {i}")
 
     def edges(self) -> list[str]:
         return list(self._edges)
@@ -244,18 +217,19 @@ def _remap_colors(new: Diagram, parts: list[tuple[Diagram, Callable]]) -> Diagra
     out: dict[str, Any] = {}
     source: dict[str, tuple[int, str]] = {}
     for k, (old, port_map) in enumerate(parts):
-        for port, e_old in old._port_edge.items():
-            if e_old not in old.edge_colors:
-                continue
-            q = port_map(port)
-            if q is None:
-                continue
-            e_new = new.edge_at(*q)
-            c = old.edge_colors[e_old]
-            if (e_new in out and source[e_new] != (k, e_old)
-                    and not colors_equal(out[e_new], c)):
-                raise InconsistentColoring(f"edge {e_new} gets conflicting colors")
-            out[e_new], source[e_new] = c, (k, e_old)
+        for t, level in enumerate(old._level_edges):
+            for i, e_old in enumerate(level):
+                if e_old not in old.edge_colors:
+                    continue
+                q = port_map((t, i))
+                if q is None:
+                    continue
+                e_new = new.edge_at(*q)
+                c = old.edge_colors[e_old]
+                if (e_new in out and source[e_new] != (k, e_old)
+                        and not colors_equal(out[e_new], c)):
+                    raise InconsistentColoring(f"edge {e_new} gets conflicting colors")
+                out[e_new], source[e_new] = c, (k, e_old)
     return new.with_colors(out)
 
 
@@ -298,7 +272,7 @@ def cut_edge(d: Diagram, e: Optional[str] = None) -> Diagram:
     # upward one, so every edge has an upward port.
     t, p = next((t, i) for t in range(1, d.n_slices)
                 for i, s in enumerate(d.level_signs(t))
-                if s == "+" and d._port_edge[t, i] == e)
+                if s == "+" and d.edge_at(t, i) == e)
     w = d.level_signs(t)
     m, k = p, len(w) - p - 1
     pre: list[Slice] = []

@@ -207,7 +207,7 @@ def q_functor_inv(d):
                 bad = e
     if bad is not None:
         raise InternalInconsistency(f"round trip fails on edge {bad}")
-    return d.map_colors(lambda q: None).with_colors(ycolors)
+    return d.with_colors(ycolors)
 
 
 def gauge_act_diagram(x: GStarElem, d):

@@ -1,7 +1,8 @@
 """Closed forms and cross-checks, for the tests (not collected).
 
 None of these runs in the pipeline.  They are the second computations that
-the tests hold the program against: the lift and the crossing maps of
+the tests hold the program against: the edge ids of a slice diagram by
+union-find over its ports; the lift and the crossing maps of
 `holoinv.sl2factor` on 2x2 numpy arrays, with the holonomy functor
 `q_functor`; the twist and the Steinberg encirclement of the braidings, the
 dual representation and the coproduct Casimir of the modules, the
@@ -12,16 +13,19 @@ of the modified dimension, and the exact Chebyshev coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from holoinv import sl2factor
+from holoinv.diagram import ARITY, IN_SIGNS, OUT_SIGNS, Slice, _fmt
 from holoinv.braiding import BlockBraiding, BraidingProvider, ModScalar, proportionality
 from holoinv.errors import (
     InconsistentColoring,
     InternalInconsistency,
     NonScalarResult,
     OutsideGPrime,
+    ParseError,
     Singular,
     Undefined,
 )
@@ -47,6 +51,76 @@ def same_mod_roots(a: ModScalar, b: ModScalar, tol: float = TOL) -> bool:
     agree to tol, relative to the larger one."""
     x, y = a.canonical, b.canonical
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+
+
+# --- slice-diagram edges by union-find over ports ---------------------------------
+# The general construction that `Diagram`'s upward scan must reproduce: pass-
+# through strands connect consecutive levels, cups and caps merge their two
+# legs into one edge, crossings terminate edges.
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def add(self, x):
+        if x not in self.parent:
+            self.parent[x] = x
+
+    def find(self, x):
+        self.add(x)
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # keep the smaller port as representative
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def union_find_edges(bottom_signs, slices: Sequence[Slice]
+                     ) -> tuple[dict[tuple[int, int], str], list[str]]:
+    """The port -> edge id table and the edge ids in port order."""
+    uf = _UnionFind()
+    cur = list(bottom_signs)
+    for t, sl in enumerate(slices):
+        o, piece = sl.offset, sl.piece
+        nin, nout = ARITY[piece]
+        if o + nin > len(cur):
+            raise ParseError(f"slice {t} ({piece}@{o}) overflows width {len(cur)}")
+        got = "".join(cur[o:o + nin])
+        if got != IN_SIGNS[piece]:
+            raise ParseError(
+                f"slice {t} ({piece}@{o}) needs signs {IN_SIGNS[piece]!r}, got {got!r}"
+            )
+        # pass-through unions
+        for i in range(o):
+            uf.union((t, i), (t + 1, i))
+        for i in range(o + nin, len(cur)):
+            uf.union((t, i), (t + 1, i - nin + nout))
+        if piece in ("evL", "evR"):
+            uf.union((t, o), (t, o + 1))
+        elif piece in ("coevL", "coevR"):
+            uf.union((t + 1, o), (t + 1, o + 1))
+        # crossings: input ports die, output ports are fresh
+        for i in range(o, o + nin):
+            uf.add((t, i))
+        cur = cur[:o] + list(OUT_SIGNS[piece]) + cur[o + nin:]
+        for i in range(o, o + nout):
+            uf.add((t + 1, i))
+    # make sure every port of the top level exists
+    for i in range(len(cur)):
+        uf.add((len(slices), i))
+    port_edge = {p: _fmt(uf.find(p)) for p in uf.parent}
+    # an edge's root is its least port
+    edges = [_fmt(p) for p in sorted(uf.parent) if uf.parent[p] == p]
+    return port_edge, edges
 
 
 # --- the lift on 2x2 arrays ------------------------------------------------------

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoinv.braiding import BraidingProvider
 from holoinv.diagram import (
+    IN_SIGNS,
+    OUT_SIGNS,
+    PIECES,
     Diagram,
+    Slice,
     braid_diagram,
     closure,
     cut_edge,
@@ -25,6 +31,7 @@ from holoinv.params import root_params
 from holoinv.quandle import QColor
 
 from conftest import commuting_link, riley_trefoil
+from references import union_find_edges
 from moves import (
     RMove,
     apply_rmove,
@@ -121,6 +128,40 @@ def test_edge_at_rejects_ports_outside_the_diagram():
             with pytest.raises(NoSuchEdge):
                 d.edge_at(t, i)
         assert all(d.edge_at(t, i) in d.edges() for i in range(width(d, t)))
+
+
+@st.composite
+def slice_words(draw):
+    """(bottom signs, slices): 0-4 bottom strands and up to 25 slices, each
+    piece legal for the signs below it.  A word on no bottom strands is
+    often capped off, which closes the diagram."""
+    cur = draw(st.lists(st.sampled_from("+-"), max_size=4))
+    bottom, slices = tuple(cur), []
+    for _ in range(draw(st.integers(0, 25))):
+        sl = draw(st.sampled_from([
+            Slice(o, p) for p in PIECES
+            for o in range(len(cur) - len(IN_SIGNS[p]) + 1)
+            if "".join(cur[o:o + len(IN_SIGNS[p])]) == IN_SIGNS[p]]))
+        slices.append(sl)
+        o, n = sl.offset, len(IN_SIGNS[sl.piece])
+        cur = cur[:o] + list(OUT_SIGNS[sl.piece]) + cur[o + n:]
+    if not bottom and draw(st.booleans()):
+        while cur:  # a balanced word always has a cappable pair
+            o = next(j for j in range(len(cur) - 1) if cur[j] != cur[j + 1])
+            slices.append(Slice(o, "evR" if cur[o] == "+" else "evL"))
+            del cur[o:o + 2]
+    return bottom, slices
+
+
+@settings(deadline=None, derandomize=True)
+@given(slice_words())
+def test_edges_match_the_union_find_reference(word):
+    d = Diagram(*word)
+    for t in [d] + ([cut_edge(d, e) for e in d.edges()] if d.is_closed() else []):
+        port_edge, edges = union_find_edges(t.bottom_signs, t.slices)
+        assert t.edges() == edges
+        ports = [(lv, i) for lv in range(t.n_slices + 1) for i in range(width(t, lv))]
+        assert {q: t.edge_at(*q) for q in ports} == port_edge
 
 
 def test_recolored_copies_share_structure_but_not_colors():
