@@ -56,18 +56,20 @@ from .errors import HoloinvError, ParseError, Singular
 from .invariant import gauge_fix, tilde_Fprime
 from .modtrace import alpha_from_omega, modified_dim
 from .params import GATE, TOL, root_params
-from .quandle import QColor, propagate_qcolors
+from .quandle import Mat2, QColor, propagate_qcolors
 from .uqsl2 import ZChar, is_admissible, steinberg_char
 
 
 # --- JSON (de)serialization ---------------------------------------------------
 
 def _cplx(v: Any) -> complex:
+    # JSON true and false are Python integers, but not numbers; text is not
     pair = [v, 0.0] if isinstance(v, (int, float)) else v
-    if isinstance(pair, list) and len(pair) == 2:
+    if (isinstance(pair, list) and len(pair) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
         try:
             z = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:  # an integer beyond the float range
             pass
         else:
             if cmath.isfinite(z):
@@ -91,14 +93,15 @@ def _cpair(z: complex) -> list:
     return [z.real, z.imag]
 
 
-def _matrix(v: Any) -> np.ndarray:
+def _matrix(v: Any) -> Mat2:
     if not (isinstance(v, list) and len(v) == 2
             and all(isinstance(row, list) and len(row) == 2 for row in v)):
         raise ParseError("holonomy matrices must be 2x2")
-    m = np.array([[_cplx(e) for e in row] for row in v], dtype=complex)
-    if abs(np.linalg.det(m) - 1.0) > 1e-6:
+    (a, b), (c, d) = ([_cplx(e) for e in row] for row in v)
+    err = a * d - b * c - 1.0  # parts first: abs() may overflow; NaN fails
+    if not (abs(err.real) <= 1e-6 and abs(err.imag) <= 1e-6 and abs(err) <= 1e-6):
         raise ParseError("holonomy matrix is not in SL2")
-    return m
+    return (a, b, c, d)
 
 
 def _qcolor(v: Any) -> QColor:
@@ -175,7 +178,7 @@ def _ell(args: argparse.Namespace, file_ell: Optional[int] = None,
         raise ParseError("ell must be >= 3")
     p = root_params(ell)
     for e, c in (d.edge_colors.items() if d is not None else ()):
-        if abs(p.cheb(c.z) - p.sign_ell_plus1 * c.trace()) > GATE:
+        if not abs(p.cheb(c.z) - p.sign_ell_plus1 * c.trace()) <= GATE:
             raise ParseError(f"the color of edge {e} fails the Chebyshev "
                              f"relation Cb_r(z) = (-1)^(l+1) tr g at ell {ell}")
     return ell

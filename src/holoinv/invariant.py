@@ -46,7 +46,8 @@ from .errors import (
 )
 from .modtrace import modified_dim
 from .params import GATE, TOL
-from .sl2factor import GStarElem, gauge_act_diagram, q_functor_inv, random_gstar
+from .quandle import gauge_act_matrix
+from .sl2factor import GStarElem, q_functor_inv, random_gstar
 
 MAX_WIDTH = 8  # a policy limit on diagram width, not a memory bound
 
@@ -197,7 +198,7 @@ def gauge_fix(d: Diagram, seed: int = 0,
     """
     last = ""
     for k, x in zip(range(max_gauge), _gauges(seed)):
-        dd = gauge_act_diagram(x, d) if k else d
+        dd = gauge_act_matrix(x.phi_plus(), d) if k else d
         try:
             return x, q_functor_inv(dd), k + 1
         except Undefined as e:

@@ -26,31 +26,27 @@ TOL = 1e-9
 GATE = 1e3 * TOL  # one ulp above the literal 1e-6
 
 
-def cheb_first_kind(n: int, t: complex) -> complex:
-    """Evaluate the degree-n normalized first-kind polynomial at t.
-
-    Recurrence: C_0 = 2, C_1 = t, C_{k+1} = t*C_k - C_{k-1}.
-    """
+def _cheb(n: int, t: complex, c0: complex) -> complex:
+    """P_n of the recurrence P_{k+1} = t*P_k - P_{k-1}, P_0 = c0, P_1 = t."""
     if n == 0:
-        return 2.0 + 0.0j
-    prev, cur = 2.0 + 0.0j, complex(t)
+        return c0
+    prev, cur = c0, complex(t)
     for _ in range(n - 1):
         prev, cur = cur, t * cur - prev
     return cur
+
+
+def cheb_first_kind(n: int, t: complex) -> complex:
+    """Evaluate the degree-n normalized first-kind polynomial at t: C_0 = 2."""
+    return _cheb(n, t, 2.0 + 0.0j)
 
 
 def cheb_second_kind(n: int, t: complex) -> complex:
-    """Evaluate the degree-n normalized second-kind polynomial at t.
+    """Evaluate the degree-n normalized second-kind polynomial at t: S_0 = 1.
 
-    Recurrence: S_0 = 1, S_1 = t, S_{k+1} = t*S_k - S_{k-1}.
     For t = u + 1/u this is (u^{n+1} - u^{-(n+1)})/(u - 1/u).
     """
-    if n == 0:
-        return 1.0 + 0.0j
-    prev, cur = 1.0 + 0.0j, complex(t)
-    for _ in range(n - 1):
-        prev, cur = cur, t * cur - prev
-    return cur
+    return _cheb(n, t, 1.0 + 0.0j)
 
 
 def cheb_first_kind_roots(c: complex, n: int) -> list[complex]:

@@ -10,6 +10,11 @@ conjugates the matrix part and permutes the z's.
 The quandle operation is written as a right action: acting on b by a gives
 a^(-1) b a.  At a positive crossing with bottom colors (a, b) read west to
 east, the top colors are (a^(-1) b a, a).
+
+A 2x2 matrix [[a, b], [c, d]] is the tuple (a, b, c, d) of complex scalars,
+`Mat2`, multiplied and inverted by `_mul` and `_inv`: the package's one 2x2
+arithmetic, which `sl2factor` shares.  At this size plain complex
+arithmetic is several times faster than numpy arrays.
 """
 
 from __future__ import annotations
@@ -17,52 +22,54 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .params import TOL, RootParams, cheb_first_kind_roots
 
+Mat2 = tuple[complex, complex, complex, complex]  # [[a, b], [c, d]]
 
-def mat2(a, b, c, d) -> np.ndarray:
-    return np.array([[a, b], [c, d]], dtype=complex)
+_ID: Mat2 = (1.0, 0.0, 0.0, 1.0)
 
 
-def inv2(m: np.ndarray) -> np.ndarray:
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+def _mul(m: Mat2, n: Mat2) -> Mat2:
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _inv(m: Mat2) -> Mat2:
+    a, b, c, d = m
     det = a * d - b * c
-    return np.array([[d, -b], [-c, a]], dtype=complex) / det
+    return (d / det, -b / det, -c / det, a / det)
 
 
 @dataclass(frozen=True)
 class QColor:
     """A conjugation-quandle color: SL(2,C) holonomy plus root datum z."""
 
-    g: np.ndarray
+    g: Mat2
     z: complex
 
     def approx_eq(self, other: "QColor", tol: float = TOL) -> bool:
-        return (
-            np.abs(self.g - other.g).max() <= tol
-            and abs(self.z - other.z) <= tol
-        )
+        """Holonomies agree to tol times their largest entry (at least 1), z
+        to tol, as crossings copy it unchanged; a NaN agrees with nothing."""
+        lim = tol * max(1.0, *map(abs, self.g), *map(abs, other.g))
+        return (all(abs(u - v) <= lim for u, v in zip(self.g, other.g))
+                and abs(self.z - other.z) <= tol)
 
     def trace(self) -> complex:
-        return complex(self.g[0, 0] + self.g[1, 1])
+        return complex(self.g[0] + self.g[3])
 
     def __repr__(self):
-        g = self.g
-        return (
-            f"QColor([[{g[0,0]:.4g},{g[0,1]:.4g}],[{g[1,0]:.4g},{g[1,1]:.4g}]],"
-            f" z={self.z:.4g})"
-        )
+        a, b, c, d = self.g
+        return f"QColor([[{a:.4g},{b:.4g}],[{c:.4g},{d:.4g}]], z={self.z:.4g})"
 
 
 def q_act(a: QColor, b: QColor) -> QColor:
     """Act on b by a: the matrix of b is conjugated to a^(-1) b a."""
-    return QColor(inv2(a.g) @ b.g @ a.g, b.z)
+    return QColor(_mul(_mul(_inv(a.g), b.g), a.g), b.z)
 
 
 def q_act_inv(a: QColor, b: QColor) -> QColor:
-    return QColor(a.g @ b.g @ inv2(a.g), b.z)
+    return QColor(_mul(_mul(a.g, b.g), _inv(a.g)), b.z)
 
 
 def z_candidates(trace: complex, p: RootParams) -> list[complex]:
@@ -95,6 +102,7 @@ def propagate_qcolors(d, bottom: Sequence[QColor]):
     return propagate_colors(d, bottom, QuandleCrossingOracle())
 
 
-def gauge_act_matrix(h: np.ndarray, d):
+def gauge_act_matrix(h: Mat2, d):
     """Conjugate every holonomy of a Q-colored diagram by a fixed matrix h."""
-    return d.map_colors(lambda c: QColor(h @ c.g @ inv2(h), c.z))
+    h_inv = _inv(h)
+    return d.map_colors(lambda c: QColor(_mul(_mul(h, c.g), h_inv), c.z))

@@ -11,9 +11,7 @@ multiplied componentwise.  The map psi(x) = phi_plus(x) * phi_minus(x)^(-1) =
 a bijection from G* onto the dense open set G' of SL(2,C) matrices with
 nonzero upper-left entry, with inverse psi_inv.
 
-Here a 2x2 matrix [[a, b], [c, d]] is the tuple of complex scalars
-(a, b, c, d): at this size plain complex arithmetic is several times faster
-than numpy arrays.  Q-colors keep their ndarray holonomy, read once per edge.
+Matrices are `quandle.Mat2` tuples (a, b, c, d), as Q-color holonomies are.
 
 X-colors are pairs (x, z) with x in G* and Cb_r(z) = (-1)^(l+1) tr psi(x).
 The crossing map B conjugates the psi-images by the triangular parts and is
@@ -34,23 +32,7 @@ import numpy as np
 
 from .errors import InconsistentColoring, InternalInconsistency, OutsideGPrime
 from .params import TOL, RootParams
-from .quandle import gauge_act_matrix, mat2
-
-Mat2 = tuple[complex, complex, complex, complex]  # [[a, b], [c, d]]
-
-_ID = (1.0, 0.0, 0.0, 1.0)
-
-
-def _mul(m: Mat2, n: Mat2) -> Mat2:
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _inv(m: Mat2) -> Mat2:
-    a, b, c, d = m
-    det = a * d - b * c
-    return (d / det, -b / det, -c / det, a / det)
+from .quandle import _ID, Mat2, _inv, _mul
 
 
 @dataclass(frozen=True)
@@ -85,11 +67,11 @@ class GStarElem:
         )
 
     def approx_eq(self, o: "GStarElem", tol: float = TOL) -> bool:
-        return (
-            abs(self.kappa - o.kappa) <= tol
-            and abs(self.eps - o.eps) <= tol
-            and abs(self.phi - o.phi) <= tol
-        )
+        """Entries agree to tol relative to the largest of either element;
+        a NaN agrees with nothing."""
+        k, e, f, k2, e2, f2 = self.kappa, self.eps, self.phi, o.kappa, o.eps, o.phi
+        lim = tol * max(1.0, abs(k), abs(e), abs(f), abs(k2), abs(e2), abs(f2))
+        return abs(k - k2) <= lim and abs(e - e2) <= lim and abs(f - f2) <= lim
 
     @staticmethod
     def one() -> "GStarElem":
@@ -176,26 +158,28 @@ def q_functor_inv(d):
     an edge met for the first time with Q-color q and west holonomy h gets
     psi_inv(h^(-1) q h), a downward strand additionally untwisted by the
     diagonal.  Every port then maps its edge's X-color back and checks it
-    against q to TOL * 1e3.  Raises OutsideGPrime (an Undefined) when a
-    solve leaves G', InconsistentColoring on an uncolored edge and, once
-    every solve has succeeded, InternalInconsistency when a port failed its
-    check: a failed solve stays the error that `gauge_fix` retries.
+    against q to TOL * 1e3 times q's largest entry (at least 1).  Raises
+    OutsideGPrime (an Undefined) when a solve leaves G', InconsistentColoring
+    on an uncolored edge and, once every solve has succeeded,
+    InternalInconsistency when a port failed its check: a failed solve stays
+    the error that `gauge_fix` retries.
     """
     ycolors: dict[str, YColor] = {}
-    targets: dict[str, Mat2] = {}  # each edge's Q-color, read once
+    targets: dict[str, tuple[Mat2, float]] = {}  # each edge's q and bound
     bad = None  # the first edge whose round trip fails
     for t in range(d.n_slices + 1):
         h = h_inv = _ID
         for i, s in enumerate(d.level_signs(t)):
             e = d.edge_at(t, i)
-            q = targets.get(e)
-            if q is None:
+            target = targets.get(e)
+            if target is None:
                 c = d.edge_colors.get(e)
                 if c is None:
                     raise InconsistentColoring(f"edge {e} is uncolored")
-                q = targets[e] = tuple(c.g.ravel().tolist())
-                y = YColor(psi_inv(_mul(_mul(h_inv, q), h)), c.z)
+                target = targets[e] = (c.g, TOL * 1e3 * max(1.0, *map(abs, c.g)))
+                y = YColor(psi_inv(_mul(_mul(h_inv, c.g), h)), c.z)
                 ycolors[e] = alpha_inv(y) if s == "-" else y
+            q, lim = target
             x = ycolors[e].g
             if s == "+":
                 back = _mul(_mul(h, x.matrix()), h_inv)
@@ -203,13 +187,8 @@ def q_functor_inv(d):
             else:
                 h, h_inv = _mul(h, x.phi_plus_inv()), _mul(x.phi_plus(), h_inv)
                 back = _mul(_mul(h, x.matrix()), h_inv)
-            if bad is None and max(abs(u - v) for u, v in zip(back, q)) > TOL * 1e3:
+            if bad is None and not all(abs(u - v) <= lim for u, v in zip(back, q)):
                 bad = e
     if bad is not None:
         raise InternalInconsistency(f"round trip fails on edge {bad}")
     return d.with_colors(ycolors)
-
-
-def gauge_act_diagram(x: GStarElem, d):
-    """The gauge move by x: conjugate every Q-color by phi_plus(x)."""
-    return gauge_act_matrix(mat2(*x.phi_plus()), d)

@@ -21,13 +21,14 @@ from holoinv.quandle import QColor, q_act, q_act_inv
 from holoinv.sl2factor import sl2_B, sl2_B_inv
 from holoinv.uqsl2 import char_from_ycolor
 
+from references import arr
 from samplers import random_qcolor, random_ycolor
 
 
 # --- quandle axioms ------------------------------------------------------------
 
 def _qdist(a: QColor, b: QColor) -> float:
-    return float(np.abs(a.g - b.g).max() + abs(a.z - b.z))
+    return float(np.abs(arr(a.g) - arr(b.g)).max() + abs(a.z - b.z))
 
 
 def check_quandle_axioms(

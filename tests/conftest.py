@@ -12,7 +12,7 @@ from holoinv.diagram import Diagram, braid_diagram, closure
 from holoinv.params import root_params
 from holoinv.quandle import QColor, propagate_qcolors, z_candidates
 
-from references import psi
+from references import psi, qcolor
 from samplers import random_sl2, random_ycolor
 
 
@@ -37,7 +37,7 @@ def commuting_link(ell: int, word, seed: int = 11) -> Diagram:
     rng = np.random.default_rng(seed)
     g = random_sl2(rng)
     zs = z_candidates(np.trace(g), p)
-    a, b = QColor(g, zs[0]), QColor(g, zs[-1])
+    a, b = qcolor(g, zs[0]), qcolor(g, zs[-1])
     return closure(propagate_qcolors(braid_diagram(2, word), [a, b]))
 
 
@@ -62,15 +62,30 @@ def riley_trefoil(ell: int, seed: int = 0, conjugate: bool = True) -> Diagram:
     x, y = (h @ np.array(g, dtype=complex) @ h.conj().T
             for g in ([[m, 1], [0, 1 / m]], [[m, 0], [1 - m**2 - m**-2, 1 / m]]))
     z = z_candidates(m + 1 / m, p)[0]
-    braid = propagate_qcolors(braid_diagram(2, [1, 1, 1]), [QColor(x, z), QColor(y, z)])
+    braid = propagate_qcolors(braid_diagram(2, [1, 1, 1]), [qcolor(x, z), qcolor(y, z)])
     return closure(braid)
+
+
+def ill_conditioned_riley_colors(ell: int, s: float) -> list[QColor]:
+    """Riley's trefoil pair with m = exp(0.3 + 0.7i), conjugated by the det-1
+    matrix [[s, 1], [1, 2/s]], whose condition number is about s^2: the
+    bottom colors of sigma_1^3, whose closure is the trefoil.  Holonomy
+    entries reach s^2, and the closure seam holds to rounding relative to
+    them."""
+    p = root_params(ell)
+    m = np.exp(0.3 + 0.7j)
+    h = np.array([[s, 1.0], [1.0, 2.0 / s]])
+    h_inv = np.array([[2.0 / s, -1.0], [-1.0, s]])
+    z = z_candidates(m + 1 / m, p)[0]
+    return [qcolor(h @ np.array(g, dtype=complex) @ h_inv, z)
+            for g in ([[m, 1], [0, 1 / m]], [[m, 0], [1 - m**2 - m**-2, 1 / m]])]
 
 
 def random_unknot_qcolor(ell: int, seed: int = 0) -> QColor:
     p = root_params(ell)
     rng = np.random.default_rng(seed)
     y = random_ycolor(rng, p)
-    return QColor(psi(y.g), y.z)
+    return qcolor(psi(y.g), y.z)
 
 
 def write_link_file(path, ell: int, word, seed: int = 11) -> None:

@@ -4,7 +4,8 @@ None of these runs in the pipeline.  They are the second computations that
 the tests hold the program against: the edge ids of a slice diagram by
 union-find over its ports; the lift and the crossing maps of
 `holoinv.sl2factor` on 2x2 numpy arrays, with the holonomy functor
-`q_functor`; the twist and the Steinberg encirclement of the braidings, the
+`q_functor` and the converters between arrays and the package's `Mat2`
+tuples; the twist and the Steinberg encirclement of the braidings, the
 dual representation and the coproduct Casimir of the modules, the
 Casimir-block views of `uqsl2.CasimirBlocks`, the product and ratio forms
 of the modified dimension, and the exact Chebyshev coefficients.
@@ -30,7 +31,7 @@ from holoinv.errors import (
     Undefined,
 )
 from holoinv.params import GATE, TOL, RootParams
-from holoinv.quandle import QColor, inv2, mat2
+from holoinv.quandle import Mat2, QColor
 from holoinv.sl2factor import GStarElem, YColor
 from holoinv.uqsl2 import (
     CasimirBlocks,
@@ -129,6 +130,31 @@ def union_find_edges(bottom_signs, slices: Sequence[Slice]
 _ID2 = np.eye(2, dtype=complex)
 
 
+def mat2(a, b, c, d) -> np.ndarray:
+    return np.array([[a, b], [c, d]], dtype=complex)
+
+
+def inv2(m: np.ndarray) -> np.ndarray:
+    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    det = a * d - b * c
+    return np.array([[d, -b], [-c, a]], dtype=complex) / det
+
+
+def arr(g: Mat2) -> np.ndarray:
+    """A Mat2 tuple as a 2x2 array."""
+    return mat2(*g)
+
+
+def tup(m) -> Mat2:
+    """A 2x2 array (or nested list) as a Mat2 tuple of Python complex."""
+    return tuple(complex(v) for v in np.ravel(m))
+
+
+def qcolor(m, z: complex) -> QColor:
+    """The Q-color with holonomy the 2x2 array m."""
+    return QColor(tup(m), z)
+
+
 def phi_plus(x: GStarElem) -> np.ndarray:
     return mat2(x.kappa, 0.0, x.phi, 1.0)
 
@@ -197,11 +223,11 @@ def q_functor(d):
             if y is None:
                 raise InconsistentColoring(f"edge {e} is uncolored")
             if s == "+":
-                q = QColor(h @ psi(y.g) @ inv2(h), y.z)
+                q = qcolor(h @ psi(y.g) @ inv2(h), y.z)
                 h = h @ phi_plus(y.g)
             else:
                 h = h @ inv2(phi_plus(y.g))
-                q = QColor(h @ psi(y.g) @ inv2(h), y.z)
+                q = qcolor(h @ psi(y.g) @ inv2(h), y.z)
             if e in qcolors:
                 if not qcolors[e].approx_eq(q, TOL * 1e3):
                     raise InternalInconsistency(
@@ -230,7 +256,7 @@ def q_functor_inv(d):
                 raise InconsistentColoring(f"edge {e} is uncolored")
             y = ycolors.get(e)
             if y is None:
-                y = YColor(psi_inv(inv2(h) @ q.g @ h), q.z)
+                y = YColor(psi_inv(inv2(h) @ arr(q.g) @ h), q.z)
                 if s == "-":
                     y = alpha_inv(y)
                 ycolors[e] = y

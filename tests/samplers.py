@@ -17,9 +17,9 @@ from holoinv.diagram import Diagram
 from holoinv.invariant import tilde_Fprime
 from holoinv.params import GATE, RootParams
 from holoinv.quandle import QColor, gauge_act_matrix, q_act, z_candidates
-from holoinv.sl2factor import GStarElem, YColor, gauge_act_diagram, random_gstar
+from holoinv.sl2factor import GStarElem, YColor, random_gstar
 
-from references import psi
+from references import psi, qcolor, tup
 
 
 def gstar_mul(a: GStarElem, b: GStarElem) -> GStarElem:
@@ -39,7 +39,7 @@ def random_sl2(rng: np.random.Generator) -> np.ndarray:
 def random_qcolor(rng: np.random.Generator, p: RootParams) -> QColor:
     g = random_sl2(rng)
     zs = z_candidates(complex(g[0, 0] + g[1, 1]), p)
-    return QColor(g, zs[rng.integers(len(zs))])
+    return qcolor(g, zs[rng.integers(len(zs))])
 
 
 def random_ycolor(rng: np.random.Generator, p: RootParams) -> YColor:
@@ -51,7 +51,7 @@ def random_ycolor(rng: np.random.Generator, p: RootParams) -> YColor:
 def steinberg_qcolor(p: RootParams) -> QColor:
     """The one permitted parabolic color: g = (-1)^(r-1) Id, z = 2(-1)^(l-1)."""
     s = -p.sign_r  # (-1)^(r-1)
-    return QColor(s * np.eye(2, dtype=complex), 2.0 * (-p.sign_ell))
+    return qcolor(s * np.eye(2), 2.0 * (-p.sign_ell))
 
 
 def gauge_act(b: QColor, d):
@@ -76,9 +76,9 @@ def gauge_orbit_compare(d: Diagram, generators: Sequence[Any],
         if isinstance(g, QColor):
             dd = gauge_act(g, d)
         elif isinstance(g, GStarElem):
-            dd = gauge_act_diagram(g, d)
+            dd = gauge_act_matrix(g.phi_plus(), d)
         else:
-            dd = gauge_act_matrix(np.asarray(g, dtype=complex), d)
+            dd = gauge_act_matrix(tup(g), d)
         v = tilde_Fprime(dd, provider, seed, max_gauge).value.canonical
         worst = max(worst, abs(v - base) / scale)
     return {

@@ -21,7 +21,6 @@ from holoinv.errors import HoloinvError, Undefined
 from holoinv.invariant import evaluate_Fprime, tilde_Fprime
 from holoinv.modtrace import alpha_from_omega, modified_dim
 from holoinv.params import root_params
-from holoinv.quandle import inv2
 from holoinv.sl2factor import q_functor_inv, random_gstar
 from holoinv.uqsl2 import (
     ZChar,
@@ -41,6 +40,7 @@ from oracles import ConjugationOracle, FactorizationOracle
 from references import (
     block_bases,
     coproduct_casimir,
+    inv2,
     modified_dim_product,
     omega_matrix,
     psi,

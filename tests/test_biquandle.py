@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from holoinv.params import root_params
-from holoinv.quandle import inv2
 
 from axioms import associated_quandle, check_biquandle_axioms
 from oracles import FactorizationOracle
-from references import psi
+from references import inv2, psi
 from samplers import random_ycolor
 
 

@@ -31,8 +31,8 @@ from holoinv.cli import load_link
 from holoinv.invariant import tilde_Fprime
 from holoinv.params import GATE, root_params
 from holoinv.diagram import braid_diagram, closure
-from holoinv.quandle import QColor, propagate_qcolors, z_candidates
-from holoinv.sl2factor import GStarElem, YColor, gauge_act_diagram, random_gstar
+from holoinv.quandle import gauge_act_matrix, propagate_qcolors, z_candidates
+from holoinv.sl2factor import GStarElem, YColor, random_gstar
 from holoinv.uqsl2 import (
     build_cyclic_module,
     DualityData,
@@ -42,7 +42,8 @@ from holoinv.uqsl2 import (
 )
 
 from conftest import commuting_link, riley_trefoil
-from references import assemble, psi, same_mod_roots, steinberg_encirclement, twist
+from references import (assemble, psi, qcolor, same_mod_roots, steinberg_encirclement,
+                        twist)
 from samplers import random_ycolor
 from yb import (_nullspace, _on_strands, flip_matrix, preflip,
                 resolve_scalars_yb)
@@ -498,9 +499,9 @@ def test_steinberg_check_is_normwise_on_the_riley_trefoil(ell):
     p = root_params(ell)
     z = z_candidates(m + 1 / m, p)[0]
     d = closure(propagate_qcolors(braid_diagram(2, [1, 1, 1]),
-                                  [QColor(x, z), QColor(y, z)]))
+                                  [qcolor(x, z), qcolor(y, z)]))
     rng = np.random.default_rng(0)
-    vals = [tilde_Fprime(gauge_act_diagram(random_gstar(rng), d),
+    vals = [tilde_Fprime(gauge_act_matrix(random_gstar(rng).phi_plus(), d),
                          BraidingProvider(p)).value.canonical
             for _ in range(10)]
     assert all(abs(v / vals[0] - 1) <= 1e-8 for v in vals)

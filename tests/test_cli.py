@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holoinv.cli as cli
 from holoinv.braiding import BraidingProvider
@@ -21,10 +25,16 @@ from holoinv.params import root_params
 from holoinv.quandle import z_candidates
 from holoinv.sl2factor import random_gstar
 
-from conftest import commuting_link, write_link_file
+from conftest import commuting_link, ill_conditioned_riley_colors, write_link_file
+from references import arr
 from samplers import gauge_orbit_compare, random_qcolor
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+
+
+def _cp(v) -> list:
+    v = complex(v)
+    return [v.real, v.imag]
 
 
 def _run(capsys, argv):
@@ -96,6 +106,10 @@ def test_missing_field_exits_parse_error(tmp_path, capsys):
     assert code == 1
 
 
+_Z3 = [complex(z_candidates(3.0, root_params(3))[0]).real,
+       complex(z_candidates(3.0, root_params(3))[0]).imag]
+
+
 @pytest.mark.parametrize("braid, colors, ell", [
     ({"word": [1, 1]}, [], 3),
     ({"strands": 2}, [], 3),
@@ -113,10 +127,17 @@ def test_missing_field_exits_parse_error(tmp_path, capsys):
     ({"strands": 2, "word": [1, 1]}, [], None),
     ({"strands": 2, "word": [1, 1]}, [], float("inf")),
     ({"strands": 2, "word": [1, 1]}, [], 3.5),
+    # det [[2, 1], [1, 1]] = 1, and z fits its trace 3 at ell 3
+    ({"strands": 2, "word": [1, 1]},
+     [{"g": [[2, True], [True, 1]], "z": _Z3}] * 2, 3),
+    ({"strands": 2, "word": [1, 1]},
+     [{"g": [[2, [True, 0]], [[1, False], 1]], "z": _Z3}] * 2, 3),
+    ({"strands": 2, "word": [1, 1]}, [{"g": [[2, 1], [1, 1]], "z": True}] * 2, 3),
 ], ids=["no-strands", "no-word", "braid-not-object", "word-not-list",
         "colors-not-list", "strands-null", "strands-text", "strands-bool",
         "strands-zero", "strands-fraction", "letter-null", "letter-text",
-        "ell-list", "ell-null", "ell-infinite", "ell-fraction"])
+        "ell-list", "ell-null", "ell-infinite", "ell-fraction", "g-bool",
+        "g-bool-pair", "z-bool"])
 def test_malformed_braid_exits_parse_error(tmp_path, capsys, braid, colors,
                                            ell):
     f = tmp_path / "bad.json"
@@ -216,8 +237,12 @@ def test_ell_zero_override_exits_parse_error(tmp_path, capsys):
     (["edge_colors"], []),
     (["edge_colors", "1:0", "g"], 5),
     (["edge_colors", "1:0", "g"], [1, 2]),
+    (["edge_colors", "1:0", "g", 0, 1], [True, 0.0]),
+    (["edge_colors", "1:0", "g", 0, 1], [1.0, False]),
+    (["edge_colors", "1:0", "g", 0, 1], ["1", 0.0]),
 ], ids=["slices-number", "slice-short", "slice-number", "signs-number",
-        "sign-number", "colors-list", "g-number", "g-row"])
+        "sign-number", "colors-list", "g-number", "g-row", "g-bool-re",
+        "g-bool-im", "g-text-re"])
 def test_malformed_link_structure_exits_parse_error(tmp_path, capsys, path,
                                                     value):
     f = tmp_path / "unknot.json"
@@ -231,6 +256,48 @@ def test_malformed_link_structure_exits_parse_error(tmp_path, capsys, path,
     code, out = _run(capsys, ["invariant", str(f)])
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "ParseError"
+
+
+def test_json_booleans_are_not_numbers(tmp_path, capsys):
+    # a JSON true is no 1: with it the zero-corner unknot's holonomy would
+    # keep det 1 and its z would fit; as z it is not the number 1 either
+    for path in (["g", 0, 1], ["z"]):
+        f = tmp_path / "unknot.json"
+        _write_zero_corner_unknot(f)
+        doc = json.loads(f.read_text())
+        node = doc["edge_colors"]["1:0"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = True
+        f.write_text(json.dumps(doc))
+        code, out = _run(capsys, ["invariant", str(f)])
+        assert code == 1
+        assert _one_error(out)["message"].startswith("expected a finite number")
+
+
+def test_chebyshev_check_rejects_an_overflowing_defect(tmp_path, capsys):
+    # at --ell 2001 (r = 2001) Cb_r(2.5 + 0.1i) overflows to NaN, which no
+    # bound admits; the color is refused before any module is built
+    f = tmp_path / "hopf.json"
+    f.write_text(json.dumps({"ell": 3, "braid": {"strands": 1, "word": []},
+                             "colors": [{"g": [[2, 1], [1, 1]],
+                                         "z": [2.5, 0.1]}]}))
+    code, out = _run(capsys, ["color", str(f), "--ell", "2001"])
+    assert code == 1
+    assert "Chebyshev" in _one_error(out)["message"]
+
+
+def test_ill_conditioned_riley_trefoil_from_a_link_file(tmp_path, capsys):
+    # the cond-1,602 conjugate of Riley's trefoil coloring, as a braid file
+    colors = [{"g": [[_cp(v) for v in c.g[:2]], [_cp(v) for v in c.g[2:]]],
+               "z": _cp(c.z)} for c in ill_conditioned_riley_colors(4, 40)]
+    f = tmp_path / "trefoil.json"
+    f.write_text(json.dumps({"ell": 4, "braid": {"strands": 2, "word": [1, 1, 1]},
+                             "colors": colors}))
+    code, out = _run(capsys, ["invariant", str(f)])
+    assert code == 0, out
+    v = complex(*json.loads(out)["canonical"])
+    assert abs(v - 64) <= 1e-5 * 64, v
 
 
 def test_slices_may_be_objects(tmp_path, capsys):
@@ -423,7 +490,8 @@ def test_lift_round_trip_rejects_a_broken_crossing(tmp_path, capsys):
 
     colors = {}
     for e, c in d.edge_colors.items():
-        g = h @ c.g @ np.linalg.inv(h) if e == "3:0" else c.g
+        g = arr(c.g)
+        g = h @ g @ np.linalg.inv(h) if e == "3:0" else g
         colors[e] = {"g": [[cp(v) for v in row] for row in g], "z": cp(c.z)}
     f = tmp_path / "broken.json"
     f.write_text(json.dumps({
@@ -450,3 +518,103 @@ def test_documented_commands_and_flags_are_the_parser_s():
     assert set(re.findall(r"^holoinv (\S+)", usage, re.M)) == set(sub.choices)
     named = re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli.__doc__ + usage)
     assert set(named) == flags
+
+
+# --- the input boundary, as a property --------------------------------------
+
+# non-integer values for integer fields: a generated ell or strand count
+# never asks for a large module
+_NOT_INT = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                     st.sampled_from([3.5, -0.5, float("inf"), float("nan"),
+                                      [3], {"ell": 3}]))
+_NUMBER = st.one_of(st.integers(-3, 3), st.booleans(), st.floats(),
+                    st.sampled_from([10**400, 1e308, -1e200, 1e-320]))
+_JUNK = st.recursive(st.one_of(_NOT_INT, _NUMBER),
+                     lambda ch: st.lists(ch, max_size=3)
+                     | st.dictionaries(st.text(max_size=2), ch, max_size=2),
+                     max_leaves=6)
+_ENTRY = st.one_of(_NUMBER, st.lists(_NUMBER, max_size=3), _JUNK)
+
+
+@st.composite
+def _valid_braid(draw) -> dict:
+    """A braid closure at ell 3 or 4 whose strands share one SL(2) matrix."""
+    ell = draw(st.sampled_from([3, 4]))
+    strands = draw(st.integers(1, 3))
+    letters = [s * i for i in range(1, strands) for s in (1, -1)]
+    word = draw(st.lists(st.sampled_from(letters), max_size=4)) if letters else []
+    a = draw(st.floats(0.3, 3.0))
+    b, c = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    g = [[a, b], [c, (1.0 + b * c) / a]]
+    zs = z_candidates(a + g[1][1], root_params(ell))
+    colors = [{"g": g, "z": _cp(draw(st.sampled_from(zs)))}
+              for _ in range(strands)]
+    return {"ell": ell, "braid": {"strands": strands, "word": word},
+            "colors": colors}
+
+
+_PATHS = [("ell",), ("braid",), ("braid", "strands"), ("braid", "word"),
+          ("braid", "word", 0), ("colors",), ("colors", 0),
+          ("colors", 0, "g"), ("colors", 0, "g", 1), ("colors", 0, "g", 0, 1),
+          ("colors", 0, "z")]
+
+
+@st.composite
+def _broken_braid(draw) -> dict:
+    """A valid braid with one field replaced: ell by a non-integer or an
+    ell below 3, anything else by arbitrary JSON."""
+    doc = draw(_valid_braid())
+    path = draw(st.sampled_from(_PATHS))
+    node = doc
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]]
+    except (IndexError, KeyError):
+        return doc
+    node[path[-1]] = draw(st.one_of(_NOT_INT, st.sampled_from([2, 0, -4]))
+                          if path == ("ell",) else _ENTRY)
+    return doc
+
+
+_SLICE = st.one_of(
+    st.tuples(st.integers(-1, 3) | _NOT_INT,
+              st.sampled_from(["X+", "X-", "evL", "evR", "coevL", "coevR",
+                               "cup"])).map(list),
+    st.fixed_dictionaries({"offset": st.integers(0, 2),
+                           "piece": st.sampled_from(["coevL", "evR"])}),
+    _JUNK)
+_SLICE_DOC = st.fixed_dictionaries({
+    "ell": st.sampled_from([3, 4]),
+    "bottom_signs": st.sampled_from(["", "+", "+-", "x"]) | _JUNK,
+    "slices": st.sampled_from([[[0, "coevL"], [0, "evR"]]])
+    | st.lists(_SLICE, max_size=4) | _JUNK,
+    "edge_colors": st.dictionaries(
+        st.sampled_from(["1:0", "1:1", "2:0", "7:0"]),
+        st.fixed_dictionaries({"g": st.sampled_from([[[2, 1], [1, 1]]])
+                               | st.lists(st.lists(_ENTRY, max_size=3),
+                                          max_size=3) | _JUNK,
+                               "z": _ENTRY}) | _JUNK,
+        max_size=2) | _JUNK,
+})
+_DOCS = st.one_of(_valid_braid(), _broken_braid(), _SLICE_DOC, _JUNK)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_DOCS, command=st.sampled_from(["invariant", "color"]))
+def test_any_link_document_gives_one_json_line(tmp_path_factory, doc,
+                                               command):
+    # whatever the link file holds, a run prints one JSON object on one
+    # line, with exit code 0 and no error or 1-3 and an error, and writes
+    # nothing to stderr
+    f = tmp_path_factory.getbasetemp() / "generated.json"
+    f.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(f)])
+    assert err.getvalue() == ""
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    res = json.loads(lines[0])
+    assert isinstance(res, dict)
+    assert (code == 0) == ("error" not in res) and code in (0, 1, 2, 3), res

@@ -28,10 +28,9 @@ from holoinv.errors import (
 )
 from holoinv.invariant import tilde_Fprime
 from holoinv.params import root_params
-from holoinv.quandle import QColor
 
 from conftest import commuting_link, riley_trefoil
-from references import union_find_edges
+from references import qcolor, union_find_edges
 from moves import (
     RMove,
     apply_rmove,
@@ -180,8 +179,8 @@ def test_closure_compares_only_colors_of_different_edges():
     # the through strand's bottom and top ports lie on one edge, whose one
     # color must not be compared with itself: a NaN entry equals nothing
     d = Diagram(["+"], [(0, "coevL"), (0, "evR")])
-    nan = QColor(np.array([[np.nan, 0], [0, 1]]), 0.0)
-    one = QColor(np.eye(2), 0.0)
+    nan = qcolor([[np.nan, 0], [0, 1]], 0.0)
+    one = qcolor(np.eye(2), 0.0)
     cl = closure(d.with_colors({e: nan for e in d.edges()}))
     assert all(c is nan for c in cl.edge_colors.values())
     # a seam that joins two edges of different colors still conflicts

@@ -30,19 +30,20 @@ from holoinv.errors import (
 from holoinv.invariant import evaluate_F, evaluate_Fprime, gauge_fix, tilde_Fprime
 from holoinv.modtrace import modified_dim
 from holoinv.params import root_params
-from holoinv.quandle import QColor, gauge_act_matrix, propagate_qcolors, z_candidates
+from holoinv.quandle import gauge_act_matrix, propagate_qcolors, z_candidates
 from holoinv.sl2factor import random_gstar
 from holoinv.uqsl2 import is_steinberg
 
 from conftest import (
     commuting_link,
+    ill_conditioned_riley_colors,
     random_unknot_qcolor,
     riley_trefoil,
     unknot_diagram,
 )
 from moves import RMove, apply_rmove, compose, identity, tensor
 from oracles import FactorizationOracle
-from references import q_functor, same_mod_roots
+from references import arr, inv2, q_functor, qcolor, same_mod_roots, tup
 from samplers import gauge_orbit_compare, random_sl2, random_ycolor
 
 
@@ -456,7 +457,7 @@ def _hopf(ell, style, rng):
     zs = z_candidates(np.trace(g), root_params(ell))
     i, j = rng.choice(len(zs), size=2, replace=False)
     return closure(propagate_qcolors(braid_diagram(2, [1, 1]),
-                                     [QColor(g, zs[i]), QColor(g, zs[j])]))
+                                     [qcolor(g, zs[i]), qcolor(g, zs[j])]))
 
 
 @pytest.mark.parametrize("style", ["conftest", "perfbench"])
@@ -467,7 +468,7 @@ def test_hopf_at_large_ell_is_gauge_independent(ell, style):
     rng = np.random.default_rng(210 + ell)
     d = _hopf(ell, style, rng)
     values = [tilde_Fprime(link, BraidingProvider(root_params(ell))).value
-              for link in (d, gauge_act_matrix(random_sl2(rng), d))]
+              for link in (d, gauge_act_matrix(tup(random_sl2(rng)), d))]
     assert all(np.isfinite(v.value) and abs(v.value) > 1e-6 for v in values)
     assert _log_phase_gap(*values) <= 1e-6
 
@@ -483,10 +484,10 @@ def test_diagonal_closures_resolve_in_the_identity_gauge(ell):
         zs = z_candidates(np.trace(g), p)
         for word in ([1, 1], [1, -1, 1, 1], [1, 1, 1, 1]):
             d = closure(propagate_qcolors(braid_diagram(2, word),
-                                          [QColor(g, zs[0]), QColor(g, zs[-1])]))
+                                          [qcolor(g, zs[0]), qcolor(g, zs[-1])]))
             res = tilde_Fprime(d, BraidingProvider(p))
             assert res.attempts == 1
-            conj = tilde_Fprime(gauge_act_matrix(random_sl2(rng), d),
+            conj = tilde_Fprime(gauge_act_matrix(tup(random_sl2(rng)), d),
                                 BraidingProvider(p))
             assert _log_phase_gap(res.value, conj.value) <= 1e-8, (lam, word)
             if ell == 3 and lam == 2.0 and word == [1, 1]:
@@ -505,6 +506,33 @@ def test_riley_trefoil_resolves_in_the_identity_gauge(ell):
     if ell == 4:
         # 16 tau^2 with the trefoil's Reidemeister torsion tau = 2
         assert abs(riley.value.canonical - 64) <= 1e-8 * 64
+
+
+@pytest.mark.parametrize("s", [40, 80])
+def test_ill_conditioned_riley_trefoil_keeps_its_torsion(s):
+    # conjugated by a matrix of condition number 1,602 (s = 40) or 6,402
+    # (s = 80), the holonomy entries reach s^2; the closure seam and the
+    # lift's round trip compare them relative to that size, so the value is
+    # still 16 tau^2 = 64
+    bottom = ill_conditioned_riley_colors(4, s)
+    d = closure(propagate_qcolors(braid_diagram(2, [1, 1, 1]), bottom))
+    v = tilde_Fprime(d, BraidingProvider(root_params(4))).value.canonical
+    assert abs(v - 64) <= 1e-5 * 64, v
+
+
+def test_planted_seam_conflict_still_raises():
+    # the s = 40 coloring, with one top color conjugated by a 1e-4 shear
+    # the closure must glue to a bottom color: 1e-4 apart relative to the
+    # entries, far beyond the seam's relative tolerance
+    braid = propagate_qcolors(braid_diagram(2, [1, 1, 1]),
+                              ill_conditioned_riley_colors(4, 40))
+    closure(braid)  # as propagated, the seam holds
+    e = braid.edge_at(braid.n_slices, 0)
+    c, shear = braid.edge_colors[e], np.array([[1.0, 1e-4], [0.0, 1.0]])
+    planted = braid.with_colors(
+        {e: qcolor(shear @ arr(c.g) @ inv2(shear), c.z)})
+    with pytest.raises(InconsistentColoring, match="conflicting"):
+        closure(planted)
 
 
 def test_hopf_at_ell_13_does_not_depend_on_the_cut():
