@@ -82,7 +82,7 @@ def _unit_det(c: np.ndarray) -> complex:
     determinant; from the log-determinant so that a determinant beyond the
     float range neither under- nor overflows."""
     sv = np.linalg.svd(c, compute_uv=False)
-    if sv[-1] <= TOL * max(1.0, sv[0]):
+    if not sv[-1] > TOL * max(1.0, sv[0]):
         raise SingularSolution("braiding matrix is singular")
     sign, logdet = np.linalg.slogdet(c)
     return np.exp(-(logdet + 1j * np.angle(sign)) / c.shape[0])
@@ -230,7 +230,7 @@ def dilog_series(V1: CyclicModule, V2: CyclicModule, rho: complex,
             En = En @ V1.E
             Fn = Fn @ V2.F
             pole = 1 - rho * q ** (-2 * n)
-            if abs(pole) <= TOL:
+            if not abs(pole) > TOL:
                 raise UnresolvableYB(f"the series has a pole at n = {n}")
             coef *= p.qbracket(1) ** 2 / (q * pole)
         S += coef * kron(En, Fn)
@@ -273,7 +273,7 @@ def rmatrix_braiding(y1: YColor, y2: YColor,
     B = np.array([d43[u][out[:, None], out] for u in "EFK"])
     for u, a, b in zip("EFK", A, B):
         stray = np.abs(a[b == 0]).max(initial=0.0) / np.abs(a).max()
-        if stray > GATE:
+        if not stray <= GATE:
             raise UnresolvableYB(f"no Cartan factor intertwines Delta({u}), "
                                  f"residual {stray:.3e}")
     # links P -> Q down column 0, then along the rows; x = D_Q / D_P solves
@@ -284,7 +284,7 @@ def rmatrix_braiding(y1: YColor, y2: YColor,
     a = np.concatenate([B[:2, P, Q], A[:2, Q, P]])
     b = np.concatenate([A[:2, P, Q], B[:2, Q, P]])
     weight = (np.abs(a) ** 2).sum(axis=0)
-    if weight.min() <= 1e-16 * weight.max():
+    if not weight.min() > 1e-16 * weight.max():
         raise UnresolvableYB("Cartan factor not unique: a grid link has no equation")
     step = (a.conj() * b).sum(axis=0) / weight
     col = np.cumprod(np.r_[1, step[:r - 1]])
@@ -296,8 +296,8 @@ def rmatrix_braiding(y1: YColor, y2: YColor,
         i, j = np.nonzero(b)
         lhs, rhs = D[i] * a[i, j], b[i, j] * D[j]
         size = (np.abs(lhs) + np.abs(rhs)).max()
-        res = max(res, np.abs(lhs - rhs).max() / max(size, 1e-300))
-    if res > GATE:
+        res = np.maximum(res, np.abs(lhs - rhs).max() / max(size, 1e-300))
+    if not res <= GATE:
         raise UnresolvableYB(f"no Cartan factor intertwines, residual {res:.3e}")
     c, c_inv = np.empty_like(S), np.empty_like(S)
     c[out] = D[:, None] * S
@@ -317,7 +317,8 @@ def steinberg_pair_braiding(
 def steinberg_self_braiding(provider: "BraidingProvider") -> HolonomyBraiding:
     """`rmatrix_braiding` on (st, st); kept, like `steinberg_pair_braiding`,
     only because perfbench/spans.py wraps this name."""
-    return rmatrix_braiding(provider.steinberg, provider.steinberg, provider)
+    st = steinberg_ycolor(provider.p)
+    return rmatrix_braiding(st, st, provider)
 
 
 # --- provider ----------------------------------------------------------------
@@ -342,7 +343,6 @@ class BraidingProvider:
         self._braidings: dict = {}
         self._duals: dict = {}
         self._chars: dict = {}
-        self.steinberg = steinberg_ycolor(p)
 
     def _lookup(self, y: YColor) -> tuple[ZChar, tuple]:
         """The character of a color and its cache key, computed once per

@@ -13,7 +13,7 @@ Link files are JSON.  Either a braid presentation,
      "colors": [{"g": [[..],[..]], "z": ..}, ..]}
 
 whose bottom strands are colored left to right and then trace-closed, or an
-explicit closed slice diagram,
+explicit closed slice diagram with at least one edge,
 
     {"ell": 4, "bottom_signs": "", "slices": [[0, "coevL"], [0, "evR"]],
      "edge_colors": {"1:0": {"g": [[..],[..]], "z": ..}}}
@@ -32,9 +32,9 @@ Exit codes: 0 success; 1 parse or validation failure, of the command line
 included; 2 a computation was undefined (gauge search exhausted,
 modified-dimension pole, non-generic input); 3 an internal error, any other
 exception (for example a float overflow), reported by its type and message.
-Every run but `--help` prints one JSON object, an error included.  Output
-is deterministic JSON with full-precision floats: fixed (input, seed, flags)
-give byte-identical runs.
+Every run but `--help` prints one JSON object, an error included, and
+writes nothing to stderr.  Output is deterministic JSON with
+full-precision floats: fixed (input, seed, flags) give byte-identical runs.
 
 `closure`, `propagate_qcolors`, `load_link` and `main` are looked up in this
 module's namespace by the benchmark's traced run (perfbench/spans.py).
@@ -156,8 +156,8 @@ def load_link(path: str) -> tuple[int, Diagram]:
         if unknown := sorted(set(colors) - set(d.edges())):
             raise ParseError(f"'edge_colors' names no edge of the diagram: {unknown}")
         d = d.with_colors({e: _qcolor(c) for e, c in colors.items()})
-        if not d.is_closed():
-            raise ParseError("slice diagrams must be closed")
+        if not d.is_closed() or not d.edges():
+            raise ParseError("slice diagrams must be closed and have an edge")
         if not d.fully_colored():
             raise ParseError("every edge needs a color")
         return ell, d
@@ -242,7 +242,6 @@ class _Parser(argparse.ArgumentParser):
     """A usage error is a ParseError, so it too prints one JSON object."""
 
     def error(self, message: str):
-        self.print_usage(sys.stderr)
         raise ParseError(message)
 
 

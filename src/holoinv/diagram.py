@@ -14,7 +14,8 @@ Planar isotopy is quotiented away by the slice representation: two diagrams
 are "the same" when their slice lists agree, and isotopic presentations are
 related by Reidemeister moves plus trivial slice commutations, which are not
 normalized.  The module holds what the pipeline runs: building a diagram,
-closing a braid, cutting an edge and propagating colors.
+bending it closed (a closure closes every strand, a cut every strand but
+the one it opens) and propagating colors.
 
 Edges are maximal arcs between slice events.  An edge is identified by the
 lexicographically least *port* it touches, where a port is a pair
@@ -233,23 +234,37 @@ def _remap_colors(new: Diagram, parts: list[tuple[Diagram, Callable]]) -> Diagra
     return new.with_colors(out)
 
 
+def _bend(d: Diagram, t: int, keep: Optional[int] = None) -> Diagram:
+    """Unroll `d` at level t, to slices t.. then ..t-1 on the word
+    w = d.level_signs(t), and bend closed every strand but `keep`: those
+    left of it around the left, the others around the right."""
+    w = d.level_signs(t)
+    m, c = (0, 0) if keep is None else (keep, 1)
+    pre, post = [], []
+    # left cups are created outermost first, each nesting inside the last, so
+    # strand j gets its return leg at m-1-j and its other leg at m+j, where
+    # the tangle (shifted by m) has strand j.  Caps close the innermost first.
+    for j, s in enumerate(w[:m]):
+        pre.insert(0, Slice(m - 1 - j, "coevR" if s == "+" else "coevL"))
+        post.append(Slice(m - 1 - j, "evL" if s == "+" else "evR"))
+    for j, s in enumerate(w[m + c:]):
+        pre.append(Slice(2 * m + c + j, "coevL" if s == "+" else "coevR"))
+        post.insert(m, Slice(c + j, "evR" if s == "+" else "evL"))
+    mid = [Slice(s.offset + m, s.piece) for s in d.slices[t:] + d.slices[:t]]
+    new = Diagram(w[m:m + c], pre + mid + post)
+    # port (lv, i) of d lies at level lv - t of the unrolled tangle if lv >= t,
+    # else at lv + n - t; bending adds len(pre) to the level and m to the
+    # position.  Per-port transfer lets the kept edge's two ends share a color.
+    below, above = len(pre) + d.n_slices - t, len(pre) - t
+    return _remap_colors(new, [(d, lambda q: (
+        q[0] + (above if q[0] >= t else below), q[1] + m))])
+
+
 def closure(d: Diagram) -> Diagram:
-    """Trace closure around the right side."""
+    """Trace closure around the right side: every strand is bent closed."""
     if d.bottom_signs != d.top_signs:
         raise WordMismatch("closure needs equal bottom and top words")
-    n = len(d.bottom_signs)
-    pre = []
-    for i, s in enumerate(d.bottom_signs):
-        pre.append(Slice(i, "coevL" if s == "+" else "coevR"))
-    mid = list(d.slices)  # ambient right pad needs no offset change
-    post = []
-    for i in range(n - 1, -1, -1):
-        s = d.bottom_signs[i]
-        post.append(Slice(i, "evR" if s == "+" else "evL"))
-    new = Diagram([], pre + mid + post)
-    npre = len(pre)
-    # a seam whose top and bottom colors differ makes _remap_colors raise
-    return _remap_colors(new, [(d, lambda p: (p[0] + npre, p[1]))])
+    return _bend(d, 0)
 
 
 def cut_edge(d: Diagram, e: Optional[str] = None) -> Diagram:
@@ -257,8 +272,8 @@ def cut_edge(d: Diagram, e: Optional[str] = None) -> Diagram:
 
     Default edge: lexicographically least (in (level, position) port order).
     The diagram is unrolled at a level where the edge is upward strand p,
-    and the n-n tangle this gives is bent open keeping strand p: strands
-    left of p return around the left, strands right of p around the right.
+    and the n-n tangle this gives is bent closed on every strand but p, as
+    `closure` bends closed every strand.
     """
     if not d.is_closed():
         raise NotClosed("cut_edge needs a closed diagram")
@@ -273,33 +288,7 @@ def cut_edge(d: Diagram, e: Optional[str] = None) -> Diagram:
     t, p = next((t, i) for t in range(1, d.n_slices)
                 for i, s in enumerate(d.level_signs(t))
                 if s == "+" and d.edge_at(t, i) == e)
-    w = d.level_signs(t)
-    m, k = p, len(w) - p - 1
-    pre: list[Slice] = []
-    # left arcs: a cup created at offset `step` nests inside the earlier
-    # ones, so creating j = m-1 first puts strand j's return leg at m-1-j and
-    # its other leg at m+j, where the tangle (shifted by m) has strand j.
-    for step, j in enumerate(range(m - 1, -1, -1)):
-        pre.append(Slice(step, "coevR" if w[j] == "+" else "coevL"))
-    # right arcs: create cup for j = 0 .. k-1
-    for j in range(k):
-        s = w[p + 1 + j]
-        pre.append(Slice(2 * m + 1 + j, "coevL" if s == "+" else "coevR"))
-    mid = [Slice(s.offset + m, s.piece) for s in d.slices[t:] + d.slices[:t]]
-    post: list[Slice] = []
-    for j in range(m):  # left caps, innermost (j=0) first
-        post.append(Slice(m - 1 - j, "evL" if w[j] == "+" else "evR"))
-    for j in range(k - 1, -1, -1):  # right caps, innermost (j=k-1) first
-        s = w[p + 1 + j]
-        post.append(Slice(1 + j, "evR" if s == "+" else "evL"))
-    new = Diagram([w[p]], pre + mid + post)
-    # port (lv, i) of d lies at level lv - t of the unrolled tangle if lv >= t,
-    # else at lv + n - t; bending adds npre to the level and m to the position.
-    # The cut edge legitimately becomes two edges (bottom and top boundary)
-    # with the same color, which per-port transfer allows.
-    below, above = len(pre) + d.n_slices - t, len(pre) - t
-    return _remap_colors(new, [(d, lambda q: (
-        q[0] + (above if q[0] >= t else below), q[1] + m))])
+    return _bend(d, t, p)
 
 
 # --- generic coloring propagation -----------------------------------------

@@ -170,7 +170,7 @@ def evaluate_Fprime(d: Diagram, provider: BraidingProvider,
         raise InconsistentColoring("cut edge has no color")
     m = evaluate_F(tangle, provider)
     s, res = proportionality(m, np.eye(provider.p.r, dtype=complex))
-    if res > GATE:
+    if not res <= GATE:
         raise NonScalarResult(
             f"1-1 tangle is not scalar on the cut color, residual {res:.3e}"
         )
@@ -220,7 +220,8 @@ def tilde_Fprime(d: Diagram, provider: BraidingProvider,
     diagram representative.
     """
     gauge, lifted, attempts = gauge_fix(d, seed, max_gauge)
-    e = cut if cut is not None else lifted.edges()[0]
+    # None on a diagram with no edge, which cut_edge rejects as NoSuchEdge
+    e = cut if cut is not None else next(iter(lifted.edges()), None)
     value = evaluate_Fprime(lifted, provider, e)
     return InvariantResult(value=value, gauge_used=gauge,
                            cut_edge=e, attempts=attempts)

@@ -35,7 +35,7 @@ def modified_dim(chi: ZChar, p: RootParams) -> complex:
     zero), which happens exactly when a is an integer not divisible by r.
     """
     den = cheb_second_kind(p.r - 1, p.sign_r * chi.omega)
-    if abs(den) <= TOL * max(1.0, float(p.r)):
+    if not abs(den) > TOL * max(1.0, float(p.r)):
         raise Singular(f"modified dimension pole at chi(Omega) = {chi.omega}")
     return -p.sign_r * p.r / den
 

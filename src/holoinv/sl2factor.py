@@ -84,9 +84,10 @@ class GStarElem:
 def psi_inv(m: Mat2) -> GStarElem:
     """Invert psi on G'; raises OutsideGPrime off the domain."""
     a, b, c, d = m
-    if abs(a * d - b * c - 1.0) > TOL * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2:
+    lim = TOL * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
+    if not abs(a * d - b * c - 1.0) <= lim:
         raise OutsideGPrime("matrix is not in SL(2,C)")
-    if abs(a) <= TOL:
+    if not abs(a) > TOL:
         raise OutsideGPrime("vanishing upper-left entry")
     return GStarElem(complex(a), complex(-b), complex(c))
 

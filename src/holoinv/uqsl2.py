@@ -60,7 +60,7 @@ def char_from_ycolor(y: YColor, p: RootParams) -> ZChar:
         f_r=p.sign_ell * y.g.phi / (br * y.g.kappa),
         omega=y.z,
     )
-    if abs(cheb_defect(chi, p)) > TOL * 1e2:
+    if not abs(cheb_defect(chi, p)) <= TOL * 1e2:
         raise ChebyshevMismatch("character fails the Chebyshev compatibility")
     return chi
 
@@ -167,7 +167,7 @@ def build_cyclic_module(chi: ZChar, p: RootParams) -> CyclicModule:
         den = prod(
             p.qbracket(i) * (k * xi ** (-i) - xi ** i / k) for i in range(1, r)
         )
-        if abs(den) <= TOL:
+        if not abs(den) > TOL:
             raise BranchInconsistent("degenerate branch denominator")
         eps_p = -p.sign_r * br1 ** (2 * (r - 1)) * chi.e_r / den
     E = np.zeros((r, r), dtype=complex)

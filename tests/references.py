@@ -2,7 +2,8 @@
 
 None of these runs in the pipeline.  They are the second computations that
 the tests hold the program against: the edge ids of a slice diagram by
-union-find over its ports; the lift and the crossing maps of
+union-find over its ports; a braid closure and an edge cut, each with its
+own cups and caps; the lift and the crossing maps of
 `holoinv.sl2factor` on 2x2 numpy arrays, with the holonomy functor
 `q_functor` and the converters between arrays and the package's `Mat2`
 tuples; the twist and the Steinberg encirclement of the braidings, the
@@ -14,25 +15,29 @@ of the modified dimension, and the exact Chebyshev coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from holoinv import sl2factor
-from holoinv.diagram import ARITY, IN_SIGNS, OUT_SIGNS, Slice, _fmt
+from holoinv.diagram import (ARITY, IN_SIGNS, OUT_SIGNS, Diagram, Slice, _fmt,
+                             _remap_colors)
 from holoinv.braiding import BlockBraiding, BraidingProvider, ModScalar, proportionality
 from holoinv.errors import (
     InconsistentColoring,
     InternalInconsistency,
     NonScalarResult,
+    NoSuchEdge,
+    NotClosed,
     OutsideGPrime,
     ParseError,
     Singular,
     Undefined,
+    WordMismatch,
 )
 from holoinv.params import GATE, TOL, RootParams
 from holoinv.quandle import Mat2, QColor
-from holoinv.sl2factor import GStarElem, YColor
+from holoinv.sl2factor import GStarElem, YColor, steinberg_ycolor
 from holoinv.uqsl2 import (
     CasimirBlocks,
     CyclicModule,
@@ -122,6 +127,80 @@ def union_find_edges(bottom_signs, slices: Sequence[Slice]
     # an edge's root is its least port
     edges = [_fmt(p) for p in sorted(uf.parent) if uf.parent[p] == p]
     return port_edge, edges
+
+
+# --- closures and cuts, each with its own cups and caps ----------------------------
+# The two constructions that `diagram._bend` folds into one: a trace closure
+# around the right, and a cut that bends strands left of the kept one around
+# the left and the others around the right.
+
+def slice_closure(d: Diagram) -> Diagram:
+    """Trace closure around the right side."""
+    if d.bottom_signs != d.top_signs:
+        raise WordMismatch("closure needs equal bottom and top words")
+    n = len(d.bottom_signs)
+    pre = []
+    for i, s in enumerate(d.bottom_signs):
+        pre.append(Slice(i, "coevL" if s == "+" else "coevR"))
+    mid = list(d.slices)  # ambient right pad needs no offset change
+    post = []
+    for i in range(n - 1, -1, -1):
+        s = d.bottom_signs[i]
+        post.append(Slice(i, "evR" if s == "+" else "evL"))
+    new = Diagram([], pre + mid + post)
+    npre = len(pre)
+    # a seam whose top and bottom colors differ makes _remap_colors raise
+    return _remap_colors(new, [(d, lambda p: (p[0] + npre, p[1]))])
+
+
+def slice_cut_edge(d: Diagram, e: Optional[str] = None) -> Diagram:
+    """Open one edge of a closed diagram into a 1-1 tangle with boundary (x,+).
+
+    Default edge: lexicographically least (in (level, position) port order).
+    The diagram is unrolled at a level where the edge is upward strand p,
+    and the n-n tangle this gives is bent open keeping strand p: strands
+    left of p return around the left, strands right of p around the right.
+    """
+    if not d.is_closed():
+        raise NotClosed("cut_edge needs a closed diagram")
+    if e is None:
+        e = next(iter(d._edges), None)
+    if e not in d._edges:
+        raise NoSuchEdge(e or "empty diagram")
+    # cut at the first upward port of the edge.  One exists at some level
+    # 1..n-1: a closed diagram has no ports at levels 0 and n, crossings take
+    # only upward strands, and a cup or cap joins a downward leg to an
+    # upward one, so every edge has an upward port.
+    t, p = next((t, i) for t in range(1, d.n_slices)
+                for i, s in enumerate(d.level_signs(t))
+                if s == "+" and d.edge_at(t, i) == e)
+    w = d.level_signs(t)
+    m, k = p, len(w) - p - 1
+    pre: list[Slice] = []
+    # left arcs: a cup created at offset `step` nests inside the earlier
+    # ones, so creating j = m-1 first puts strand j's return leg at m-1-j and
+    # its other leg at m+j, where the tangle (shifted by m) has strand j.
+    for step, j in enumerate(range(m - 1, -1, -1)):
+        pre.append(Slice(step, "coevR" if w[j] == "+" else "coevL"))
+    # right arcs: create cup for j = 0 .. k-1
+    for j in range(k):
+        s = w[p + 1 + j]
+        pre.append(Slice(2 * m + 1 + j, "coevL" if s == "+" else "coevR"))
+    mid = [Slice(s.offset + m, s.piece) for s in d.slices[t:] + d.slices[:t]]
+    post: list[Slice] = []
+    for j in range(m):  # left caps, innermost (j=0) first
+        post.append(Slice(m - 1 - j, "evL" if w[j] == "+" else "evR"))
+    for j in range(k - 1, -1, -1):  # right caps, innermost (j=k-1) first
+        s = w[p + 1 + j]
+        post.append(Slice(1 + j, "evR" if s == "+" else "evL"))
+    new = Diagram([w[p]], pre + mid + post)
+    # port (lv, i) of d lies at level lv - t of the unrolled tangle if lv >= t,
+    # else at lv + n - t; bending adds npre to the level and m to the position.
+    # The cut edge legitimately becomes two edges (bottom and top boundary)
+    # with the same color, which per-port transfer allows.
+    below, above = len(pre) + d.n_slices - t, len(pre) - t
+    return _remap_colors(new, [(d, lambda q: (
+        q[0] + (above if q[0] >= t else below), q[1] + m))])
 
 
 # --- the lift on 2x2 arrays ------------------------------------------------------
@@ -317,7 +396,7 @@ def steinberg_encirclement(y: YColor, provider: BraidingProvider) -> ModScalar:
     module, up to an r^2-th root of unity.  Returns the scalar.
     """
     r = provider.p.r
-    c1 = provider.braiding(y, provider.steinberg)
+    c1 = provider.braiding(y, steinberg_ycolor(provider.p))
     c2 = provider.braiding(c1.y4, c1.y3)
     double = c2.c @ c1.c
     d = provider.duality(y)

@@ -32,7 +32,7 @@ from holoinv.invariant import tilde_Fprime
 from holoinv.params import GATE, root_params
 from holoinv.diagram import braid_diagram, closure
 from holoinv.quandle import gauge_act_matrix, propagate_qcolors, z_candidates
-from holoinv.sl2factor import GStarElem, YColor, random_gstar
+from holoinv.sl2factor import GStarElem, YColor, random_gstar, steinberg_ycolor
 from holoinv.uqsl2 import (
     build_cyclic_module,
     DualityData,
@@ -147,7 +147,7 @@ def test_steinberg_self_braiding_is_unitary_twist(providers):
     # sector, so the closed-form braiding must intertwine coproducts
     for ell in (3, 4, 5):
         provider = providers.get(ell) or BraidingProvider(root_params(ell))
-        st = provider.steinberg
+        st = steinberg_ycolor(provider.p)
         hb = provider.braiding(st, st)
         c12 = coproduct_matrices(provider.module(hb.y1), provider.module(hb.y2))
         for g in ("E", "F", "K"):
@@ -368,7 +368,7 @@ def _weight_self_braiding(provider):
     """The Steinberg self braiding from its integer K-weights (reference)."""
     p = provider.p
     r = p.r
-    V = provider.module(provider.steinberg)
+    V = provider.module(steinberg_ycolor(provider.p))
     weights = [r + 1 - 2 * (i + 1) for i in range(r)]
     qh = np.exp(1j * np.pi / p.ell)  # principal square root of q
     cartan = np.diag([qh ** (wi * wj) for wi in weights for wj in weights])
@@ -393,7 +393,7 @@ def _block_pair_braiding(y1, y2, provider):
 def _steinberg_partners(provider, n, seed):
     """n random colors y whose pairs (y, st) and (st, y) both resolve."""
     rng = np.random.default_rng(seed)
-    st = provider.steinberg
+    st = steinberg_ycolor(provider.p)
     out = []
     while len(out) < n:
         y = random_ycolor(rng, provider.p)
@@ -409,8 +409,8 @@ def _steinberg_partners(provider, n, seed):
 @pytest.mark.parametrize("ell", range(3, 11))
 def test_steinberg_self_pair_matches_weight_formula(ell):
     provider = BraidingProvider(root_params(ell))
-    got = braiding.steinberg_pair_braiding(provider.steinberg,
-                                           provider.steinberg, provider)
+    got = braiding.steinberg_pair_braiding(steinberg_ycolor(provider.p),
+                                           steinberg_ycolor(provider.p), provider)
     ok, _, res = equal_mod_roots(got.c, _weight_self_braiding(provider),
                                  provider.p.r, 1e-8)
     assert ok, res
@@ -420,7 +420,7 @@ def test_steinberg_self_pair_matches_weight_formula(ell):
 def test_steinberg_pair_matches_block_oracle(ell):
     # colors are drawn where the oracle resolves; the solver must too
     provider = BraidingProvider(root_params(ell))
-    st = provider.steinberg
+    st = steinberg_ycolor(provider.p)
     rng = np.random.default_rng(150 + ell)
     done = 0
     while done < 4:
@@ -441,7 +441,7 @@ def test_steinberg_solver_rejects_a_broken_coproduct(ell, monkeypatch):
     # Delta_43(E) with one structural nonzero dropped: that equation on D
     # is gone, so the check that A_u vanishes wherever B_u does rejects it
     provider = BraidingProvider(root_params(ell))
-    st = provider.steinberg
+    st = steinberg_ycolor(provider.p)
     y = _steinberg_partners(provider, 1, seed=170 + ell)[0]
     hb = provider.braiding(y, st)
     V4, V3 = provider.module(hb.y4), provider.module(hb.y3)
@@ -468,7 +468,7 @@ def test_steinberg_solver_checks_every_cartan_equation(ell, monkeypatch):
     # entry of 1 (x) E with a >= 1 links two rows of grid column a >= 1.
     # Only the residual of every equation, not the links alone, sees it.
     provider = BraidingProvider(root_params(ell))
-    r, st = provider.p.r, provider.steinberg
+    r, st = provider.p.r, steinberg_ycolor(provider.p)
     y = _steinberg_partners(provider, 1, seed=175 + ell)[0]
     hb = provider.braiding(y, st)
     V4, V3 = provider.module(hb.y4), provider.module(hb.y3)
@@ -544,7 +544,7 @@ def test_unipotent_series_matches_kron_bitwise(ell):
     p = root_params(ell)
     provider = BraidingProvider(p)
     rng = np.random.default_rng(170 + ell)
-    st = provider.module(provider.steinberg)
+    st = provider.module(steinberg_ycolor(provider.p))
     for rho, V1, V2 in ((1.0, st, _random_module(provider, rng)),
                         (0.8 + 0.3j, _random_module(provider, rng),
                          _random_module(provider, rng))):
@@ -630,7 +630,7 @@ def test_two_rank_one_candidates_are_not_a_braiding(ell, monkeypatch):
     # intertwine (for rho = 1 the root is a pole of the series).  Generic
     # and Steinberg pairs raise, and nothing is cached.
     provider = BraidingProvider(root_params(ell))
-    r, st = provider.p.r, provider.steinberg
+    r, st = provider.p.r, steinberg_ycolor(provider.p)
     hb = _generic_braiding(provider, seed=210 + ell)
     y = _steinberg_partners(provider, 1, seed=220 + ell)[0]
     real = braiding.dilog_series
@@ -658,7 +658,7 @@ def _assert_references_hold(provider, pairs):
     # (reference); the braid relation holds on (y1', st, y2), where the pair
     # meets four pairs with a Steinberg factor, and on an all-generic triple
     # through the same pair
-    st = provider.steinberg
+    st = steinberg_ycolor(provider.p)
     assert pairs
     for y1, y2 in pairs:
         c = provider.braiding(y1, y2).c

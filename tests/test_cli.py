@@ -258,6 +258,17 @@ def test_malformed_link_structure_exits_parse_error(tmp_path, capsys, path,
     assert json.loads(out)["error"]["kind"] == "ParseError"
 
 
+@pytest.mark.parametrize("command", ["invariant", "color"])
+def test_a_diagram_with_no_edge_exits_parse_error(tmp_path, capsys, command):
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps({"ell": 3, "slices": []}))
+    code, out = _run(capsys, [command, str(f)])
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "ParseError"
+
+
 def test_json_booleans_are_not_numbers(tmp_path, capsys):
     # a JSON true is no 1: with it the zero-corner unknot's holonomy would
     # keep det 1 and its z would fit; as z it is not the number 1 either
@@ -618,3 +629,39 @@ def test_any_link_document_gives_one_json_line(tmp_path_factory, doc,
     res = json.loads(lines[0])
     assert isinstance(res, dict)
     assert (code == 0) == ("error" not in res) and code in (0, 1, 2, 3), res
+
+
+# a flag with a valid, an invalid or no value; an unknown flag
+_FLAG = st.one_of(
+    st.tuples(st.just("--ell"), st.sampled_from(["3", "4", "2", "-1", "x", "1e3"])),
+    st.tuples(st.just("--seed"), st.sampled_from(["0", "2", "-1", "a", "1.5"])),
+    st.tuples(st.just("--max-gauge"), st.sampled_from(["1", "3", "0", "-2", "x"])),
+    st.tuples(st.just("--omega"),
+              st.sampled_from(["0.3", "0.3+0.4j", "-2", "nan", "inf", "abc", "1e200"])),
+    st.sampled_from(["--ell", "--seed", "--max-gauge", "--omega", "--tol", "--verbose",
+                     "--max", "-x", "extra"]).map(lambda f: (f,)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["invariant", "color", "dim", "knot", "gauge-orbit"]),
+       link=st.sampled_from(["LINK", "MISSING", None]),
+       flags=st.lists(_FLAG, max_size=3))
+def test_any_command_line_gives_one_json_line(tmp_path_factory, command, link,
+                                              flags):
+    # whatever the flags, a run prints one JSON object on one line, with an
+    # exit code 0-3, and writes nothing to stderr: no usage text either
+    base = tmp_path_factory.getbasetemp()
+    hopf = base / "hopf.json"
+    if not hopf.exists():
+        write_link_file(hopf, 3, [1, 1])
+    files = {"LINK": str(hopf), "MISSING": str(base / "missing.json")}
+    argv = [command] + ([files[link]] if link else [])
+    argv += [a for f in flags for a in f]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert err.getvalue() == ""
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    res = json.loads(lines[0])
+    assert (code == 0) == ("error" not in res) and code in (0, 1, 2, 3), (argv, res)

@@ -30,7 +30,7 @@ from holoinv.invariant import tilde_Fprime
 from holoinv.params import root_params
 
 from conftest import commuting_link, riley_trefoil
-from references import qcolor, union_find_edges
+from references import qcolor, slice_closure, slice_cut_edge, union_find_edges
 from moves import (
     RMove,
     apply_rmove,
@@ -161,6 +161,54 @@ def test_edges_match_the_union_find_reference(word):
         assert t.edges() == edges
         ports = [(lv, i) for lv in range(t.n_slices + 1) for i in range(width(t, lv))]
         assert {q: t.edge_at(*q) for q in ports} == port_edge
+
+
+_INVERSE = {"X+": "X-", "X-": "X+", "coevL": "evR", "coevR": "evL",
+            "evL": "coevR", "evR": "coevL"}
+
+
+def _seam_colored(d: Diagram) -> Diagram:
+    """`d` with one token per edge of its closure: edges that the closure's
+    seam joins, bottom port i to top port i, share a token."""
+    root = {e: e for e in d.edges()}
+
+    def find(e):
+        while root[e] != e:
+            e = root[e]
+        return e
+
+    for i in range(len(d.bottom_signs)):
+        root[find(d.edge_at(d.n_slices, i))] = find(d.edge_at(0, i))
+    return d.with_colors({e: find(e) for e in d.edges()})
+
+
+def _same_tangle(a: Diagram, b: Diagram) -> None:
+    assert a.bottom_signs == b.bottom_signs
+    assert a.slices == b.slices
+    assert a.edges() == b.edges()
+    assert a.edge_colors == b.edge_colors
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(slice_words())
+def test_closures_and_cuts_match_the_slice_references(word):
+    # the word, and the word followed by its inverse, whose end words agree
+    bottom, slices = word
+    back = [Slice(s.offset, _INVERSE[s.piece]) for s in reversed(slices)]
+    for d in (Diagram(bottom, slices), Diagram(bottom, slices + back)):
+        if d.bottom_signs != d.top_signs:
+            for f in (closure, slice_closure):
+                with pytest.raises(WordMismatch):
+                    f(d)
+            continue
+        d = _seam_colored(d)
+        cl = closure(d)
+        _same_tangle(cl, slice_closure(d))
+        # a distinct token per edge of the closed diagram: a port moved to
+        # another edge of the cut shows as a moved or clashing color
+        cl = cl.with_colors({e: e for e in cl.edges()})
+        for e in cl.edges():
+            _same_tangle(cut_edge(cl, e), slice_cut_edge(cl, e))
 
 
 def test_recolored_copies_share_structure_but_not_colors():

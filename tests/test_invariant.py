@@ -11,6 +11,7 @@ import pytest
 
 import holoinv.braiding as braiding
 import holoinv.invariant as invariant
+import holoinv.uqsl2 as uqsl2
 
 from holoinv.braiding import BraidingProvider, ModScalar, equal_mod_roots
 from holoinv.diagram import (
@@ -21,18 +22,31 @@ from holoinv.diagram import (
     propagate_colors,
 )
 from holoinv.errors import (
+    BranchInconsistent,
+    ChebyshevMismatch,
     GaugeExhausted,
     HoloinvError,
     InconsistentColoring,
     NonScalarResult,
+    NoSuchEdge,
+    OutsideGPrime,
     ParseError,
+    Singular,
+    SingularSolution,
+    UnresolvableYB,
 )
 from holoinv.invariant import evaluate_F, evaluate_Fprime, gauge_fix, tilde_Fprime
 from holoinv.modtrace import modified_dim
 from holoinv.params import root_params
 from holoinv.quandle import gauge_act_matrix, propagate_qcolors, z_candidates
-from holoinv.sl2factor import random_gstar
-from holoinv.uqsl2 import is_steinberg
+from holoinv.sl2factor import GStarElem, YColor, psi_inv, random_gstar
+from holoinv.uqsl2 import (
+    ZChar,
+    build_cyclic_module,
+    char_from_ycolor,
+    is_steinberg,
+    steinberg_char,
+)
 
 from conftest import (
     commuting_link,
@@ -541,3 +555,86 @@ def test_hopf_at_ell_13_does_not_depend_on_the_cut():
     values = [tilde_Fprime(d, provider, cut=e).value for e in d.edges()]
     assert len(values) > 1
     assert all(_log_phase_gap(v, values[0]) <= 1e-8 for v in values)
+
+
+def test_a_diagram_with_no_edge_has_no_cut():
+    with pytest.raises(NoSuchEdge):
+        tilde_Fprime(Diagram([], []), BraidingProvider(root_params(3)))
+
+
+# --- every gate fails on a NaN ------------------------------------------------
+
+_NAN = complex("nan")
+
+
+def _nan_coproduct(call, keys):
+    """Braid a generic pair with the generators `keys` of the `call`-th
+    coproduct that rmatrix_braiding builds all NaN: call 0 is V1 (x) V2,
+    call 1 is V4 (x) V3."""
+
+    def plant(monkeypatch, provider):
+        real, calls = braiding.coproduct_matrices, []
+
+        def planted(V1, V2):
+            calls.append(V1)
+            d = real(V1, V2)
+            if len(calls) - 1 != call:
+                return d
+            return {u: np.full_like(m, np.nan) if u in keys else m
+                    for u, m in d.items()}
+
+        monkeypatch.setattr(braiding, "coproduct_matrices", planted)
+        rng = np.random.default_rng(11)
+        y1, y2 = random_ycolor(rng, provider.p), random_ycolor(rng, provider.p)
+        braiding.rmatrix_braiding(y1, y2, provider)
+
+    return plant
+
+
+def _nan_svd(monkeypatch, provider):
+    monkeypatch.setattr(np.linalg, "svd", lambda c, compute_uv: np.full(2, np.nan))
+    braiding._unit_det(np.eye(2, dtype=complex))
+
+
+def _nan_contraction(monkeypatch, provider):
+    r = provider.p.r
+    monkeypatch.setattr(invariant, "evaluate_F", lambda d, pr: np.full((r, r), _NAN))
+    tilde_Fprime(commuting_link(provider.p.ell, [1, 1]), provider)
+
+
+def _nan_branch_denominator(monkeypatch, provider):
+    monkeypatch.setattr(uqsl2, "prod", lambda factors: _NAN)
+    build_cyclic_module(steinberg_char(provider.p), provider.p)
+
+
+def _nan_series_root(monkeypatch, provider):
+    V = build_cyclic_module(steinberg_char(provider.p), provider.p)
+    braiding.dilog_series(V, V, _NAN, provider.p)
+
+
+_NAN_GATES = {
+    "uqsl2-chebyshev": (lambda mp, pr: char_from_ycolor(
+        YColor(GStarElem.one(), _NAN), pr.p), ChebyshevMismatch, "Chebyshev"),
+    "uqsl2-branch-denominator": (_nan_branch_denominator, BranchInconsistent,
+                                 "denominator"),
+    "sl2factor-det": (lambda mp, pr: psi_inv((_NAN, 0j, 0j, 1 + 0j)),
+                      OutsideGPrime, "SL"),
+    "braiding-unit-det": (_nan_svd, SingularSolution, "singular"),
+    "braiding-series-pole": (_nan_series_root, UnresolvableYB, "pole"),
+    "braiding-stray": (_nan_coproduct(0, "E"), UnresolvableYB, r"Delta\(E\)"),
+    "braiding-link-weight": (_nan_coproduct(1, "EF"), UnresolvableYB, "not unique"),
+    "braiding-residual": (_nan_coproduct(1, "K"), UnresolvableYB,
+                          "intertwines, residual"),
+    "invariant-scalar": (_nan_contraction, NonScalarResult, "not scalar"),
+    "modtrace-pole": (lambda mp, pr: modified_dim(
+        ZChar(1 + 0j, 0j, 0j, _NAN), pr.p), Singular, "pole"),
+}
+
+
+@pytest.mark.parametrize("plant, error, match", _NAN_GATES.values(),
+                         ids=_NAN_GATES.keys())
+def test_each_gate_rejects_a_nan(monkeypatch, plant, error, match):
+    # each check is written so that a NaN fails it: `value > bound` would
+    # let the NaN through, `not value <= bound` does not
+    with pytest.raises(error, match=match):
+        plant(monkeypatch, BraidingProvider(root_params(4)))

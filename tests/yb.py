@@ -14,7 +14,7 @@ import numpy as np
 from holoinv.braiding import equal_mod_roots
 from holoinv.errors import Undefined, UnresolvableYB
 from holoinv.params import GATE
-from holoinv.sl2factor import YColor, sl2_B
+from holoinv.sl2factor import YColor, sl2_B, steinberg_ycolor
 from holoinv.uqsl2 import kron
 
 
@@ -48,7 +48,7 @@ _WORD_R = (1, 0, 1)
 
 def preflip(y: YColor, provider) -> YColor:
     """The color y' with B(y', st) = (st, y); at odd ell y' = y."""
-    return sl2_B(y, provider.steinberg)[1]
+    return sl2_B(y, steinberg_ycolor(provider.p))[1]
 
 
 def _yb_pairs(y1: YColor, y2: YColor, y3: YColor):
