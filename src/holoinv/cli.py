@@ -20,7 +20,9 @@ explicit closed slice diagram with at least one edge,
 
 Complex numbers are written as [re, im] (a bare number means a real value)
 and must be finite; the holonomy "g" is a 2x2 matrix of such entries with
-determinant 1, and "z" must satisfy Cb_r(z) = (-1)^(l+1) tr g at the run's ell.
+determinant 1 (`quandle.in_sl2`), and "z" must satisfy Cb_r(z) = (-1)^(l+1)
+tr g at the run's ell (`params.cheb_holds`): the functions and bounds that
+the lift applies to the colors it computes.
 
 `invariant` and `color` take a link file, an optional --ell that overrides
 the file's, a non-negative --seed for the gauge retries and a positive
@@ -55,8 +57,8 @@ from .diagram import Diagram, braid_diagram, closure
 from .errors import HoloinvError, ParseError, Singular
 from .invariant import gauge_fix, tilde_Fprime
 from .modtrace import alpha_from_omega, modified_dim
-from .params import GATE, TOL, root_params
-from .quandle import Mat2, QColor, propagate_qcolors
+from .params import TOL, cheb_holds, root_params
+from .quandle import Mat2, QColor, in_sl2, propagate_qcolors
 from .uqsl2 import ZChar, is_admissible, steinberg_char
 
 
@@ -97,11 +99,10 @@ def _matrix(v: Any) -> Mat2:
     if not (isinstance(v, list) and len(v) == 2
             and all(isinstance(row, list) and len(row) == 2 for row in v)):
         raise ParseError("holonomy matrices must be 2x2")
-    (a, b), (c, d) = ([_cplx(e) for e in row] for row in v)
-    err = a * d - b * c - 1.0  # parts first: abs() may overflow; NaN fails
-    if not (abs(err.real) <= 1e-6 and abs(err.imag) <= 1e-6 and abs(err) <= 1e-6):
+    g = tuple(_cplx(e) for row in v for e in row)
+    if not in_sl2(g):
         raise ParseError("holonomy matrix is not in SL2")
-    return (a, b, c, d)
+    return g
 
 
 def _qcolor(v: Any) -> QColor:
@@ -171,14 +172,14 @@ def _emit(obj: dict) -> None:
 def _ell(args: argparse.Namespace, file_ell: Optional[int] = None,
          d: Optional[Diagram] = None) -> int:
     """The run's ell: --ell when given, else the link file's.  Each color of
-    `d` must satisfy Cb_r(z) = (-1)^(l+1) tr g at it, to GATE: looser than
-    `uqsl2.char_from_ycolor`, so no color that the lift accepts is refused."""
+    `d` must satisfy Cb_r(z) = (-1)^(l+1) tr g at it by `params.cheb_holds`,
+    which `uqsl2.char_from_ycolor` applies to each lifted character."""
     ell = file_ell if args.ell is None else args.ell
     if ell < 3:
         raise ParseError("ell must be >= 3")
     p = root_params(ell)
     for e, c in (d.edge_colors.items() if d is not None else ()):
-        if not abs(p.cheb(c.z) - p.sign_ell_plus1 * c.trace()) <= GATE:
+        if not cheb_holds(c.z, c.trace(), p):
             raise ParseError(f"the color of edge {e} fails the Chebyshev "
                              f"relation Cb_r(z) = (-1)^(l+1) tr g at ell {ell}")
     return ell

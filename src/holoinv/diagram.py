@@ -294,42 +294,24 @@ def cut_edge(d: Diagram, e: Optional[str] = None) -> Diagram:
 # --- generic coloring propagation -----------------------------------------
 
 def propagate_colors(d: Diagram, bottom: Sequence[Any], oracle) -> Diagram:
-    """Color all edges from the bottom word using a biquandle-style oracle.
-
-    One forward sweep: crossings fire in slice order (B for X+, B_inv for
-    X-), and each output must agree with any color its edge already has,
-    which checks the seams of a closed diagram.  Cups and caps need no rule
-    since their legs are one edge.  The oracle's Undefined propagates where
-    a needed partial value is missing; InconsistentColoring is raised if a
-    crossing has an uncolored input, colors clash, or edges stay uncolored.
-    """
+    """Color an uncolored braid diagram from its bottom word by a
+    biquandle-style oracle, in one sweep over the current colors: a
+    crossing (B for X+, B_inv for X-) replaces its two, whose outputs are
+    new edges, so nothing is compared (`closure` checks the seams).  Any
+    other slice, or a preset color, raises InconsistentColoring."""
+    if d.edge_colors:
+        raise InconsistentColoring("propagation needs an uncolored diagram")
     if len(bottom) != len(d.bottom_signs):
         raise InconsistentColoring("bottom color count mismatch")
-    colors: dict[str, Any] = dict(d.edge_colors)
-
-    def put(e: str, c: Any):
-        if e in colors:
-            if not colors_equal(colors[e], c):
-                raise InconsistentColoring(f"edge {e} forced to two colors")
-        else:
-            colors[e] = c
-
-    for i, c in enumerate(bottom):
-        put(d.edge_at(0, i), c)
+    cur = list(bottom)
+    colors = {d.edge_at(0, i): c for i, c in enumerate(cur)}
     for t, sl in enumerate(d.slices):
         if sl.piece not in ("X+", "X-"):
-            continue
+            raise InconsistentColoring(f"slice {t} is not a crossing")
         o = sl.offset
-        ins = [colors.get(d.edge_at(t, i)) for i in (o, o + 1)]
-        if any(x is None for x in ins):
-            raise InconsistentColoring(f"crossing at slice {t} has an uncolored input")
-        v = (oracle.B if sl.piece == "X+" else oracle.B_inv)(*ins)
-        put(d.edge_at(t + 1, o), v[0])
-        put(d.edge_at(t + 1, o + 1), v[1])
-    out = d.with_colors(colors)
-    if not out.fully_colored():
-        raise InconsistentColoring("coloring did not reach every edge")
-    return out
+        cur[o:o + 2] = (oracle.B if sl.piece == "X+" else oracle.B_inv)(*cur[o:o + 2])
+        colors[d.edge_at(t + 1, o)], colors[d.edge_at(t + 1, o + 1)] = cur[o:o + 2]
+    return d._recolored(colors)
 
 
 def braid_diagram(strands: int, word: Sequence[int]) -> Diagram:

@@ -113,3 +113,13 @@ class RootParams:
 @lru_cache(maxsize=32)
 def root_params(ell: int) -> RootParams:
     return RootParams(ell)
+
+
+def cheb_holds(z: complex, trace: complex, p: RootParams) -> bool:
+    """The one test of Cb_r(z) = (-1)^(l+1) trace, to TOL * 1e2 relative to
+    max(1, |trace|).  A NaN or an overflow fails it; it never raises."""
+    try:
+        defect = abs(p.cheb(z) - p.sign_ell_plus1 * trace)
+        return defect / max(1.0, abs(trace)) <= TOL * 1e2
+    except OverflowError:  # abs() of a finite complex beyond the range
+        return False

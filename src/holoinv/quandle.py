@@ -19,6 +19,7 @@ arithmetic is several times faster than numpy arrays.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +40,18 @@ def _inv(m: Mat2) -> Mat2:
     a, b, c, d = m
     det = a * d - b * c
     return (d / det, -b / det, -c / det, a / det)
+
+
+def in_sl2(m: Mat2) -> bool:
+    """The one SL(2) test: |det m - 1| <= TOL max(1, |a||d| + |b||c|), scaled
+    by the det's own terms.  A NaN or an overflow fails it; it never raises."""
+    a, b, c, d = m
+    det = a * d - b * c
+    try:
+        return cmath.isfinite(det) and abs(det - 1.0) <= TOL * max(
+            1.0, abs(a) * abs(d) + abs(b) * abs(c))
+    except OverflowError:  # abs() of a finite complex beyond the range
+        return False
 
 
 @dataclass(frozen=True)
@@ -96,7 +109,7 @@ class QuandleCrossingOracle:
 
 
 def propagate_qcolors(d, bottom: Sequence[QColor]):
-    """Color a diagram's edges from bottom Q-colors."""
+    """Color an uncolored braid diagram's edges from its bottom Q-colors."""
     from .diagram import propagate_colors
 
     return propagate_colors(d, bottom, QuandleCrossingOracle())

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InconsistentColoring, InternalInconsistency, OutsideGPrime
 from .params import TOL, RootParams
-from .quandle import _ID, Mat2, _inv, _mul
+from .quandle import _ID, Mat2, _inv, _mul, in_sl2
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,9 @@ class GStarElem:
 
 def psi_inv(m: Mat2) -> GStarElem:
     """Invert psi on G'; raises OutsideGPrime off the domain."""
-    a, b, c, d = m
-    lim = TOL * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
-    if not abs(a * d - b * c - 1.0) <= lim:
+    if not in_sl2(m):
         raise OutsideGPrime("matrix is not in SL(2,C)")
+    a, b, c, _ = m
     if not abs(a) > TOL:
         raise OutsideGPrime("vanishing upper-left entry")
     return GStarElem(complex(a), complex(-b), complex(c))

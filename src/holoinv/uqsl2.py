@@ -28,7 +28,7 @@ from .errors import (
     DegenerateSpectrum,
     NotAdmissible,
 )
-from .params import TOL, RootParams, cheb_first_kind, cheb_first_kind_roots
+from .params import TOL, RootParams, cheb_first_kind_roots, cheb_holds
 from .sl2factor import YColor
 
 
@@ -60,7 +60,7 @@ def char_from_ycolor(y: YColor, p: RootParams) -> ZChar:
         f_r=p.sign_ell * y.g.phi / (br * y.g.kappa),
         omega=y.z,
     )
-    if not abs(cheb_defect(chi, p)) <= TOL * 1e2:
+    if not cheb_holds(chi.omega, trace_psi(chi, p), p):
         raise ChebyshevMismatch("character fails the Chebyshev compatibility")
     return chi
 
@@ -78,12 +78,6 @@ def trace_psi(chi: ZChar, p: RootParams) -> complex:
     """Trace of the underlying holonomy, recovered from the character."""
     br2r = p.qbracket(1) ** (2 * p.r)
     return chi.kappa + 1.0 / chi.kappa - p.sign_ell * br2r * chi.e_r * chi.f_r
-
-
-def cheb_defect(chi: ZChar, p: RootParams) -> complex:
-    br2r = p.qbracket(1) ** (2 * p.r)
-    rhs = br2r * chi.e_r * chi.f_r - p.sign_ell * (chi.kappa + 1.0 / chi.kappa)
-    return cheb_first_kind(p.r, chi.omega) - rhs
 
 
 def is_admissible(chi: ZChar, p: RootParams) -> bool:

@@ -240,9 +240,11 @@ def test_ell_zero_override_exits_parse_error(tmp_path, capsys):
     (["edge_colors", "1:0", "g", 0, 1], [True, 0.0]),
     (["edge_colors", "1:0", "g", 0, 1], [1.0, False]),
     (["edge_colors", "1:0", "g", 0, 1], ["1", 0.0]),
+    (["slices", 0], [0, "coevX"]),
+    (["slices", 0], [-1, "coevL"]),
 ], ids=["slices-number", "slice-short", "slice-number", "signs-number",
         "sign-number", "colors-list", "g-number", "g-row", "g-bool-re",
-        "g-bool-im", "g-text-re"])
+        "g-bool-im", "g-text-re", "piece-unknown", "offset-negative"])
 def test_malformed_link_structure_exits_parse_error(tmp_path, capsys, path,
                                                     value):
     f = tmp_path / "unknot.json"
@@ -296,6 +298,38 @@ def test_chebyshev_check_rejects_an_overflowing_defect(tmp_path, capsys):
     code, out = _run(capsys, ["color", str(f), "--ell", "2001"])
     assert code == 1
     assert "Chebyshev" in _one_error(out)["message"]
+
+
+_Z3S = z_candidates(3.0, root_params(3))
+
+
+@pytest.mark.parametrize("g, zs, message", [
+    ([[2, 1], [1, 1 + 1e-7 / 2]], _Z3S, "not in SL2"),
+    ([[2, 1], [1, 1 + 1e-8 / 2]], _Z3S, "not in SL2"),
+    ([[2, 1], [1, 1]], [z + 5e-8 for z in _Z3S], "Chebyshev"),
+    ([[1e200, 0], [0, 1e200]], [0, 0], "not in SL2"),
+    ([[1, 1e6], [0, 2]], _Z3S, "not in SL2"),
+], ids=["det-1e-7", "det-1e-8", "chebyshev-5e-7", "det-overflow",
+        "det-2-large-entry"])
+def test_a_color_off_the_lift_s_rules_exits_parse_error(tmp_path, capsys, g,
+                                                        zs, message):
+    # the CLI tests a color with the functions and bounds that the lift uses
+    # (quandle.in_sl2, params.cheb_holds), so a color off either is
+    # malformed input, not an exhausted gauge search or a ChebyshevMismatch
+    # (exit 2), nor a value that only some gauges lift to (exit 0).  The
+    # relation defect of z + 5e-8 passes an absolute 1e-6, but not
+    # 1e-7 * |tr g|; det 2 passes a bound scaled by the largest entry 1e6.
+    p = root_params(3)
+    assert 3e-7 < abs(p.cheb(_Z3S[0] + 5e-8) - 3.0) < 1e-6
+    f = tmp_path / "hopf.json"
+    f.write_text(json.dumps({"ell": 3, "braid": {"strands": 2, "word": [1, 1]},
+                             "colors": [{"g": g, "z": _cp(zs[0])},
+                                        {"g": g, "z": _cp(zs[-1])}]}))
+    for command in ("invariant", "color"):
+        code, out = _run(capsys, [command, str(f)])
+        assert code == 1
+        err = _one_error(out)
+        assert err["kind"] == "ParseError" and message in err["message"]
 
 
 def test_ill_conditioned_riley_trefoil_from_a_link_file(tmp_path, capsys):

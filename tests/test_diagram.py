@@ -267,15 +267,19 @@ def test_propagate_colors_fires_positive_and_negative_crossings():
 
 
 def test_propagate_colors_rejects_a_clashing_preset_color():
+    # propagation colors an uncolored braid: a preset color, clashing
+    # (B(a, b) puts b at 1:0) or not, is refused, never overwritten
     d = braid_diagram(2, [1])
-    d = d.with_colors({d.edge_at(1, 0): "c"})  # B(a, b) puts b there
-    with pytest.raises(InconsistentColoring, match="two colors"):
-        propagate_colors(d, ["a", "b"], _ToyOracle())
+    for preset in ("c", "b"):
+        with pytest.raises(InconsistentColoring, match="uncolored diagram"):
+            propagate_colors(d.with_colors({d.edge_at(1, 0): preset}),
+                             ["a", "b"], _ToyOracle())
 
 
 def test_propagate_colors_rejects_an_unreachable_crossing_input():
-    # an uncolored closure: the crossing's inputs come from cups, not the bottom
-    with pytest.raises(InconsistentColoring, match="uncolored input"):
+    # an uncolored closure: the crossing's inputs come from cups, not the
+    # bottom, and a cup is no braid slice
+    with pytest.raises(InconsistentColoring, match="slice 0 is not a crossing"):
         propagate_colors(closure(braid_diagram(2, [1])), [], _ToyOracle())
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import dataclasses
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import holoinv.braiding as braiding
+import holoinv.cli as cli
 import holoinv.invariant as invariant
 import holoinv.uqsl2 as uqsl2
 
@@ -37,8 +39,8 @@ from holoinv.errors import (
 )
 from holoinv.invariant import evaluate_F, evaluate_Fprime, gauge_fix, tilde_Fprime
 from holoinv.modtrace import modified_dim
-from holoinv.params import root_params
-from holoinv.quandle import gauge_act_matrix, propagate_qcolors, z_candidates
+from holoinv.params import TOL, root_params
+from holoinv.quandle import QColor, gauge_act_matrix, propagate_qcolors, z_candidates
 from holoinv.sl2factor import GStarElem, YColor, psi_inv, random_gstar
 from holoinv.uqsl2 import (
     ZChar,
@@ -607,6 +609,17 @@ def _nan_branch_denominator(monkeypatch, provider):
     build_cyclic_module(steinberg_char(provider.p), provider.p)
 
 
+def _nan_cli_det(monkeypatch, provider):
+    # past the parser's finiteness check, a NaN entry meets the det rule
+    monkeypatch.setattr(cli, "_cplx", complex)
+    cli._matrix([[_NAN, 0], [0, 1]])
+
+
+def _nan_cli_chebyshev(monkeypatch, provider):
+    d = unknot_diagram(QColor((1, 0, 0, 1), _NAN))
+    cli._ell(argparse.Namespace(ell=None), provider.p.ell, d)
+
+
 def _nan_series_root(monkeypatch, provider):
     V = build_cyclic_module(steinberg_char(provider.p), provider.p)
     braiding.dilog_series(V, V, _NAN, provider.p)
@@ -619,6 +632,8 @@ _NAN_GATES = {
                                  "denominator"),
     "sl2factor-det": (lambda mp, pr: psi_inv((_NAN, 0j, 0j, 1 + 0j)),
                       OutsideGPrime, "SL"),
+    "cli-det": (_nan_cli_det, ParseError, "not in SL2"),
+    "cli-chebyshev": (_nan_cli_chebyshev, ParseError, "Chebyshev"),
     "braiding-unit-det": (_nan_svd, SingularSolution, "singular"),
     "braiding-series-pole": (_nan_series_root, UnresolvableYB, "pole"),
     "braiding-stray": (_nan_coproduct(0, "E"), UnresolvableYB, r"Delta\(E\)"),
@@ -638,3 +653,27 @@ def test_each_gate_rejects_a_nan(monkeypatch, plant, error, match):
     # let the NaN through, `not value <= bound` does not
     with pytest.raises(error, match=match):
         plant(monkeypatch, BraidingProvider(root_params(4)))
+
+
+@pytest.mark.parametrize("edit, match", [
+    ("drop-crossing-input", "uncolored crossing"),
+    ("replace-crossing-output", "stored top color disagrees"),
+    ("drop-cut-edge", "cut edge has no color"),
+])
+def test_evaluation_checks_the_colors_it_is_given(providers, edit, match):
+    lifted = gauge_fix(commuting_link(4, [1, 1]))[1]
+    # the outputs of the first crossing are the inputs of the second, and
+    # the cut edge is the least one, a cup's
+    t = next(t for t, s in enumerate(lifted.slices) if s.piece == "X+")
+    mid, other = lifted.edge_at(t + 1, 0), lifted.edge_at(t + 1, 1)
+    cut = lifted.edges()[0]
+    colors = dict(lifted.edge_colors)
+    assert cut not in (mid, other)
+    assert not colors[mid].approx_eq(colors[other], 1e3 * TOL)
+    if edit == "replace-crossing-output":
+        d = lifted.with_colors({mid: colors[other]})
+    else:
+        del colors[cut if edit == "drop-cut-edge" else mid]
+        d = Diagram(lifted.bottom_signs, lifted.slices, colors)
+    with pytest.raises(InconsistentColoring, match=match):
+        evaluate_Fprime(d, providers[4])

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoinv.params import cheb_first_kind, cheb_second_kind, root_params
+from holoinv.params import (
+    cheb_first_kind,
+    cheb_first_kind_roots,
+    cheb_holds,
+    cheb_second_kind,
+    root_params,
+)
 
 from references import cheb_first_kind_coeffs
 
@@ -57,3 +63,19 @@ def test_qbracket_antisymmetry_and_zero():
 def test_ell_lower_bound():
     with pytest.raises(ValueError):
         root_params(2)
+
+
+def test_cheb_holds_is_relative_to_the_trace_and_never_raises():
+    p, nan = root_params(3), complex("nan")
+    z = cheb_first_kind_roots(3.0, p.r)[0]  # Cb_3(z) = 3 = (-1)^4 tr
+    assert cheb_holds(z, 3.0, p)
+    # the bound is TOL * 1e2 * max(1, |tr|): 3e-7 at tr 3, 0.3 at tr 3e6
+    assert not cheb_holds(z, 3.0 + 5e-7, p) and cheb_holds(z, 3.0 + 2e-7, p)
+    w = cheb_first_kind_roots(3e6, p.r)[0]
+    assert cheb_holds(w, 3e6 + 0.2, p) and not cheb_holds(w, 3e6 + 2.0, p)
+    big = complex(1.7e308, 1.7e308)  # finite parts, abs() beyond the range
+    for zz, tr in [(nan, 3.0), (z, nan), (z, big), (big, 3.0), (z, float("inf")),
+                   (2.5 + 0.1j, 3.0)]:
+        assert not cheb_holds(zz, tr, p), (zz, tr)
+    # Cb_2001(2.5 + 0.1i) overflows to NaN
+    assert not cheb_holds(2.5 + 0.1j, 3.0, root_params(2001))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from holoinv.params import root_params
-from holoinv.quandle import QColor, q_act, q_act_inv, z_candidates
+from holoinv.quandle import QColor, in_sl2, q_act, q_act_inv, z_candidates
 
 from axioms import check_quandle_axioms
 from moves import identity
@@ -123,3 +123,18 @@ def test_crossing_oracle_sideways_consistency():
         assert o.B_inv(x4, x3)[0].approx_eq(a, 1e-9)
         x3b, x2 = o.S(x4, a)
         assert x3b.approx_eq(x3, 1e-9) and x2.approx_eq(b, 1e-9)
+
+
+def test_in_sl2_is_relative_to_the_det_terms_and_never_raises():
+    big = complex(1.7e308, 1.7e308)  # finite parts, abs() beyond the range
+    nan = complex("nan")
+    assert in_sl2((2, 1, 1, 1)) and in_sl2((1e200, 0, 0, 1e-200))
+    # exact SL(2) matrices; the second's det rounds to 0 in floats
+    assert in_sl2((1e6, 1e12, 0, 1e-6)) and in_sl2((1e8 + 1, 1e8, 1e8 + 2, 1e8 + 1))
+    # |det - 1| <= TOL * max(1, |a||d| + |b||c|): 3e-9 for [[2, 1], [1, 1]]
+    assert in_sl2((2, 1, 1, 1 + 2.9e-9 / 2)) and not in_sl2((2, 1, 1, 1 + 3.1e-9 / 2))
+    # one large entry scales nothing that its determinant term does not
+    for g in [(1, 1e6, 0, 2), (1, 1e9, 0, 1e6), (1e200, 0, 0, 1e200),
+              (big, 0, 0, 1), (1, big, big, 1), (nan, 0, 0, 1),
+              (1, 0, 0, nan), (float("inf"), 0, 0, 1)]:
+        assert not in_sl2(g), g

@@ -7,8 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from holoinv.errors import DegenerateSpectrum, HoloinvError, NotAdmissible
-from holoinv.params import root_params
+from holoinv.errors import (
+    BranchInconsistent,
+    DegenerateSpectrum,
+    HoloinvError,
+    NotAdmissible,
+)
+from holoinv.params import cheb_holds, root_params
 from holoinv.quandle import z_candidates
 from holoinv.sl2factor import GStarElem, YColor, random_gstar
 from holoinv.uqsl2 import (
@@ -16,7 +21,6 @@ from holoinv.uqsl2 import (
     build_cyclic_module,
     casimir_block_structure,
     char_from_ycolor,
-    cheb_defect,
     coproduct_matrices,
     duality_tensors,
     is_admissible,
@@ -24,6 +28,7 @@ from holoinv.uqsl2 import (
     predicted_casimir_values,
     steinberg_char,
     tensor_central_scalars,
+    trace_psi,
 )
 
 from references import (
@@ -93,9 +98,9 @@ def test_module_defining_relations(ell):
                 np.abs(np.linalg.matrix_power(E, r) - chi.e_r * eye).max(),
                 np.abs(np.linalg.matrix_power(F, r) - chi.f_r * eye).max(),
                 np.abs(np.linalg.matrix_power(K, r) - chi.kappa * eye).max(),
-                np.abs(omega_matrix(V) - chi.omega * eye).max(),
-                # the character satisfies the degree-r Chebyshev compatibility
-                abs(cheb_defect(chi, p)))
+                np.abs(omega_matrix(V) - chi.omega * eye).max())
+            # the character satisfies the degree-r Chebyshev compatibility
+            assert cheb_holds(chi.omega, trace_psi(chi, p), p)
     assert max(worst.values()) <= 1e-7, worst
 
 
@@ -258,3 +263,13 @@ def test_coproduct_matrices_match_kron_bitwise(ell):
     assert all(np.array_equal(got[g], want[g]) for g in "EFK")
     a, b = V1.E[:, :2], V2.F[:1]
     assert np.array_equal(kron(a, b), np.kron(a, b))
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_f_r_zero_needs_a_root_k_matching_the_casimir(ell):
+    # with f_r = 0 the branch k must give omega = (-1)^(l-1) (k + 1/k), and
+    # no root k of k^r = (-1)^(r-1) 2 gives 0.3
+    chi = ZChar(2, 0, 0, 0.3)
+    assert is_admissible(chi, root_params(ell))
+    with pytest.raises(BranchInconsistent, match="no root k matches"):
+        build_cyclic_module(chi, root_params(ell))
