@@ -10,11 +10,12 @@ relabeling of the output grid that matches the Delta(K) weights, and s_n
 the cyclic quantum dilogarithm series, whose root is read off the K
 weights.  `rmatrix_braiding` builds the series and fixes D by a recurrence
 along the (i, j) grid of V1 (x) V2, up to one scalar; every intertwining
-equation must then hold.  A pair with a Steinberg factor has root 1: the
-truncated quantum exponential.  Each pair resolves on its own, and every
-braiding passes a sideways-invertibility check.  The overall scale of each
-braiding is then fixed by det(c) = 1 via the principal root, which leaves
-exactly the r^2-th root-of-unity ambiguity the theory predicts; all
+equation must then hold, solved on one r x r block per weight class i + j
+mod r, which E^n (x) F^n keeps.  A pair with a Steinberg factor has root 1:
+the truncated quantum exponential.  Each pair resolves on its own, and
+every braiding passes a sideways-invertibility check.  The overall scale of
+each braiding is then fixed by det(c) = 1 via the principal root, which
+leaves exactly the r^2-th root-of-unity ambiguity the theory predicts; all
 scalar-level statements are therefore made modulo that group, through
 ModScalar.
 
@@ -27,6 +28,8 @@ tests use `block_braiding` as the reference for every braiding.
 
 from __future__ import annotations
 
+import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +50,9 @@ from .uqsl2 import (
     build_cyclic_module,
     casimir_block_structure,
     char_from_ycolor,
-    coproduct_matrices,
+    coproduct_blocks,
     duality_tensors,
-    kron,
+    weight_classes,
 )
 
 
@@ -77,15 +80,16 @@ def pair_defined(chi1: ZChar, chi2: ZChar, p: RootParams) -> bool:
     return abs(w) > TOL
 
 
-def _unit_det(c: np.ndarray) -> complex:
-    """The scale 1 / det(c)^(1/n), with the principal root, that gives c unit
-    determinant; from the log-determinant so that a determinant beyond the
-    float range neither under- nor overflows."""
-    sv = np.linalg.svd(c, compute_uv=False)
-    if not sv[-1] > TOL * max(1.0, sv[0]):
+def _unit_det(blocks: np.ndarray, sign: complex = 1.0) -> complex:
+    """The scale 1 / det(c)^(1/n), principal root, giving c unit determinant,
+    for c a row permutation of sign `sign` of the block-diagonal matrix with
+    these blocks: their singular values and summed log-determinants."""
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    if not sv.min() > TOL * max(1.0, sv.max()):
         raise SingularSolution("braiding matrix is singular")
-    sign, logdet = np.linalg.slogdet(c)
-    return np.exp(-(logdet + 1j * np.angle(sign)) / c.shape[0])
+    signs, logdets = np.linalg.slogdet(blocks)
+    n = blocks.shape[0] * blocks.shape[-1]  # the size of c
+    return cmath.exp(-(logdets.sum() + 1j * cmath.phase(sign * signs.prod())) / n)
 
 
 @dataclass
@@ -211,30 +215,56 @@ def equal_mod_roots(a: np.ndarray, b: np.ndarray, r: int,
 
 # --- R-matrix-form braidings ------------------------------------------------
 
+@functools.cache
+def _layout(r: int) -> tuple:
+    """Read-only flat indices of the weight-class solve at r.  Row x of class
+    w is (x, w - x), at cls[w, x]; Delta(u) maps class w to to[u, w], and
+    E^n (x) F^n row x to row a for n = n[a, x].  The links P -> Q, class w to
+    w + 1, take a, b of their E and F equations at (P, Q) and (Q, P) from
+    stack([A, B]) at eqs; at r > 2 two of the four read 0 = 0 and are left out."""
+    i, cls = np.arange(r), weight_classes(r)
+    flip, shift = cls % r, (i[:, None] + i) % r
+    to, n = (i + np.array([[-1], [1], [0]])) % r, flip.T
+    e_at = np.ravel_multi_index((n, 0, i[:, None], i), (r, 2, r, r))  # E^n[a, x]
+    f_at = np.ravel_multi_index((n, 1, flip[:, :, None], flip[:, None, :]), (r, 2, r, r))
+    b43 = np.ravel_multi_index((np.arange(3)[:, None, None, None], shift[:, None, :, None, None],
+                                flip[to][..., None], flip[:, None, :]), (3, r, r, r))
+    out = (flip * r + shift[:, None, :])[..., None]  # [s, w, x]: V4 (x) V3 coordinate of tau P
+    c_at = np.array([out * r * r + cls[:, None], cls[..., None] * r * r + out.swapaxes(2, 3)])
+    x, j = np.divmod(np.arange(r * r - r), r - 1)
+    iP, iQ = np.concatenate([i[:-1], x]), np.concatenate([i[1:], x])
+    cP = np.concatenate([i[:-1], (x + j) % r])
+    keep = slice(None) if r == 2 else [0, 3]
+    pos = np.array([((cP + 1) % r, iP, iQ)] * 2 + [(cP, iQ, iP)] * 2)[keep].transpose(1, 0, 2)
+    gen, ab = np.array([[0], [1], [0], [1]])[keep], np.array([[1], [1], [0], [0]])[keep]
+    eqs = np.ravel_multi_index((np.array([ab, 1 - ab]), gen, *pos), (2, 3, r, r, r))
+    for v in (n, e_at, f_at, to, cls, b43, c_at, eqs):
+        v.setflags(write=False)
+    return n, e_at, f_at, to, cls, b43, eqs, c_at
+
+
 def dilog_series(V1: CyclicModule, V2: CyclicModule, rho: complex,
                  p: RootParams) -> np.ndarray:
-    """The cyclic quantum dilogarithm Sum_n s_n E^n (x) F^n on V1 (x) V2.
+    """The cyclic quantum dilogarithm Sum_n s_n E^n (x) F^n on V1 (x) V2, as
+    weight-class blocks (`_layout`): [w, a, x] maps row x of class w to row a.
 
     s_0 = 1 and s_n / s_(n-1) = [1]^2 / (xi (1 - rho xi^(-2n))), for n < r.
     rho = 1 gives the truncated quantum exponential, whose truncation is
     exact when E acts nilpotently on V1 or F on V2 (the Steinberg module).
     A root rho = xi^(2n) with 0 < n < r is a pole: UnresolvableYB.
     """
-    r, q = p.r, p.xi
-    S = np.zeros((r * r, r * r), dtype=complex)
-    En = np.eye(r, dtype=complex)
-    Fn = np.eye(r, dtype=complex)
-    coef = 1.0 + 0j
-    for n in range(r):
-        if n:
-            En = En @ V1.E
-            Fn = Fn @ V2.F
-            pole = 1 - rho * q ** (-2 * n)
-            if not abs(pole) > TOL:
-                raise UnresolvableYB(f"the series has a pole at n = {n}")
-            coef *= p.qbracket(1) ** 2 / (q * pole)
-        S += coef * kron(En, Fn)
-    return S
+    r, q, b2 = p.r, p.xi, p.qbracket(1) ** 2
+    coef, EF = [1.0 + 0j], np.array([V1.E, V2.F])
+    powers = np.empty((r, 2, r, r), dtype=complex)  # E^n and F^n
+    powers[0] = np.eye(r)
+    for n in range(1, r):
+        pole = 1 - rho * q ** (-2 * n)
+        if not abs(pole) > TOL:
+            raise UnresolvableYB(f"the series has a pole at n = {n}")
+        coef.append(coef[-1] * (b2 / (q * pole)))
+        np.matmul(powers[n - 1], EF, out=powers[n])
+    n, e_at, f_at = _layout(r)[:3]
+    return np.array(coef)[n] * (powers.reshape(-1)[e_at] * powers.reshape(-1)[f_at])
 
 
 def rmatrix_braiding(y1: YColor, y2: YColor,
@@ -247,76 +277,58 @@ def rmatrix_braiding(y1: YColor, y2: YColor,
     weights.  The series root is rho = K1[0, 0] / K3[s, s].  c intertwines
     exactly when D_o (A_u)_oo' = (B_u)_oo' D_o' for u in {E, F, K}, where
     A_u = S rho12(Delta u) S^-1 and B_u = (tau P)^-1 rho43(Delta u) tau P.
-    A_u must vanish wherever B_u does.  Delta(E), Delta(F) link grid
-    neighbours, so D follows by recurrence from D_(0, 0) = 1: down column
-    0, then along each row, every link ratio the least-squares ratio of its
-    E and F equations.  A link without a coefficient on its far end would
-    leave D free there; afterwards every structural equation, not only the
-    links, must hold.  The inverse is S^-1 D^-1 (tau P)^-1, from the same
-    factors.
+    A_u must vanish wherever B_u does.  Each is a stack of weight-class
+    blocks, and c a row permutation of the block-diagonal D S.  Delta(E),
+    Delta(F) link grid neighbours, so D follows by recurrence from D_(0, 0) =
+    1: down column 0, then along each row, every link ratio the least-squares
+    ratio of its E and F equations.  A link without a coefficient on its far
+    end would leave D free there; afterwards every structural equation, not
+    only the links, must hold.  The inverse is S^-1 D^-1 (tau P)^-1.
     """
     p, r = provider.p, provider.p.r
     if not pair_defined(provider.char(y1), provider.char(y2), p):
         raise Undefined("pair obstruction vanishes")
     y4, y3 = sl2_B(y1, y2)
     V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
-    k1, k2, k3, k4 = (np.diag(V.K) for V in (V1, V2, V3, V4))
+    k1, k2, k3, k4 = (V.K.diagonal() for V in (V1, V2, V3, V4))
     s = int(np.abs(k3 * k4[0] - k1[0] * k2[0]).argmin())
+    to, cls, b43, eqs, c_at = _layout(r)[3:]
     S = dilog_series(V1, V2, k1[0] / k3[s], p)
     S_inv = np.linalg.inv(S)
-    # grid point (i, j) of V1 (x) V2 lands on (i + s, j) of V3 (x) V4, which
-    # is coordinate j r + i + s of V4 (x) V3
-    i, j = np.divmod(np.arange(r * r), r)
-    out = j * r + (i + s) % r
-    d12, d43 = coproduct_matrices(V1, V2), coproduct_matrices(V4, V3)
-    A = np.array([S @ d12[u] @ S_inv for u in "EFK"])
-    B = np.array([d43[u][out[:, None], out] for u in "EFK"])
-    for u, a, b in zip("EFK", A, B):
-        stray = np.abs(a[b == 0]).max(initial=0.0) / np.abs(a).max()
-        if not stray <= GATE:
-            raise UnresolvableYB(f"no Cartan factor intertwines Delta({u}), "
-                                 f"residual {stray:.3e}")
-    # links P -> Q down column 0, then along the rows; x = D_Q / D_P solves
-    # a x = b for the E and F equations at (P, Q) and at (Q, P)
-    g = np.arange(r * r).reshape(r, r)
-    P = np.concatenate([g[:-1, 0], g[:, :-1].ravel()])
-    Q = np.concatenate([g[1:, 0], g[:, 1:].ravel()])
-    a = np.concatenate([B[:2, P, Q], A[:2, Q, P]])
-    b = np.concatenate([A[:2, P, Q], B[:2, Q, P]])
+    A, B = AB = np.empty((2, 3, r, r, r), dtype=complex)
+    np.matmul(S[to] @ coproduct_blocks(V1, V2), S_inv, out=A)
+    B[...] = coproduct_blocks(V4, V3).reshape(-1)[b43[s]]
+    size, nz = np.abs(A), B != 0
+    stray = np.where(nz, 0, size).max(axis=(1, 2, 3)) / size.max(axis=(1, 2, 3))
+    for u, x in zip("EFK", stray):
+        if not x <= GATE:
+            raise UnresolvableYB(f"no Cartan factor intertwines Delta({u}), residual {x:.3e}")
+    a, b = AB.reshape(-1)[eqs]
     weight = (np.abs(a) ** 2).sum(axis=0)
     if not weight.min() > 1e-16 * weight.max():
         raise UnresolvableYB("Cartan factor not unique: a grid link has no equation")
     step = (a.conj() * b).sum(axis=0) / weight
-    col = np.cumprod(np.r_[1, step[:r - 1]])
-    D = np.cumprod(np.column_stack([col, step[r - 1:].reshape(r, -1)]), axis=1).ravel()
+    col = np.cumprod(np.concatenate([[1], step[:r - 1]]))
+    D = np.cumprod(np.column_stack([col, step[r - 1:].reshape(r, -1)]), axis=1).ravel()[cls]
     # normwise per generator: an entry of B that is only rounding noise has
     # lhs and rhs of that size, and their entrywise ratio would be arbitrary
-    res = 0.0
-    for a, b in zip(A, B):
-        i, j = np.nonzero(b)
-        lhs, rhs = D[i] * a[i, j], b[i, j] * D[j]
-        size = (np.abs(lhs) + np.abs(rhs)).max()
-        res = np.maximum(res, np.abs(lhs - rhs).max() / max(size, 1e-300))
+    lhs, rhs = D[to][..., None] * A, B * D[:, None, :]
+    size = np.where(nz, np.abs(lhs) + np.abs(rhs), 0).max(axis=(1, 2, 3))
+    res = (np.where(nz, np.abs(lhs - rhs), 0).max(axis=(1, 2, 3))
+           / np.maximum(size, 1e-300)).max()
     if not res <= GATE:
         raise UnresolvableYB(f"no Cartan factor intertwines, residual {res:.3e}")
-    c, c_inv = np.empty_like(S), np.empty_like(S)
-    c[out] = D[:, None] * S
-    c_inv[:, out] = S_inv / D
-    u = _unit_det(c)
-    return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3, c=u * c, c_inv=c_inv / u)
+    DS = D[:, :, None] * S
+    u = _unit_det(DS, (-1) ** (r * (r - 1) // 2))  # tau P's: a transpose; r shifts cancel
+    c, c_inv = np.zeros((2, r * r, r * r), dtype=complex)
+    c.reshape(-1)[c_at[0, s]], c_inv.reshape(-1)[c_at[1, s]] = u * DS, S_inv / D[:, None, :] / u
+    return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3, c=c, c_inv=c_inv)
 
 
-def steinberg_pair_braiding(
-    y1: YColor, y2: YColor, provider: "BraidingProvider"
-) -> HolonomyBraiding:
-    """`rmatrix_braiding` on a pair with a Steinberg factor.  The provider
-    does not call it; it stays because perfbench/spans.py wraps this name."""
-    return rmatrix_braiding(y1, y2, provider)
+steinberg_pair_braiding = rmatrix_braiding
 
 
 def steinberg_self_braiding(provider: "BraidingProvider") -> HolonomyBraiding:
-    """`rmatrix_braiding` on (st, st); kept, like `steinberg_pair_braiding`,
-    only because perfbench/spans.py wraps this name."""
     st = steinberg_ycolor(provider.p)
     return rmatrix_braiding(st, st, provider)
 

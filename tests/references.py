@@ -7,7 +7,9 @@ own cups and caps; the lift and the crossing maps of
 `holoinv.sl2factor` on 2x2 numpy arrays, with the holonomy functor
 `q_functor` and the converters between arrays and the package's `Mat2`
 tuples; the twist and the Steinberg encirclement of the braidings, the
-dual representation and the coproduct Casimir of the modules, the
+dense R-matrix solver that the weight-class solver replaced, the
+dense coproduct, the dual representation and the coproduct Casimir of the
+modules, the
 Casimir-block views of `uqsl2.CasimirBlocks`, the product and ratio forms
 of the modified dimension, and the exact Chebyshev coefficients.
 """
@@ -22,7 +24,8 @@ import numpy as np
 from holoinv import sl2factor
 from holoinv.diagram import (ARITY, IN_SIGNS, OUT_SIGNS, Diagram, Slice, _fmt,
                              _remap_colors)
-from holoinv.braiding import BlockBraiding, BraidingProvider, ModScalar, proportionality
+from holoinv.braiding import (BlockBraiding, BraidingProvider, HolonomyBraiding, ModScalar,
+                              pair_defined, proportionality)
 from holoinv.errors import (
     InconsistentColoring,
     InternalInconsistency,
@@ -32,18 +35,15 @@ from holoinv.errors import (
     OutsideGPrime,
     ParseError,
     Singular,
+    SingularSolution,
     Undefined,
+    UnresolvableYB,
     WordMismatch,
 )
 from holoinv.params import GATE, TOL, RootParams
 from holoinv.quandle import Mat2, QColor
-from holoinv.sl2factor import GStarElem, YColor, steinberg_ycolor
-from holoinv.uqsl2 import (
-    CasimirBlocks,
-    CyclicModule,
-    casimir_matrix,
-    coproduct_matrices,
-)
+from holoinv.sl2factor import GStarElem, YColor, sl2_B, steinberg_ycolor
+from holoinv.uqsl2 import CasimirBlocks, CyclicModule
 
 from oracles import alpha
 
@@ -413,11 +413,150 @@ def assemble(bb: BlockBraiding, lambdas) -> np.ndarray:
     return sum(l * b for l, b in zip(lambdas, bb.blocks))
 
 
+# --- the dense R-matrix solver ------------------------------------------------
+# `braiding.rmatrix_braiding` as it was before it solved on weight classes:
+# every step on dense r^2 x r^2 matrices.  The class-block solver must
+# reproduce its braidings, and raise where it raises.
+
+def dense_unit_det(c: np.ndarray) -> complex:
+    """The scale 1 / det(c)^(1/n), with the principal root, that gives c unit
+    determinant; from the log-determinant so that a determinant beyond the
+    float range neither under- nor overflows."""
+    sv = np.linalg.svd(c, compute_uv=False)
+    if not sv[-1] > TOL * max(1.0, sv[0]):
+        raise SingularSolution("braiding matrix is singular")
+    sign, logdet = np.linalg.slogdet(c)
+    return np.exp(-(logdet + 1j * np.angle(sign)) / c.shape[0])
+
+
+def dense_dilog_series(V1: CyclicModule, V2: CyclicModule, rho: complex,
+                 p: RootParams) -> np.ndarray:
+    """The cyclic quantum dilogarithm Sum_n s_n E^n (x) F^n on V1 (x) V2.
+
+    s_0 = 1 and s_n / s_(n-1) = [1]^2 / (xi (1 - rho xi^(-2n))), for n < r.
+    rho = 1 gives the truncated quantum exponential, whose truncation is
+    exact when E acts nilpotently on V1 or F on V2 (the Steinberg module).
+    A root rho = xi^(2n) with 0 < n < r is a pole: UnresolvableYB.
+    """
+    r, q = p.r, p.xi
+    S = np.zeros((r * r, r * r), dtype=complex)
+    En = np.eye(r, dtype=complex)
+    Fn = np.eye(r, dtype=complex)
+    coef = 1.0 + 0j
+    for n in range(r):
+        if n:
+            En = En @ V1.E
+            Fn = Fn @ V2.F
+            pole = 1 - rho * q ** (-2 * n)
+            if not abs(pole) > TOL:
+                raise UnresolvableYB(f"the series has a pole at n = {n}")
+            coef *= p.qbracket(1) ** 2 / (q * pole)
+        S += coef * kron(En, Fn)
+    return S
+
+
+def dense_rmatrix_braiding(y1: YColor, y2: YColor,
+                     provider: "BraidingProvider") -> HolonomyBraiding:
+    """The braiding of a pair, in the R-matrix form of Kashaev-Reshetikhin.
+
+    c = tau P D S: tau is the flip, S the `dilog_series` and D a diagonal
+    Cartan factor on the (i, j) grid of V1 (x) V2, read on V3 (x) V4 after
+    the relabeling P : (i, j) -> (i + s, j) that matches the Delta(K)
+    weights.  The series root is rho = K1[0, 0] / K3[s, s].  c intertwines
+    exactly when D_o (A_u)_oo' = (B_u)_oo' D_o' for u in {E, F, K}, where
+    A_u = S rho12(Delta u) S^-1 and B_u = (tau P)^-1 rho43(Delta u) tau P.
+    A_u must vanish wherever B_u does.  Delta(E), Delta(F) link grid
+    neighbours, so D follows by recurrence from D_(0, 0) = 1: down column
+    0, then along each row, every link ratio the least-squares ratio of its
+    E and F equations.  A link without a coefficient on its far end would
+    leave D free there; afterwards every structural equation, not only the
+    links, must hold.  The inverse is S^-1 D^-1 (tau P)^-1, from the same
+    factors.
+    """
+    p, r = provider.p, provider.p.r
+    if not pair_defined(provider.char(y1), provider.char(y2), p):
+        raise Undefined("pair obstruction vanishes")
+    y4, y3 = sl2_B(y1, y2)
+    V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
+    k1, k2, k3, k4 = (np.diag(V.K) for V in (V1, V2, V3, V4))
+    s = int(np.abs(k3 * k4[0] - k1[0] * k2[0]).argmin())
+    S = dense_dilog_series(V1, V2, k1[0] / k3[s], p)
+    S_inv = np.linalg.inv(S)
+    # grid point (i, j) of V1 (x) V2 lands on (i + s, j) of V3 (x) V4, which
+    # is coordinate j r + i + s of V4 (x) V3
+    i, j = np.divmod(np.arange(r * r), r)
+    out = j * r + (i + s) % r
+    d12, d43 = coproduct_matrices(V1, V2), coproduct_matrices(V4, V3)
+    A = np.array([S @ d12[u] @ S_inv for u in "EFK"])
+    B = np.array([d43[u][out[:, None], out] for u in "EFK"])
+    for u, a, b in zip("EFK", A, B):
+        stray = np.abs(a[b == 0]).max(initial=0.0) / np.abs(a).max()
+        if not stray <= GATE:
+            raise UnresolvableYB(f"no Cartan factor intertwines Delta({u}), "
+                                 f"residual {stray:.3e}")
+    # links P -> Q down column 0, then along the rows; x = D_Q / D_P solves
+    # a x = b for the E and F equations at (P, Q) and at (Q, P)
+    g = np.arange(r * r).reshape(r, r)
+    P = np.concatenate([g[:-1, 0], g[:, :-1].ravel()])
+    Q = np.concatenate([g[1:, 0], g[:, 1:].ravel()])
+    a = np.concatenate([B[:2, P, Q], A[:2, Q, P]])
+    b = np.concatenate([A[:2, P, Q], B[:2, Q, P]])
+    weight = (np.abs(a) ** 2).sum(axis=0)
+    if not weight.min() > 1e-16 * weight.max():
+        raise UnresolvableYB("Cartan factor not unique: a grid link has no equation")
+    step = (a.conj() * b).sum(axis=0) / weight
+    col = np.cumprod(np.r_[1, step[:r - 1]])
+    D = np.cumprod(np.column_stack([col, step[r - 1:].reshape(r, -1)]), axis=1).ravel()
+    # normwise per generator: an entry of B that is only rounding noise has
+    # lhs and rhs of that size, and their entrywise ratio would be arbitrary
+    res = 0.0
+    for a, b in zip(A, B):
+        i, j = np.nonzero(b)
+        lhs, rhs = D[i] * a[i, j], b[i, j] * D[j]
+        size = (np.abs(lhs) + np.abs(rhs)).max()
+        res = np.maximum(res, np.abs(lhs - rhs).max() / max(size, 1e-300))
+    if not res <= GATE:
+        raise UnresolvableYB(f"no Cartan factor intertwines, residual {res:.3e}")
+    c, c_inv = np.empty_like(S), np.empty_like(S)
+    c[out] = D[:, None] * S
+    c_inv[:, out] = S_inv / D
+    u = dense_unit_det(c)
+    return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3, c=u * c, c_inv=c_inv / u)
+
+
 # --- modules -----------------------------------------------------------------------
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two matrices as one broadcast outer product; the
+    entries are bitwise those of np.kron."""
+    (m, n), (k, l) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * k, n * l)
+
+
+def k_inv(V: CyclicModule) -> np.ndarray:
+    return np.diag(1.0 / np.diag(V.K))
+
+
+def casimir_matrix(E: np.ndarray, F: np.ndarray, K: np.ndarray,
+                   K_inv: np.ndarray, p: RootParams) -> np.ndarray:
+    """The Casimir [1]^2 E F + K xi^(-1) + K^(-1) xi on generator matrices."""
+    return p.qbracket(1) ** 2 * E @ F + K / p.xi + K_inv * p.xi
+
+
+def coproduct_matrices(V1: CyclicModule, V2: CyclicModule) -> dict[str, np.ndarray]:
+    """The coproduct action on V1 (x) V2 as dense r^2 x r^2 kron sums."""
+    I1 = np.eye(V1.r, dtype=complex)
+    I2 = np.eye(V2.r, dtype=complex)
+    return {
+        "E": kron(I1, V2.E) + kron(V1.E, V2.K),
+        "F": kron(k_inv(V1), V2.F) + kron(V1.F, I2),
+        "K": kron(V1.K, V2.K),
+    }
+
 
 def omega_matrix(V: CyclicModule) -> np.ndarray:
     """The Casimir on a module."""
-    return casimir_matrix(V.E, V.F, V.K, V.K_inv(), V.p)
+    return casimir_matrix(V.E, V.F, V.K, k_inv(V), V.p)
 
 
 @dataclass(frozen=True)
@@ -430,7 +569,7 @@ class DualRep:
 
 
 def dual_rep(V: CyclicModule) -> DualRep:
-    Kinv = V.K_inv()
+    Kinv = k_inv(V)
     return DualRep(
         E=(-V.E @ Kinv).T,
         F=(-V.K @ V.F).T,

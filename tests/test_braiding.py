@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holoinv import braiding
+import references
+from holoinv import braiding, uqsl2
 from holoinv.braiding import (
     BraidingProvider,
     ModScalar,
@@ -36,14 +37,15 @@ from holoinv.sl2factor import GStarElem, YColor, random_gstar, steinberg_ycolor
 from holoinv.uqsl2 import (
     build_cyclic_module,
     DualityData,
-    coproduct_matrices,
     is_steinberg,
     steinberg_char,
+    weight_classes,
 )
 
 from conftest import commuting_link, riley_trefoil
-from references import (assemble, psi, qcolor, same_mod_roots, steinberg_encirclement,
-                        twist)
+from references import (assemble, coproduct_matrices, dense_dilog_series,
+                        dense_rmatrix_braiding, dense_unit_det, psi, qcolor, same_mod_roots,
+                        steinberg_encirclement, twist)
 from samplers import random_ycolor
 from yb import (_nullspace, _on_strands, flip_matrix, preflip,
                 resolve_scalars_yb)
@@ -170,7 +172,7 @@ def test_unipotent_series_truncation_is_exact():
     extra = np.kron(np.linalg.matrix_power(V0.E, p.r),
                     np.linalg.matrix_power(V0.F, p.r))
     assert np.abs(extra).max() < 1e-12
-    assert S.shape == (p.r ** 2, p.r ** 2)
+    assert S.shape == (p.r, p.r, p.r)
 
 
 def test_steinberg_encirclement_gives_r(providers):
@@ -280,8 +282,8 @@ def _steinberg(provider, y) -> bool:
 
 
 def _unit(c):
-    """c rescaled to unit determinant."""
-    return braiding._unit_det(c) * c
+    """c rescaled to unit determinant (reference)."""
+    return dense_unit_det(c) * c
 
 
 def _generic_braiding(provider, seed):
@@ -372,7 +374,7 @@ def _weight_self_braiding(provider):
     weights = [r + 1 - 2 * (i + 1) for i in range(r)]
     qh = np.exp(1j * np.pi / p.ell)  # principal square root of q
     cartan = np.diag([qh ** (wi * wj) for wi in weights for wj in weights])
-    return _unit(flip_matrix(r, r) @ cartan @ dilog_series(V, V, 1.0, p))
+    return _unit(flip_matrix(r, r) @ cartan @ dense_dilog_series(V, V, 1.0, p))
 
 
 def _block_pair_braiding(y1, y2, provider):
@@ -381,7 +383,7 @@ def _block_pair_braiding(y1, y2, provider):
     bb = braiding.block_braiding(y1, y2, provider)
     r = provider.p.r
     V1, V2 = provider.module(y1), provider.module(y2)
-    S_inv = np.linalg.inv(dilog_series(V1, V2, 1.0, provider.p))
+    S_inv = np.linalg.inv(dense_dilog_series(V1, V2, 1.0, provider.p))
     tau = flip_matrix(r, r)
     off = ~np.eye(r * r, dtype=bool)
     ns = _nullspace(
@@ -438,24 +440,23 @@ def test_steinberg_pair_matches_block_oracle(ell):
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_steinberg_solver_rejects_a_broken_coproduct(ell, monkeypatch):
-    # Delta_43(E) with one structural nonzero dropped: that equation on D
-    # is gone, so the check that A_u vanishes wherever B_u does rejects it
+    # Delta_43(E) with one structural nonzero of its class blocks dropped:
+    # that equation on D is gone, so the check that A_u vanishes wherever
+    # B_u does rejects it
     provider = BraidingProvider(root_params(ell))
     st = steinberg_ycolor(provider.p)
     y = _steinberg_partners(provider, 1, seed=170 + ell)[0]
     hb = provider.braiding(y, st)
     V4, V3 = provider.module(hb.y4), provider.module(hb.y3)
-    real = braiding.coproduct_matrices
+    real = braiding.coproduct_blocks
 
     def broken(V1, V2):
         d = real(V1, V2)
         if V1 is V4 and V2 is V3:
-            E = d["E"].copy()
-            E[tuple(np.argwhere(E)[0])] = 0.0
-            d = {**d, "E": E}
+            d[(0, *np.argwhere(d[0])[0])] = 0.0
         return d
 
-    monkeypatch.setattr(braiding, "coproduct_matrices", broken)
+    monkeypatch.setattr(braiding, "coproduct_blocks", broken)
     with pytest.raises(UnresolvableYB):
         braiding.steinberg_pair_braiding(y, st, provider)
 
@@ -463,27 +464,26 @@ def test_steinberg_solver_rejects_a_broken_coproduct(ell, monkeypatch):
 @pytest.mark.parametrize("ell", [3, 4, 5])
 def test_steinberg_solver_checks_every_cartan_equation(ell, monkeypatch):
     # Delta_43(E) with one structural nonzero scaled by 1.5 on a link that
-    # the recurrence does not walk: the coordinate a r + b of V4 (x) V3 is
-    # the grid point (b - s, a) after the flip and the relabeling, and an
-    # entry of 1 (x) E with a >= 1 links two rows of grid column a >= 1.
+    # the recurrence does not walk: the diagonal entry [w, a, a] of its
+    # class blocks is 1 (x) E at V4 index a, the coordinate (a, b) of
+    # V4 (x) V3 is the grid point (b - s, a) after the flip and the
+    # relabeling, so with a >= 1 it links two rows of grid column a >= 1.
     # Only the residual of every equation, not the links alone, sees it.
     provider = BraidingProvider(root_params(ell))
-    r, st = provider.p.r, steinberg_ycolor(provider.p)
+    st = steinberg_ycolor(provider.p)
     y = _steinberg_partners(provider, 1, seed=175 + ell)[0]
     hb = provider.braiding(y, st)
     V4, V3 = provider.module(hb.y4), provider.module(hb.y3)
-    real = braiding.coproduct_matrices
+    real = braiding.coproduct_blocks
 
     def skewed(V1, V2):
         d = real(V1, V2)
         if V1 is V4 and V2 is V3:
-            E = d["E"].copy()
-            x, z = next((x, z) for x, z in np.argwhere(E) if x // r == z // r >= 1)
-            E[x, z] *= 1.5
-            d = {**d, "E": E}
+            w, a = next((w, a) for w, a, b in np.argwhere(d[0]) if a == b >= 1)
+            d[0, w, a, a] *= 1.5
         return d
 
-    monkeypatch.setattr(braiding, "coproduct_matrices", skewed)
+    monkeypatch.setattr(braiding, "coproduct_blocks", skewed)
     with pytest.raises(UnresolvableYB, match="residual"):
         braiding.steinberg_pair_braiding(y, st, provider)
 
@@ -511,9 +511,11 @@ def test_steinberg_check_is_normwise_on_the_riley_trefoil(ell):
 
 
 def test_unit_det_survives_an_underflowing_determinant():
-    # det(1e-3 I) = 1e-363 underflows to 0; its logarithm does not
-    got = _unit(1e-3 * np.eye(121))
-    assert np.abs(got - np.eye(121)).max() < 1e-12
+    # eleven blocks 1e-3 I of size 11: the product of their determinants,
+    # 1e-363, underflows to 0; the sum of their logarithms does not
+    blocks = np.tile(1e-3 * np.eye(11, dtype=complex), (11, 1, 1))
+    got = braiding._unit_det(blocks) * blocks
+    assert np.abs(got - np.eye(11)).max() < 1e-12
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
@@ -540,7 +542,8 @@ def _random_module(provider, rng):
 @pytest.mark.parametrize("ell", [3, 5])
 def test_unipotent_series_matches_kron_bitwise(ell):
     # the series as it was written with np.kron (reference), at the root
-    # rho = 1 of a Steinberg pair and at a generic root
+    # rho = 1 of a Steinberg pair and at a generic root; its class blocks,
+    # scattered to the r^2 x r^2 grid, are bitwise the kron sum
     p = root_params(ell)
     provider = BraidingProvider(p)
     rng = np.random.default_rng(170 + ell)
@@ -557,7 +560,10 @@ def test_unipotent_series_matches_kron_bitwise(ell):
                 En, Fn = En @ V1.E, Fn @ V2.F
                 coef *= p.qbracket(1) ** 2 / (q * (1 - rho * q ** (-2 * n)))
             want += coef * np.kron(En, Fn)
-        assert np.array_equal(dilog_series(V1, V2, rho, p), want)
+        got = np.zeros_like(want)
+        cls = weight_classes(r)
+        got[cls[:, :, None], cls[:, None, :]] = dilog_series(V1, V2, rho, p)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 7])
@@ -694,3 +700,81 @@ def test_braid_relation_holds_on_the_cold_corpus(seed, tmp_path, monkeypatch):
         links.append(load_link(str(path))[1])
     provider = BraidingProvider(root_params(5))
     _assert_references_hold(provider, _generic_pairs(provider, links))
+
+
+# --- the weight-class solve against the dense one ----------------------------
+
+def _outcome(solve, pair, provider):
+    """A braiding, or the class of the HoloinvError its solve raised."""
+    try:
+        return solve(*pair, provider)
+    except HoloinvError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("ell", range(3, 12))
+def test_class_block_solver_matches_the_dense_reference(ell, monkeypatch):
+    # the pairs of Riley's trefoil in the identity gauge and in one random
+    # gauge, and pairs with a Steinberg factor: c and c^-1 equal the dense
+    # solver's modulo roots, or both solvers raise the same error class; at
+    # every planted root rho xi^(2m) both raise the same error class
+    p = root_params(ell)
+    provider = BraidingProvider(p)
+    d = riley_trefoil(ell, seed=ell, conjugate=False)
+    rng = np.random.default_rng(250 + ell)
+    for link in (d, gauge_act_matrix(random_gstar(rng).phi_plus(), d)):
+        tilde_Fprime(link, provider, max_gauge=1)
+    st = steinberg_ycolor(p)
+    generic = [(hb.y1, hb.y2) for hb in provider._braidings.values()]
+    pairs = generic + [(st, st)] + [q for y1, y2 in generic for q in ((y1, st), (st, y2))]
+    for pair in pairs:
+        got = _outcome(braiding.rmatrix_braiding, pair, provider)
+        want = _outcome(dense_rmatrix_braiding, pair, provider)
+        if isinstance(want, type):
+            assert got is want, pair
+            continue
+        for a, b in ((got.c, want.c), (got.c_inv, want.c_inv)):
+            ok, _, res = equal_mod_roots(a, b, p.r, 1e-12)
+            assert ok, res
+    real, dense = braiding.dilog_series, references.dense_dilog_series
+    for m in range(1, p.r):
+        root = p.xi ** (2 * m)
+        monkeypatch.setattr(braiding, "dilog_series",
+                            lambda V1, V2, rho, p: real(V1, V2, rho * root, p))
+        monkeypatch.setattr(references, "dense_dilog_series",
+                            lambda V1, V2, rho, p: dense(V1, V2, rho * root, p))
+        for pair in (generic[0], (generic[0][0], st)):
+            got = _outcome(braiding.rmatrix_braiding, pair, provider)
+            want = _outcome(dense_rmatrix_braiding, pair, provider)
+            assert isinstance(want, type) and got is want, (m, want, got)
+
+
+def test_resolution_calls_linear_algebra_on_class_blocks_only(monkeypatch):
+    # the O(r^4) guard: resolving a generic and a Steinberg pair at ell 11,
+    # sideways check included, hands np.linalg no array wider than r x r,
+    # and runs no kron: numpy's, the dense reference's, or one in the package
+    p = root_params(11)
+    r, st = p.r, steinberg_ycolor(p)
+    hb = _generic_braiding(BraidingProvider(p), seed=260)
+    y = _steinberg_partners(BraidingProvider(p), 1, seed=261)[0]
+    calls = []
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            def recording(*args, _fn=fn, _name=name, **kwargs):
+                calls.extend((_name, a.shape) for a in args
+                             if isinstance(a, np.ndarray) and a.ndim >= 2)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+
+    def forbidden(*args):
+        raise AssertionError("kron during a resolution")
+
+    for owner in (np, references, braiding, uqsl2):
+        monkeypatch.setattr(owner, "kron", forbidden, raising=False)
+    fresh = BraidingProvider(p)
+    fresh.braiding(hb.y1, hb.y2)
+    fresh.braiding(y, st)
+    assert {"inv", "svd", "slogdet"} <= {name for name, _ in calls}
+    assert all(shape[-2] <= r and shape[-1] <= r for _, shape in calls), calls

@@ -489,6 +489,26 @@ def test_hopf_at_large_ell_is_gauge_independent(ell, style):
     assert _log_phase_gap(*values) <= 1e-6
 
 
+@pytest.mark.parametrize("ell", [9, 11, 13])
+def test_riley_trefoil_at_large_ell_is_gauge_independent(ell):
+    # the non-abelian counterpart of the Hopf test above: Riley's trefoil
+    # with m = e^(0.3+0.7i) in the identity gauge and in two random gauges.
+    # Regression pin: the trefoil's |v| is the constant r^(3/2)
+    m = np.exp(0.3 + 0.7j)
+    x = np.array([[m, 1], [0, 1 / m]])
+    y = np.array([[m, 0], [1 - m**2 - m**-2, 1 / m]])
+    p = root_params(ell)
+    z = z_candidates(m + 1 / m, p)[0]
+    d = closure(propagate_qcolors(braid_diagram(2, [1, 1, 1]), [qcolor(x, z), qcolor(y, z)]))
+    rng = np.random.default_rng(240 + ell)
+    values = [tilde_Fprime(d, BraidingProvider(p), max_gauge=1).value]
+    values += [tilde_Fprime(gauge_act_matrix(random_gstar(rng).phi_plus(), d),
+                            BraidingProvider(p)).value for _ in range(2)]
+    assert all(_log_phase_gap(v, values[0]) <= 1e-8 for v in values[1:])
+    r2 = p.r * p.r
+    assert abs(r2 * math.log(abs(values[0].value)) - 1.5 * r2 * math.log(p.r)) <= 1e-6
+
+
 @pytest.mark.parametrize("ell", range(3, 8))
 def test_diagonal_closures_resolve_in_the_identity_gauge(ell):
     # g = diag(lam, 1/lam) lifts to (lam, 0, 0): E and F act nilpotently,
@@ -570,22 +590,21 @@ _NAN = complex("nan")
 
 
 def _nan_coproduct(call, keys):
-    """Braid a generic pair with the generators `keys` of the `call`-th
-    coproduct that rmatrix_braiding builds all NaN: call 0 is V1 (x) V2,
-    call 1 is V4 (x) V3."""
+    """Braid a generic pair with the class blocks of the generators `keys`
+    of the `call`-th coproduct that rmatrix_braiding builds all NaN: call 0
+    is V1 (x) V2, call 1 is V4 (x) V3."""
 
     def plant(monkeypatch, provider):
-        real, calls = braiding.coproduct_matrices, []
+        real, calls = braiding.coproduct_blocks, []
 
         def planted(V1, V2):
             calls.append(V1)
             d = real(V1, V2)
-            if len(calls) - 1 != call:
-                return d
-            return {u: np.full_like(m, np.nan) if u in keys else m
-                    for u, m in d.items()}
+            if len(calls) - 1 == call:
+                d[["EFK".index(u) for u in keys]] = np.nan
+            return d
 
-        monkeypatch.setattr(braiding, "coproduct_matrices", planted)
+        monkeypatch.setattr(braiding, "coproduct_blocks", planted)
         rng = np.random.default_rng(11)
         y1, y2 = random_ycolor(rng, provider.p), random_ycolor(rng, provider.p)
         braiding.rmatrix_braiding(y1, y2, provider)
@@ -594,8 +613,8 @@ def _nan_coproduct(call, keys):
 
 
 def _nan_svd(monkeypatch, provider):
-    monkeypatch.setattr(np.linalg, "svd", lambda c, compute_uv: np.full(2, np.nan))
-    braiding._unit_det(np.eye(2, dtype=complex))
+    monkeypatch.setattr(np.linalg, "svd", lambda c, compute_uv: np.full((1, 2), np.nan))
+    braiding._unit_det(np.eye(2, dtype=complex)[None])
 
 
 def _nan_contraction(monkeypatch, provider):

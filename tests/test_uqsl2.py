@@ -21,21 +21,24 @@ from holoinv.uqsl2 import (
     build_cyclic_module,
     casimir_block_structure,
     char_from_ycolor,
-    coproduct_matrices,
+    coproduct_blocks,
     duality_tensors,
     is_admissible,
-    kron,
     predicted_casimir_values,
     steinberg_char,
     tensor_central_scalars,
     trace_psi,
+    weight_classes,
 )
 
 from references import (
     block_bases,
     block_cobases,
     coproduct_casimir,
+    coproduct_matrices,
     dual_rep,
+    k_inv,
+    kron,
     omega_matrix,
     psi,
 )
@@ -88,7 +91,7 @@ def test_module_defining_relations(ell):
     worst = dict.fromkeys(branches, 0.0)
     for branch, mods in branches.items():
         for V in mods:
-            E, F, K, Ki = V.E, V.F, V.K, V.K_inv()
+            E, F, K, Ki = V.E, V.F, V.K, k_inv(V)
             chi = V.chi
             worst[branch] = max(
                 worst[branch],
@@ -252,15 +255,23 @@ def test_graded_spectrum_raises_in_graded_terms():
         casimir_block_structure(off, V2)
 
 
-@pytest.mark.parametrize("ell", [3, 5])
+@pytest.mark.parametrize("ell", [3, 4, 5])
 def test_coproduct_matrices_match_kron_bitwise(ell):
+    # the dense reference, and the program's weight-class blocks scattered
+    # to the r^2 x r^2 grid, are both bitwise the np.kron sums
     p, (V1, V2) = _sample_modules(ell, 2, seed=60 + ell)
-    I = np.eye(p.r, dtype=complex)
+    r = p.r
+    I = np.eye(r, dtype=complex)
     want = {"E": np.kron(I, V2.E) + np.kron(V1.E, V2.K),
-            "F": np.kron(V1.K_inv(), V2.F) + np.kron(V1.F, I),
+            "F": np.kron(k_inv(V1), V2.F) + np.kron(V1.F, I),
             "K": np.kron(V1.K, V2.K)}
     got = coproduct_matrices(V1, V2)
     assert all(np.array_equal(got[g], want[g]) for g in "EFK")
+    cls = weight_classes(r)
+    for g, shift, blocks in zip("EFK", (-1, 1, 0), coproduct_blocks(V1, V2)):
+        dense = np.zeros_like(want[g])
+        dense[cls[(np.arange(r) + shift) % r][:, :, None], cls[:, None, :]] = blocks
+        assert np.array_equal(dense, want[g]), g
     a, b = V1.E[:, :2], V2.F[:1]
     assert np.array_equal(kron(a, b), np.kron(a, b))
 

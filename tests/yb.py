@@ -15,7 +15,8 @@ from holoinv.braiding import equal_mod_roots
 from holoinv.errors import Undefined, UnresolvableYB
 from holoinv.params import GATE
 from holoinv.sl2factor import YColor, sl2_B, steinberg_ycolor
-from holoinv.uqsl2 import kron
+
+from references import kron
 
 
 def flip_matrix(m: int, n: int) -> np.ndarray:
