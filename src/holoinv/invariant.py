@@ -81,8 +81,10 @@ def _contract(tensors: list, open_labels: list) -> np.ndarray:
     """Contract (array, labels) nodes, every axis of size r, in pairs.
 
     A label on two nodes is summed over, one on a single node stays open.
-    Each step tensordots the pair sharing labels whose result has the fewest
-    axes; disconnected parts are joined by outer products in the end.
+    Each step joins the pair sharing labels whose result has the fewest
+    axes, by the transposes, reshapes and one `np.dot` that `np.tensordot`
+    would make, so bit for bit its result without its per-call checks.
+    Disconnected parts are joined by outer products in the end.
     """
     live = dict(enumerate(tensors))
     where: dict = {}  # label -> ids of the live nodes carrying it
@@ -99,13 +101,20 @@ def _contract(tensors: list, open_labels: list) -> np.ndarray:
             continue  # stale: one of the pair was merged already
         (a, la), (b, lb) = live.pop(i), live.pop(j)
         shared = [x for x in la if x in lb]
-        lc = [x for x in la + lb if x not in shared]
+        fa, fb = [x for x in la if x not in shared], [x for x in lb if x not in shared]
+        lc, r = fa + fb, a.shape[0]
         k += 1
-        live[k] = (np.tensordot(a, b, axes=([la.index(x) for x in shared],
-                                            [lb.index(x) for x in shared])), lc)
+        live[k] = (np.dot(
+            a.transpose([la.index(x) for x in fa + shared]).reshape(r ** len(fa), -1),
+            b.transpose([lb.index(x) for x in shared + fb]).reshape(-1, r ** len(fb)),
+        ).reshape((r,) * len(lc)), lc)
+        links: dict = {}  # live node -> how many labels it shares with k
         for x in lc:
             where[x] = [k if q in (i, j) else q for q in where[x]]
-        for q, m in Counter(q for x in lc for q in where[x] if q != k).items():
+            for q in where[x]:
+                if q != k:
+                    links[q] = links.get(q, 0) + 1
+        for q, m in links.items():
             heapq.heappush(heap, (len(lc) + len(live[q][1]) - 2 * m, q, k))
     out, labels = np.ones((), dtype=complex), []
     for a, la in live.values():

@@ -93,7 +93,6 @@ class CyclicModule:
     """An r-dimensional module with explicit generator matrices."""
 
     chi: ZChar
-    k: complex
     E: np.ndarray
     F: np.ndarray
     K: np.ndarray
@@ -162,7 +161,7 @@ def build_cyclic_module(chi: ZChar, p: RootParams) -> CyclicModule:
             - p.sign_ell * (k * xi ** (-i) - xi ** i / k) * p.qbracket(i) / br1 ** 2
         )
     E[r - 1, 0] = eps_p
-    return CyclicModule(chi=chi, k=k, E=E, F=F, K=K, p=p)
+    return CyclicModule(chi=chi, E=E, F=F, K=K, p=p)
 
 
 @dataclass(frozen=True)

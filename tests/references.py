@@ -3,8 +3,10 @@
 None of these runs in the pipeline.  They are the second computations that
 the tests hold the program against: the edge ids of a slice diagram by
 union-find over its ports; a braid closure and an edge cut, each with its
-own cups and caps; the lift and the crossing maps of
-`holoinv.sl2factor` on 2x2 numpy arrays, with the holonomy functor
+own cups and caps; the greedy contraction of a labelled tensor network by
+heap and `np.tensordot`, whose every step `holoinv.invariant` runs as one
+`np.dot`; the lift and the crossing maps of `holoinv.sl2factor` on 2x2
+numpy arrays, with the holonomy functor
 `q_functor` and the converters between arrays and the package's `Mat2`
 tuples; the twist and the Steinberg encirclement of the braidings, the
 dense R-matrix solver that the weight-class solver replaced, the
@@ -16,6 +18,8 @@ of the modified dimension, and the exact Chebyshev coefficients.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -201,6 +205,46 @@ def slice_cut_edge(d: Diagram, e: Optional[str] = None) -> Diagram:
     below, above = len(pre) + d.n_slices - t, len(pre) - t
     return _remap_colors(new, [(d, lambda q: (
         q[0] + (above if q[0] >= t else below), q[1] + m))])
+
+
+# --- the network contraction by np.tensordot -------------------------------------
+# `invariant._contract`'s heap order over the live nodes, each step one
+# `np.tensordot`, which `_contract` unfolds into its transposes and `np.dot`.
+
+def tensordot_contract(tensors: list, open_labels: list) -> np.ndarray:
+    """Contract (array, labels) nodes, every axis of size r, in pairs.
+
+    A label on two nodes is summed over, one on a single node stays open.
+    Each step tensordots the pair sharing labels whose result has the fewest
+    axes; disconnected parts are joined by outer products in the end.
+    """
+    live = dict(enumerate(tensors))
+    where: dict = {}  # label -> ids of the live nodes carrying it
+    for i, (_, ls) in enumerate(tensors):
+        for x in ls:
+            where.setdefault(x, []).append(i)
+    heap = [(len(live[i][1]) + len(live[j][1]) - 2 * m, i, j) for (i, j), m
+            in Counter(tuple(w) for w in where.values() if len(w) == 2).items()]
+    heapq.heapify(heap)
+    k = len(tensors)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if i not in live or j not in live:
+            continue  # stale: one of the pair was merged already
+        (a, la), (b, lb) = live.pop(i), live.pop(j)
+        shared = [x for x in la if x in lb]
+        lc = [x for x in la + lb if x not in shared]
+        k += 1
+        live[k] = (np.tensordot(a, b, axes=([la.index(x) for x in shared],
+                                            [lb.index(x) for x in shared])), lc)
+        for x in lc:
+            where[x] = [k if q in (i, j) else q for q in where[x]]
+        for q, m in Counter(q for x in lc for q in where[x] if q != k).items():
+            heapq.heappush(heap, (len(lc) + len(live[q][1]) - 2 * m, q, k))
+    out, labels = np.ones((), dtype=complex), []
+    for a, la in live.values():
+        out, labels = np.tensordot(out, a, axes=0), labels + la
+    return out.transpose([labels.index(x) for x in open_labels])
 
 
 # --- the lift on 2x2 arrays ------------------------------------------------------

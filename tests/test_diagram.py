@@ -238,6 +238,23 @@ def test_closure_compares_only_colors_of_different_edges():
         closure(bd.with_colors({e: one if e in top else nan for e in bd.edges()}))
 
 
+def test_closure_seam_keeps_the_top_ports_color():
+    # where a seam joins two approx-equal colors, the closed edge takes the
+    # top port's color object; a conflicting seam raises on every call
+    bd = braid_diagram(2, [1])
+    top = {bd.edge_at(bd.n_slices, i) for i in range(2)}
+    one = qcolor(np.eye(2), 0.0)
+    near = qcolor(np.eye(2) + 1e-12, 0.0)  # approx-equal, another object
+    nan = qcolor([[np.nan, 0], [0, 1]], 0.0)
+    for below, above in ((one, near), (near, one)):
+        cl = closure(bd.with_colors({e: above if e in top else below
+                                     for e in bd.edges()}))
+        assert cl.edges() and all(c is above for c in cl.edge_colors.values())
+    for _ in range(2):
+        with pytest.raises(InconsistentColoring, match="conflicting"):
+            closure(bd.with_colors({e: one if e in top else nan for e in bd.edges()}))
+
+
 @pytest.mark.parametrize("link", ["commuting", "trefoil"])
 def test_warm_evaluation_builds_one_structure(link, monkeypatch):
     # the gauge move, the lift and its round trip recolor the link's diagram;

@@ -59,7 +59,7 @@ from conftest import (
 )
 from moves import RMove, apply_rmove, compose, identity, tensor
 from oracles import FactorizationOracle
-from references import arr, inv2, q_functor, qcolor, same_mod_roots, tup
+from references import arr, inv2, q_functor, qcolor, same_mod_roots, tensordot_contract, tup
 from samplers import gauge_orbit_compare, random_sl2, random_ycolor
 
 
@@ -348,33 +348,38 @@ def _closures(ell):
             gauge_fix(riley_trefoil(ell, seed=ell))[1]]
 
 
-def test_contraction_matches_sweep_on_open_diagrams(providers):
-    provider = providers[4]
+def _open_diagrams(provider):
+    """Zero-slice diagrams (the empty one and an identity), a braid whose
+    strand 0 no slice touches, and two disconnected ones."""
     rng = np.random.default_rng(3)
     y = random_ycolor(rng, provider.p)
-    # zero-slice diagrams: the empty one and identities
-    _assert_matches_sweep(Diagram([], []), provider)
-    _assert_matches_sweep(identity([(y, "+"), (y, "-"), (y, "+")]), provider)
-    # strand 0 is touched by no slice
     d = _colored_braid(4, [2, -2, 2], 8)
     assert all(sl.offset == 1 for sl in d.slices)
-    _assert_matches_sweep(d, provider)
-    # disconnected parts
     d1, d2 = _colored_braid(4, [1], 5), _colored_braid(4, [-1, 1], 6)
-    _assert_matches_sweep(tensor(d1, d2), provider)
-    _assert_matches_sweep(tensor(d1, identity([(y, "-")])), provider)
+    return [Diagram([], []), identity([(y, "+"), (y, "-"), (y, "+")]), d,
+            tensor(d1, d2), tensor(d1, identity([(y, "-")]))]
+
+
+def _split_union(providers):
+    """A link and a loop whose quantum dimension vanishes, side by side,
+    and the scale of the link's terms."""
+    link, provider = _y_link(providers, 4, [1, 1], 9)
+    u, _ = _y_unknot(provider, 31)
+    return tensor(link, u), np.linalg.norm(evaluate_F(cut_edge(link), provider))
+
+
+def test_contraction_matches_sweep_on_open_diagrams(providers):
+    for d in _open_diagrams(providers[4]):
+        _assert_matches_sweep(d, providers[4])
 
 
 def test_contraction_matches_sweep_on_split_union(providers):
     # the loop's quantum dimension vanishes, so every evaluation of the
     # union is rounding noise; it is held to the scale of the link's terms
-    link, provider = _y_link(providers, 4, [1, 1], 9)
-    u, _ = _y_unknot(provider, 31)
-    both = tensor(link, u)
-    scale = np.linalg.norm(evaluate_F(cut_edge(link), provider))
-    _assert_matches_sweep(both, provider, scale)
+    both, scale = _split_union(providers)
+    _assert_matches_sweep(both, providers[4], scale)
     for e in both.edges():
-        _assert_matches_sweep(cut_edge(both, e), provider, scale)
+        _assert_matches_sweep(cut_edge(both, e), providers[4], scale)
 
 
 def test_contraction_matches_sweep_on_every_cut(wide_providers):
@@ -385,28 +390,63 @@ def test_contraction_matches_sweep_on_every_cut(wide_providers):
                 _assert_matches_sweep(cut_edge(link, e), provider)
 
 
+def _assert_contraction_is_bitwise(d, provider):
+    """`evaluate_F`'s contraction gives, bit for bit, what the same heap
+    order makes of its network with `np.tensordot` at every step."""
+    contract, seen = invariant._contract, []
+
+    def capturing(tensors, open_labels):
+        seen.append((list(tensors), list(open_labels)))
+        return contract(tensors, open_labels)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariant, "_contract", capturing)
+        got = evaluate_F(d, provider)
+    (tensors, open_labels), = seen
+    want = tensordot_contract(tensors, open_labels)
+    assert np.array_equal(got, want.reshape(got.shape))
+
+
+def test_contraction_matches_the_tensordot_reference_bitwise(wide_providers):
+    for d in _open_diagrams(wide_providers[4]):
+        _assert_contraction_is_bitwise(d, wide_providers[4])
+    both, _ = _split_union(wide_providers)
+    for d in [both] + [cut_edge(both, e) for e in both.edges()]:
+        _assert_contraction_is_bitwise(d, wide_providers[4])
+    for ell in (3, 4, 5, 7):
+        for link in _closures(ell):
+            for e in link.edges():
+                _assert_contraction_is_bitwise(cut_edge(link, e), wide_providers[ell])
+
+
 def test_contraction_intermediates_stay_at_r4(wide_providers, monkeypatch):
-    # the sweep holds r^(width + 1) entries, r^8 on a width-7 cut
+    # the sweep holds r^(width + 1) entries, r^8 on a width-7 cut.  Every
+    # product the contraction forms, a pair's `np.dot` or the outer product
+    # of the parts left, takes and gives arrays of at most r^4 entries
     provider = wide_providers[5]
     r = provider.p.r
-    sizes = []
-    tensordot = np.tensordot
+    tangles = [cut_edge(link, e) for link in _closures(5) for e in link.edges()]
+    for tangle in tangles:
+        evaluate_F(tangle, provider)  # resolves every braiding
+    sizes = {}
 
-    def recording(*args, **kwargs):
-        out = tensordot(*args, **kwargs)
-        sizes.append(out.size)
-        return out
+    def recording(name):
+        product = getattr(np, name)
 
-    monkeypatch.setattr(invariant.np, "tensordot", recording)
-    widths = set()
-    for link in _closures(5):
-        for e in link.edges():
-            tangle = cut_edge(link, e)
-            widths.add(tangle.max_width())
-            sizes.clear()
-            evaluate_F(tangle, provider)
-            assert sizes and max(sizes) <= r ** 4, (e, max(sizes))
-    assert max(widths) == 7
+        def run(*args, **kwargs):
+            out = product(*args, **kwargs)
+            sizes.setdefault(name, []).append(max(np.size(x) for x in (*args[:2], out)))
+            return out
+        return run
+
+    for name in ("dot", "tensordot"):
+        monkeypatch.setattr(invariant.np, name, recording(name))
+    for tangle in tangles:
+        sizes.clear()
+        evaluate_F(tangle, provider)
+        assert sizes["dot"] and sizes["tensordot"], tangle
+        assert max(max(v) for v in sizes.values()) <= r ** 4, (tangle, sizes)
+    assert max(t.max_width() for t in tangles) == 7
 
 
 def test_non_scalar_cut_tangle_raises(providers, monkeypatch):
