@@ -4,20 +4,17 @@ A braiding here is an isomorphism c : V1 (x) V2 -> V4 (x) V3 whose target
 colors are the biquandle images (chi4, chi3) = B(chi1, chi2), intertwining
 the coproduct action: c rho12(Delta u) = rho43(Delta u) c for u in {E, F, K}.
 
-Every braiding has the R-matrix form of Kashaev-Reshetikhin: tau^-1 c =
-D Sum_n s_n E1^n (x) F2^n, with tau the flip, D diagonal after a cyclic
-relabeling of the output grid that matches the Delta(K) weights, and s_n
-the cyclic quantum dilogarithm series, whose root is read off the K
-weights.  `rmatrix_braiding` builds the series and fixes D by a recurrence
-along the (i, j) grid of V1 (x) V2, up to one scalar; every intertwining
-equation must then hold, solved on one r x r block per weight class i + j
-mod r, which E^n (x) F^n keeps.  A pair with a Steinberg factor has root 1:
-the truncated quantum exponential.  Each pair resolves on its own, and
-every braiding passes a sideways-invertibility check.  The overall scale of
-each braiding is then fixed by det(c) = 1 via the principal root, which
-leaves exactly the r^2-th root-of-unity ambiguity the theory predicts; all
-scalar-level statements are therefore made modulo that group, through
-ModScalar.
+Every braiding has the R-matrix form of Kashaev-Reshetikhin: the flip, a
+diagonal Cartan factor after a cyclic relabeling that matches the Delta(K)
+weights, and the cyclic quantum dilogarithm series in E (x) F, whose root is
+read off the K weights (root 1, the truncated quantum exponential, for a
+pair with a Steinberg factor).  `rmatrix_braidings` solves it on the weight
+classes of Delta(K) for a stack of pairs, one numpy call per stage and every
+check per pair, and every braiding passes a sideways-invertibility check.
+The overall scale of each braiding is then fixed by det(c) = 1 via the
+principal root, which leaves exactly the r^2-th root-of-unity ambiguity the
+theory predicts; all scalar-level statements are therefore made modulo that
+group, through ModScalar.
 
 `block_braiding` builds the braiding of a generic pair up to one scalar
 per Casimir block instead.  The pipeline does not call it, nor the two
@@ -31,12 +28,14 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     BlockIntertwinerDim,
     DegenerateSpectrum,
+    HoloinvError,
     SingularSolution,
     Undefined,
     UnresolvableYB,
@@ -80,16 +79,19 @@ def pair_defined(chi1: ZChar, chi2: ZChar, p: RootParams) -> bool:
     return abs(w) > TOL
 
 
-def _unit_det(blocks: np.ndarray, sign: complex = 1.0) -> complex:
+def _unit_det(blocks: np.ndarray, sign: complex = 1.0) -> np.ndarray:
     """The scale 1 / det(c)^(1/n), principal root, giving c unit determinant,
     for c a row permutation of sign `sign` of the block-diagonal matrix with
-    these blocks: their singular values and summed log-determinants."""
-    sv = np.linalg.svd(blocks, compute_uv=False)
-    if not sv.min() > TOL * max(1.0, sv.max()):
+    the blocks [m] of a stack [m, w], for each m as [m, 1, 1, 1]: from their
+    singular values and summed log-determinants."""
+    sv = np.linalg.svd(blocks, compute_uv=False).reshape(len(blocks), -1)
+    if not (sv.min(axis=1) > TOL * np.maximum(1.0, sv.max(axis=1))).all():
         raise SingularSolution("braiding matrix is singular")
-    signs, logdets = np.linalg.slogdet(blocks)
-    n = blocks.shape[0] * blocks.shape[-1]  # the size of c
-    return cmath.exp(-(logdets.sum() + 1j * cmath.phase(sign * signs.prod())) / n)
+    # in C order each m's row is reduced innermost, as a lone m's is
+    signs, logdets = map(np.ascontiguousarray, np.linalg.slogdet(blocks))
+    n = blocks.shape[1] * blocks.shape[-1]  # the size of c
+    return np.array([cmath.exp(-(x + 1j * cmath.phase(sign * g)) / n) for x, g
+                     in zip(logdets.sum(axis=1), signs.prod(axis=1))])[:, None, None, None]
 
 
 @dataclass
@@ -184,13 +186,15 @@ def sideways_matrices(c: np.ndarray, c_inv: np.ndarray, d4: DualityData,
     the inverse braiding with the right-handed cups and caps.  Both are
     contracted in index form, with c and c_inv as (out, out, in, in) tensors
     and the cups and caps as r x r matrices: two matmuls and a transpose each.
+    Every array is a stack, with one leading axis, of a pair's.
     """
-    ev, coev = d4.ev_L.reshape(r, r), d2.coev_L.reshape(r, r)
-    s_plus = (ev @ c.reshape(r, r ** 3)).reshape(r ** 3, r) @ coev  # (a, y, i, j)
-    cut = d2.ev_R.reshape(r, r).T @ c_inv.reshape(r, r, r * r)  # (i, v, x u)
-    s_minus = d4.coev_R.reshape(r, r) @ cut.reshape(r * r, r, r)  # (i v, a, u)
-    return (s_plus.reshape((r,) * 4).transpose(1, 3, 0, 2).reshape(r * r, r * r),
-            s_minus.reshape((r,) * 4).transpose(2, 0, 3, 1).reshape(r * r, r * r))
+    m = len(c)
+    ev, coev = d4.ev_L.reshape(m, r, r), d2.coev_L.reshape(m, r, r)
+    s_plus = (ev @ c.reshape(m, r, r ** 3)).reshape(m, r ** 3, r) @ coev  # (a, y, i, j)
+    cut = d2.ev_R.reshape(m, 1, r, r).swapaxes(2, 3) @ c_inv.reshape(m, r, r, r * r)  # (i, v, x u)
+    s_minus = d4.coev_R.reshape(m, 1, r, r) @ cut.reshape(m, r * r, r, r)  # (i v, a, u)
+    return (s_plus.reshape(m, r, r, r, r).transpose(0, 2, 4, 1, 3).reshape(m, r * r, r * r),
+            s_minus.reshape(m, r, r, r, r).transpose(0, 3, 1, 4, 2).reshape(m, r * r, r * r))
 
 
 def proportionality(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
@@ -243,10 +247,11 @@ def _layout(r: int) -> tuple:
     return n, e_at, f_at, to, cls, b43, eqs, c_at
 
 
-def dilog_series(V1: CyclicModule, V2: CyclicModule, rho: complex,
-                 p: RootParams) -> np.ndarray:
-    """The cyclic quantum dilogarithm Sum_n s_n E^n (x) F^n on V1 (x) V2, as
-    weight-class blocks (`_layout`): [w, a, x] maps row x of class w to row a.
+def dilog_series(V1: Sequence[CyclicModule], V2: Sequence[CyclicModule],
+                 rho: Sequence[complex], p: RootParams) -> np.ndarray:
+    """The cyclic quantum dilogarithm Sum_n s_n E^n (x) F^n on V1[m] (x) V2[m]
+    at rho[m], for each m of a stack, as weight-class blocks (`_layout`):
+    [m, w, a, x] maps row x of class w to row a.
 
     s_0 = 1 and s_n / s_(n-1) = [1]^2 / (xi (1 - rho xi^(-2n))), for n < r.
     rho = 1 gives the truncated quantum exponential, whose truncation is
@@ -254,22 +259,26 @@ def dilog_series(V1: CyclicModule, V2: CyclicModule, rho: complex,
     A root rho = xi^(2n) with 0 < n < r is a pole: UnresolvableYB.
     """
     r, q, b2 = p.r, p.xi, p.qbracket(1) ** 2
-    coef, EF = [1.0 + 0j], np.array([V1.E, V2.F])
-    powers = np.empty((r, 2, r, r), dtype=complex)  # E^n and F^n
-    powers[0] = np.eye(r)
+    coef = np.ones((len(rho), r), dtype=complex)
+    for m, x in enumerate(rho):  # in scalars, as a lone pair rounds
+        for n in range(1, r):
+            pole = 1 - x * q ** (-2 * n)
+            if not abs(pole) > TOL:
+                raise UnresolvableYB(f"the series has a pole at n = {n}")
+            coef[m, n] = coef[m, n - 1] * (b2 / (q * pole))
+    powers = np.empty((len(rho), r, 2, r, r), dtype=complex)  # E^n and F^n
+    powers[:, 0], EF = np.eye(r), np.array([(a.E, b.F) for a, b in zip(V1, V2)])
     for n in range(1, r):
-        pole = 1 - rho * q ** (-2 * n)
-        if not abs(pole) > TOL:
-            raise UnresolvableYB(f"the series has a pole at n = {n}")
-        coef.append(coef[-1] * (b2 / (q * pole)))
-        np.matmul(powers[n - 1], EF, out=powers[n])
+        np.matmul(powers[:, n - 1], EF, out=powers[:, n])
     n, e_at, f_at = _layout(r)[:3]
-    return np.array(coef)[n] * (powers.reshape(-1)[e_at] * powers.reshape(-1)[f_at])
+    flat = powers.reshape(len(rho), -1)
+    return coef.take(n, 1)[:, None] * (flat.take(e_at, 1)[:, None] * flat.take(f_at, 1))
 
 
-def rmatrix_braiding(y1: YColor, y2: YColor,
-                     provider: "BraidingProvider") -> HolonomyBraiding:
-    """The braiding of a pair, in the R-matrix form of Kashaev-Reshetikhin.
+def rmatrix_braidings(pairs: Sequence[tuple[YColor, YColor]],
+                      provider: "BraidingProvider") -> list[HolonomyBraiding]:
+    """The braidings of a stack of pairs, in the R-matrix form of
+    Kashaev-Reshetikhin.
 
     c = tau P D S: tau is the flip, S the `dilog_series` and D a diagonal
     Cartan factor on the (i, j) grid of V1 (x) V2, read on V3 (x) V4 after
@@ -284,45 +293,63 @@ def rmatrix_braiding(y1: YColor, y2: YColor,
     ratio of its E and F equations.  A link without a coefficient on its far
     end would leave D free there; afterwards every structural equation, not
     only the links, must hold.  The inverse is S^-1 D^-1 (tau P)^-1.
+
+    Each stage is one numpy call on the whole stack, each pair on its own
+    slices, so no pair's c and c^-1 depend on the others.  Each check is
+    made pair by pair, and a pair failing one raises for the whole stack.
     """
-    p, r = provider.p, provider.p.r
-    if not pair_defined(provider.char(y1), provider.char(y2), p):
-        raise Undefined("pair obstruction vanishes")
-    y4, y3 = sl2_B(y1, y2)
-    V1, V2, V4, V3 = (provider.module(y) for y in (y1, y2, y4, y3))
-    k1, k2, k3, k4 = (V.K.diagonal() for V in (V1, V2, V3, V4))
-    s = int(np.abs(k3 * k4[0] - k1[0] * k2[0]).argmin())
-    to, cls, b43, eqs, c_at = _layout(r)[3:]
-    S = dilog_series(V1, V2, k1[0] / k3[s], p)
+    p, r, m = provider.p, provider.p.r, len(pairs)
+    for y1, y2 in pairs:
+        if not pair_defined(provider.char(y1), provider.char(y2), p):
+            raise Undefined("pair obstruction vanishes")
+    colors = [(y1, y2, *sl2_B(y1, y2)) for y1, y2 in pairs]
+    # pair by pair: a module is built from the first color of its key
+    V1, V2, V4, V3 = zip(*([provider.module(y) for y in ys] for ys in colors))
+    k1, k2, k3, k4 = (np.array([V.K.diagonal() for V in W]) for W in (V1, V2, V3, V4))
+    s = np.abs(k3 * k4[:, :1] - (k1[:, 0] * k2[:, 0])[:, None]).argmin(axis=1)
+    at, (to, cls, b43, eqs, c_at) = np.arange(m), _layout(r)[3:]
+    S = dilog_series(V1, V2, k1[:, 0] / k3[at, s], p)
     S_inv = np.linalg.inv(S)
-    A, B = AB = np.empty((2, 3, r, r, r), dtype=complex)
-    np.matmul(S[to] @ coproduct_blocks(V1, V2), S_inv, out=A)
-    B[...] = coproduct_blocks(V4, V3).reshape(-1)[b43[s]]
+    AB = np.empty((m, 2, 3, r, r, r), dtype=complex)
+    A, B = AB[:, 0], AB[:, 1]
+    d = coproduct_blocks(V1 + V4, V2 + V3)  # V1 (x) V2, then V4 (x) V3
+    np.matmul(S.take(to, 1) @ d[:m], S_inv[:, None], out=A)
+    B[...] = d[m:].reshape(-1)[b43[s] + 3 * r ** 3 * at[:, None, None, None, None]]
     size, nz = np.abs(A), B != 0
-    stray = np.where(nz, 0, size).max(axis=(1, 2, 3)) / size.max(axis=(1, 2, 3))
-    for u, x in zip("EFK", stray):
-        if not x <= GATE:
-            raise UnresolvableYB(f"no Cartan factor intertwines Delta({u}), residual {x:.3e}")
-    a, b = AB.reshape(-1)[eqs]
-    weight = (np.abs(a) ** 2).sum(axis=0)
-    if not weight.min() > 1e-16 * weight.max():
+    stray = np.where(nz, 0, size).max(axis=(2, 3, 4)) / size.max(axis=(2, 3, 4))
+    for u, x in zip("EFK", stray.T):
+        if not (x <= GATE).all():
+            raise UnresolvableYB(
+                f"no Cartan factor intertwines Delta({u}), residual {x.max():.3e}")
+    a, b = AB.reshape(m, -1).take(eqs, 1).swapaxes(0, 1)
+    weight = (np.abs(a) ** 2).sum(axis=1)
+    if not (weight.min(axis=1) > 1e-16 * weight.max(axis=1)).all():
         raise UnresolvableYB("Cartan factor not unique: a grid link has no equation")
-    step = (a.conj() * b).sum(axis=0) / weight
-    col = np.cumprod(np.concatenate([[1], step[:r - 1]]))
-    D = np.cumprod(np.column_stack([col, step[r - 1:].reshape(r, -1)]), axis=1).ravel()[cls]
+    step = (a.conj() * b).sum(axis=1) / weight
+    col = np.cumprod(np.concatenate([np.ones((m, 1)), step[:, :r - 1]], axis=1), axis=1)
+    D = np.cumprod(np.concatenate([col[:, :, None], step[:, r - 1:].reshape(m, r, -1)], axis=2),
+                   axis=2).reshape(m, -1).take(cls, 1)
     # normwise per generator: an entry of B that is only rounding noise has
     # lhs and rhs of that size, and their entrywise ratio would be arbitrary
-    lhs, rhs = D[to][..., None] * A, B * D[:, None, :]
-    size = np.where(nz, np.abs(lhs) + np.abs(rhs), 0).max(axis=(1, 2, 3))
-    res = (np.where(nz, np.abs(lhs - rhs), 0).max(axis=(1, 2, 3))
-           / np.maximum(size, 1e-300)).max()
-    if not res <= GATE:
-        raise UnresolvableYB(f"no Cartan factor intertwines, residual {res:.3e}")
-    DS = D[:, :, None] * S
+    lhs, rhs = D.take(to, 1)[..., None] * A, B * D[:, None, :, None, :]
+    size = np.where(nz, np.abs(lhs) + np.abs(rhs), 0).max(axis=(2, 3, 4))
+    res = (np.where(nz, np.abs(lhs - rhs), 0).max(axis=(2, 3, 4))
+           / np.maximum(size, 1e-300)).max(axis=1)
+    if not (res <= GATE).all():
+        raise UnresolvableYB(f"no Cartan factor intertwines, residual {res.max():.3e}")
+    DS = D[..., None] * S
     u = _unit_det(DS, (-1) ** (r * (r - 1) // 2))  # tau P's: a transpose; r shifts cancel
-    c, c_inv = np.zeros((2, r * r, r * r), dtype=complex)
-    c.reshape(-1)[c_at[0, s]], c_inv.reshape(-1)[c_at[1, s]] = u * DS, S_inv / D[:, None, :] / u
-    return HolonomyBraiding(y1=y1, y2=y2, y4=y4, y3=y3, c=c, c_inv=c_inv)
+    c, c_inv = np.zeros((2, m, r * r, r * r), dtype=complex)
+    at = r ** 4 * at[:, None, None, None]
+    c.reshape(-1)[c_at[0, s] + at], c_inv.reshape(-1)[c_at[1, s] + at] = (
+        u * DS, S_inv / D[:, :, None, :] / u)
+    return [HolonomyBraiding(*ys, c[i], c_inv[i]) for i, ys in enumerate(colors)]
+
+
+def rmatrix_braiding(y1: YColor, y2: YColor,
+                     provider: "BraidingProvider") -> HolonomyBraiding:
+    """The braiding of one pair: `rmatrix_braidings` on a stack of one."""
+    return rmatrix_braidings([(y1, y2)], provider)[0]
 
 
 steinberg_pair_braiding = rmatrix_braiding
@@ -343,10 +370,10 @@ def _char_key(chi: ZChar):
 class BraidingProvider:
     """Caches modules, dualities and braidings by character.
 
-    Each braiding is resolved on its own, deterministically, by
-    `rmatrix_braiding`, pairs with a Steinberg factor included.  Modules
-    come from `module`, built once per character; only the requested pair
-    is cached.
+    Braidings are resolved deterministically by `rmatrix_braidings`, pairs
+    with a Steinberg factor included, several at a time when an evaluation
+    hands over its pairs (`braiding`).  Modules come from `module`, built
+    once per character; only braidings that pass every check are cached.
     """
 
     def __init__(self, p: RootParams):
@@ -355,6 +382,7 @@ class BraidingProvider:
         self._braidings: dict = {}
         self._duals: dict = {}
         self._chars: dict = {}
+        self._failed = None  # the last stack that failed
 
     def _lookup(self, y: YColor) -> tuple[ZChar, tuple]:
         """The character of a color and its cache key, computed once per
@@ -385,32 +413,52 @@ class BraidingProvider:
             self._duals[key] = duality_tensors(self.module(y))
         return self._duals[key]
 
-    def braiding(self, y1: YColor, y2: YColor) -> HolonomyBraiding:
+    def braiding(self, y1: YColor, y2: YColor,
+                 stack: Sequence[tuple[YColor, YColor]] = ()) -> HolonomyBraiding:
+        """The braiding of a pair.  A miss resolves the uncached pairs of
+        `stack`, one evaluation's, as one stack; if one fails, none is cached,
+        and each resolves, or raises, alone when asked for."""
         key = self.pair_key(y1, y2)
-        if key in self._braidings:
-            return self._braidings[key]
-        hb = rmatrix_braiding(y1, y2, self)
-        self._check_sideways(hb)
-        self._braidings[key] = hb
-        return hb
+        if key not in self._braidings and stack and stack is not self._failed:
+            try:
+                self._resolve(stack)
+            except (HoloinvError, np.linalg.LinAlgError):
+                self._failed = stack  # not tried again
+        if key not in self._braidings:
+            self._resolve([(y1, y2)])
+        return self._braidings[key]
 
-    def _check_sideways(self, hb: HolonomyBraiding) -> None:
-        """Reject any braiding whose sideways morphisms fail to invert.
+    def _resolve(self, pairs: Sequence[tuple[YColor, YColor]]) -> None:
+        """Resolve the uncached pairs, one per key, as one stack; cache all."""
+        todo: dict = {}
+        for pair in pairs:
+            if (key := self.pair_key(*pair)) not in self._braidings:
+                todo.setdefault(key, pair)
+        if todo:
+            hbs = rmatrix_braidings(list(todo.values()), self)
+            self._check_sideways(hbs)
+            self._braidings.update(zip(todo, hbs))
+
+    def _check_sideways(self, hbs: list[HolonomyBraiding]) -> None:
+        """Reject a stack of braidings if the sideways morphisms of one fail
+        to invert.
 
         The two sideways morphisms of a genuine braiding compose to the
         identity up to an r^2-th root of unity; this is the property that
         separates the braiding ray from other intertwiners in the span of
         the block pieces, so it is enforced on every resolution.
         """
-        r = self.p.r
-        d4 = self.duality(hb.y4)
-        d2 = self.duality(hb.y2)
-        s_plus, s_minus = sideways_matrices(hb.c, hb.c_inv, d4, d2, r)
+        r = self.p.r  # each duality array below is stacked over the braidings
+        d4, d2 = (DualityData(*map(np.array, zip(*(vars(self.duality(getattr(hb, y))).values()
+                                                   for hb in hbs)))) for y in ("y4", "y2"))
+        s_plus, s_minus = sideways_matrices(np.array([hb.c for hb in hbs]),
+                                            np.array([hb.c_inv for hb in hbs]), d4, d2, r)
         eye = np.eye(r * r, dtype=complex)
-        ok, _, res = equal_mod_roots(s_minus @ s_plus, eye, r, GATE)
-        if not ok:
-            raise UnresolvableYB("sideways morphisms do not invert, "
-                                 f"residual {res:.3e}")
+        for x in s_minus @ s_plus:
+            ok, _, res = equal_mod_roots(x, eye, r, GATE)
+            if not ok:
+                raise UnresolvableYB("sideways morphisms do not invert, "
+                                     f"residual {res:.3e}")
 
     def braiding_inv(self, ya: YColor, yb: YColor):
         """Inverse braiding for a negative crossing with bottom colors (ya, yb).

@@ -39,6 +39,7 @@ from .braiding import BraidingProvider, ModScalar, proportionality
 from .diagram import ARITY, Diagram, colors_equal, cut_edge
 from .errors import (
     GaugeExhausted,
+    HoloinvError,
     InconsistentColoring,
     NonScalarResult,
     ParseError,
@@ -47,7 +48,7 @@ from .errors import (
 from .modtrace import modified_dim
 from .params import GATE, TOL
 from .quandle import gauge_act_matrix
-from .sl2factor import GStarElem, q_functor_inv, random_gstar
+from .sl2factor import GStarElem, q_functor_inv, random_gstar, sl2_B_inv
 
 MAX_WIDTH = 8  # a policy limit on diagram width, not a memory bound
 
@@ -122,31 +123,45 @@ def _contract(tensors: list, open_labels: list) -> np.ndarray:
     return out.transpose([labels.index(x) for x in open_labels])
 
 
+def _braided(d: Diagram, t: int, sl) -> tuple:
+    """The colors whose braiding the crossing at slice t takes: its bottom
+    colors at X+, their biquandle preimage B^-1 (its top colors) at X-."""
+    ya, yb = d.color_at(t, sl.offset), d.color_at(t, sl.offset + 1)
+    if ya is None or yb is None:
+        raise InconsistentColoring(f"uncolored crossing at slice {t}")
+    return (ya, yb) if sl.piece == "X+" else sl2_B_inv(ya, yb)
+
+
 def evaluate_F(d: Diagram, provider: BraidingProvider) -> np.ndarray:
     """The functor on a Y-colored diagram, as a matrix (top space x bottom).
 
     Crossings map to holonomy braidings of their bottom colors, cups and
     caps to the duality tensors of the edge's module; with an identity per
     bottom strand they form the network that `_contract` evaluates.  Stored
-    top colors at each crossing must match the biquandle outputs.
+    top colors at each crossing must match the biquandle outputs.  The
+    provider gets every crossing's pair, worked out first, to resolve the
+    uncached ones as one stack; a pair that fails raises at its crossing.
     """
     if d.max_width() > MAX_WIDTH:
         raise ParseError(f"diagram width {d.max_width()} exceeds the guard {MAX_WIDTH}")
     r, w0 = provider.p.r, len(d.bottom_signs)
+    pairs: dict = {}  # slice -> the colors its crossing braids
+    try:
+        for t, sl in enumerate(d.slices):
+            if sl.piece in ("X+", "X-"):
+                pairs[t] = _braided(d, t, sl)
+    except HoloinvError:
+        pass  # raised again where the walk reaches that crossing
+    stack = list(pairs.values())
     # labels 0..w0-1 are the bottom boundary; slice t outputs 2w0 + 2t + k
     cur = list(range(w0, 2 * w0))
     net = [(np.eye(r, dtype=complex), [w0 + k, k]) for k in range(w0)]
     for t, sl in enumerate(d.slices):
         o, (nin, nout) = sl.offset, ARITY[sl.piece]
         if sl.piece in ("X+", "X-"):
-            ya, yb = d.color_at(t, o), d.color_at(t, o + 1)
-            if ya is None or yb is None:
-                raise InconsistentColoring(f"uncolored crossing at slice {t}")
-            if sl.piece == "X+":
-                hb = provider.braiding(ya, yb)
-                tops, m = (hb.y4, hb.y3), hb.c
-            else:
-                tops, m = provider.braiding_inv(ya, yb)
+            u, v = pairs.get(t) or _braided(d, t, sl)
+            hb = provider.braiding(u, v, stack)
+            tops, m = ((hb.y4, hb.y3), hb.c) if sl.piece == "X+" else ((u, v), hb.c_inv)
             for k in range(2):
                 got = d.color_at(t + 1, o + k)
                 if got is not None and not colors_equal(tops[k], got, 1e3 * TOL):

@@ -18,7 +18,9 @@ r-th root k of (-1)^(r-1) kappa.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
+from typing import Sequence
 
 import numpy as np
 
@@ -103,12 +105,16 @@ class CyclicModule:
         return self.p.r
 
 
-def branch_roots(kappa: complex, p: RootParams) -> list[complex]:
-    """The r roots k of k^r = (-1)^(r-1) kappa, principal first."""
-    target = -p.sign_r * kappa
-    k0 = target ** (1.0 / p.r)
-    zeta = np.exp(2j * np.pi / p.r)
-    return [k0 * zeta ** j for j in range(p.r)]
+@cache
+def _module_constants(p: RootParams) -> tuple:
+    """Read-only constants of the modules at p: the K weights xi^(r + 1 - 2i)
+    for i = 1..r, the r-th roots of unity, the triples (xi^-i, xi^i, [i])
+    for i = 1..r-1, and [1]."""
+    xi, r, zeta = p.xi, p.r, np.exp(2j * np.pi / p.r)
+    return (tuple(xi ** (r + 1 - 2 * i) for i in range(1, r + 1)),
+            tuple(zeta ** j for j in range(r)),
+            tuple((xi ** (-i), xi ** i, p.qbracket(i)) for i in range(1, r)),
+            p.qbracket(1))
 
 
 def build_cyclic_module(chi: ZChar, p: RootParams) -> CyclicModule:
@@ -123,43 +129,29 @@ def build_cyclic_module(chi: ZChar, p: RootParams) -> CyclicModule:
     """
     if not is_admissible(chi, p):
         raise NotAdmissible("parabolic holonomy trace")
-    r, xi = p.r, p.xi
-    roots = branch_roots(chi.kappa, p)
+    r, (weights, unity, pw, br1) = p.r, _module_constants(p)
+    k0 = (-p.sign_r * chi.kappa) ** (1.0 / r)  # the principal root
     if abs(chi.f_r) > TOL:
-        k = roots[0]
+        k = k0 * unity[0]
     else:
-        k = None
-        for cand in roots:
-            if abs(chi.omega - (-p.sign_ell) * (cand + 1.0 / cand)) <= TOL * 1e2 * max(
-                1.0, abs(chi.omega)
-            ):
-                k = cand
-                break
+        k = next((k for k in (k0 * z for z in unity) if abs(chi.omega - (-p.sign_ell)
+                  * (k + 1.0 / k)) <= TOL * 1e2 * max(1.0, abs(chi.omega))), None)
         if k is None:
-            raise BranchInconsistent(
-                "f_r = 0 but no root k matches the Casimir value"
-            )
-    K = np.diag([k * xi ** (r + 1 - 2 * i) for i in range(1, r + 1)]).astype(complex)
-    F = np.zeros((r, r), dtype=complex)
-    for i in range(1, r):
-        F[i, i - 1] = 1.0
+            raise BranchInconsistent("f_r = 0 but no root k matches the Casimir value")
+    K, E, F = np.zeros((3, r, r), dtype=complex)  # flat steps of r + 1 walk a diagonal
+    K.reshape(-1)[::r + 1] = [k * w for w in weights]
+    F.reshape(-1)[r::r + 1] = 1.0  # F[i, i - 1]
     F[0, r - 1] = chi.f_r
-    br1 = p.qbracket(1)
+    kf = [k * a - b / k for a, b, _ in pw]  # k xi^-i - xi^i / k
     if abs(chi.f_r) > TOL:
         eps_p = (chi.omega + p.sign_ell * (k + 1.0 / k)) / (br1 ** 2 * chi.f_r)
     else:
-        den = prod(
-            p.qbracket(i) * (k * xi ** (-i) - xi ** i / k) for i in range(1, r)
-        )
+        den = prod(qb * x for (_, _, qb), x in zip(pw, kf))
         if not abs(den) > TOL:
             raise BranchInconsistent("degenerate branch denominator")
         eps_p = -p.sign_r * br1 ** (2 * (r - 1)) * chi.e_r / den
-    E = np.zeros((r, r), dtype=complex)
-    for i in range(1, r):
-        E[i - 1, i] = (
-            chi.f_r * eps_p
-            - p.sign_ell * (k * xi ** (-i) - xi ** i / k) * p.qbracket(i) / br1 ** 2
-        )
+    E.reshape(-1)[1::r + 1] = [chi.f_r * eps_p - p.sign_ell * x * qb / br1 ** 2
+                               for (_, _, qb), x in zip(pw, kf)]  # E[i - 1, i]
     E[r - 1, 0] = eps_p
     return CyclicModule(chi=chi, E=E, F=F, K=K, p=p)
 
@@ -198,19 +190,21 @@ def weight_classes(r: int) -> np.ndarray:
     return i * r + (i[:, None] - i) % r
 
 
-def coproduct_blocks(V1: CyclicModule, V2: CyclicModule) -> np.ndarray:
-    """Delta(E), Delta(F), Delta(K) on V1 (x) V2 by weight classes: [u, s] is
-    the r x r block of the u-th from class s to class s - 1, s + 1 and s,
-    rows and columns ordered as in `weight_classes`, from the shifted
-    diagonals E[i - 1, i], F[i + 1, i] and K[i, i]."""
-    r, i = V1.r, np.arange(V1.r)
+def coproduct_blocks(V1: Sequence[CyclicModule], V2: Sequence[CyclicModule]) -> np.ndarray:
+    """Delta(E), Delta(F), Delta(K) on V1[m] (x) V2[m] for each m, by weight
+    classes: [m, u, s] is the r x r block of the u-th from class s to class
+    s - 1, s + 1 and s, rows and columns ordered as in `weight_classes`,
+    from the shifted diagonals E[i - 1, i], F[i + 1, i] and K[i, i]."""
+    r, i = V1[0].r, np.arange(V1[0].r)
     j, s, up, down = (i[:, None] - i) % r, i[:, None], i - 1, (i + 1) % r
-    (e1, f1, k1), (e2, f2, k2) = ((V.E[up, i], V.F[down, i], V.K.diagonal()) for V in (V1, V2))
-    k2 = k2[j]  # row i of class s is (i, j[s, i])
-    d = np.zeros((3, r, r, r), dtype=complex)
-    d[:, s, i, i] = e2[j], 1.0 / k1 * f2[j], k1 * k2  # 1 (x) E, K^-1 (x) F, K (x) K
-    d[0, s, up, i] = e1 * k2  # E (x) K
-    d[1, s, down, i] = f1  # F (x) 1
+    (e1, f1, k1), (e2, f2, k2) = ((g[:, 0, up, i], g[:, 1, down, i], g[:, 2, i, i]) for g in
+                                  (np.array([(V.E, V.F, V.K) for V in W]) for W in (V1, V2)))
+    k1, k2 = k1[:, None], k2[:, j]  # row i of class s is (i, j[s, i])
+    d = np.zeros((len(V1), 3, r, r, r), dtype=complex)
+    # 1 (x) E, K^-1 (x) F, K (x) K
+    d.swapaxes(0, 1)[:, :, s, i, i] = e2[:, j], 1.0 / k1 * f2[:, j], k1 * k2
+    d[:, 0, s, up, i] = e1[:, None] * k2  # E (x) K
+    d[:, 1, s, down, i] = f1[:, None]  # F (x) 1
     return d
 
 
@@ -273,7 +267,7 @@ def casimir_block_structure(V1: CyclicModule, V2: CyclicModule) -> CasimirBlocks
     class spectra disagree (with the prediction, hence with each other).
     """
     p, r = V1.p, V1.p.r
-    d = coproduct_blocks(V1, V2)
+    d = coproduct_blocks([V1], [V2])[0]
     k = np.diagonal(d[2], axis1=1, axis2=2)  # Delta(K), then Omega, on each class
     w, vecs = np.linalg.eig(p.qbracket(1) ** 2 * np.roll(d[0], -1, axis=0) @ d[1]
                             + d[2] / p.xi + np.eye(r) / k[:, :, None] * p.xi)

@@ -9,6 +9,7 @@ heap and `np.tensordot`, whose every step `holoinv.invariant` runs as one
 numpy arrays, with the holonomy functor
 `q_functor` and the converters between arrays and the package's `Mat2`
 tuples; the twist and the Steinberg encirclement of the braidings, the
+cyclic module built in loops, the
 dense R-matrix solver that the weight-class solver replaced, the
 dense coproduct, the dual representation and the coproduct Casimir of the
 modules, the
@@ -21,6 +22,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,10 +33,12 @@ from holoinv.diagram import (ARITY, IN_SIGNS, OUT_SIGNS, Diagram, Slice, _fmt,
 from holoinv.braiding import (BlockBraiding, BraidingProvider, HolonomyBraiding, ModScalar,
                               pair_defined, proportionality)
 from holoinv.errors import (
+    BranchInconsistent,
     InconsistentColoring,
     InternalInconsistency,
     NonScalarResult,
     NoSuchEdge,
+    NotAdmissible,
     NotClosed,
     OutsideGPrime,
     ParseError,
@@ -47,7 +51,7 @@ from holoinv.errors import (
 from holoinv.params import GATE, TOL, RootParams
 from holoinv.quandle import Mat2, QColor
 from holoinv.sl2factor import GStarElem, YColor, sl2_B, steinberg_ycolor
-from holoinv.uqsl2 import CasimirBlocks, CyclicModule
+from holoinv.uqsl2 import CasimirBlocks, CyclicModule, ZChar, is_admissible
 
 from oracles import alpha
 
@@ -455,6 +459,57 @@ def steinberg_encirclement(y: YColor, provider: BraidingProvider) -> ModScalar:
 def assemble(bb: BlockBraiding, lambdas) -> np.ndarray:
     """The intertwiner with scalar lambdas[m] on Casimir block m."""
     return sum(l * b for l, b in zip(lambdas, bb.blocks))
+
+
+# --- the cyclic module, built in loops --------------------------------------
+# `uqsl2.build_cyclic_module` as it was before it read its per-r constants
+# from a cache: the same Python arithmetic, computed afresh on every call.
+
+def loop_cyclic_module(chi: ZChar, p: RootParams) -> CyclicModule:
+    """The cyclic module of an admissible character (reference)."""
+    if not is_admissible(chi, p):
+        raise NotAdmissible("parabolic holonomy trace")
+    r, xi = p.r, p.xi
+    k0 = (-p.sign_r * chi.kappa) ** (1.0 / p.r)
+    zeta = np.exp(2j * np.pi / p.r)
+    roots = [k0 * zeta ** j for j in range(p.r)]
+    if abs(chi.f_r) > TOL:
+        k = roots[0]
+    else:
+        k = None
+        for cand in roots:
+            if abs(chi.omega - (-p.sign_ell) * (cand + 1.0 / cand)) <= TOL * 1e2 * max(
+                1.0, abs(chi.omega)
+            ):
+                k = cand
+                break
+        if k is None:
+            raise BranchInconsistent(
+                "f_r = 0 but no root k matches the Casimir value"
+            )
+    K = np.diag([k * xi ** (r + 1 - 2 * i) for i in range(1, r + 1)]).astype(complex)
+    F = np.zeros((r, r), dtype=complex)
+    for i in range(1, r):
+        F[i, i - 1] = 1.0
+    F[0, r - 1] = chi.f_r
+    br1 = p.qbracket(1)
+    if abs(chi.f_r) > TOL:
+        eps_p = (chi.omega + p.sign_ell * (k + 1.0 / k)) / (br1 ** 2 * chi.f_r)
+    else:
+        den = prod(
+            p.qbracket(i) * (k * xi ** (-i) - xi ** i / k) for i in range(1, r)
+        )
+        if not abs(den) > TOL:
+            raise BranchInconsistent("degenerate branch denominator")
+        eps_p = -p.sign_r * br1 ** (2 * (r - 1)) * chi.e_r / den
+    E = np.zeros((r, r), dtype=complex)
+    for i in range(1, r):
+        E[i - 1, i] = (
+            chi.f_r * eps_p
+            - p.sign_ell * (k * xi ** (-i) - xi ** i / k) * p.qbracket(i) / br1 ** 2
+        )
+    E[r - 1, 0] = eps_p
+    return CyclicModule(chi=chi, E=E, F=F, K=K, p=p)
 
 
 # --- the dense R-matrix solver ------------------------------------------------

@@ -252,9 +252,9 @@ def test_braiding_coherence_at_scale(providers, ell):
                 (u, v), cinv = provider.braiding_inv(hb.y4, hb.y3)
                 ok, _, res = equal_mod_roots(cinv @ hb.c, eye, r, 1e-6)
                 assert ok and res <= 1e-6
-                sp, sm = sideways_matrices(hb.c, hb.c_inv,
-                                           provider.duality(hb.y4),
-                                           provider.duality(hb.y2), r)
+                sp, sm = (x[0] for x in sideways_matrices(
+                    hb.c[None], hb.c_inv[None], provider.duality(hb.y4),
+                    provider.duality(hb.y2), r))
                 ok, _, res = equal_mod_roots(sm @ sp, eye, r, 1e-6)
                 assert ok and res <= 1e-6
                 pair_done += 1

@@ -29,9 +29,9 @@ from holoinv.errors import (
     UnresolvableYB,
 )
 from holoinv.cli import load_link
-from holoinv.invariant import tilde_Fprime
+from holoinv.invariant import evaluate_F, gauge_fix, tilde_Fprime
 from holoinv.params import GATE, root_params
-from holoinv.diagram import braid_diagram, closure
+from holoinv.diagram import braid_diagram, closure, cut_edge
 from holoinv.quandle import gauge_act_matrix, propagate_qcolors, z_candidates
 from holoinv.sl2factor import GStarElem, YColor, random_gstar, steinberg_ycolor
 from holoinv.uqsl2 import (
@@ -122,9 +122,9 @@ def test_sideways_morphisms_invert(providers):
         eye = np.eye(r * r)
         for y1, y2 in _random_pairs(provider, 3, seed=50 + ell):
             hb = provider.braiding(y1, y2)
-            sp, sm = sideways_matrices(hb.c, hb.c_inv,
-                                       provider.duality(hb.y4),
-                                       provider.duality(hb.y2), r)
+            sp, sm = (x[0] for x in sideways_matrices(
+                hb.c[None], hb.c_inv[None], provider.duality(hb.y4),
+                provider.duality(hb.y2), r))
             ok, _, res = equal_mod_roots(sm @ sp, eye, r, 1e-6)
             assert ok and res < 1e-6
 
@@ -168,7 +168,7 @@ def test_unipotent_series_truncation_is_exact():
     # E nilpotent on the Steinberg module kills all terms from degree r on
     p = root_params(4)
     V0 = build_cyclic_module(steinberg_char(p), p)
-    S = dilog_series(V0, V0, 1.0, p)
+    S, = dilog_series([V0], [V0], [1.0], p)
     extra = np.kron(np.linalg.matrix_power(V0.E, p.r),
                     np.linalg.matrix_power(V0.F, p.r))
     assert np.abs(extra).max() < 1e-12
@@ -213,7 +213,7 @@ def test_failed_resolution_rolls_back_the_cache(monkeypatch):
     def skewed(*args):
         s_plus, s_minus = real(*args)
         s_plus = s_plus.copy()
-        s_plus[0, 0] += 1.0
+        s_plus[..., 0, 0] += 1.0
         return s_plus, s_minus
 
     monkeypatch.setattr(braiding, "sideways_matrices", skewed)
@@ -255,14 +255,18 @@ def test_sideways_index_form_matches_kron(r):
                            ev_R=_crandn(rng, 1, r * r),
                            coev_R=_crandn(rng, r * r, 1))
 
-    c = _crandn(rng, r * r, r * r)
+    # a stack of two: each pair's morphisms are its own
+    c = _crandn(rng, 2, r * r, r * r)
     c_inv = np.linalg.inv(c)
-    d4, d2 = duality(), duality()
-    got = sideways_matrices(c, c_inv, d4, d2, r)
-    want = _kron_sideways(c, c_inv, d4, d2, r)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape == (r * r, r * r)
-        assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+    d4, d2 = [duality(), duality()], [duality(), duality()]
+    got = sideways_matrices(c, c_inv, *(DualityData(*(np.array([getattr(d, f) for d in ds])
+                                                        for f in ("ev_L", "coev_L", "ev_R", "coev_R")))
+                                        for ds in (d4, d2)), r)
+    for k in range(2):
+        want = _kron_sideways(c[k], c_inv[k], d4[k], d2[k], r)
+        for g, w in zip(got, want):
+            assert g[k].shape == w.shape == (r * r, r * r)
+            assert np.abs(g[k] - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 @pytest.mark.parametrize("r", [3, 5])
@@ -315,12 +319,12 @@ def test_sideways_check_rejects_rescaled_blocks(ell):
         return braiding.HolonomyBraiding(
             y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3, c=c, c_inv=np.linalg.inv(c))
 
-    provider._check_sideways(candidate(lam))
+    provider._check_sideways([candidate(lam)])
     for factor in (1.7, np.exp(0.3j)):
         bent = lam.copy()
         bent[1] *= factor
         with pytest.raises(UnresolvableYB, match="sideways"):
-            provider._check_sideways(candidate(bent))
+            provider._check_sideways([candidate(bent)])
 
 
 def test_inverse_braiding_is_computed_once(providers):
@@ -452,8 +456,9 @@ def test_steinberg_solver_rejects_a_broken_coproduct(ell, monkeypatch):
 
     def broken(V1, V2):
         d = real(V1, V2)
-        if V1 is V4 and V2 is V3:
-            d[(0, *np.argwhere(d[0])[0])] = 0.0
+        for k, pair in enumerate(zip(V1, V2)):
+            if pair[0] is V4 and pair[1] is V3:
+                d[(k, 0, *np.argwhere(d[k, 0])[0])] = 0.0
         return d
 
     monkeypatch.setattr(braiding, "coproduct_blocks", broken)
@@ -478,9 +483,10 @@ def test_steinberg_solver_checks_every_cartan_equation(ell, monkeypatch):
 
     def skewed(V1, V2):
         d = real(V1, V2)
-        if V1 is V4 and V2 is V3:
-            w, a = next((w, a) for w, a, b in np.argwhere(d[0]) if a == b >= 1)
-            d[0, w, a, a] *= 1.5
+        for k, pair in enumerate(zip(V1, V2)):
+            if pair[0] is V4 and pair[1] is V3:
+                w, a = next((w, a) for w, a, b in np.argwhere(d[k, 0]) if a == b >= 1)
+                d[k, 0, w, a, a] *= 1.5
         return d
 
     monkeypatch.setattr(braiding, "coproduct_blocks", skewed)
@@ -514,7 +520,7 @@ def test_unit_det_survives_an_underflowing_determinant():
     # eleven blocks 1e-3 I of size 11: the product of their determinants,
     # 1e-363, underflows to 0; the sum of their logarithms does not
     blocks = np.tile(1e-3 * np.eye(11, dtype=complex), (11, 1, 1))
-    got = braiding._unit_det(blocks) * blocks
+    got = braiding._unit_det(blocks[None])[0] * blocks
     assert np.abs(got - np.eye(11)).max() < 1e-12
 
 
@@ -562,7 +568,7 @@ def test_unipotent_series_matches_kron_bitwise(ell):
             want += coef * np.kron(En, Fn)
         got = np.zeros_like(want)
         cls = weight_classes(r)
-        got[cls[:, :, None], cls[:, None, :]] = dilog_series(V1, V2, rho, p)
+        got[cls[:, :, None], cls[:, None, :]] = dilog_series([V1], [V2], [rho], p)[0]
         assert np.array_equal(got, want)
 
 
@@ -685,19 +691,25 @@ def test_braid_relation_holds_on_resolved_pairs(ell):
     _assert_references_hold(provider, _generic_pairs(provider, links))
 
 
-@pytest.mark.parametrize("seed", [1, 7])
-def test_braid_relation_holds_on_the_cold_corpus(seed, tmp_path, monkeypatch):
-    # the benchmark's own link generator, loaded read-only from its path
+def _cold_corpus(seed, names, tmp_path, monkeypatch):
+    """The links of the benchmark's cold corpus at ell 5, two gauges each,
+    from its own link generator, loaded read-only from its path."""
     spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS)
     corpus = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, corpus)
     spec.loader.exec_module(corpus)
     rng = np.random.default_rng(seed)
     links = []
-    for case in corpus.cases(("hopf", "mix2", "s3", "t23", "t25"), 5, rng, 2):
+    for case in corpus.cases(names, 5, rng, 2):
         path = tmp_path / f"{case.name}_{case.gauge}.json"
         path.write_text(json.dumps(case.doc))
         links.append(load_link(str(path))[1])
+    return links
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_braid_relation_holds_on_the_cold_corpus(seed, tmp_path, monkeypatch):
+    links = _cold_corpus(seed, ("hopf", "mix2", "s3", "t23", "t25"), tmp_path, monkeypatch)
     provider = BraidingProvider(root_params(5))
     _assert_references_hold(provider, _generic_pairs(provider, links))
 
@@ -749,14 +761,18 @@ def test_class_block_solver_matches_the_dense_reference(ell, monkeypatch):
             assert isinstance(want, type) and got is want, (m, want, got)
 
 
-def test_resolution_calls_linear_algebra_on_class_blocks_only(monkeypatch):
+def test_resolution_calls_linear_algebra_on_class_blocks_only(monkeypatch, tmp_path):
     # the O(r^4) guard: resolving a generic and a Steinberg pair at ell 11,
     # sideways check included, hands np.linalg no array wider than r x r,
-    # and runs no kron: numpy's, the dense reference's, or one in the package
+    # and runs no kron: numpy's, the dense reference's, or one in the package.
+    # The batching guard: a cold evaluation of a T(2,5) cut at ell 5 resolves
+    # its five pairs with one inv, one svd and one slogdet.
     p = root_params(11)
     r, st = p.r, steinberg_ycolor(p)
     hb = _generic_braiding(BraidingProvider(p), seed=260)
     y = _steinberg_partners(BraidingProvider(p), 1, seed=261)[0]
+    lifted = gauge_fix(_cold_corpus(1, ("t25",), tmp_path, monkeypatch)[0])[1]
+    tangle = cut_edge(lifted, lifted.edges()[0])
     calls = []
     for name in np.linalg.__all__:
         fn = getattr(np.linalg, name)
@@ -778,3 +794,102 @@ def test_resolution_calls_linear_algebra_on_class_blocks_only(monkeypatch):
     fresh.braiding(y, st)
     assert {"inv", "svd", "slogdet"} <= {name for name, _ in calls}
     assert all(shape[-2] <= r and shape[-1] <= r for _, shape in calls), calls
+    calls.clear()
+    cold = BraidingProvider(root_params(5))
+    evaluate_F(tangle, cold)
+    assert len(cold._braidings) == 5
+    assert sorted(name for name, _ in calls) == ["inv", "slogdet", "svd"], calls
+    assert all(shape[-2] <= 5 and shape[-1] <= 5 for _, shape in calls), calls
+
+
+
+# --- one stack per evaluation -------------------------------------------------
+
+def _stack_cases(ell):
+    """A provider, pairs that each resolve alone in it, and their braidings
+    alone: the pairs of Riley's trefoil in the identity gauge and in one
+    random gauge, random generic pairs, and (st, st), (y1, st), (st, y2) for
+    one trefoil pair (y1, y2)."""
+    p = root_params(ell)
+    provider = BraidingProvider(p)
+    d = riley_trefoil(ell, seed=ell, conjugate=False)
+    rng = np.random.default_rng(250 + ell)
+    for link in (d, gauge_act_matrix(random_gstar(rng).phi_plus(), d)):
+        tilde_Fprime(link, provider, max_gauge=1)
+    st = steinberg_ycolor(p)
+    trefoil = [(hb.y1, hb.y2) for hb in provider._braidings.values()]
+    (y1, y2), fresh = trefoil[0], BraidingProvider(p)
+    pairs = (trefoil + _random_pairs(provider, 3, seed=330 + ell)
+             + [(st, st), (y1, st), (st, y2)])
+    alone = {q: _outcome(braiding.rmatrix_braiding, q, fresh) for q in pairs}
+    pairs = [q for q in pairs if not isinstance(alone[q], type)]
+    assert len(pairs) >= 7
+    return fresh, pairs, alone
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(a.c, b.c) and np.array_equal(a.c_inv, b.c_inv)
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 7, 11])
+def test_a_stack_resolves_each_pair_as_it_resolves_alone(ell):
+    provider, pairs, alone = _stack_cases(ell)
+    for stack in (pairs, pairs[::-1], pairs[1::2]):
+        for q, hb in zip(stack, braiding.rmatrix_braidings(stack, provider)):
+            assert _same_bits(hb, alone[q]), q
+
+
+def _plant_pole(monkeypatch, provider, bad):
+    # the series root of `bad` moved onto xi^2, a pole at n = 1
+    real, V = braiding.dilog_series, provider.module(bad[0])
+    monkeypatch.setattr(braiding, "dilog_series", lambda V1, V2, rho, p: real(
+        V1, V2, [p.xi ** 2 if a is V else x for a, x in zip(V1, rho)], p))
+
+
+def _plant_obstruction(monkeypatch, provider, bad):
+    # the pair obstruction of `bad` vanishes
+    real, chi = braiding.pair_defined, provider.char(bad[0])
+    monkeypatch.setattr(braiding, "pair_defined",
+                        lambda chi1, chi2, p: chi1 is not chi and real(chi1, chi2, p))
+
+
+def _plant_nan(monkeypatch, provider, bad):
+    # Delta(E) on V1 (x) V2 of `bad` all NaN
+    real, V = braiding.coproduct_blocks, provider.module(bad[0])
+
+    def planted(V1, V2):
+        d = real(V1, V2)
+        d[[a is V for a in V1], 0] = np.nan
+        return d
+
+    monkeypatch.setattr(braiding, "coproduct_blocks", planted)
+
+
+_PLANTS = {
+    "pole": (_plant_pole, UnresolvableYB, "pole at n = 1"),
+    "obstruction": (_plant_obstruction, Undefined, "obstruction vanishes"),
+    "nan-coproduct": (_plant_nan, UnresolvableYB, r"Delta\(E\)"),
+}
+
+
+@pytest.mark.parametrize("plant", _PLANTS)
+@pytest.mark.parametrize("ell", [3, 4, 5, 7, 11])
+def test_a_failing_pair_changes_nothing_else_in_its_stack(ell, plant, monkeypatch):
+    # one planted pair fails in the middle of a stack: the stack raises the
+    # planted error; every other pair, asked for with the stack, resolves
+    # bitwise as alone, and the planted pair raises alone and is not cached
+    provider, pairs, alone = _stack_cases(ell)
+    bad = next(q for q in _random_pairs(provider, 4, seed=340 + ell)
+               if not isinstance(_outcome(braiding.rmatrix_braiding, q, provider), type))
+    planting, error, match = _PLANTS[plant]
+    planting(monkeypatch, provider, bad)
+    stack = pairs[:2] + [bad] + pairs[2:]
+    with pytest.raises(error, match=match):
+        braiding.rmatrix_braiding(*bad, provider)
+    with pytest.raises(error, match=match):
+        braiding.rmatrix_braidings(stack, provider)
+    for q in pairs:
+        assert _same_bits(provider.braiding(*q, stack), alone[q]), q
+    with pytest.raises(error, match=match):
+        provider.braiding(*bad, stack)
+    assert provider.pair_key(*bad) not in provider._braidings

@@ -471,6 +471,20 @@ def test_child_process_prints_what_main_prints(tmp_path, capsys):
     assert child.stdout == want
 
 
+def test_the_cli_imports_nothing_beyond_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency, and every module `holoinv.cli`
+    # imports in a fresh interpreter is paid for by each CLI call
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import json, sys; before = set(sys.modules); import holoinv.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+    assert child.returncode == 0, child.stderr
+    new = {name.split(".")[0] for name in json.loads(child.stdout)}
+    assert {"holoinv", "numpy"} <= new
+    assert new - set(sys.stdlib_module_names) == {"holoinv", "numpy"}, new
+
+
 def test_color_gauge_orbit_roundtrip(tmp_path, capsys):
     f = tmp_path / "link.json"
     write_link_file(f, 3, [1, 1], seed=8)

@@ -35,6 +35,7 @@ from holoinv.errors import (
     ParseError,
     Singular,
     SingularSolution,
+    Undefined,
     UnresolvableYB,
 )
 from holoinv.invariant import evaluate_F, evaluate_Fprime, gauge_fix, tilde_Fprime
@@ -629,19 +630,17 @@ def test_a_diagram_with_no_edge_has_no_cut():
 _NAN = complex("nan")
 
 
-def _nan_coproduct(call, keys):
+def _nan_coproduct(part, keys):
     """Braid a generic pair with the class blocks of the generators `keys`
-    of the `call`-th coproduct that rmatrix_braiding builds all NaN: call 0
-    is V1 (x) V2, call 1 is V4 (x) V3."""
+    of one coproduct that rmatrix_braiding builds all NaN: its coproducts
+    come as one stack, part 0 V1 (x) V2 and part 1 V4 (x) V3."""
 
     def plant(monkeypatch, provider):
-        real, calls = braiding.coproduct_blocks, []
+        real = braiding.coproduct_blocks
 
         def planted(V1, V2):
-            calls.append(V1)
             d = real(V1, V2)
-            if len(calls) - 1 == call:
-                d[["EFK".index(u) for u in keys]] = np.nan
+            d[part, ["EFK".index(u) for u in keys]] = np.nan
             return d
 
         monkeypatch.setattr(braiding, "coproduct_blocks", planted)
@@ -653,8 +652,8 @@ def _nan_coproduct(call, keys):
 
 
 def _nan_svd(monkeypatch, provider):
-    monkeypatch.setattr(np.linalg, "svd", lambda c, compute_uv: np.full((1, 2), np.nan))
-    braiding._unit_det(np.eye(2, dtype=complex)[None])
+    monkeypatch.setattr(np.linalg, "svd", lambda c, compute_uv: np.full((1, 1, 2), np.nan))
+    braiding._unit_det(np.eye(2, dtype=complex)[None, None])
 
 
 def _nan_contraction(monkeypatch, provider):
@@ -681,7 +680,7 @@ def _nan_cli_chebyshev(monkeypatch, provider):
 
 def _nan_series_root(monkeypatch, provider):
     V = build_cyclic_module(steinberg_char(provider.p), provider.p)
-    braiding.dilog_series(V, V, _NAN, provider.p)
+    braiding.dilog_series([V], [V], [_NAN], provider.p)
 
 
 _NAN_GATES = {
@@ -736,3 +735,26 @@ def test_evaluation_checks_the_colors_it_is_given(providers, edit, match):
         d = Diagram(lifted.bottom_signs, lifted.slices, colors)
     with pytest.raises(InconsistentColoring, match=match):
         evaluate_Fprime(d, providers[4])
+
+
+def test_a_wrong_top_color_raises_before_a_later_unresolvable_pair(monkeypatch):
+    # the first crossing's stored top color is wrong and the second
+    # crossing's pair has no braiding: the stored-top check comes first, as
+    # in a walk that resolves pair by pair, so neither working the pairs out
+    # up front nor the stack that fails on the second pair may raise before it
+    lifted = gauge_fix(commuting_link(4, [1, 1]))[1]
+    t0, t1 = [t for t, s in enumerate(lifted.slices) if s.piece in ("X+", "X-")]
+    mid, other = lifted.edge_at(t0 + 1, 0), lifted.edge_at(t0 + 1, 1)
+    d = lifted.with_colors({mid: lifted.edge_colors[other]})
+    provider = BraidingProvider(root_params(4))
+    first = invariant._braided(d, t0, d.slices[t0])
+    later = invariant._braided(d, t1, d.slices[t1])
+    chis = (provider.char(later[0]), provider.char(later[1]))
+    assert (provider.char(first[0]), provider.char(first[1])) != chis
+    real = braiding.pair_defined
+    monkeypatch.setattr(braiding, "pair_defined", lambda chi1, chi2, p: not (
+        chi1 is chis[0] and chi2 is chis[1]) and real(chi1, chi2, p))
+    with pytest.raises(InconsistentColoring, match="stored top color disagrees"):
+        evaluate_F(d, provider)
+    with pytest.raises(Undefined, match="obstruction vanishes"):
+        provider.braiding(*later)

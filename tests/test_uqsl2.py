@@ -39,6 +39,7 @@ from references import (
     dual_rep,
     k_inv,
     kron,
+    loop_cyclic_module,
     omega_matrix,
     psi,
 )
@@ -268,7 +269,7 @@ def test_coproduct_matrices_match_kron_bitwise(ell):
     got = coproduct_matrices(V1, V2)
     assert all(np.array_equal(got[g], want[g]) for g in "EFK")
     cls = weight_classes(r)
-    for g, shift, blocks in zip("EFK", (-1, 1, 0), coproduct_blocks(V1, V2)):
+    for g, shift, blocks in zip("EFK", (-1, 1, 0), coproduct_blocks([V1], [V2])[0]):
         dense = np.zeros_like(want[g])
         dense[cls[(np.arange(r) + shift) % r][:, :, None], cls[:, None, :]] = blocks
         assert np.array_equal(dense, want[g]), g
@@ -284,3 +285,26 @@ def test_f_r_zero_needs_a_root_k_matching_the_casimir(ell):
     assert is_admissible(chi, root_params(ell))
     with pytest.raises(BranchInconsistent, match="no root k matches"):
         build_cyclic_module(chi, root_params(ell))
+
+
+@pytest.mark.parametrize("ell", range(3, 12))
+def test_module_matrices_match_the_loop_reference_bitwise(ell):
+    # random characters, the Steinberg one, and characters with f_r = 0
+    # whose branch is chosen by the Casimir value (one per root of unity)
+    p = root_params(ell)
+    rng = np.random.default_rng(400 + ell)
+    chars = [steinberg_char(p)]
+    while len(chars) < 9:
+        try:
+            chars.append(char_from_ycolor(random_ycolor(rng, p), p))
+        except HoloinvError:
+            continue
+    kappa = complex(rng.normal(), rng.normal())
+    k0 = (-p.sign_r * kappa) ** (1.0 / p.r)
+    chars += [ZChar(kappa, complex(rng.normal(), rng.normal()), 0j,
+                    -p.sign_ell * (k + 1 / k))
+              for k in (k0 * np.exp(2j * np.pi * j / p.r) for j in range(p.r))]
+    for chi in chars:
+        got, want = build_cyclic_module(chi, p), loop_cyclic_module(chi, p)
+        for g in "EFK":
+            assert np.array_equal(getattr(got, g), getattr(want, g)), (chi, g)

@@ -1,6 +1,7 @@
 """The colored braid relation, as an oracle for the tests (not collected).
 
-The program resolves each braiding on its own (`braiding.rmatrix_braiding`);
+The program resolves each braiding from its pair alone
+(`braiding.rmatrix_braidings`, whose stacks keep every pair apart);
 nothing in it imposes the Yang-Baxter equation.  These helpers assemble
 both sides of the braid relation on three strands from a provider's
 braidings, so that a test can check the relation to GATE modulo r^2-th
