@@ -10,7 +10,7 @@ weights, and the cyclic quantum dilogarithm series in E (x) F, whose root is
 read off the K weights (root 1, the truncated quantum exponential, for a
 pair with a Steinberg factor).  `rmatrix_braidings` solves it on the weight
 classes of Delta(K) for a stack of pairs, one numpy call per stage and every
-check per pair, and every braiding passes a sideways-invertibility check.
+check per pair, and every braiding it returns has passed the sideways check.
 The overall scale of each braiding is then fixed by det(c) = 1 via the
 principal root, which leaves exactly the r^2-th root-of-unity ambiguity the
 theory predicts; all scalar-level statements are therefore made modulo that
@@ -148,13 +148,13 @@ def block_braiding(y1: YColor, y2: YColor,
     k12, k43 = b12.weights, b43.weights
     sig = (np.arange(r) + np.abs(k43 - k12[0]).argmin()) % r
     if np.abs(k43[sig] - k12).max() > 1e-6 * np.abs(k12).max():
-        raise BlockIntertwinerDim(0, "no Delta(K) weight match")
+        raise BlockIntertwinerDim("no Delta(K) weight match")
     e43, f43 = b43.e[sig][:, mate], b43.f[sig][:, mate]
     # link s of block m: mu_s a1 = mu_(s-1) b1 and mu_s a2 = mu_(s-1) b2
     a1, b1, a2, b2 = e43, b12.e, np.roll(b12.f, 1, axis=0), np.roll(f43, 1, axis=0)
     weight = np.abs(a1) ** 2 + np.abs(a2) ** 2
     if np.any(np.sort(weight, axis=0)[1] <= 1e-16 * weight.max(axis=0)):
-        raise BlockIntertwinerDim(2, "both recurrence coefficients vanish")
+        raise BlockIntertwinerDim("both recurrence coefficients vanish")
     ratio = (a1.conj() * b1 + a2.conj() * b2) / np.maximum(weight, 1e-300)
     m = np.arange(r)
     links = (weight.argmin(axis=0) + m[:, None]) % r  # from the weakest link on
@@ -165,7 +165,7 @@ def block_braiding(y1: YColor, y2: YColor,
     prev = np.roll(mu, 1, axis=0)
     unbalanced = np.abs(mu * a1 - prev * b1) + np.abs(mu * a2 - prev * b2)
     if np.any(unbalanced.max(axis=0) > 1e-6 * (abs(mu) * weight ** 0.5).max(axis=0)):
-        raise BlockIntertwinerDim(0, "the weight recurrence does not close")
+        raise BlockIntertwinerDim("the weight recurrence does not close")
     pieces = np.zeros((r, r * r, r * r), dtype=complex)
     pieces[:, b43.classes[sig][:, :, None], b12.classes[:, None, :]] = (
         mu.T[:, :, None, None]
@@ -177,23 +177,21 @@ def block_braiding(y1: YColor, y2: YColor,
 
 # --- sideways and scalar comparison ------------------------------------------
 
-def sideways_matrices(c: np.ndarray, c_inv: np.ndarray, d4: DualityData,
-                      d2: DualityData, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two sideways morphisms built from a braiding and dualities.
+def sideways_matrices(c: np.ndarray, c_inv: np.ndarray, coev4: np.ndarray,
+                      ev2: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two sideways morphisms of a braiding.
 
-    s_plus_L : V4* (x) V1 -> V3 (x) V2* threads the braiding through a left
-    cup on V2 and a left cap on V4; s_minus_R : V3 (x) V2* -> V4* (x) V1 uses
-    the inverse braiding with the right-handed cups and caps.  Both are
-    contracted in index form, with c and c_inv as (out, out, in, in) tensors
-    and the cups and caps as r x r matrices: two matmuls and a transpose each.
+    s_plus_L : V4* (x) V1 -> V3 (x) V2* threads c through the left cup of V2
+    and left cap of V4, the canonical (co)pairings: the identity in dual
+    bases, so s_plus is c with its legs permuted.  s_minus_R : V3 (x) V2* ->
+    V4* (x) V1 threads c_inv, an (out, out, in, in) tensor, through the right
+    cap `ev2` of V2 and right cup `coev4` of V4: two matmuls and a transpose.
     Every array is a stack, with one leading axis, of a pair's.
     """
     m = len(c)
-    ev, coev = d4.ev_L.reshape(m, r, r), d2.coev_L.reshape(m, r, r)
-    s_plus = (ev @ c.reshape(m, r, r ** 3)).reshape(m, r ** 3, r) @ coev  # (a, y, i, j)
-    cut = d2.ev_R.reshape(m, 1, r, r).swapaxes(2, 3) @ c_inv.reshape(m, r, r, r * r)  # (i, v, x u)
-    s_minus = d4.coev_R.reshape(m, 1, r, r) @ cut.reshape(m, r * r, r, r)  # (i v, a, u)
-    return (s_plus.reshape(m, r, r, r, r).transpose(0, 2, 4, 1, 3).reshape(m, r * r, r * r),
+    cut = ev2.reshape(m, 1, r, r).swapaxes(2, 3) @ c_inv.reshape(m, r, r, r * r)  # (i, v, x u)
+    s_minus = coev4.reshape(m, 1, r, r) @ cut.reshape(m, r * r, r, r)  # (i v, a, u)
+    return (c.reshape(m, r, r, r, r).transpose(0, 2, 4, 1, 3).reshape(m, r * r, r * r),
             s_minus.reshape(m, r, r, r, r).transpose(0, 3, 1, 4, 2).reshape(m, r * r, r * r))
 
 
@@ -211,10 +209,24 @@ def equal_mod_roots(a: np.ndarray, b: np.ndarray, r: int,
                     tol: float = 1e-6) -> tuple[bool, complex, float]:
     """Check a = zeta b with zeta an r^2-th root of unity; return (ok, zeta, res)."""
     s, res = proportionality(a, b)
-    if res > tol:
+    if not res <= tol:
         return False, s, res
     root_defect = abs(s ** (r * r) - 1.0)
     return root_defect <= tol * 1e2, s, max(res, root_defect)
+
+
+def check_sideways(c: np.ndarray, c_inv: np.ndarray, coev4: np.ndarray,
+                   ev2: np.ndarray, r: int) -> None:
+    """Raise UnresolvableYB if the sideways morphisms (`sideways_matrices`) of
+    a braiding of the stack do not invert up to an r^2-th root of unity: the
+    property that separates the braiding ray from the other intertwiners in
+    the span of its Casimir-block pieces."""
+    s_plus, s_minus = sideways_matrices(c, c_inv, coev4, ev2, r)
+    eye = np.eye(r * r, dtype=complex)
+    for x in s_minus @ s_plus:
+        ok, _, res = equal_mod_roots(x, eye, r, GATE)
+        if not ok:
+            raise UnresolvableYB(f"sideways morphisms do not invert, residual {res:.3e}")
 
 
 # --- R-matrix-form braidings ------------------------------------------------
@@ -296,7 +308,7 @@ def rmatrix_braidings(pairs: Sequence[tuple[YColor, YColor]],
 
     Each stage is one numpy call on the whole stack, each pair on its own
     slices, so no pair's c and c^-1 depend on the others.  Each check is
-    made pair by pair, and a pair failing one raises for the whole stack.
+    made pair by pair, `check_sideways` last, and one failing raises for the stack.
     """
     p, r, m = provider.p, provider.p.r, len(pairs)
     for y1, y2 in pairs:
@@ -343,6 +355,8 @@ def rmatrix_braidings(pairs: Sequence[tuple[YColor, YColor]],
     at = r ** 4 * at[:, None, None, None]
     c.reshape(-1)[c_at[0, s] + at], c_inv.reshape(-1)[c_at[1, s] + at] = (
         u * DS, S_inv / D[:, :, None, :] / u)
+    check_sideways(c, c_inv, np.array([provider.duality(y4).coev_R for _, _, y4, _ in colors]),
+                   np.array([provider.duality(y2).ev_R for _, y2, _, _ in colors]), r)
     return [HolonomyBraiding(*ys, c[i], c_inv[i]) for i, ys in enumerate(colors)]
 
 
@@ -370,17 +384,17 @@ def _char_key(chi: ZChar):
 class BraidingProvider:
     """Caches modules, dualities and braidings by character.
 
-    Braidings are resolved deterministically by `rmatrix_braidings`, pairs
-    with a Steinberg factor included, several at a time when an evaluation
-    hands over its pairs (`braiding`).  Modules come from `module`, built
-    once per character; only braidings that pass every check are cached.
+    Braidings are resolved and checked deterministically by
+    `rmatrix_braidings`, pairs with a Steinberg factor included, several at a
+    time when an evaluation hands over its pairs (`braiding`); only what it
+    returns is cached.  A character's module and its dualities are one
+    record, built together on the first `module` or `duality` of it.
     """
 
     def __init__(self, p: RootParams):
         self.p = p
-        self.modules: dict = {}
+        self._modules: dict = {}  # character key -> (module, dualities)
         self._braidings: dict = {}
-        self._duals: dict = {}
         self._chars: dict = {}
         self._failed = None  # the last stack that failed
 
@@ -401,17 +415,18 @@ class BraidingProvider:
     def pair_key(self, y1: YColor, y2: YColor):
         return (self._lookup(y1)[1], self._lookup(y2)[1])
 
-    def module(self, y: YColor) -> CyclicModule:
+    def _record(self, y: YColor) -> tuple[CyclicModule, DualityData]:
         chi, key = self._lookup(y)
-        if key not in self.modules:
-            self.modules[key] = build_cyclic_module(chi, self.p)
-        return self.modules[key]
+        if key not in self._modules:
+            V = build_cyclic_module(chi, self.p)
+            self._modules[key] = (V, duality_tensors(V))
+        return self._modules[key]
+
+    def module(self, y: YColor) -> CyclicModule:
+        return self._record(y)[0]
 
     def duality(self, y: YColor) -> DualityData:
-        key = self._lookup(y)[1]
-        if key not in self._duals:
-            self._duals[key] = duality_tensors(self.module(y))
-        return self._duals[key]
+        return self._record(y)[1]
 
     def braiding(self, y1: YColor, y2: YColor,
                  stack: Sequence[tuple[YColor, YColor]] = ()) -> HolonomyBraiding:
@@ -435,30 +450,7 @@ class BraidingProvider:
             if (key := self.pair_key(*pair)) not in self._braidings:
                 todo.setdefault(key, pair)
         if todo:
-            hbs = rmatrix_braidings(list(todo.values()), self)
-            self._check_sideways(hbs)
-            self._braidings.update(zip(todo, hbs))
-
-    def _check_sideways(self, hbs: list[HolonomyBraiding]) -> None:
-        """Reject a stack of braidings if the sideways morphisms of one fail
-        to invert.
-
-        The two sideways morphisms of a genuine braiding compose to the
-        identity up to an r^2-th root of unity; this is the property that
-        separates the braiding ray from other intertwiners in the span of
-        the block pieces, so it is enforced on every resolution.
-        """
-        r = self.p.r  # each duality array below is stacked over the braidings
-        d4, d2 = (DualityData(*map(np.array, zip(*(vars(self.duality(getattr(hb, y))).values()
-                                                   for hb in hbs)))) for y in ("y4", "y2"))
-        s_plus, s_minus = sideways_matrices(np.array([hb.c for hb in hbs]),
-                                            np.array([hb.c_inv for hb in hbs]), d4, d2, r)
-        eye = np.eye(r * r, dtype=complex)
-        for x in s_minus @ s_plus:
-            ok, _, res = equal_mod_roots(x, eye, r, GATE)
-            if not ok:
-                raise UnresolvableYB("sideways morphisms do not invert, "
-                                     f"residual {res:.3e}")
+            self._braidings.update(zip(todo, rmatrix_braidings(list(todo.values()), self)))
 
     def braiding_inv(self, ya: YColor, yb: YColor):
         """Inverse braiding for a negative crossing with bottom colors (ya, yb).

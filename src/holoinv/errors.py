@@ -80,9 +80,7 @@ class SingularSolution(Undefined):
 
 
 class BlockIntertwinerDim(Undefined):
-    def __init__(self, dim: int, message: str = ""):
-        self.dim = dim
-        super().__init__(message or f"block intertwiner dimension {dim}, expected 1")
+    pass
 
 
 class UnresolvableYB(Undefined):

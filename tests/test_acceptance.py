@@ -253,8 +253,8 @@ def test_braiding_coherence_at_scale(providers, ell):
                 ok, _, res = equal_mod_roots(cinv @ hb.c, eye, r, 1e-6)
                 assert ok and res <= 1e-6
                 sp, sm = (x[0] for x in sideways_matrices(
-                    hb.c[None], hb.c_inv[None], provider.duality(hb.y4),
-                    provider.duality(hb.y2), r))
+                    hb.c[None], hb.c_inv[None], provider.duality(hb.y4).coev_R[None],
+                    provider.duality(hb.y2).ev_R[None], r))
                 ok, _, res = equal_mod_roots(sm @ sp, eye, r, 1e-6)
                 assert ok and res <= 1e-6
                 pair_done += 1

@@ -123,8 +123,8 @@ def test_sideways_morphisms_invert(providers):
         for y1, y2 in _random_pairs(provider, 3, seed=50 + ell):
             hb = provider.braiding(y1, y2)
             sp, sm = (x[0] for x in sideways_matrices(
-                hb.c[None], hb.c_inv[None], provider.duality(hb.y4),
-                provider.duality(hb.y2), r))
+                hb.c[None], hb.c_inv[None], provider.duality(hb.y4).coev_R[None],
+                provider.duality(hb.y2).ev_R[None], r))
             ok, _, res = equal_mod_roots(sm @ sp, eye, r, 1e-6)
             assert ok and res < 1e-6
 
@@ -200,14 +200,9 @@ def test_flip_matrix_swaps_factors():
     assert np.allclose(f @ np.kron(x, y), np.kron(y, x))
 
 
-def test_failed_resolution_rolls_back_the_cache(monkeypatch):
-    # the sideways morphisms of one fresh pair are skewed, so its check fails;
-    # the cache must be as it was, and the pair must resolve once unpatched
-    p = root_params(3)
-    provider = BraidingProvider(p)
-    _generic_braiding(provider, seed=80)
-    want = _generic_braiding(BraidingProvider(p), seed=81)
-    cached = dict(provider._braidings)
+def _skew_sideways(monkeypatch):
+    """Skew every s_plus that `sideways_matrices` returns, so every sideways
+    check fails."""
     real = braiding.sideways_matrices
 
     def skewed(*args):
@@ -217,6 +212,17 @@ def test_failed_resolution_rolls_back_the_cache(monkeypatch):
         return s_plus, s_minus
 
     monkeypatch.setattr(braiding, "sideways_matrices", skewed)
+
+
+def test_failed_resolution_rolls_back_the_cache(monkeypatch):
+    # the sideways morphisms of one fresh pair are skewed, so its check fails;
+    # the cache must be as it was, and the pair must resolve once unpatched
+    p = root_params(3)
+    provider = BraidingProvider(p)
+    _generic_braiding(provider, seed=80)
+    want = _generic_braiding(BraidingProvider(p), seed=81)
+    cached = dict(provider._braidings)
+    _skew_sideways(monkeypatch)
     with pytest.raises(UnresolvableYB, match="sideways"):
         provider.braiding(want.y1, want.y2)
     assert provider._braidings == cached
@@ -224,6 +230,18 @@ def test_failed_resolution_rolls_back_the_cache(monkeypatch):
     got = provider.braiding(want.y1, want.y2)
     ok, _, res = equal_mod_roots(got.c, want.c, p.r, 1e-7)
     assert ok, res
+
+
+def test_the_solver_returns_only_checked_braidings(monkeypatch):
+    # the sideways check belongs to the solver: with the sideways morphisms
+    # skewed, no braiding leaves it, for a generic pair or a Steinberg one
+    p = root_params(3)
+    hb = _generic_braiding(BraidingProvider(p), seed=82)
+    _skew_sideways(monkeypatch)
+    with pytest.raises(UnresolvableYB, match="sideways"):
+        braiding.rmatrix_braiding(hb.y1, hb.y2, BraidingProvider(p))
+    with pytest.raises(UnresolvableYB, match="sideways"):
+        braiding.steinberg_self_braiding(BraidingProvider(p))
 
 
 # --- index-form braiding layer ------------------------------------------------
@@ -245,13 +263,15 @@ def _crandn(rng, *shape):
 
 @pytest.mark.parametrize("r", [3, 5])
 def test_sideways_index_form_matches_kron(r):
-    # dense random cups and caps exercise every transpose, not just the
-    # delta pairings of a real duality
+    # dense random right cups and caps exercise every transpose, not just
+    # the diagonal ones of a real duality; the left ones are the canonical
+    # pairings, which `duality_tensors` always returns
     rng = np.random.default_rng(90 + r)
+    eye = np.eye(r, dtype=complex)
 
     def duality():
-        return DualityData(ev_L=_crandn(rng, 1, r * r),
-                           coev_L=_crandn(rng, r * r, 1),
+        return DualityData(ev_L=eye.reshape(1, r * r),
+                           coev_L=eye.reshape(r * r, 1),
                            ev_R=_crandn(rng, 1, r * r),
                            coev_R=_crandn(rng, r * r, 1))
 
@@ -259,9 +279,8 @@ def test_sideways_index_form_matches_kron(r):
     c = _crandn(rng, 2, r * r, r * r)
     c_inv = np.linalg.inv(c)
     d4, d2 = [duality(), duality()], [duality(), duality()]
-    got = sideways_matrices(c, c_inv, *(DualityData(*(np.array([getattr(d, f) for d in ds])
-                                                        for f in ("ev_L", "coev_L", "ev_R", "coev_R")))
-                                        for ds in (d4, d2)), r)
+    got = sideways_matrices(c, c_inv, np.array([d.coev_R for d in d4]),
+                            np.array([d.ev_R for d in d2]), r)
     for k in range(2):
         want = _kron_sideways(c[k], c_inv[k], d4[k], d2[k], r)
         for g, w in zip(got, want):
@@ -314,17 +333,18 @@ def test_sideways_check_rejects_rescaled_blocks(ell):
     lam, *_ = np.linalg.lstsq(basis, hb.c.ravel(), rcond=None)
     assert np.abs(basis @ lam - hb.c.ravel()).max() < 1e-8
 
-    def candidate(lambdas):
+    def check(lambdas):
         c = _unit(assemble(bb, lambdas))
-        return braiding.HolonomyBraiding(
-            y1=bb.y1, y2=bb.y2, y4=bb.y4, y3=bb.y3, c=c, c_inv=np.linalg.inv(c))
+        braiding.check_sideways(c[None], np.linalg.inv(c)[None],
+                                provider.duality(bb.y4).coev_R[None],
+                                provider.duality(bb.y2).ev_R[None], provider.p.r)
 
-    provider._check_sideways([candidate(lam)])
+    check(lam)
     for factor in (1.7, np.exp(0.3j)):
         bent = lam.copy()
         bent[1] *= factor
         with pytest.raises(UnresolvableYB, match="sideways"):
-            provider._check_sideways([candidate(bent)])
+            check(bent)
 
 
 def test_inverse_braiding_is_computed_once(providers):

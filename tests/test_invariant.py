@@ -630,6 +630,12 @@ def test_a_diagram_with_no_edge_has_no_cut():
 _NAN = complex("nan")
 
 
+def _braid_a_generic_pair(provider):
+    rng = np.random.default_rng(11)
+    y1, y2 = random_ycolor(rng, provider.p), random_ycolor(rng, provider.p)
+    braiding.rmatrix_braiding(y1, y2, provider)
+
+
 def _nan_coproduct(part, keys):
     """Braid a generic pair with the class blocks of the generators `keys`
     of one coproduct that rmatrix_braiding builds all NaN: its coproducts
@@ -644,9 +650,7 @@ def _nan_coproduct(part, keys):
             return d
 
         monkeypatch.setattr(braiding, "coproduct_blocks", planted)
-        rng = np.random.default_rng(11)
-        y1, y2 = random_ycolor(rng, provider.p), random_ycolor(rng, provider.p)
-        braiding.rmatrix_braiding(y1, y2, provider)
+        _braid_a_generic_pair(provider)
 
     return plant
 
@@ -683,6 +687,27 @@ def _nan_series_root(monkeypatch, provider):
     braiding.dilog_series([V], [V], [_NAN], provider.p)
 
 
+def _nan_sideways(monkeypatch, provider):
+    # one entry of every s_plus NaN, while c and c^-1 stay finite
+    real = braiding.sideways_matrices
+
+    def planted(*args):
+        s_plus, s_minus = real(*args)
+        s_plus = s_plus.copy()
+        s_plus[..., 0, 0] = np.nan
+        return s_plus, s_minus
+
+    monkeypatch.setattr(braiding, "sideways_matrices", planted)
+    _braid_a_generic_pair(provider)
+
+
+def _nan_sideways_residual(monkeypatch, provider):
+    # a NaN anywhere in the sideways morphisms also makes the root of unity
+    # NaN, which the root-defect test rejects; here only the residual is NaN
+    monkeypatch.setattr(braiding, "proportionality", lambda a, b: (1 + 0j, math.nan))
+    _braid_a_generic_pair(provider)
+
+
 _NAN_GATES = {
     "uqsl2-chebyshev": (lambda mp, pr: char_from_ycolor(
         YColor(GStarElem.one(), _NAN), pr.p), ChebyshevMismatch, "Chebyshev"),
@@ -698,6 +723,8 @@ _NAN_GATES = {
     "braiding-link-weight": (_nan_coproduct(1, "EF"), UnresolvableYB, "not unique"),
     "braiding-residual": (_nan_coproduct(1, "K"), UnresolvableYB,
                           "intertwines, residual"),
+    "braiding-sideways": (_nan_sideways, UnresolvableYB, "sideways"),
+    "braiding-sideways-residual": (_nan_sideways_residual, UnresolvableYB, "sideways"),
     "invariant-scalar": (_nan_contraction, NonScalarResult, "not scalar"),
     "modtrace-pole": (lambda mp, pr: modified_dim(
         ZChar(1 + 0j, 0j, 0j, _NAN), pr.p), Singular, "pole"),

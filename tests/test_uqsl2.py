@@ -118,6 +118,10 @@ def test_right_quantum_dimension_vanishes(ell):
         # zig-zag identities of the two dualities
         r = p.r
         eye = np.eye(r)
+        # the left cup and cap are the identity pairing, which
+        # `braiding.sideways_matrices` reads as a permutation of c's legs
+        assert np.array_equal(dd.ev_L.reshape(r, r), eye)
+        assert np.array_equal(dd.coev_L.reshape(r, r), eye)
         zig = np.kron(dd.ev_L, eye) @ np.kron(eye, dd.coev_L)
         assert np.abs(zig - eye).max() < 1e-9
         zag = np.kron(eye, dd.ev_R) @ np.kron(dd.coev_R, eye)
