@@ -206,7 +206,7 @@ def proportionality(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
 
 
 def equal_mod_roots(a: np.ndarray, b: np.ndarray, r: int,
-                    tol: float = 1e-6) -> tuple[bool, complex, float]:
+                    tol: float) -> tuple[bool, complex, float]:
     """Check a = zeta b with zeta an r^2-th root of unity; return (ok, zeta, res)."""
     s, res = proportionality(a, b)
     if not res <= tol:
@@ -384,11 +384,11 @@ def _char_key(chi: ZChar):
 class BraidingProvider:
     """Caches modules, dualities and braidings by character.
 
-    Braidings are resolved and checked deterministically by
-    `rmatrix_braidings`, pairs with a Steinberg factor included, several at a
-    time when an evaluation hands over its pairs (`braiding`); only what it
-    returns is cached.  A character's module and its dualities are one
-    record, built together on the first `module` or `duality` of it.
+    Braidings are solved and checked by `rmatrix_braidings`, pairs with a
+    Steinberg factor included, and only what it returns is cached: an
+    evaluation's uncached pairs as one stack (`resolve`), any other pair
+    alone on its first `braiding`.  A character's module and its dualities
+    are one record, built together on the first `module` or `duality` of it.
     """
 
     def __init__(self, p: RootParams):
@@ -396,7 +396,6 @@ class BraidingProvider:
         self._modules: dict = {}  # character key -> (module, dualities)
         self._braidings: dict = {}
         self._chars: dict = {}
-        self._failed = None  # the last stack that failed
 
     def _lookup(self, y: YColor) -> tuple[ZChar, tuple]:
         """The character of a color and its cache key, computed once per
@@ -428,29 +427,26 @@ class BraidingProvider:
     def duality(self, y: YColor) -> DualityData:
         return self._record(y)[1]
 
-    def braiding(self, y1: YColor, y2: YColor,
-                 stack: Sequence[tuple[YColor, YColor]] = ()) -> HolonomyBraiding:
-        """The braiding of a pair.  A miss resolves the uncached pairs of
-        `stack`, one evaluation's, as one stack; if one fails, none is cached,
-        and each resolves, or raises, alone when asked for."""
-        key = self.pair_key(y1, y2)
-        if key not in self._braidings and stack and stack is not self._failed:
-            try:
-                self._resolve(stack)
-            except (HoloinvError, np.linalg.LinAlgError):
-                self._failed = stack  # not tried again
-        if key not in self._braidings:
-            self._resolve([(y1, y2)])
-        return self._braidings[key]
+    def resolve(self, pairs: Sequence[tuple[YColor, YColor]]) -> None:
+        """Solve the uncached pairs, one per key, as one stack and cache them
+        all.  Best effort: if anything fails, nothing is cached and nothing
+        raised, and each pair is solved, or raises, alone on its `braiding`."""
+        try:
+            todo: dict = {}
+            for pair in pairs:
+                if (key := self.pair_key(*pair)) not in self._braidings:
+                    todo.setdefault(key, pair)
+            if todo:
+                self._braidings.update(zip(todo, rmatrix_braidings(list(todo.values()), self)))
+        except (HoloinvError, np.linalg.LinAlgError):
+            pass
 
-    def _resolve(self, pairs: Sequence[tuple[YColor, YColor]]) -> None:
-        """Resolve the uncached pairs, one per key, as one stack; cache all."""
-        todo: dict = {}
-        for pair in pairs:
-            if (key := self.pair_key(*pair)) not in self._braidings:
-                todo.setdefault(key, pair)
-        if todo:
-            self._braidings.update(zip(todo, rmatrix_braidings(list(todo.values()), self)))
+    def braiding(self, y1: YColor, y2: YColor) -> HolonomyBraiding:
+        """The braiding of a pair: cached, or solved alone and cached."""
+        key = self.pair_key(y1, y2)
+        if key not in self._braidings:
+            self._braidings[key] = rmatrix_braiding(y1, y2, self)
+        return self._braidings[key]
 
     def braiding_inv(self, ya: YColor, yb: YColor):
         """Inverse braiding for a negative crossing with bottom colors (ya, yb).

@@ -59,6 +59,7 @@ from .invariant import gauge_fix, tilde_Fprime
 from .modtrace import alpha_from_omega, modified_dim
 from .params import TOL, cheb_holds, root_params
 from .quandle import Mat2, QColor, in_sl2, propagate_qcolors
+from .sl2factor import cpair
 from .uqsl2 import ZChar, is_admissible, steinberg_char
 
 
@@ -88,11 +89,6 @@ def _int(v: Any, what: str) -> int:
         return int(v)
     except (TypeError, ValueError) as e:
         raise ParseError(msg) from e
-
-
-def _cpair(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _matrix(v: Any) -> Mat2:
@@ -212,9 +208,9 @@ def cmd_dim(args: argparse.Namespace) -> int:
                          omega=omega)
     if not is_admissible(chi_full, p):
         raise Singular(f"omega {omega} has parabolic non-Steinberg holonomy")
-    _emit({"ell": ell, "omega": _cpair(omega),
-           "dim": _cpair(modified_dim(chi_full, p)),
-           "alpha": _cpair(alpha_from_omega(omega, p))})
+    _emit({"ell": ell, "omega": cpair(omega),
+           "dim": cpair(modified_dim(chi_full, p)),
+           "alpha": cpair(alpha_from_omega(omega, p))})
     return 0
 
 
@@ -225,13 +221,9 @@ def cmd_color(args: argparse.Namespace) -> int:
     out = {
         "ell": ell,
         "attempts": attempts,
-        "gauge": {"kappa": _cpair(gauge.kappa), "eps": _cpair(gauge.eps),
-                  "phi": _cpair(gauge.phi)},
-        "colors": {
-            e: {"kappa": _cpair(y.g.kappa), "eps": _cpair(y.g.eps),
-                "phi": _cpair(y.g.phi), "z": _cpair(y.z)}
-            for e, y in sorted(lifted.edge_colors.items())
-        },
+        "gauge": gauge.as_json_dict(),
+        "colors": {e: {**y.g.as_json_dict(), "z": cpair(y.z)}
+                   for e, y in sorted(lifted.edge_colors.items())},
     }
     _emit(out)
     return 0

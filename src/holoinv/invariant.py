@@ -39,7 +39,6 @@ from .braiding import BraidingProvider, ModScalar, proportionality
 from .diagram import ARITY, Diagram, colors_equal, cut_edge
 from .errors import (
     GaugeExhausted,
-    HoloinvError,
     InconsistentColoring,
     NonScalarResult,
     ParseError,
@@ -48,7 +47,7 @@ from .errors import (
 from .modtrace import modified_dim
 from .params import GATE, TOL
 from .quandle import gauge_act_matrix
-from .sl2factor import GStarElem, q_functor_inv, random_gstar, sl2_B_inv
+from .sl2factor import GStarElem, cpair, q_functor_inv, random_gstar, sl2_B_inv
 
 MAX_WIDTH = 8  # a policy limit on diagram width, not a memory bound
 
@@ -63,16 +62,10 @@ class InvariantResult:
     attempts: int
 
     def as_json_dict(self) -> dict:
-        can = self.value.canonical
-        rep = complex(self.value.value)
         return {
-            "canonical": [can.real, can.imag],
-            "representative": [rep.real, rep.imag],
-            "gauge": {
-                "kappa": [self.gauge_used.kappa.real, self.gauge_used.kappa.imag],
-                "eps": [self.gauge_used.eps.real, self.gauge_used.eps.imag],
-                "phi": [self.gauge_used.phi.real, self.gauge_used.phi.imag],
-            },
+            "canonical": cpair(self.value.canonical),
+            "representative": cpair(self.value.value),
+            "gauge": self.gauge_used.as_json_dict(),
             "attempts": self.attempts,
             "cut_edge": self.cut_edge,
         }
@@ -137,46 +130,45 @@ def evaluate_F(d: Diagram, provider: BraidingProvider) -> np.ndarray:
 
     Crossings map to holonomy braidings of their bottom colors, cups and
     caps to the duality tensors of the edge's module; with an identity per
-    bottom strand they form the network that `_contract` evaluates.  Stored
-    top colors at each crossing must match the biquandle outputs.  The
-    provider gets every crossing's pair, worked out first, to resolve the
-    uncached ones as one stack; a pair that fails raises at its crossing.
+    bottom strand they form the network that `_contract` evaluates.  One
+    walk labels the network and checks every cup, cap and crossing-input
+    color; the provider then gets every crossing's pair at once, to
+    `resolve` the uncached ones as one stack.  Last, in slice order, each
+    crossing reads its braiding, and its stored top colors must match the
+    biquandle outputs; a pair that the stack could not solve raises there.
     """
     if d.max_width() > MAX_WIDTH:
         raise ParseError(f"diagram width {d.max_width()} exceeds the guard {MAX_WIDTH}")
     r, w0 = provider.p.r, len(d.bottom_signs)
-    pairs: dict = {}  # slice -> the colors its crossing braids
-    try:
-        for t, sl in enumerate(d.slices):
-            if sl.piece in ("X+", "X-"):
-                pairs[t] = _braided(d, t, sl)
-    except HoloinvError:
-        pass  # raised again where the walk reaches that crossing
-    stack = list(pairs.values())
+    crossings = []  # (node, t, slice, the colors its crossing braids)
     # labels 0..w0-1 are the bottom boundary; slice t outputs 2w0 + 2t + k
     cur = list(range(w0, 2 * w0))
     net = [(np.eye(r, dtype=complex), [w0 + k, k]) for k in range(w0)]
     for t, sl in enumerate(d.slices):
         o, (nin, nout) = sl.offset, ARITY[sl.piece]
+        out = list(range(2 * w0 + 2 * t, 2 * w0 + 2 * t + nout))
         if sl.piece in ("X+", "X-"):
-            u, v = pairs.get(t) or _braided(d, t, sl)
-            hb = provider.braiding(u, v, stack)
-            tops, m = ((hb.y4, hb.y3), hb.c) if sl.piece == "X+" else ((u, v), hb.c_inv)
-            for k in range(2):
-                got = d.color_at(t + 1, o + k)
-                if got is not None and not colors_equal(tops[k], got, 1e3 * TOL):
-                    raise InconsistentColoring(
-                        f"crossing at slice {t}: stored top color disagrees "
-                        "with the biquandle output")
+            crossings.append((len(net), t, sl, _braided(d, t, sl)))
+            m = None  # the braiding, read once the stack is resolved
         else:
             y = d.color_at(t if nin else t + 1, o)
             if y is None:
                 raise InconsistentColoring(f"uncolored cup or cap at slice {t}")
             # evL -> ev_L, coevR -> coev_R, ...
-            m = getattr(provider.duality(y), sl.piece[:-1] + "_" + sl.piece[-1])
-        out = list(range(2 * w0 + 2 * t, 2 * w0 + 2 * t + nout))
-        net.append((m.reshape((r,) * (nout + nin)), out + cur[o:o + nin]))
+            m = getattr(provider.duality(y), sl.piece[:-1] + "_" + sl.piece[-1]).reshape(r, r)
+        net.append((m, out + cur[o:o + nin]))
         cur[o:o + nin] = out
+    provider.resolve([uv for *_, uv in crossings])
+    for i, t, sl, (u, v) in crossings:
+        hb = provider.braiding(u, v)
+        tops, m = ((hb.y4, hb.y3), hb.c) if sl.piece == "X+" else ((u, v), hb.c_inv)
+        for k in range(2):
+            got = d.color_at(t + 1, sl.offset + k)
+            if got is not None and not colors_equal(tops[k], got, 1e3 * TOL):
+                raise InconsistentColoring(
+                    f"crossing at slice {t}: stored top color disagrees "
+                    "with the biquandle output")
+        net[i] = (m.reshape((r,) * 4), net[i][1])
     return _contract(net, cur + list(range(w0))).reshape(r ** len(cur), r ** w0)
 
 

@@ -35,6 +35,12 @@ from .params import TOL, RootParams
 from .quandle import _ID, Mat2, _inv, _mul, in_sl2
 
 
+def cpair(z: complex) -> list:
+    """A complex number as its JSON [re, im] pair."""
+    z = complex(z)
+    return [z.real, z.imag]
+
+
 @dataclass(frozen=True)
 class GStarElem:
     """An element (kappa, eps, phi) of the factorization group."""
@@ -76,6 +82,9 @@ class GStarElem:
     @staticmethod
     def one() -> "GStarElem":
         return GStarElem(1.0, 0.0, 0.0)
+
+    def as_json_dict(self) -> dict:
+        return {"kappa": cpair(self.kappa), "eps": cpair(self.eps), "phi": cpair(self.phi)}
 
     def __repr__(self):
         return f"GStarElem({self.kappa:.6g}, {self.eps:.6g}, {self.phi:.6g})"

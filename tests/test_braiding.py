@@ -896,8 +896,9 @@ _PLANTS = {
 @pytest.mark.parametrize("ell", [3, 4, 5, 7, 11])
 def test_a_failing_pair_changes_nothing_else_in_its_stack(ell, plant, monkeypatch):
     # one planted pair fails in the middle of a stack: the stack raises the
-    # planted error; every other pair, asked for with the stack, resolves
-    # bitwise as alone, and the planted pair raises alone and is not cached
+    # planted error, and the provider's `resolve` of it caches nothing and
+    # raises nothing; every other pair, asked for after it, resolves bitwise
+    # as alone, and the planted pair raises alone and is not cached
     provider, pairs, alone = _stack_cases(ell)
     bad = next(q for q in _random_pairs(provider, 4, seed=340 + ell)
                if not isinstance(_outcome(braiding.rmatrix_braiding, q, provider), type))
@@ -908,8 +909,10 @@ def test_a_failing_pair_changes_nothing_else_in_its_stack(ell, plant, monkeypatc
         braiding.rmatrix_braiding(*bad, provider)
     with pytest.raises(error, match=match):
         braiding.rmatrix_braidings(stack, provider)
+    provider.resolve(stack)
+    assert not provider._braidings
     for q in pairs:
-        assert _same_bits(provider.braiding(*q, stack), alone[q]), q
+        assert _same_bits(provider.braiding(*q), alone[q]), q
     with pytest.raises(error, match=match):
-        provider.braiding(*bad, stack)
+        provider.braiding(*bad)
     assert provider.pair_key(*bad) not in provider._braidings

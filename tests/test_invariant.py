@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -42,7 +43,7 @@ from holoinv.invariant import evaluate_F, evaluate_Fprime, gauge_fix, tilde_Fpri
 from holoinv.modtrace import modified_dim
 from holoinv.params import TOL, root_params
 from holoinv.quandle import QColor, gauge_act_matrix, propagate_qcolors, z_candidates
-from holoinv.sl2factor import GStarElem, YColor, psi_inv, random_gstar
+from holoinv.sl2factor import GStarElem, YColor, psi_inv, random_gstar, sl2_B
 from holoinv.uqsl2 import (
     ZChar,
     build_cyclic_module,
@@ -51,6 +52,7 @@ from holoinv.uqsl2 import (
     steinberg_char,
 )
 
+import colorings
 from conftest import (
     commuting_link,
     ill_conditioned_riley_colors,
@@ -585,6 +587,37 @@ def test_riley_trefoil_resolves_in_the_identity_gauge(ell):
         assert abs(riley.value.canonical - 64) <= 1e-8 * 64
 
 
+FIGURE_EIGHT = (3, [1, -2, 1, -2])  # 4_1, with X- crossings
+FIGURE_EIGHT_M = cmath.exp(0.3 + 0.7j)
+
+
+@functools.cache
+def _figure_eight_roots():
+    return colorings.colorings(*FIGURE_EIGHT, [FIGURE_EIGHT_M])
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_figure_eight_is_gauge_independent_on_both_roots(ell):
+    # 4_1's two non-abelian colorings at one meridian, at the default cut
+    # (the one cut of a 3-strand closure under the width guard), and again
+    # after a fixed SL(2, C) conjugation; at ell 5 the roots' values differ
+    p, (strands, word) = root_params(ell), FIGURE_EIGHT
+    roots = _figure_eight_roots()
+    assert len(roots) == 2
+    z = z_candidates(FIGURE_EIGHT_M + 1 / FIGURE_EIGHT_M, p)[0]
+    h = tup(random_sl2(np.random.default_rng(41)))
+    values = []
+    for mats, _ in roots:
+        d = closure(propagate_qcolors(braid_diagram(strands, word),
+                                      [qcolor(x, z) for x in mats]))
+        v = tilde_Fprime(d, BraidingProvider(p)).value
+        w = tilde_Fprime(gauge_act_matrix(h, d), BraidingProvider(p)).value
+        assert _log_phase_gap(v, w) <= 1e-8
+        values.append(p.r * p.r * math.log(abs(v.value)))
+    if ell == 5:
+        assert abs(values[0] - values[1]) > 0.1, values
+
+
 @pytest.mark.parametrize("s", [40, 80])
 def test_ill_conditioned_riley_trefoil_keeps_its_torsion(s):
     # conjugated by a matrix of condition number 1,602 (s = 40) or 6,402
@@ -785,3 +818,30 @@ def test_a_wrong_top_color_raises_before_a_later_unresolvable_pair(monkeypatch):
         evaluate_F(d, provider)
     with pytest.raises(Undefined, match="obstruction vanishes"):
         provider.braiding(*later)
+
+
+def test_an_uncolored_cap_raises_before_any_braiding_is_solved(monkeypatch):
+    # a crossing, then a cap on its right output and a downward bottom
+    # strand; every braiding is planted to fail, and only the cap's edge has
+    # no color: every cup, cap and crossing-input color is checked before
+    # any braiding is solved, so the cap raises, and no solve is tried
+    rng = np.random.default_rng(17)
+    ya, yb = random_ycolor(rng, root_params(4)), random_ycolor(rng, root_params(4))
+    y4, y3 = sl2_B(ya, yb)
+    bare = Diagram("++-", [(0, "X+"), (1, "evR")])
+    colors = {bare.edge_at(0, 0): ya, bare.edge_at(0, 1): yb, bare.edge_at(1, 0): y4}
+    d, full = bare.with_colors(colors), bare.with_colors({**colors, bare.edge_at(1, 1): y3})
+    calls = []
+
+    def unresolvable(pairs, provider):
+        calls.append(pairs)
+        raise UnresolvableYB("planted")
+
+    monkeypatch.setattr(braiding, "rmatrix_braidings", unresolvable)
+    with pytest.raises(InconsistentColoring, match="uncolored cup or cap at slice 1"):
+        evaluate_F(d, BraidingProvider(root_params(4)))
+    assert calls == []
+    # with the cap's color back, the planted crossing raises at its slice
+    with pytest.raises(UnresolvableYB, match="planted"):
+        evaluate_F(full, BraidingProvider(root_params(4)))
+    assert calls
