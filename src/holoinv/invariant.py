@@ -1,12 +1,12 @@
 """Pivotal functor on colored tangle diagrams and the renormalized invariant.
 
-`evaluate_F` turns a Y-colored slice diagram into a tensor network: positive
-crossings give the holonomy braiding of their bottom colors, negative
-crossings the inverse braiding, cups and caps the duality tensors of the
-edge's module.  Each strand segment, upward (the module of its color) or
-downward (the dual space), is one size-r label.  Functoriality lets any
-order contract the network, so it is contracted pairwise, smallest result
-first, rather than swept as a state with one axis per strand.
+`evaluate_F` turns a Y-colored slice diagram into a tensor network with one
+node per crossing, the holonomy braiding of its bottom colors (X+) or its
+inverse (X-).  Cups and caps map to duality pairings, diagonal in the weight
+basis, so they only join strand segments into size-r labels, and each
+label's diagonal is multiplied into a crossing axis that carries it.  Any
+order contracts the network; it is contracted pairwise, smallest result
+first, rather than swept slice by slice.
 
 `evaluate_Fprime` computes the renormalized bracket of a closed diagram:
 cut one edge, evaluate the resulting 1-1 tangle (a scalar on a simple
@@ -29,6 +29,7 @@ wraps them, so they are imported by name rather than through their modules.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -36,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .braiding import BraidingProvider, ModScalar, proportionality
-from .diagram import ARITY, Diagram, colors_equal, cut_edge
+from .diagram import Diagram, colors_equal, cut_edge
 from .errors import (
     GaugeExhausted,
     InconsistentColoring,
@@ -128,38 +129,50 @@ def _braided(d: Diagram, t: int, sl) -> tuple:
 def evaluate_F(d: Diagram, provider: BraidingProvider) -> np.ndarray:
     """The functor on a Y-colored diagram, as a matrix (top space x bottom).
 
-    Crossings map to holonomy braidings of their bottom colors, cups and
-    caps to the duality tensors of the edge's module; with an identity per
-    bottom strand they form the network that `_contract` evaluates.  One
-    walk labels the network and checks every cup, cap and crossing-input
-    color; the provider then gets every crossing's pair at once, to
-    `resolve` the uncached ones as one stack.  Last, in slice order, each
-    crossing reads its braiding, and its stored top colors must match the
-    biquandle outputs; a pair that the stack could not solve raises there.
+    Crossings map to holonomy braidings of their bottom colors.  Cups and
+    caps, diagonal duality pairings, make no node: they join strand segments
+    into labels whose diagonals go into crossing axes, one node per crossing.
+    The walk that labels the network checks every cup, cap and crossing-input
+    color; one `resolve` then solves the uncached pairs as a stack.  Last, in
+    slice order, each crossing reads its braiding (a pair left unsolved
+    raises there) and checks its stored top colors.
     """
     if d.max_width() > MAX_WIDTH:
         raise ParseError(f"diagram width {d.max_width()} exceeds the guard {MAX_WIDTH}")
     r, w0 = provider.p.r, len(d.bottom_signs)
-    crossings = []  # (node, t, slice, the colors its crossing braids)
-    # labels 0..w0-1 are the bottom boundary; slice t outputs 2w0 + 2t + k
-    cur = list(range(w0, 2 * w0))
-    net = [(np.eye(r, dtype=complex), [w0 + k, k]) for k in range(w0)]
+    crossings, net = [], []  # crossings: (t, slice, the pair it braids, labels)
+    root, weight = {}, {}  # label -> the label it joined; root -> its diagonal
+    cur, fresh = list(range(w0)), itertools.count(w0)  # 0..w0-1: the bottom
+
+    def find(x):
+        return find(root[x]) if x in root else x
+
     for t, sl in enumerate(d.slices):
-        o, (nin, nout) = sl.offset, ARITY[sl.piece]
-        out = list(range(2 * w0 + 2 * t, 2 * w0 + 2 * t + nout))
-        if sl.piece in ("X+", "X-"):
-            crossings.append((len(net), t, sl, _braided(d, t, sl)))
-            m = None  # the braiding, read once the stack is resolved
+        o, piece = sl.offset, sl.piece
+        if piece in ("X+", "X-"):
+            out = [next(fresh), next(fresh)]
+            crossings.append((t, sl, _braided(d, t, sl), out + cur[o:o + 2]))
+            cur[o:o + 2] = out
+            continue
+        cap = piece.startswith("ev")
+        y = d.color_at(t if cap else t + 1, o)
+        if y is None:
+            raise InconsistentColoring(f"uncolored cup or cap at slice {t}")
+        # evL -> ev_L, coevR -> coev_R, ...
+        w = getattr(provider.duality(y), piece[:-1] + "_" + piece[-1]).reshape(r, r).diagonal()
+        if not cap:
+            cur[o:o] = [x := next(fresh)] * 2
+            weight[x] = w
+            continue
+        a, b = find(cur[o]), find(cur[o + 1])
+        w = w * weight.pop(a, 1)
+        if a == b:  # the cap closes a loop that meets no crossing
+            net.append((np.array(w.sum()), []))
         else:
-            y = d.color_at(t if nin else t + 1, o)
-            if y is None:
-                raise InconsistentColoring(f"uncolored cup or cap at slice {t}")
-            # evL -> ev_L, coevR -> coev_R, ...
-            m = getattr(provider.duality(y), sl.piece[:-1] + "_" + sl.piece[-1]).reshape(r, r)
-        net.append((m, out + cur[o:o + nin]))
-        cur[o:o + nin] = out
-    provider.resolve([uv for *_, uv in crossings])
-    for i, t, sl, (u, v) in crossings:
+            root[b], weight[a] = a, w * weight.pop(b, 1)
+        del cur[o:o + 2]
+    provider.resolve([uv for _, _, uv, _ in crossings])
+    for t, sl, (u, v), labels in crossings:
         hb = provider.braiding(u, v)
         tops, m = ((hb.y4, hb.y3), hb.c) if sl.piece == "X+" else ((u, v), hb.c_inv)
         for k in range(2):
@@ -168,8 +181,20 @@ def evaluate_F(d: Diagram, provider: BraidingProvider) -> np.ndarray:
                 raise InconsistentColoring(
                     f"crossing at slice {t}: stored top color disagrees "
                     "with the biquandle output")
-        net[i] = (m.reshape((r,) * 4), net[i][1])
-    return _contract(net, cur + list(range(w0))).reshape(r ** len(cur), r ** w0)
+        m, ls = m.reshape((r,) * 4), [find(x) for x in labels]
+        for k, x in enumerate(ls):
+            if x in weight:
+                m = np.multiply(m, weight.pop(x).reshape((r,) + (1,) * (3 - k)))
+        for x in [x for k, x in enumerate(ls) if x in ls[:k]]:  # a curl: trace it
+            m = np.trace(m, 0, *(k for k, q in enumerate(ls) if q == x))
+            ls = [q for q in ls if q != x]
+        net.append((m, ls))
+    ends = [find(x) for x in cur + list(range(w0))]
+    for k, x in enumerate(ends):
+        if x in ends[:k]:  # both ends open: the label's diagonal is a node
+            ends[k] = z = next(fresh)
+            net.append((np.diag(weight.get(x, np.ones(r, dtype=complex))), [x, z]))
+    return _contract(net, ends).reshape(r ** len(cur), r ** w0)
 
 
 def evaluate_Fprime(d: Diagram, provider: BraidingProvider,

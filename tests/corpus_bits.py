@@ -19,16 +19,28 @@ bits exactly when their outputs diff empty:
     python3 tests/corpus_bits.py > new.txt
     python3 OTHER_TREE/tests/corpus_bits.py > old.txt && diff old.txt new.txt
 
-Running it from another tree needs only a copy of this file there.
+Running it from another tree needs only a copy of this file there.  Where
+the bits differ, compare the two printouts:
+
+    python3 tests/corpus_bits.py --compare old.txt new.txt [--tol 1e-10]
+
+It reports the largest drift of the values (each representative, and
+`holoinv invariant`'s) in r^2 log|v| and in r^2 arg v mod 2 pi, which are
+what the canonical value v^(r^2) keeps, and counts the braiding hashes,
+exit codes and other lines that differ.  Values that both vanish
+(|v| <= ZERO_TOL) count as agreeing.  It exits 1 when a drift exceeds
+`--tol` or anything else differs.
 """
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import hashlib
 import importlib.util
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +63,7 @@ corpus = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(corpus)
 
 WARM_WIDTH = 7  # perfbench/run.py's one op-cost class of warm_eval cuts
+ZERO_TOL = 1e-8  # perfbench/run.py's: |v| at most this counts as 0
 
 
 def _braidings(provider) -> list[str]:
@@ -131,5 +144,70 @@ def main(seeds) -> None:
                     print(line)
 
 
+def _printed_value(line: str):
+    """The value a printed line carries: a case's representative, or the
+    one in `holoinv invariant`'s stdout; None on any other line."""
+    if line.startswith("  invariant exit 0: "):
+        return complex(*json.loads(line.split(": ", 1)[1])["representative"])
+    if line.startswith((" ", "==")) or ": " in line:
+        return None  # a hash, a header, other stdout or an error
+    return complex(line.rsplit(" ", 1)[1])
+
+
+def _drifts(a: complex, b: complex, r: int) -> tuple:
+    """r^2 |log|a| - log|b||, and r^2 |arg a - arg b| mod 2 pi."""
+    n = r * r
+    if max(abs(a), abs(b)) <= ZERO_TOL:
+        return 0.0, 0.0
+    if a == 0 or b == 0:
+        return math.inf, math.inf
+    return (n * abs(math.log(abs(a)) - math.log(abs(b))),
+            abs(math.remainder(n * (cmath.phase(a) - cmath.phase(b)), math.tau)))
+
+
+def compare(old: list, new: list, tol: float) -> int:
+    """Print how two printouts of this script differ; 1 if past `tol`."""
+    worst = {"log": (0.0, ""), "arg": (0.0, "")}
+    counts = dict.fromkeys(("values", "vanishing", "braiding hashes",
+                            "exit codes", "other lines"), 0)
+    if len(old) != len(new):
+        print(f"line counts differ: {len(old)} -> {len(new)}")
+    key = ""
+    for a, b in zip(old, new):
+        if not a.startswith(" "):
+            key = a.split(" ", 1)[0]
+        if a == b:
+            continue
+        va, vb = _printed_value(a), _printed_value(b)
+        if a.startswith("  braiding ") and b.startswith("  braiding "):
+            counts["braiding hashes"] += 1
+        elif " exit " in a and a.split(":", 1)[0] != b.split(":", 1)[0]:
+            counts["exit codes"] += 1
+        elif va is None or vb is None:
+            counts["other lines"] += 1
+        else:
+            r = root_params(int(key.split("@ell")[1].split("/")[0])).r
+            if max(abs(va), abs(vb)) <= ZERO_TOL:
+                counts["vanishing"] += 1
+            counts["values"] += 1
+            for name, x in zip(("log", "arg"), _drifts(va, vb, r)):
+                worst[name] = max(worst[name], (x, key))
+    print(f"values differing: {counts.pop('values')}, of which both vanish "
+          f"(|v| <= {ZERO_TOL:g}): {counts.pop('vanishing')}")
+    print(f"largest r^2 log|v| drift: {worst['log'][0]:.3e} {worst['log'][1]}")
+    print(f"largest r^2 arg v drift: {worst['arg'][0]:.3e} {worst['arg'][1]}")
+    for name, k in counts.items():
+        print(f"{name} differing: {k}")
+    bad = (len(old) != len(new) or any(counts.values())
+           or max(worst["log"][0], worst["arg"][0]) > tol)
+    print(f"{'DIFFER' if bad else 'AGREE'} to {tol:g}")
+    return int(bad)
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"]:
+        args = sys.argv[2:]
+        tol = float(args[args.index("--tol") + 1]) if "--tol" in args else 1e-10
+        old, new = (Path(f).read_text().splitlines() for f in args[:2])
+        sys.exit(compare(old, new, tol))
     main([int(s) for s in sys.argv[1:]] or [1, 7])

@@ -215,9 +215,9 @@ def apply_rmove(d: Diagram, m: RMove, oracle) -> Diagram:
             new = _transfer_outside(new, d, i, 6, 0)
             if x is not None:
                 y = oracle.alpha(x)
-                new = new.with_colors(
-                    {new.edge_at(i + 1, o + 1): y, new.edge_at(i + 4, o + 1): y}
-                )
+                new = new.with_colors({new.edge_at(i + 1, o + 1): y,
+                                       new.edge_at(i + 2, o): x,
+                                       new.edge_at(i + 4, o + 1): y})
             return new
         _require(i + 5 < len(sl), "no six slices at location")
         got = [(s2.offset, s2.piece) for s2 in sl[i: i + 6]]

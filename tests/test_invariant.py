@@ -53,6 +53,7 @@ from holoinv.uqsl2 import (
 )
 
 import colorings
+from alexander import torsion
 from conftest import (
     commuting_link,
     ill_conditioned_riley_colors,
@@ -61,8 +62,10 @@ from conftest import (
     unknot_diagram,
 )
 from moves import RMove, apply_rmove, compose, identity, tensor
-from oracles import FactorizationOracle
-from references import arr, inv2, q_functor, qcolor, same_mod_roots, tensordot_contract, tup
+from oracles import FactorizationOracle, alpha
+from references import (
+    arr, inv2, q_functor, qcolor, same_mod_roots, tensordot_contract, tup, twist,
+)
 from samplers import gauge_orbit_compare, random_sl2, random_ycolor
 
 
@@ -393,9 +396,8 @@ def test_contraction_matches_sweep_on_every_cut(wide_providers):
                 _assert_matches_sweep(cut_edge(link, e), provider)
 
 
-def _assert_contraction_is_bitwise(d, provider):
-    """`evaluate_F`'s contraction gives, bit for bit, what the same heap
-    order makes of its network with `np.tensordot` at every step."""
+def _network(d, provider):
+    """`evaluate_F(d)`, and the nodes and open labels it hands `_contract`."""
     contract, seen = invariant._contract, []
 
     def capturing(tensors, open_labels):
@@ -406,6 +408,13 @@ def _assert_contraction_is_bitwise(d, provider):
         mp.setattr(invariant, "_contract", capturing)
         got = evaluate_F(d, provider)
     (tensors, open_labels), = seen
+    return got, tensors, open_labels
+
+
+def _assert_contraction_is_bitwise(d, provider):
+    """`evaluate_F`'s contraction gives, bit for bit, what the same heap
+    order makes of its network with `np.tensordot` at every step."""
+    got, tensors, open_labels = _network(d, provider)
     want = tensordot_contract(tensors, open_labels)
     assert np.array_equal(got, want.reshape(got.shape))
 
@@ -423,15 +432,19 @@ def test_contraction_matches_the_tensordot_reference_bitwise(wide_providers):
 
 
 def test_contraction_intermediates_stay_at_r4(wide_providers, monkeypatch):
-    # the sweep holds r^(width + 1) entries, r^8 on a width-7 cut.  Every
-    # product the contraction forms, a pair's `np.dot` or the outer product
-    # of the parts left, takes and gives arrays of at most r^4 entries
+    # a dense state swept up the diagram would hold r^(width + 1) entries,
+    # r^8 on a width-7 cut.  Every numpy product an evaluation forms (a
+    # diagonal multiplied into a crossing axis, a curl's trace, a pair's
+    # `np.dot`, the outer product of the parts left) takes and gives arrays
+    # of at most r^4 entries
     provider = wide_providers[5]
     r = provider.p.r
-    tangles = [cut_edge(link, e) for link in _closures(5) for e in link.edges()]
+    links = _closures(5)
+    tangles = [cut_edge(link, e) for link in links + [_curled(k) for k in links]
+               for e in link.edges()]
     for tangle in tangles:
         evaluate_F(tangle, provider)  # resolves every braiding
-    sizes = {}
+    sizes, seen = {}, set()
 
     def recording(name):
         product = getattr(np, name)
@@ -442,14 +455,66 @@ def test_contraction_intermediates_stay_at_r4(wide_providers, monkeypatch):
             return out
         return run
 
-    for name in ("dot", "tensordot"):
+    names = ("dot", "tensordot", "multiply", "trace")
+    for name in names:
         monkeypatch.setattr(invariant.np, name, recording(name))
     for tangle in tangles:
         sizes.clear()
         evaluate_F(tangle, provider)
         assert sizes["dot"] and sizes["tensordot"], tangle
         assert max(max(v) for v in sizes.values()) <= r ** 4, (tangle, sizes)
+        seen.update(sizes)
+    assert seen == set(names)
     assert max(t.max_width() for t in tangles) == 7
+
+
+def test_the_network_has_one_node_per_crossing(wide_providers):
+    # cups and caps are diagonal pairings: they join labels and weight a
+    # crossing axis, and make no node of their own
+    for link in _closures(5):
+        for e in link.edges():
+            tangle = cut_edge(link, e)
+            _, net, _ = _network(tangle, wide_providers[5])
+            crossings = sum(sl.piece in ("X+", "X-") for sl in tangle.slices)
+            assert len(net) == crossings
+            assert all(len(labels) == 4 == m.ndim for m, labels in net)
+
+
+def _curled(link):
+    """`link` with a positive and a negative curl (RI_f) on strand 0 above
+    slice 1; each curl's crossing carries one label on two of its axes."""
+    return apply_rmove(link, RMove("RI_f", 1, 0), FactorizationOracle())
+
+
+def test_a_curl_is_traced_on_its_crossing(wide_providers, monkeypatch):
+    provider = wide_providers[5]
+    r, traces, trace = provider.p.r, [], np.trace
+
+    def counting(*args, **kwargs):
+        traces.append(np.ndim(args[0]))
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(invariant.np, "trace", counting)
+    links = _closures(5)
+    for link in links:
+        curled = _curled(link)
+        assert _log_phase_gap(evaluate_Fprime(curled, provider),
+                              evaluate_Fprime(link, provider)) <= 1e-8
+        for e in curled.edges():
+            _assert_matches_sweep(cut_edge(curled, e), provider)
+    assert traces
+    # the 1-1 curl alone: the right closure of c_{y, alpha(y)}, the twist
+    y = links[0].color_at(1, 0)
+    curl = Diagram(["+"], [(1, "coevL"), (0, "X+"), (1, "evR")])
+    curl = curl.with_colors({curl.edge_at(0, 0): y, curl.edge_at(1, 1): alpha(y),
+                             curl.edge_at(2, 0): y})
+    traces.clear()
+    _assert_matches_sweep(curl, provider)
+    assert traces == [4]
+    eye = np.eye(r, dtype=complex)
+    ok, _, res = equal_mod_roots(evaluate_F(curl, provider),
+                                 twist(y, provider).value * eye, r, 1e-9)
+    assert ok, res
 
 
 def test_non_scalar_cut_tangle_raises(providers, monkeypatch):
@@ -616,6 +681,28 @@ def test_figure_eight_is_gauge_independent_on_both_roots(ell):
         values.append(p.r * p.r * math.log(abs(v.value)))
     if ell == 5:
         assert abs(values[0] - values[1]) > 0.1, values
+
+
+ALEXANDER_KNOTS = {"3_1": (2, [1, 1, 1]), "5_1": (2, [1] * 5),
+                   "4_1": (3, [1, -2, 1, -2]), "5_2": (3, [1, 1, 1, 2, -1, 2])}
+
+
+@pytest.mark.parametrize("knot", list(ALEXANDER_KNOTS))
+def test_ell_4_knot_value_is_sixteen_torsion_squared(providers, knot):
+    # a knot closure whose strands all carry h diag(m, 1/m) h^-1: at ell 4
+    # its canonical value is 16 tau(m)^2, which moves with the meridian m
+    strands, word = ALEXANDER_KNOTS[knot]
+    provider = providers[4]
+    rng = np.random.default_rng(27)
+    for m in (1.3 + 0.2j, cmath.exp(0.3 + 0.7j), 0.7 - 0.9j):
+        want = ModScalar(cmath.sqrt(4 * torsion(strands, word, m)), 2)  # 16 tau^2
+        for h in (np.eye(2), random_sl2(rng)):
+            g = h @ np.diag([m, 1 / m]) @ np.linalg.inv(h)
+            for z in z_candidates(m + 1 / m, provider.p):
+                d = closure(propagate_qcolors(braid_diagram(strands, word),
+                                              [qcolor(g, z)] * strands))
+                got = tilde_Fprime(d, provider).value
+                assert _log_phase_gap(got, want) <= 1e-8, (m, z, got, want)
 
 
 @pytest.mark.parametrize("s", [40, 80])

@@ -122,6 +122,13 @@ def test_right_quantum_dimension_vanishes(ell):
         # `braiding.sideways_matrices` reads as a permutation of c's legs
         assert np.array_equal(dd.ev_L.reshape(r, r), eye)
         assert np.array_equal(dd.coev_L.reshape(r, r), eye)
+        # the right ones are diagonal too, K^(1-r) and K^(r-1): `evaluate_F`
+        # folds every cup and cap into a crossing axis on that fact
+        k = np.linalg.matrix_power(V.K, r - 1)
+        for m, want in ((dd.ev_R, np.linalg.inv(k)), (dd.coev_R, k)):
+            m = m.reshape(r, r)
+            assert np.array_equal(m, np.diag(np.diagonal(m)))
+            assert np.abs(m - want).max() <= 1e-9 * np.abs(want).max()
         zig = np.kron(dd.ev_L, eye) @ np.kron(eye, dd.coev_L)
         assert np.abs(zig - eye).max() < 1e-9
         zag = np.kron(eye, dd.ev_R) @ np.kron(dd.coev_R, eye)
