@@ -185,14 +185,16 @@ def sideways_matrices(c: np.ndarray, c_inv: np.ndarray, coev4: np.ndarray,
     and left cap of V4, the canonical (co)pairings: the identity in dual
     bases, so s_plus is c with its legs permuted.  s_minus_R : V3 (x) V2* ->
     V4* (x) V1 threads c_inv, an (out, out, in, in) tensor, through the right
-    cap `ev2` of V2 and right cup `coev4` of V4: two matmuls and a transpose.
-    Every array is a stack, with one leading axis, of a pair's.
+    cap of V2 and right cup of V4, diagonal in the weight basis: c_inv scaled
+    by their diagonals `ev2` and `coev4` on its second and third legs, with
+    its legs permuted.  Every array is a stack, with one leading axis, of a
+    pair's.
     """
     m = len(c)
-    cut = ev2.reshape(m, 1, r, r).swapaxes(2, 3) @ c_inv.reshape(m, r, r, r * r)  # (i, v, x u)
-    s_minus = coev4.reshape(m, 1, r, r) @ cut.reshape(m, r * r, r, r)  # (i v, a, u)
+    s_minus = (c_inv.reshape(m, r, r, r, r) * ev2[:, None, :, None, None]
+               * coev4[:, None, None, :, None])
     return (c.reshape(m, r, r, r, r).transpose(0, 2, 4, 1, 3).reshape(m, r * r, r * r),
-            s_minus.reshape(m, r, r, r, r).transpose(0, 3, 1, 4, 2).reshape(m, r * r, r * r))
+            s_minus.transpose(0, 3, 1, 4, 2).reshape(m, r * r, r * r))
 
 
 def proportionality(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:

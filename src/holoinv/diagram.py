@@ -81,12 +81,7 @@ class Diagram:
     on the bottom signs and the slices, so recolored copies share it.
     """
 
-    def __init__(
-        self,
-        bottom_signs: Sequence[str],
-        slices: Sequence[Slice | tuple],
-        edge_colors: Optional[dict[str, Any]] = None,
-    ):
+    def __init__(self, bottom_signs: Sequence[str], slices: Sequence[Slice | tuple]):
         norm = [s if isinstance(s, Slice) else Slice(int(s[0]), str(s[1]))
                 for s in slices]
         self.bottom_signs = tuple(bottom_signs)
@@ -94,19 +89,16 @@ class Diagram:
             raise ParseError("signs must be '+' or '-'")
         self.slices = tuple(norm)
         self._build()
-        self._set_colors(edge_colors or {})
-
-    def _set_colors(self, colors: dict[str, Any]):
-        for e in colors:
-            if e not in self._edges:
-                raise NoSuchEdge(e)
-        self.edge_colors: dict[str, Any] = dict(colors)
+        self.edge_colors: dict[str, Any] = {}
 
     def _recolored(self, colors: dict[str, Any]) -> "Diagram":
         """A diagram sharing this one's structure, with the given colors."""
+        for e in colors:
+            if e not in self._edges:
+                raise NoSuchEdge(e)
         new = object.__new__(Diagram)
         new.__dict__.update(self.__dict__)
-        new._set_colors(colors)
+        new.edge_colors = dict(colors)
         return new
 
     # --- structure ---

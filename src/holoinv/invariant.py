@@ -3,8 +3,9 @@
 `evaluate_F` turns a Y-colored slice diagram into a tensor network with one
 node per crossing, the holonomy braiding of its bottom colors (X+) or its
 inverse (X-).  Cups and caps map to duality pairings, diagonal in the weight
-basis, so they only join strand segments into size-r labels, and each
-label's diagonal is multiplied into a crossing axis that carries it.  Any
+basis (the identity on the left, K^(1-r) and K^(r-1) on the right), so they
+only join strand segments into size-r labels, and each label's diagonal is
+multiplied into a crossing axis that carries it.  Any
 order contracts the network; it is contracted pairwise, smallest result
 first, rather than swept slice by slice.
 
@@ -143,6 +144,7 @@ def evaluate_F(d: Diagram, provider: BraidingProvider) -> np.ndarray:
     crossings, net = [], []  # crossings: (t, slice, the pair it braids, labels)
     root, weight = {}, {}  # label -> the label it joined; root -> its diagonal
     cur, fresh = list(range(w0)), itertools.count(w0)  # 0..w0-1: the bottom
+    ones = np.ones(r, dtype=complex)  # a left cup or cap: the identity
 
     def find(x):
         return find(root[x]) if x in root else x
@@ -158,8 +160,8 @@ def evaluate_F(d: Diagram, provider: BraidingProvider) -> np.ndarray:
         y = d.color_at(t if cap else t + 1, o)
         if y is None:
             raise InconsistentColoring(f"uncolored cup or cap at slice {t}")
-        # evL -> ev_L, coevR -> coev_R, ...
-        w = getattr(provider.duality(y), piece[:-1] + "_" + piece[-1]).reshape(r, r).diagonal()
+        dual = provider.duality(y)  # evR -> ev_R, coevR -> coev_R
+        w = getattr(dual, piece[:-1] + "_R") if piece.endswith("R") else ones
         if not cap:
             cur[o:o] = [x := next(fresh)] * 2
             weight[x] = w
@@ -193,7 +195,7 @@ def evaluate_F(d: Diagram, provider: BraidingProvider) -> np.ndarray:
     for k, x in enumerate(ends):
         if x in ends[:k]:  # both ends open: the label's diagonal is a node
             ends[k] = z = next(fresh)
-            net.append((np.diag(weight.get(x, np.ones(r, dtype=complex))), [x, z]))
+            net.append((np.diag(weight.get(x, ones)), [x, z]))
     return _contract(net, ends).reshape(r ** len(cur), r ** w0)
 
 

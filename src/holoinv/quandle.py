@@ -23,6 +23,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
+from .diagram import propagate_colors
 from .params import TOL, RootParams, cheb_first_kind_roots
 
 Mat2 = tuple[complex, complex, complex, complex]  # [[a, b], [c, d]]
@@ -110,8 +111,6 @@ class QuandleCrossingOracle:
 
 def propagate_qcolors(d, bottom: Sequence[QColor]):
     """Color an uncolored braid diagram's edges from its bottom Q-colors."""
-    from .diagram import propagate_colors
-
     return propagate_colors(d, bottom, QuandleCrossingOracle())
 
 

@@ -12,7 +12,9 @@ and of the Casimir Omega = [1]^2 EF + K xi^(-1) + K^(-1) xi, subject to the
 Chebyshev compatibility Cb_r(omega) = [1]^(2r) e_r f_r - (-1)^l (kappa +
 1/kappa).  For non-parabolic (admissible) characters there is an r-dimensional
 simple module, built here by explicit r x r matrices depending on a chosen
-r-th root k of (-1)^(r-1) kappa.
+r-th root k of (-1)^(r-1) kappa.  Its cup and cap pairings are diagonal in
+the weight basis, so `DualityData` keeps the two that are not the identity
+as vectors.
 """
 
 from __future__ import annotations
@@ -158,26 +160,20 @@ def build_cyclic_module(chi: ZChar, p: RootParams) -> CyclicModule:
 
 @dataclass(frozen=True)
 class DualityData:
-    """Cup and cap tensors of a module and its dual.
-
-    ev_L : V* (x) V -> C is the canonical pairing; coev_L : C -> V (x) V* the
-    canonical copairing; ev_R : V (x) V* -> C inserts K^(1-r); coev_R :
-    C -> V* (x) V inserts K^(r-1).
+    """Cup and cap pairings of a module and its dual, diagonal in the weight
+    basis.  The left cap V* (x) V -> C and cup C -> V (x) V* are the canonical
+    (co)pairings, the identity; the right ones, ev_R : V (x) V* -> C and
+    coev_R : C -> V* (x) V, insert K^(1-r) and K^(r-1) and are stored as
+    those diagonals, length-r vectors.
     """
 
-    ev_L: np.ndarray
-    coev_L: np.ndarray
     ev_R: np.ndarray
     coev_R: np.ndarray
 
 
 def duality_tensors(V: CyclicModule) -> DualityData:
-    r = V.r
-    kdiag = np.diag(V.K)
-    eye = np.eye(r, dtype=complex)
-    return DualityData(ev_L=eye.reshape(1, r * r), coev_L=eye.reshape(r * r, 1),
-                       ev_R=np.diag(kdiag ** (1 - r)).reshape(1, r * r),
-                       coev_R=np.diag(kdiag ** (r - 1)).reshape(r * r, 1))
+    kdiag = V.K.diagonal()
+    return DualityData(ev_R=kdiag ** (1 - V.r), coev_R=kdiag ** (V.r - 1))
 
 
 # --- coproduct action -----------------------------------------------------------

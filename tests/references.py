@@ -51,7 +51,7 @@ from holoinv.errors import (
 from holoinv.params import GATE, TOL, RootParams
 from holoinv.quandle import Mat2, QColor
 from holoinv.sl2factor import GStarElem, YColor, sl2_B, steinberg_ycolor
-from holoinv.uqsl2 import CasimirBlocks, CyclicModule, ZChar, is_admissible
+from holoinv.uqsl2 import CasimirBlocks, CyclicModule, DualityData, ZChar, is_admissible
 
 from oracles import alpha
 
@@ -402,6 +402,17 @@ def q_functor_inv(d):
 
 # --- braidings -------------------------------------------------------------------
 
+def pairing(dd: DualityData, piece: str) -> np.ndarray:
+    """The dense pairing of a cup or cap piece (evL, evR, coevL, coevR) on
+    the module of `dd`: the identity for a left one, the diagonal of the
+    stored vector for a right one; a (1, r^2) row for a cap, an (r^2, 1)
+    column for a cup."""
+    r = len(dd.ev_R)
+    m = (np.diag(getattr(dd, piece[:-1] + "_R")) if piece.endswith("R")
+         else np.eye(r, dtype=complex))
+    return m.reshape((1, r * r) if piece.startswith("ev") else (r * r, 1))
+
+
 def twist(y: YColor, provider: BraidingProvider) -> ModScalar:
     """The twist scalar of a color, from braiding with its diagonal partner.
 
@@ -417,7 +428,7 @@ def twist(y: YColor, provider: BraidingProvider) -> ModScalar:
     if not (hb.y4.approx_eq(y, 1e-6) and hb.y3.approx_eq(ax, 1e-6)):
         raise AlphaUndefined("diagonal partner is not a braiding fixed point")
     dax = provider.duality(ax)
-    right = np.kron(I, dax.ev_R) @ np.kron(hb.c, I) @ np.kron(I, dax.coev_L)
+    right = np.kron(I, pairing(dax, "evR")) @ np.kron(hb.c, I) @ np.kron(I, pairing(dax, "coevL"))
     s, res = proportionality(right, I)
     if res > GATE:
         raise NonScalarResult(f"twist endomorphism residual {res:.3e}")
@@ -426,7 +437,7 @@ def twist(y: YColor, provider: BraidingProvider) -> ModScalar:
     # left version through the inverse diagonal
     hb2 = provider.braiding(az, y)
     daz = provider.duality(az)
-    left = np.kron(daz.ev_L, I) @ np.kron(I, hb2.c) @ np.kron(daz.coev_R, I)
+    left = np.kron(pairing(daz, "evL"), I) @ np.kron(I, hb2.c) @ np.kron(pairing(daz, "coevR"), I)
     s2, res2 = proportionality(left, I)
     if res2 > GATE:
         raise NonScalarResult(f"left twist endomorphism residual {res2:.3e}")
@@ -449,7 +460,7 @@ def steinberg_encirclement(y: YColor, provider: BraidingProvider) -> ModScalar:
     double = c2.c @ c1.c
     d = provider.duality(y)
     I = np.eye(r, dtype=complex)
-    closed = np.kron(d.ev_L, I) @ np.kron(I, double) @ np.kron(d.coev_R, I)
+    closed = np.kron(pairing(d, "evL"), I) @ np.kron(I, double) @ np.kron(pairing(d, "coevR"), I)
     s, res = proportionality(closed, I)
     if res > GATE:
         raise NonScalarResult(f"encirclement residual {res:.3e}")

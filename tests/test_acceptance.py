@@ -77,8 +77,9 @@ def test_associated_quandle_is_conjugation():
     rng = np.random.default_rng(103)
     p = root_params(4)
     worst = 0.0
-    done = 0
-    while done < 1000:
+    done = attempts = 0
+    while done < 1000 and attempts < 3000:
+        attempts += 1
         a = random_ycolor(rng, p)
         b = random_ycolor(rng, p)
         try:
@@ -89,6 +90,7 @@ def test_associated_quandle_is_conjugation():
         lhs = psi(c.g)
         rhs = inv2(psi(a.g)) @ psi(b.g) @ psi(a.g)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
+    assert done == 1000, attempts
     assert worst <= 1e-8, worst
 
 
@@ -152,8 +154,9 @@ def test_cyclic_module_invariants_at_scale(ell):
     eye = np.eye(r)
     worst = 0.0
     qdim_worst = 0.0
-    done = 0
-    while done < 1000:
+    done = attempts = 0
+    while done < 1000 and attempts < 3000:
+        attempts += 1
         y = random_ycolor(rng, p)
         try:
             chi = char_from_ycolor(y, p)
@@ -180,8 +183,8 @@ def test_cyclic_module_invariants_at_scale(ell):
                                + p.sign_ell * (chi.kappa + 1.0 / chi.kappa)))
         if done % 50 == 0:
             dd = duality_tensors(V)
-            qdim_worst = max(qdim_worst,
-                             abs(complex((dd.ev_R @ dd.coev_L).reshape(()))))
+            qdim_worst = max(qdim_worst, abs(dd.ev_R.sum()))
+    assert done == 1000, (ell, attempts)
     assert worst <= 1e-7, (ell, worst)
     assert qdim_worst <= 1e-7, (ell, qdim_worst)
 
@@ -193,8 +196,9 @@ def test_casimir_spectrum_blocks(ell):
     p = root_params(ell)
     rng = np.random.default_rng(110 + ell)
     r = p.r
-    done = 0
-    while done < 3:
+    done = attempts = 0
+    while done < 3 and attempts < 60:
+        attempts += 1
         y1, y2 = random_ycolor(rng, p), random_ycolor(rng, p)
         try:
             chi1 = char_from_ycolor(y1, p)
@@ -225,6 +229,7 @@ def test_casimir_spectrum_blocks(ell):
         w2 = np.sort_complex(np.linalg.eigvals(coproduct_casimir(W1, W2)))
         w1 = np.sort_complex(np.linalg.eigvals(coproduct_casimir(V1, V2)))
         assert np.abs(w1 - w2).max() <= 1e-6 * scale
+    assert done == 3, (ell, attempts)
 
 
 # --- 6. braiding coherence -------------------------------------------------------
@@ -236,8 +241,9 @@ def test_braiding_coherence_at_scale(providers, ell):
     rng = np.random.default_rng(113 + ell)
     r = p.r
     eye = np.eye(r * r)
-    yb_done = pair_done = twist_done = 0
-    while yb_done < 50 or pair_done < 50 or twist_done < 50:
+    yb_done = pair_done = twist_done = attempts = 0
+    while (yb_done < 50 or pair_done < 50 or twist_done < 50) and attempts < 300:
+        attempts += 1
         y1, y2, y3 = (random_ycolor(rng, p) for _ in range(3))
         if yb_done < 50:
             try:
@@ -266,6 +272,7 @@ def test_braiding_coherence_at_scale(providers, ell):
                 twist_done += 1
             except HoloinvError:
                 pass
+    assert (yb_done, pair_done, twist_done) == (50, 50, 50), (ell, attempts)
 
 
 # --- 7. Steinberg encirclement ----------------------------------------------------
@@ -276,8 +283,9 @@ def test_steinberg_encirclement_at_scale(providers, ell):
     p = provider.p
     rng = np.random.default_rng(115 + ell)
     want = ModScalar(complex(p.r), p.r)
-    done = 0
-    while done < 20:
+    done = attempts = 0
+    while done < 20 and attempts < 200:
+        attempts += 1
         y = random_ycolor(rng, p)
         try:
             s = steinberg_encirclement(y, provider)
@@ -285,6 +293,7 @@ def test_steinberg_encirclement_at_scale(providers, ell):
             continue
         done += 1
         assert same_mod_roots(s, want, 1e-6)
+    assert done == 20, (ell, attempts)
 
 
 # --- 8. modified dimension ----------------------------------------------------------
@@ -293,9 +302,11 @@ def test_modified_dimension_at_scale():
     for ell in (3, 4, 5, 6):
         p = root_params(ell)
         rng = np.random.default_rng(117 + ell)
-        done = 0
+        done = attempts = 0
         worst = 0.0
-        while done < (1000 if ell <= 4 else 250):
+        target = 1000 if ell <= 4 else 250
+        while done < target and attempts < 3 * target:
+            attempts += 1
             omega = complex(rng.normal(scale=2), rng.normal(scale=2))
             try:
                 d = modified_dim(ZChar(1.0, 0.0, 0.0, omega), p)
@@ -304,6 +315,7 @@ def test_modified_dimension_at_scale():
             done += 1
             dp = modified_dim_product(alpha_from_omega(omega, p), p)
             worst = max(worst, abs(d - dp) / max(1.0, abs(d)))
+        assert done == target, (ell, attempts)
         assert worst <= 1e-9, (ell, worst)
 
     # analytically forced value at ell = 4, alpha = 1/2

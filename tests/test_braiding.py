@@ -44,8 +44,8 @@ from holoinv.uqsl2 import (
 
 from conftest import commuting_link, riley_trefoil
 from references import (assemble, coproduct_matrices, dense_dilog_series,
-                        dense_rmatrix_braiding, dense_unit_det, psi, qcolor, same_mod_roots,
-                        steinberg_encirclement, twist)
+                        dense_rmatrix_braiding, dense_unit_det, pairing, psi, qcolor,
+                        same_mod_roots, steinberg_encirclement, twist)
 from samplers import random_ycolor
 from yb import (_nullspace, _on_strands, flip_matrix, preflip,
                 resolve_scalars_yb)
@@ -250,10 +250,10 @@ def _kron_sideways(c, c_inv, d4, d2, r):
     """The sideways morphisms as dense kron compositions (reference form)."""
     I = np.eye(r, dtype=complex)
     I2 = np.eye(r * r, dtype=complex)
-    s_plus = (np.kron(d4.ev_L, I2) @ np.kron(np.kron(I, c), I)
-              @ np.kron(I2, d2.coev_L))
-    s_minus = (np.kron(I2, d2.ev_R) @ np.kron(np.kron(I, c_inv), I)
-               @ np.kron(d4.coev_R, I2))
+    s_plus = (np.kron(pairing(d4, "evL"), I2) @ np.kron(np.kron(I, c), I)
+              @ np.kron(I2, pairing(d2, "coevL")))
+    s_minus = (np.kron(I2, pairing(d2, "evR")) @ np.kron(np.kron(I, c_inv), I)
+               @ np.kron(pairing(d4, "coevR"), I2))
     return s_plus, s_minus
 
 
@@ -263,17 +263,13 @@ def _crandn(rng, *shape):
 
 @pytest.mark.parametrize("r", [3, 5])
 def test_sideways_index_form_matches_kron(r):
-    # dense random right cups and caps exercise every transpose, not just
-    # the diagonal ones of a real duality; the left ones are the canonical
-    # pairings, which `duality_tensors` always returns
+    # random right cup and cap diagonals, distinct on every leg, so a
+    # diagonal scaling the wrong leg of c_inv shows; the left ones are the
+    # canonical pairings, which `DualityData` does not store
     rng = np.random.default_rng(90 + r)
-    eye = np.eye(r, dtype=complex)
 
     def duality():
-        return DualityData(ev_L=eye.reshape(1, r * r),
-                           coev_L=eye.reshape(r * r, 1),
-                           ev_R=_crandn(rng, 1, r * r),
-                           coev_R=_crandn(rng, r * r, 1))
+        return DualityData(ev_R=_crandn(rng, r), coev_R=_crandn(rng, r))
 
     # a stack of two: each pair's morphisms are its own
     c = _crandn(rng, 2, r * r, r * r)

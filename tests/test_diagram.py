@@ -300,6 +300,15 @@ def test_propagate_colors_rejects_an_unreachable_crossing_input():
         propagate_colors(closure(braid_diagram(2, [1])), [], _ToyOracle())
 
 
+@pytest.mark.parametrize("bottom", [[], ["a"], ["a", "b", "c"]])
+def test_propagate_colors_rejects_a_bottom_word_of_the_wrong_length(bottom):
+    # one color per bottom strand: too few or too many is refused before
+    # any crossing fires
+    d = braid_diagram(2, [1])
+    with pytest.raises(InconsistentColoring, match="bottom color count mismatch"):
+        propagate_colors(d, bottom, _ToyOracle())
+
+
 def test_rmove_r2_insert_and_undo():
     d = identity([("a", "+"), ("b", "+")])
     m = RMove("RII_pp", 0, 0, "apply", "+-")

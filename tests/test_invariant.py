@@ -64,7 +64,7 @@ from conftest import (
 from moves import RMove, apply_rmove, compose, identity, tensor
 from oracles import FactorizationOracle, alpha
 from references import (
-    arr, inv2, q_functor, qcolor, same_mod_roots, tensordot_contract, tup, twist,
+    arr, inv2, pairing, q_functor, qcolor, same_mod_roots, tensordot_contract, tup, twist,
 )
 from samplers import gauge_orbit_compare, random_sl2, random_ycolor
 
@@ -172,7 +172,7 @@ def test_split_union_scales_by_loop_quantum_dimension(providers):
     both = tensor(link, u)
     v1 = evaluate_Fprime(link, provider)
     dd = provider.duality(y)
-    qdim = complex((dd.ev_R @ dd.coev_L).reshape(()))
+    qdim = complex(dd.ev_R.sum())
     assert abs(qdim) < 1e-10
     for e in both.edges():
         v2 = evaluate_Fprime(both, provider, cut=e)
@@ -322,8 +322,7 @@ def _sweep(d, provider):
         else:
             nin, nout = (2, 0) if sl.piece.startswith("ev") else (0, 2)
             dd = provider.duality(d.color_at(t if nin else t + 1, o))
-            m = getattr(dd, {"evL": "ev_L", "evR": "ev_R",
-                             "coevL": "coev_L", "coevR": "coev_R"}[sl.piece])
+            m = pairing(dd, sl.piece)
         mt = m.reshape((r,) * (nout + nin))
         out = np.tensordot(mt, state, axes=(list(range(nout, nout + nin)),
                                             list(range(o, o + nin))))
@@ -520,16 +519,14 @@ def test_a_curl_is_traced_on_its_crossing(wide_providers, monkeypatch):
 def test_non_scalar_cut_tangle_raises(providers, monkeypatch):
     link, provider = _y_link(providers, 4, [1, 1], 9)
     tangle = cut_edge(link, link.edges()[0])
-    assert any(sl.piece == "coevL" for sl in tangle.slices)
+    assert any(sl.piece == "coevR" for sl in tangle.slices)
     evaluate_Fprime(link, provider)  # unperturbed: scalar
     r = provider.p.r
     duality = provider.duality
 
     def perturbed(y):
-        dd = duality(y)
-        leg = np.diag(1.0 + np.arange(r))  # non-scalar on the first leg
-        coev = (leg @ dd.coev_L.reshape(r, r)).reshape(r * r, 1)
-        return dataclasses.replace(dd, coev_L=coev)
+        dd = duality(y)  # a right cup's diagonal, made non-scalar
+        return dataclasses.replace(dd, coev_R=dd.coev_R * (1.0 + np.arange(r)))
 
     monkeypatch.setattr(provider, "duality", perturbed)
     with pytest.raises(NonScalarResult):
@@ -879,7 +876,7 @@ def test_evaluation_checks_the_colors_it_is_given(providers, edit, match):
         d = lifted.with_colors({mid: colors[other]})
     else:
         del colors[cut if edit == "drop-cut-edge" else mid]
-        d = Diagram(lifted.bottom_signs, lifted.slices, colors)
+        d = Diagram(lifted.bottom_signs, lifted.slices).with_colors(colors)
     with pytest.raises(InconsistentColoring, match=match):
         evaluate_Fprime(d, providers[4])
 

@@ -41,6 +41,7 @@ from references import (
     kron,
     loop_cyclic_module,
     omega_matrix,
+    pairing,
     psi,
 )
 from samplers import random_ycolor
@@ -113,25 +114,28 @@ def test_right_quantum_dimension_vanishes(ell):
     p, mods = _sample_modules(ell, 10, seed=10 + ell)
     for V in mods:
         dd = duality_tensors(V)
-        qdim = (dd.ev_R @ dd.coev_L)[0, 0]
+        qdim = dd.ev_R.sum()
         assert abs(qdim) <= 1e-7
         # zig-zag identities of the two dualities
         r = p.r
         eye = np.eye(r)
         # the left cup and cap are the identity pairing, which
-        # `braiding.sideways_matrices` reads as a permutation of c's legs
-        assert np.array_equal(dd.ev_L.reshape(r, r), eye)
-        assert np.array_equal(dd.coev_L.reshape(r, r), eye)
+        # `braiding.sideways_matrices` reads as a permutation of c's legs,
+        # so the record stores the right ones only, as diagonals
+        assert [f.name for f in dataclasses.fields(dd)] == ["ev_R", "coev_R"]
+        assert dd.ev_R.shape == dd.coev_R.shape == (r,)
+        assert np.array_equal(pairing(dd, "evL").reshape(r, r), eye)
+        assert np.array_equal(pairing(dd, "coevL").reshape(r, r), eye)
         # the right ones are diagonal too, K^(1-r) and K^(r-1): `evaluate_F`
         # folds every cup and cap into a crossing axis on that fact
         k = np.linalg.matrix_power(V.K, r - 1)
-        for m, want in ((dd.ev_R, np.linalg.inv(k)), (dd.coev_R, k)):
-            m = m.reshape(r, r)
+        for piece, want in (("evR", np.linalg.inv(k)), ("coevR", k)):
+            m = pairing(dd, piece).reshape(r, r)
             assert np.array_equal(m, np.diag(np.diagonal(m)))
             assert np.abs(m - want).max() <= 1e-9 * np.abs(want).max()
-        zig = np.kron(dd.ev_L, eye) @ np.kron(eye, dd.coev_L)
+        zig = np.kron(pairing(dd, "evL"), eye) @ np.kron(eye, pairing(dd, "coevL"))
         assert np.abs(zig - eye).max() < 1e-9
-        zag = np.kron(eye, dd.ev_R) @ np.kron(dd.coev_R, eye)
+        zag = np.kron(eye, pairing(dd, "evR")) @ np.kron(pairing(dd, "coevR"), eye)
         assert np.abs(zag - eye).max() < 1e-9
 
 
