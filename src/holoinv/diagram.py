@@ -259,28 +259,31 @@ def closure(d: Diagram) -> Diagram:
     return _bend(d, 0)
 
 
-def cut_edge(d: Diagram, e: Optional[str] = None) -> Diagram:
-    """Open one edge of a closed diagram into a 1-1 tangle with boundary (x,+).
-
-    Default edge: lexicographically least (in (level, position) port order).
-    The diagram is unrolled at a level where the edge is upward strand p,
-    and the n-n tangle this gives is bent closed on every strand but p, as
-    `closure` bends closed every strand.
-    """
+def cut_port(d: Diagram, e: Optional[str] = None) -> tuple[int, int]:
+    """The port (t, p) where `cut_edge` opens edge e of a closed diagram:
+    its first upward port.  Default edge: the least, in port order."""
     if not d.is_closed():
         raise NotClosed("cut_edge needs a closed diagram")
     if e is None:
         e = next(iter(d._edges), None)
     if e not in d._edges:
         raise NoSuchEdge(e or "empty diagram")
-    # cut at the first upward port of the edge.  One exists at some level
-    # 1..n-1: a closed diagram has no ports at levels 0 and n, crossings take
-    # only upward strands, and a cup or cap joins a downward leg to an
-    # upward one, so every edge has an upward port.
-    t, p = next((t, i) for t in range(1, d.n_slices)
+    # one exists at some level 1..n-1: a closed diagram has no ports at
+    # levels 0 and n, crossings take only upward strands, and a cup or cap
+    # joins a downward leg to an upward one, so every edge has an upward port
+    return next((t, i) for t in range(1, d.n_slices)
                 for i, s in enumerate(d.level_signs(t))
                 if s == "+" and d.edge_at(t, i) == e)
-    return _bend(d, t, p)
+
+
+def cut_edge(d: Diagram, e: Optional[str] = None) -> Diagram:
+    """Open one edge of a closed diagram into a 1-1 tangle with boundary (x,+).
+
+    The diagram is unrolled at `cut_port(d, e)`, where the edge is upward
+    strand p, and bent closed on every strand but p, as `closure` bends
+    closed every strand.  The tests' reference for `evaluate_F`'s `port`.
+    """
+    return _bend(d, *cut_port(d, e))
 
 
 # --- generic coloring propagation -----------------------------------------

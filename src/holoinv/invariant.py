@@ -11,8 +11,8 @@ first, rather than swept slice by slice.
 
 `evaluate_Fprime` computes the renormalized bracket of a closed diagram:
 cut one edge, evaluate the resulting 1-1 tangle (a scalar on a simple
-module), and multiply by the modified dimension of the cut color.  The
-result is a ModScalar, well defined modulo r^2-th roots of unity and
+module) on the closed diagram from the cut's level, and multiply by the
+modified dimension of the cut color.  The result is a ModScalar, well defined modulo r^2-th roots of unity and
 independent of the chosen cut edge.
 
 `tilde_Fprime` is the full pipeline on holonomy-colored (Q-colored) links:
@@ -22,9 +22,9 @@ renormalize.
 The canonical value (the r^2-th power) is a gauge- and move-independent
 invariant of the colored link.
 
-`cut_edge`, `modified_dim` and `q_functor_inv` are called through this
-module's namespace, where the benchmark's traced run (perfbench/spans.py)
-wraps them, so they are imported by name rather than through their modules.
+`cut_edge`, `modified_dim` and `q_functor_inv` are imported by name: the
+benchmark's traced run (perfbench/spans.py) wraps them in this namespace.
+The pipeline no longer calls `cut_edge`, the tests' reference for a cut.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .braiding import BraidingProvider, ModScalar, proportionality
-from .diagram import Diagram, colors_equal, cut_edge
+from .diagram import Diagram, colors_equal, cut_edge, cut_port
 from .errors import (
     GaugeExhausted,
     InconsistentColoring,
@@ -127,7 +127,8 @@ def _braided(d: Diagram, t: int, sl) -> tuple:
     return (ya, yb) if sl.piece == "X+" else sl2_B_inv(ya, yb)
 
 
-def evaluate_F(d: Diagram, provider: BraidingProvider) -> np.ndarray:
+def evaluate_F(d: Diagram, provider: BraidingProvider,
+               port: Optional[tuple[int, int]] = None) -> np.ndarray:
     """The functor on a Y-colored diagram, as a matrix (top space x bottom).
 
     Crossings map to holonomy braidings of their bottom colors.  Cups and
@@ -137,20 +138,39 @@ def evaluate_F(d: Diagram, provider: BraidingProvider) -> np.ndarray:
     color; one `resolve` then solves the uncached pairs as a stack.  Last, in
     slice order, each crossing reads its braiding (a pair left unsolved
     raises there) and checks its stored top colors.
+
+    With `port=(t, p)` of a closed diagram, the walk starts at level t and
+    closes the other strands there as `cut_edge` bends them: the cut's matrix.
     """
-    if d.max_width() > MAX_WIDTH:
-        raise ParseError(f"diagram width {d.max_width()} exceeds the guard {MAX_WIDTH}")
-    r, w0 = provider.p.r, len(d.bottom_signs)
+    t0, p = port or (0, None)
+    r, w0 = provider.p.r, len(signs := d.level_signs(t0))
+    if (width := d.max_width() + (w0 - 1 if port else 0)) > MAX_WIDTH:  # as cut
+        raise ParseError(f"diagram width {width} exceeds the guard {MAX_WIDTH}")
     crossings, net = [], []  # crossings: (t, slice, the pair it braids, labels)
     root, weight = {}, {}  # label -> the label it joined; root -> its diagonal
-    cur, fresh = list(range(w0)), itertools.count(w0)  # 0..w0-1: the bottom
+    cur, fresh = list(range(w0)), itertools.count(w0)  # 0..w0-1: level t0
     ones = np.ones(r, dtype=complex)  # a left cup or cap: the identity
 
     def find(x):
         return find(root[x]) if x in root else x
 
-    for t, sl in enumerate(d.slices):
-        o, piece = sl.offset, sl.piece
+    def join(a, b, diag):  # a cap: the labels of its legs become one
+        a, b = find(a), find(b)
+        diag = diag * weight.pop(a, 1)
+        if a == b:  # the cap closes a loop that meets no crossing
+            net.append((np.array(diag.sum()), []))
+        else:
+            root[b], weight[a] = a, diag * weight.pop(b, 1)
+
+    bent, caps = (*range(p), *range(w0 - 1, p, -1)) if port else (), {}
+    for j in bent:  # in the order of the bend's caps, innermost first
+        if (y := d.color_at(t0, j)) is None:
+            raise InconsistentColoring(f"uncolored strand {j} at the cut level {t0}")
+        dual = provider.duality(y)  # left of p, + has the right cup, - the right cap
+        weight[j], caps[j] = ((dual.coev_R, ones) if (j < p) == (signs[j] == "+")
+                              else (ones, dual.ev_R))
+    for t in (*range(t0, d.n_slices), *range(t0)):
+        o, piece = (sl := d.slices[t]).offset, sl.piece
         if piece in ("X+", "X-"):
             out = [next(fresh), next(fresh)]
             crossings.append((t, sl, _braided(d, t, sl), out + cur[o:o + 2]))
@@ -162,17 +182,13 @@ def evaluate_F(d: Diagram, provider: BraidingProvider) -> np.ndarray:
             raise InconsistentColoring(f"uncolored cup or cap at slice {t}")
         dual = provider.duality(y)  # evR -> ev_R, coevR -> coev_R
         w = getattr(dual, piece[:-1] + "_R") if piece.endswith("R") else ones
-        if not cap:
+        if cap:
+            join(cur.pop(o), cur.pop(o), w)
+        else:
             cur[o:o] = [x := next(fresh)] * 2
             weight[x] = w
-            continue
-        a, b = find(cur[o]), find(cur[o + 1])
-        w = w * weight.pop(a, 1)
-        if a == b:  # the cap closes a loop that meets no crossing
-            net.append((np.array(w.sum()), []))
-        else:
-            root[b], weight[a] = a, w * weight.pop(b, 1)
-        del cur[o:o + 2]
+    for j in bent:  # a cap left of p has the bottom label first, right of p the top
+        join(*((j, cur[j]) if j < p else (cur[j], j)), caps[j])
     provider.resolve([uv for _, _, uv, _ in crossings])
     for t, sl, (u, v), labels in crossings:
         hb = provider.braiding(u, v)
@@ -191,27 +207,28 @@ def evaluate_F(d: Diagram, provider: BraidingProvider) -> np.ndarray:
             m = np.trace(m, 0, *(k for k, q in enumerate(ls) if q == x))
             ls = [q for q in ls if q != x]
         net.append((m, ls))
-    ends = [find(x) for x in cur + list(range(w0))]
+    tops, bottoms = ([cur[p]], [p]) if port else (cur, list(range(w0)))
+    ends = [find(x) for x in tops + bottoms]
     for k, x in enumerate(ends):
         if x in ends[:k]:  # both ends open: the label's diagonal is a node
             ends[k] = z = next(fresh)
             net.append((np.diag(weight.get(x, ones)), [x, z]))
-    return _contract(net, ends).reshape(r ** len(cur), r ** w0)
+    return _contract(net, ends).reshape(r ** len(tops), r ** len(bottoms))
 
 
 def evaluate_Fprime(d: Diagram, provider: BraidingProvider,
                     cut: Optional[str] = None) -> ModScalar:
     """Renormalized bracket of a closed Y-colored diagram.
 
-    Cuts one edge (default: the least edge id), evaluates the 1-1 tangle,
-    extracts the scalar by which it acts on the simple module of the cut
-    color, and multiplies by that color's modified dimension.
+    Cuts one edge (default: the least edge id), evaluates the 1-1 tangle at
+    its `cut_port`, extracts the scalar by which it acts on the simple module
+    of the cut color, and multiplies by that color's modified dimension.
     """
-    tangle = cut_edge(d, cut)
-    x = tangle.color_at(0, 0)
+    t, p = port = cut_port(d, cut)
+    x = d.color_at(t, p)
     if x is None:
         raise InconsistentColoring("cut edge has no color")
-    m = evaluate_F(tangle, provider)
+    m = evaluate_F(d, provider, port)
     s, res = proportionality(m, np.eye(provider.p.r, dtype=complex))
     if not res <= GATE:
         raise NonScalarResult(

@@ -56,14 +56,16 @@ CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
 def _random_pairs(provider, n, seed):
     rng = np.random.default_rng(seed)
     p = provider.p
-    out = []
-    while len(out) < n:
+    out, attempts = [], 0
+    while len(out) < n and attempts < 20 * n:
+        attempts += 1
         y1, y2 = random_ycolor(rng, p), random_ycolor(rng, p)
         try:
             if pair_defined(provider.char(y1), provider.char(y2), p):
                 out.append((y1, y2))
         except HoloinvError:
             continue
+    assert len(out) == n, attempts
     return out
 
 
@@ -94,8 +96,9 @@ def test_yang_baxter_resolution(providers):
         provider = providers[ell]
         p = provider.p
         rng = np.random.default_rng(40 + ell)
-        done = 0
-        while done < 3:
+        done = attempts = 0
+        while done < 3 and attempts < 60:
+            attempts += 1
             y1, y2, y3 = (random_ycolor(rng, p) for _ in range(3))
             try:
                 rep = resolve_scalars_yb(y1, y2, y3, provider)
@@ -104,6 +107,7 @@ def test_yang_baxter_resolution(providers):
             done += 1
             assert rep["residual"] < 1e-6
             assert abs(rep["zeta"] ** (p.r ** 2) - 1.0) < 1e-6
+        assert done == 3, (ell, attempts)
 
 
 def test_negative_crossing_is_matrix_inverse(providers):
@@ -133,8 +137,9 @@ def test_twist_left_equals_right_and_unimodular(providers):
     for ell in (3, 4):
         provider = providers[ell]
         rng = np.random.default_rng(60 + ell)
-        done = 0
-        while done < 3:
+        done = attempts = 0
+        while done < 3 and attempts < 60:
+            attempts += 1
             y = random_ycolor(rng, provider.p)
             try:
                 t = twist(y, provider)  # internally checks left == right
@@ -142,6 +147,7 @@ def test_twist_left_equals_right_and_unimodular(providers):
                 continue
             done += 1
             assert abs(abs(t.value) - 1.0) < 1e-6
+        assert done == 3, (ell, attempts)
 
 
 def test_steinberg_self_braiding_is_unitary_twist(providers):
@@ -180,8 +186,9 @@ def test_steinberg_encirclement_gives_r(providers):
         provider = providers[ell]
         p = provider.p
         rng = np.random.default_rng(70 + ell)
-        done = 0
-        while done < 5:
+        done = attempts = 0
+        while done < 5 and attempts < 100:
+            attempts += 1
             y = random_ycolor(rng, p)
             try:
                 s = steinberg_encirclement(y, provider)
@@ -190,6 +197,7 @@ def test_steinberg_encirclement_gives_r(providers):
             done += 1
             want = ModScalar(complex(p.r), p.r)
             assert same_mod_roots(s, want, 1e-6)
+        assert done == 5, (ell, attempts)
 
 
 def test_flip_matrix_swaps_factors():
@@ -308,7 +316,7 @@ def _unit(c):
 def _generic_braiding(provider, seed):
     rng = np.random.default_rng(seed)
     p = provider.p
-    while True:
+    for _ in range(100):
         y1, y2 = random_ycolor(rng, p), random_ycolor(rng, p)
         if _steinberg(provider, y1) or _steinberg(provider, y2):
             continue
@@ -316,6 +324,7 @@ def _generic_braiding(provider, seed):
             return provider.braiding(y1, y2)
         except HoloinvError:
             continue
+    pytest.fail(f"no generic pair resolved in 100 draws (seed {seed})")
 
 
 @pytest.mark.parametrize("ell", [3, 5, 10])
@@ -416,8 +425,9 @@ def _steinberg_partners(provider, n, seed):
     """n random colors y whose pairs (y, st) and (st, y) both resolve."""
     rng = np.random.default_rng(seed)
     st = steinberg_ycolor(provider.p)
-    out = []
-    while len(out) < n:
+    out, attempts = [], 0
+    while len(out) < n and attempts < 20 * n:
+        attempts += 1
         y = random_ycolor(rng, provider.p)
         try:
             for pair in ((y, st), (st, y)):
@@ -425,6 +435,7 @@ def _steinberg_partners(provider, n, seed):
         except HoloinvError:
             continue
         out.append(y)
+    assert len(out) == n, attempts
     return out
 
 
@@ -444,8 +455,9 @@ def test_steinberg_pair_matches_block_oracle(ell):
     provider = BraidingProvider(root_params(ell))
     st = steinberg_ycolor(provider.p)
     rng = np.random.default_rng(150 + ell)
-    done = 0
-    while done < 4:
+    done = attempts = 0
+    while done < 4 and attempts < 80:
+        attempts += 1
         y = random_ycolor(rng, provider.p)
         for pair in ((y, st), (st, y)):
             try:
@@ -456,6 +468,7 @@ def test_steinberg_pair_matches_block_oracle(ell):
             ok, _, res = equal_mod_roots(got.c, want, provider.p.r, 1e-8)
             assert ok, (pair[0] is st, res)
             done += 1
+    assert done >= 4, attempts
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
@@ -554,11 +567,12 @@ def test_twist_raises_undefined_off_the_alpha_domain(ell):
 # --- lean cold resolution -----------------------------------------------------
 
 def _random_module(provider, rng):
-    while True:
+    for _ in range(100):
         try:
             return provider.module(random_ycolor(rng, provider.p))
         except HoloinvError:
             continue
+    pytest.fail("no module built in 100 draws")
 
 
 @pytest.mark.parametrize("ell", [3, 5])

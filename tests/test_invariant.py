@@ -22,6 +22,7 @@ from holoinv.diagram import (
     braid_diagram,
     closure,
     cut_edge,
+    cut_port,
     propagate_colors,
 )
 from holoinv.errors import (
@@ -680,6 +681,74 @@ def test_figure_eight_is_gauge_independent_on_both_roots(ell):
         assert abs(values[0] - values[1]) > 0.1, values
 
 
+def _figure_eight_links(ell):
+    """4_1 lifted on each of its two roots, at the gauge test's z."""
+    p, (strands, word) = root_params(ell), FIGURE_EIGHT
+    z = z_candidates(FIGURE_EIGHT_M + 1 / FIGURE_EIGHT_M, p)[0]
+    return [gauge_fix(closure(propagate_qcolors(
+        braid_diagram(strands, word), [qcolor(x, z) for x in mats])))[1]
+        for mats, _ in _figure_eight_roots()]
+
+
+def _same_outcome(f, g):
+    """f() and g() return equal arrays bit for bit, or raise the same error."""
+    try:
+        want = f()
+    except HoloinvError as e:
+        with pytest.raises(type(e)) as got:
+            g()
+        assert str(got.value) == str(e)
+        return False
+    assert np.array_equal(g(), want)
+    return True
+
+
+@pytest.mark.parametrize("guard", [invariant.MAX_WIDTH, 11])
+def test_port_evaluation_is_the_cut_tangle_bitwise(wide_providers, monkeypatch,
+                                                   guard):
+    # at every edge, the closed diagram evaluated from the cut's port is
+    # the bent 1-1 tangle's matrix bit for bit; at the guard of 11, 4_1's
+    # wide cuts are compared too
+    monkeypatch.setattr(invariant, "MAX_WIDTH", guard)
+    cases = [(ell, link) for ell in (3, 4, 5, 7)
+             for k in _closures(ell) for link in (k, _curled(k))]
+    cases += [(ell, link) for ell in (3, 4, 5) for link in _figure_eight_links(ell)]
+    evaluated = 0
+    for ell, d in cases:
+        provider = wide_providers[ell]
+        for e in d.edges():
+            port, tangle = cut_port(d, e), cut_edge(d, e)
+            evaluated += _same_outcome(lambda: evaluate_F(tangle, provider),
+                                       lambda: evaluate_F(d, provider, port))
+            # the guard reads the bent tangle's width from the closed diagram
+            width = tangle.max_width()
+            monkeypatch.setattr(invariant, "MAX_WIDTH", width - 1)
+            with pytest.raises(ParseError,
+                               match=f"^diagram width {width} exceeds the guard {width - 1}$"):
+                evaluate_F(d, provider, port)
+            monkeypatch.setattr(invariant, "MAX_WIDTH", guard)
+    # the guard of 8 refuses some of 4_1's cuts, that of 11 none
+    edges = sum(len(d.edges()) for _, d in cases)
+    assert evaluated == edges if guard == 11 else 0 < evaluated < edges, evaluated
+
+
+def test_an_uncolored_strand_at_the_cut_level_is_an_input_error(providers):
+    # the cut's level has another strand whose edge has no color: it is
+    # refused before the walk, as the bend's cup refused it, and never
+    # reaches the duality pairings
+    lifted = gauge_fix(commuting_link(4, [1, 1]))[1]
+    e, t, j = next((e, t, j) for e in lifted.edges()
+                   for t, _ in [cut_port(lifted, e)]
+                   for j in range(len(lifted.level_signs(t)))
+                   if lifted.edge_at(t, j) != e)
+    colors = dict(lifted.edge_colors)
+    del colors[lifted.edge_at(t, j)]
+    d = Diagram(lifted.bottom_signs, lifted.slices).with_colors(colors)
+    with pytest.raises(InconsistentColoring,
+                       match=f"uncolored strand {j} at the cut level {t}"):
+        evaluate_Fprime(d, providers[4], e)
+
+
 ALEXANDER_KNOTS = {"3_1": (2, [1, 1, 1]), "5_1": (2, [1] * 5),
                    "4_1": (3, [1, -2, 1, -2]), "5_2": (3, [1, 1, 1, 2, -1, 2])}
 
@@ -779,7 +848,8 @@ def _nan_svd(monkeypatch, provider):
 
 def _nan_contraction(monkeypatch, provider):
     r = provider.p.r
-    monkeypatch.setattr(invariant, "evaluate_F", lambda d, pr: np.full((r, r), _NAN))
+    monkeypatch.setattr(invariant, "evaluate_F",
+                        lambda d, pr, port: np.full((r, r), _NAN))
     tilde_Fprime(commuting_link(provider.p.ell, [1, 1]), provider)
 
 

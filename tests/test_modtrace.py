@@ -17,14 +17,16 @@ from references import casimir_matrix, dual_rep, modified_dim_product, modified_
 
 def _random_chars(p, n, seed):
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
+    out, attempts = [], 0
+    while len(out) < n and attempts < 3 * n:
+        attempts += 1
         omega = complex(rng.normal(scale=2), rng.normal(scale=2))
         try:
             modified_dim_from = modified_dim(ZChar(1.0, 0.0, 0.0, omega), p)
         except Singular:
             continue
         out.append((omega, modified_dim_from))
+    assert len(out) == n, attempts
     return out
 
 

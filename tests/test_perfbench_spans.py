@@ -49,10 +49,13 @@ def test_span_lookup_points_fire(monkeypatch):
     try:
         spans.install(tracer)
         provider = braiding.BraidingProvider(root_params(3))
-        invariant.tilde_Fprime(commuting_link(3, [1, 1]), provider)
-        # the pipeline calls neither the Steinberg names nor the Casimir
-        # blocks, so call both: the Steinberg self pair and a resolved
-        # generic pair's block pieces
+        link = commuting_link(3, [1, 1])
+        invariant.tilde_Fprime(link, provider)
+        # the pipeline calls neither the Steinberg names, the Casimir blocks
+        # nor cut_edge (it evaluates a cut on the closed diagram), so call
+        # them: the Steinberg self pair, a resolved generic pair's block
+        # pieces and a cut of the link
+        invariant.cut_edge(link)
         hb = next(iter(provider._braidings.values()))
         braiding.steinberg_self_braiding(provider)
         braiding.block_braiding(hb.y1, hb.y2, provider)

@@ -50,14 +50,16 @@ from samplers import random_ycolor
 def _sample_modules(ell, n, seed):
     p = root_params(ell)
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
+    out, attempts = [], 0
+    while len(out) < n and attempts < 3 * n:
+        attempts += 1
         y = random_ycolor(rng, p)
         try:
             chi = char_from_ycolor(y, p)
             out.append(build_cyclic_module(chi, p))
         except Exception:
             continue
+    assert len(out) == n, (ell, attempts)
     return p, out
 
 
@@ -70,7 +72,9 @@ def _branch_modules(p, n, seed):
     for branch, keep_eps, keep_phi in (("f_r = 0", 1, 0), ("e_r = 0", 0, 1),
                                        ("ado", 0, 0)):
         mods = out[branch] = []
-        while len(mods) < n:
+        attempts = 0
+        while len(mods) < n and attempts < 3 * n:
+            attempts += 1
             x = random_gstar(rng)
             g = GStarElem(x.kappa, keep_eps * x.eps, keep_phi * x.phi)
             zs = z_candidates(complex(np.trace(psi(g))), p)
@@ -79,6 +83,7 @@ def _branch_modules(p, n, seed):
                 mods.append(build_cyclic_module(chi, p))
             except HoloinvError:
                 continue
+        assert len(mods) == n, (branch, attempts)
     return out
 
 
@@ -178,8 +183,9 @@ def test_casimir_blocks_on_tensor_products(ell):
     p = root_params(ell)
     rng = np.random.default_rng(20 + ell)
     r = p.r
-    done = 0
-    while done < 5:
+    done = attempts = 0
+    while done < 5 and attempts < 100:
+        attempts += 1
         y1, y2 = random_ycolor(rng, p), random_ycolor(rng, p)
         try:
             chi1 = char_from_ycolor(y1, p)
@@ -202,6 +208,7 @@ def test_casimir_blocks_on_tensor_products(ell):
         omega = coproduct_casimir(V1, V2)
         for gmat in com.values():
             assert np.abs(omega @ gmat - gmat @ omega).max() < 1e-6
+    assert done == 5, attempts
 
 
 def test_tensor_central_scalars_multiplicative():
@@ -308,12 +315,14 @@ def test_module_matrices_match_the_loop_reference_bitwise(ell):
     # whose branch is chosen by the Casimir value (one per root of unity)
     p = root_params(ell)
     rng = np.random.default_rng(400 + ell)
-    chars = [steinberg_char(p)]
-    while len(chars) < 9:
+    chars, attempts = [steinberg_char(p)], 0
+    while len(chars) < 9 and attempts < 160:
+        attempts += 1
         try:
             chars.append(char_from_ycolor(random_ycolor(rng, p), p))
         except HoloinvError:
             continue
+    assert len(chars) == 9, attempts
     kappa = complex(rng.normal(), rng.normal())
     k0 = (-p.sign_r * kappa) ** (1.0 / p.r)
     chars += [ZChar(kappa, complex(rng.normal(), rng.normal()), 0j,
